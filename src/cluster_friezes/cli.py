@@ -55,7 +55,10 @@ def _parse_ints(text):
 
 def _parse_window(text):
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise ValueError(f"empty window {text!r}: lo must not exceed hi")
+    return lo, hi
 
 
 def _load_cartan(args) -> CartanMatrix:
@@ -206,7 +209,8 @@ def cmd_monomial(args):
         rho = TropPoint("Y", b.b, coords)
         addr, exps, expr = mono_from_gvector_A(cartan, rho)
         dom_exps, dom_expr = x_from_rho(cartan, rho)
-        assert dom_expr == expr
+        if dom_expr != expr:
+            raise InternalDisagreement("x_from_rho disagrees with the graph search")
         out = {
             "space": "A",
             "address": list(addr),
@@ -217,8 +221,8 @@ def cmd_monomial(args):
     else:
         delta = TropPoint("A", b.bt, coords)
         addr, exps, expr = mono_from_gvector_Y(cartan, delta)
-        alt = y_from_delta(cartan, delta)
-        assert alt == expr
+        if y_from_delta(cartan, delta) != expr:
+            raise InternalDisagreement("y_from_delta disagrees with the graph search")
         out = {
             "space": "Y",
             "address": list(addr),
@@ -310,20 +314,17 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cartan=True):
-        if cartan:
-            p.add_argument(
-                "--cartan",
-                required=True,
-                help="type name (A2..G2), inline JSON rows, or a .json path",
-            )
-        p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-        p.add_argument("--rng-seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=10_000)
-        p.add_argument("--depth", type=int, default=16)
+    def common(p, table=False):
+        p.add_argument(
+            "--cartan",
+            required=True,
+            help="type name (A2..G2), inline JSON rows, or a .json path",
+        )
+        if table:
+            p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     p = sub.add_parser("frieze", help="Z-valued or generic frieze tables")
-    common(p)
+    common(p, table=True)
     p.add_argument(
         "--kind",
         required=True,
@@ -338,11 +339,10 @@ def build_parser():
     p.add_argument("--B", help="inline JSON matrix")
     p.add_argument("--word", help="comma-separated directions")
     p.add_argument("--kind", choices=("matrix", "a-seed", "y-seed"), default="matrix")
-    p.add_argument("--format", choices=("tsv", "json"), default="json")
     p.set_defaults(fn=cmd_mutate)
 
     p = sub.add_parser("trop", help="belt coordinates of a tropical point")
-    common(p)
+    common(p, table=True)
     p.add_argument("--space", choices=("A", "Y"))
     p.add_argument("--coords")
     p.add_argument("--anchor", help="anchor word, default root")
@@ -371,14 +371,14 @@ def build_parser():
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("hammock", help="hammock function table")
-    common(p)
+    common(p, table=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--window", default="-2..5")
     p.set_defaults(fn=cmd_hammock)
 
     p = sub.add_parser("fpoly", help="belt coefficient polynomials F(i,m)")
-    common(p)
+    common(p, table=True)
     p.add_argument("--window", help="column range lo..hi, default the domain")
     p.set_defaults(fn=cmd_fpoly)
 
@@ -388,7 +388,6 @@ def build_parser():
     p.add_argument("--trials", type=int)
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--format", choices=("tsv", "json"), default="json")
     p.set_defaults(fn=cmd_verify)
 
     return parser

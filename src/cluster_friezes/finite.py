@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalDisagreement, NotFiniteType, NotFound
 from .friezes import (
@@ -23,6 +22,8 @@ from .friezes import (
 )
 from .laurent import IntLaurentPoly, RationalFunction
 from .mutation import (
+    _gauss_jordan,
+    _Registry,
     as_matrix,
     canonical_address,
     enumerate_exchange_graph,
@@ -126,26 +127,6 @@ def named_cartan(name: str) -> CartanMatrix:
 # -- classification ------------------------------------------------------------
 
 
-def det_int(m):
-    """Exact determinant of an integer matrix (fraction-free expansion)."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for i in range(col + 1, n):
-            factor = a[i][col] / a[col][col]
-            a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-    assert det.denominator == 1
-    return int(det)
-
-
 @dataclass(frozen=True)
 class Classification:
     finite: bool
@@ -158,7 +139,9 @@ def classify(cartan: CartanMatrix) -> Classification:
     d = cartan.symmetrizer
     r = cartan.rank
     da = [[d[i] * a[i][j] for j in range(r)] for i in range(r)]
-    finite = all(det_int([row[: k + 1] for row in da[: k + 1]]) > 0 for k in range(r))
+    finite = all(
+        _gauss_jordan([row[: k + 1] for row in da[: k + 1]])[0] > 0 for k in range(r)
+    )
     seen = [False] * r
     blocks = []
     for start in range(r):
@@ -242,27 +225,12 @@ def _coxeter_apply(a, mu):
 def _dominance_drop(cartan, lam, mu):
     """lam - mu as a nonnegative integer combination of simple roots, or None."""
     diff = [lam[i] - mu[i] for i in range(len(lam))]
-    sol = _solve_fraction(cartan.entries, diff)
-    if sol is None:
+    det, sol = _gauss_jordan(cartan.entries, diff)
+    if not det:
         return None
     if any(x.denominator != 1 or x < 0 for x in sol):
         return None
     return tuple(int(x) for x in sol)
-
-
-def _solve_fraction(m, rhs):
-    n = len(rhs)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                factor = a[i][col] / a[col][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-    return [a[i][n] / a[i][i] for i in range(n)]
 
 
 def coxeter_data(cartan: CartanMatrix) -> RootSystemData:
@@ -388,15 +356,11 @@ class FiniteContext:
         return self.roots.fundamental_domain()
 
 
-_contexts = {}
-_contexts_lock = threading.Lock()
+_contexts = _Registry()
 
 
 def finite_context(cartan: CartanMatrix) -> FiniteContext:
-    with _contexts_lock:
-        if cartan.entries not in _contexts:
-            _contexts[cartan.entries] = FiniteContext(cartan)
-        return _contexts[cartan.entries]
+    return _contexts.get(cartan.entries, FiniteContext, cartan)
 
 
 # -- periodicity ---------------------------------------------------------------

@@ -15,11 +15,12 @@ backward from a seed slice; each relation is linear in its extreme unknown.
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 
 from .errors import DimensionMismatch, NotAdmissible
 from .laurent import check_trop
 from .mutation import (
+    _diagonal_symmetrizer,
+    _Registry,
     as_matrix,
     canonical_address,
     mat_neg,
@@ -34,44 +35,7 @@ KINDS = ("additive", "cluster-additive", "tropical-frieze")
 
 def find_symmetrizer(a):
     """Positive integer diagonal d with diag(d)*A symmetric, or None."""
-    r = len(a)
-    for i in range(r):
-        for j in range(r):
-            if (a[i][j] == 0) != (a[j][i] == 0):
-                return None
-    d = [None] * r
-    for start in range(r):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(r):
-                if i != j and a[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * Fraction(a[i][j], a[j][i])
-                    stack.append(j)
-    lcm = 1
-    for x in d:
-        lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-    dints = tuple(int(x * lcm) for x in d)
-    g = 0
-    for x in dints:
-        g = _gcd(g, x)
-    dints = tuple(x // g for x in dints)
-    if any(x <= 0 for x in dints):
-        return None
-    for i in range(r):
-        for j in range(r):
-            if dints[i] * a[i][j] != dints[j] * a[j][i]:
-                return None
-    return dints
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    return _diagonal_symmetrizer(a, 1)
 
 
 class CartanMatrix:
@@ -247,16 +211,6 @@ class FriezeFunction:
             self.kind, self.cartan, lambda i, m: self.value(i, m) + other.value(i, m)
         )
 
-    def scale(self, c):
-        return FriezeFunction.from_values(
-            self.kind, self.cartan, lambda i, m: c * self.value(i, m)
-        )
-
-
-def extend(f: FriezeFunction, i, m) -> int:
-    """Value f(i, m), extending by the defining recursion as needed."""
-    return f.value(i, m)
-
 
 def additive_extend(cartan, values, m0=0) -> FriezeFunction:
     return FriezeFunction.from_slice("additive", cartan, values, m0)
@@ -309,15 +263,11 @@ class Belts:
         return TropPoint("A", self.bt, coords, canonical_address(i, m, r))
 
 
-_belts = {}
-_belts_lock = threading.Lock()
+_belts = _Registry()
 
 
 def belts(cartan: CartanMatrix) -> Belts:
-    with _belts_lock:
-        if cartan.entries not in _belts:
-            _belts[cartan.entries] = Belts(cartan)
-        return _belts[cartan.entries]
+    return _belts.get(cartan.entries, Belts, cartan)
 
 
 def generic_A_frieze(cartan, i, m) -> RationalFunction:
@@ -405,14 +355,6 @@ class PLMap:
         return tuple(d)
 
 
-def EA_apply(plmap: PLMap, d):
-    return plmap.apply(d)
-
-
-def EA_invert(plmap: PLMap, v):
-    return plmap.invert(v)
-
-
 def slice_step(cartan, values):
     """Next slice of a cluster-additive function: (E^+)^{-1}(-E^-(current))."""
     eplus = PLMap(cartan, "+")
@@ -426,6 +368,8 @@ def slice_step(cartan, values):
 def hammock(cartan, i, m) -> FriezeFunction:
     """The cluster-additive function whose m-th slice is -e_i."""
     r = cartan.rank
+    if not 1 <= i <= r:
+        raise DimensionMismatch(f"index {i} out of range 1..{r}")
     values = tuple(-1 if j == i - 1 else 0 for j in range(r))
     return FriezeFunction.from_slice("cluster-additive", cartan, values, m0=m)
 

@@ -37,14 +37,6 @@ def check_trop(value: int) -> int:
     return value
 
 
-def trop_add(a: int, b: int) -> int:
-    return check_trop(max(a, b))
-
-
-def trop_mul(a: int, b: int) -> int:
-    return check_trop(a + b)
-
-
 def _grlex_key(exp):
     return (sum(exp), exp)
 
@@ -112,9 +104,6 @@ class IntLaurentPoly:
 
     def coefficients_nonnegative(self):
         return all(c > 0 for c in self.terms.values())
-
-    def has_nonneg_exponents(self):
-        return all(all(x >= 0 for x in e) for e in self.terms)
 
     def leading(self):
         """Graded-lex leading (exponent, coefficient); poly must be nonzero."""
@@ -222,9 +211,6 @@ class IntLaurentPoly:
             if g == 1:
                 break
         return g
-
-    def div_int(self, n):
-        return IntLaurentPoly(self.nvars, {e: c // n for e, c in self.terms.items()})
 
     # -- exact division ----------------------------------------------------
 
@@ -508,17 +494,6 @@ class RationalFunction:
             raise ValueError("element is not a Laurent polynomial")
         return self.num
 
-    def is_laurent_monomial(self):
-        return self.den.is_one() and self.num.is_monomial()
-
-    def monomial_exponent(self):
-        if not self.is_laurent_monomial():
-            raise ValueError("not a Laurent monomial")
-        ((e, c),) = self.num.terms.items()
-        if c != 1:
-            raise ValueError("monomial has a nontrivial coefficient")
-        return e
-
     def denominator_vector(self):
         """d-vector of a Laurent element: negated minimal exponents of num."""
         num = self.laurent()
@@ -698,16 +673,6 @@ def _reduce(num, den):
     return num, den
 
 
-def rf_reduce(num, den):
-    """Reduced canonical fraction num/den."""
-    return RationalFunction(num, den)
-
-
-def exact_div(p, q):
-    """Exact Laurent-ring quotient; raises NotDivisible on nonzero remainder."""
-    return p.exact_div(q)
-
-
 def substitute_monomials(f, matrix, base):
     """Substitute variable i of f by base^(column i of matrix).
 
@@ -728,8 +693,3 @@ def substitute_monomials(f, matrix, base):
                 t = t * b**e
         targets.append(t)
     return f.substitute(targets)
-
-
-def trop_eval(f, coords):
-    """Tropical (max-plus) value of a subtraction-free fraction at coords."""
-    return f.trop_eval(coords)

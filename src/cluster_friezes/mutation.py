@@ -8,11 +8,12 @@ root.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, DimensionMismatch
+from .errors import BudgetExceeded, DimensionMismatch, InternalDisagreement
 from .laurent import IntLaurentPoly, RationalFunction
 
 Matrix = tuple  # tuple of row tuples
@@ -50,16 +51,52 @@ def matrix_times_col(m: Matrix, col):
     return tuple(sum(x * c for x, c in zip(row, col)) for row in m)
 
 
-def find_skew_symmetrizer(b: Matrix):
-    """Positive integer diagonal d with diag(d)*B skew-symmetric, or None."""
-    r = len(b)
+def _gauss_jordan(m, rhs=None):
+    """Exact Gauss-Jordan elimination of the square integer system m*u = rhs
+    over Q (rhs defaults to zero).
+
+    Returns (det, u): det(m) as an int, and a solution u as Fractions with
+    every free unknown set to 0, or None when the system is inconsistent.
+    u is the unique solution exactly when det != 0.
+    """
+    n = len(m)
+    if rhs is None:
+        rhs = (0,) * n
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(m, rhs)]
+    det = Fraction(1)
+    pivots = []
+    for col in range(n):
+        row = len(pivots)
+        piv = next((i for i in range(row, n) if a[i][col] != 0), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != row:
+            a[row], a[piv] = a[piv], a[row]
+            det = -det
+        det *= a[row][col]
+        for i in range(n):
+            if i != row and a[i][col] != 0:
+                factor = a[i][col] / a[row][col]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[row])]
+        pivots.append(col)
+    if det.denominator != 1:
+        raise InternalDisagreement(f"determinant {det} of an integer matrix")
+    if any(a[i][n] != 0 for i in range(len(pivots), n)):
+        return int(det), None
+    u = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        u[col] = a[i][n] / a[i][col]
+    return int(det), u
+
+
+def _diagonal_symmetrizer(m, sign):
+    """Smallest positive integer d with d_i m_ij = sign * d_j m_ji for all
+    i, j, or None."""
+    r = len(m)
     for i in range(r):
-        if b[i][i] != 0:
-            return None
         for j in range(r):
-            if (b[i][j] == 0) != (b[j][i] == 0):
-                return None
-            if b[i][j] * b[j][i] > 0:
+            if (m[i][j] == 0) != (m[j][i] == 0):
                 return None
     d = [None] * r
     for start in range(r):
@@ -70,29 +107,77 @@ def find_skew_symmetrizer(b: Matrix):
         while stack:
             i = stack.pop()
             for j in range(r):
-                if b[i][j] != 0 and d[j] is None:
-                    # d_i b_ij = -d_j b_ji
-                    d[j] = d[i] * Fraction(b[i][j], -b[j][i])
+                if i != j and m[i][j] != 0 and d[j] is None:
+                    d[j] = d[i] * Fraction(m[i][j], sign * m[j][i])
                     stack.append(j)
-    lcm = 1
-    for x in d:
-        lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-    dints = tuple(int(x * lcm) for x in d)
-    g = 0
-    for x in dints:
-        g = _gcd(g, x)
+    scale = math.lcm(*(x.denominator for x in d))
+    dints = [int(x * scale) for x in d]
+    g = math.gcd(*dints)
     dints = tuple(x // g for x in dints)
+    if any(x <= 0 for x in dints):
+        return None
     for i in range(r):
         for j in range(r):
-            if dints[i] * b[i][j] != -dints[j] * b[j][i]:
+            if dints[i] * m[i][j] != sign * dints[j] * m[j][i]:
                 return None
     return dints
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def find_skew_symmetrizer(b: Matrix):
+    """Positive integer diagonal d with diag(d)*B skew-symmetric, or None."""
+    for i in range(len(b)):
+        if b[i][i] != 0 or any(b[i][j] * b[j][i] > 0 for j in range(len(b))):
+            return None
+    return _diagonal_symmetrizer(b, -1)
+
+
+class _Registry:
+    """Process-wide get-or-create memo of shared objects, one lock each."""
+
+    __slots__ = ("items", "lock")
+
+    def __init__(self):
+        self.items = {}
+        self.lock = threading.Lock()
+
+    def get(self, key, make, *args):
+        """The object stored under key, created as make(*args) on first use."""
+        with self.lock:
+            item = self.items.get(key)
+            if item is None:
+                item = self.items[key] = make(*args)
+            return item
+
+
+class _PrefixWalker:
+    """Memo of values at reduced tree addresses.  A miss walks down from the
+    deepest cached prefix, calling step(value, prefix, k) on each edge and
+    caching every vertex it passes; the cached addresses stay prefix-closed."""
+
+    __slots__ = ("memo", "lock", "step")
+
+    def __init__(self, memo, step):
+        self.memo = memo
+        self.lock = threading.RLock()
+        self.step = step
+
+    def get(self, addr):
+        """Value at the reduced address addr."""
+        memo = self.memo
+        # a cached value never changes, so a hit needs no lock
+        if addr in memo:
+            return memo[addr]
+        with self.lock:
+            depth = len(addr)
+            while addr[:depth] not in memo:
+                depth -= 1
+            prefix = addr[:depth]
+            value = memo[prefix]
+            for k in addr[depth:]:
+                value = self.step(value, prefix, k)
+                prefix = prefix + (k,)
+                memo[prefix] = value
+            return value
 
 
 class MutationMatrix:
@@ -191,35 +276,22 @@ class MatrixPattern:
 
     def __init__(self, root: Matrix):
         self.root = as_matrix(root)
-        self._memo = {(): self.root}
-        self._lock = threading.RLock()
+        self._walk = _PrefixWalker({(): self.root}, _matrix_step)
 
     def at(self, addr):
-        addr = reduce_word(addr)
-        with self._lock:
-            if addr in self._memo:
-                return self._memo[addr]
-            # walk up to the deepest cached prefix, then extend
-            depth = len(addr)
-            while addr[:depth] not in self._memo:
-                depth -= 1
-            m = self._memo[addr[:depth]]
-            for pos in range(depth, len(addr)):
-                m = mutate_matrix_raw(m, addr[pos])
-                self._memo[addr[: pos + 1]] = m
-            return m
+        return self._walk.get(reduce_word(addr))
 
 
-_matrix_patterns = {}
-_matrix_patterns_lock = threading.Lock()
+def _matrix_step(m, prefix, k):
+    return mutate_matrix_raw(m, k)
+
+
+_matrix_patterns = _Registry()
 
 
 def matrix_pattern(root) -> MatrixPattern:
     root = as_matrix(root)
-    with _matrix_patterns_lock:
-        if root not in _matrix_patterns:
-            _matrix_patterns[root] = MatrixPattern(root)
-        return _matrix_patterns[root]
+    return _matrix_patterns.get(root, MatrixPattern, root)
 
 
 # -- seeds -------------------------------------------------------------------
@@ -246,10 +318,6 @@ class Seed:
     def principal_part(self) -> Matrix:
         r = self.rank
         return tuple(row[:r] for row in self.matrix[:r])
-
-    def coefficient_part(self) -> Matrix:
-        r = self.rank
-        return self.matrix[r:]
 
     def unordered_key(self):
         """Canonical form under simultaneous permutation of cluster entries
@@ -364,34 +432,22 @@ class SeedPattern:
 
     def __init__(self, kind, b0, nfrozen=0):
         self.root = root_seed(kind, b0, nfrozen)
-        self._memo = {(): self.root}
-        self._lock = threading.RLock()
+        self._walk = _PrefixWalker({(): self.root}, _seed_step)
 
     def seed_at(self, addr) -> Seed:
-        addr = reduce_word(addr)
-        with self._lock:
-            if addr in self._memo:
-                return self._memo[addr]
-            depth = len(addr)
-            while addr[:depth] not in self._memo:
-                depth -= 1
-            seed = self._memo[addr[:depth]]
-            for pos in range(depth, len(addr)):
-                seed = mutate_seed(seed, addr[pos])
-                self._memo[seed.address] = seed
-            return seed
+        return self._walk.get(reduce_word(addr))
 
 
-_seed_patterns = {}
-_seed_patterns_lock = threading.Lock()
+def _seed_step(seed, prefix, k):
+    return mutate_seed(seed, k)
+
+
+_seed_patterns = _Registry()
 
 
 def seed_pattern(kind, b0, nfrozen=0) -> SeedPattern:
     key = (kind, as_matrix(b0), nfrozen)
-    with _seed_patterns_lock:
-        if key not in _seed_patterns:
-            _seed_patterns[key] = SeedPattern(kind, b0, nfrozen)
-        return _seed_patterns[key]
+    return _seed_patterns.get(key, SeedPattern, kind, b0, nfrozen)
 
 
 def seed_at(kind, b0, addr) -> Seed:
@@ -441,68 +497,53 @@ class GCFPattern:
         ones = tuple(IntLaurentPoly.one(r) for _ in range(r))
         self.b0 = b0
         self.rank = r
-        self._memo = {(): (b0, ident, ident, ones)}
-        self._lock = threading.RLock()
-
-    def _step(self, state, k):
-        b, g, c, f = state
-        r = self.rank
-        kk = k - 1
-        nv = r
-        pos = IntLaurentPoly.one(nv)
-        neg = IntLaurentPoly.one(nv)
-        for j in range(r):
-            cjk = c[j][kk]
-            if cjk > 0:
-                pos = pos * IntLaurentPoly.variable(j + 1, nv) ** cjk
-            elif cjk < 0:
-                neg = neg * IntLaurentPoly.variable(j + 1, nv) ** (-cjk)
-            bjk = b[j][kk]
-            if bjk > 0:
-                pos = pos * f[j] ** bjk
-            elif bjk < 0:
-                neg = neg * f[j] ** (-bjk)
-        fk = (pos + neg).exact_div(f[kk])
-        fnew = f[:kk] + (fk,) + f[kk + 1 :]
-        # sign-coherence of the k-th c-vector selects the tropical sign
-        eps = 1 if any(c[j][kk] > 0 for j in range(r)) else -1
-        gnew = []
-        for i in range(r):
-            row = list(g[i])
-            row[kk] = -g[i][kk] + sum(g[i][l] * pp(-eps * b[l][kk]) for l in range(r))
-            gnew.append(tuple(row))
-        cnew = []
-        for i in range(r):
-            row = [c[i][j] + c[i][kk] * pp(eps * b[kk][j]) for j in range(r)]
-            row[kk] = -c[i][kk]
-            cnew.append(tuple(row))
-        return (mutate_matrix_raw(b, k), tuple(gnew), tuple(cnew), fnew)
+        self._walk = _PrefixWalker({(): (b0, ident, ident, ones)}, _gcf_step)
 
     def at(self, addr):
-        addr = reduce_word(addr)
-        with self._lock:
-            if addr in self._memo:
-                return self._memo[addr]
-            depth = len(addr)
-            while addr[:depth] not in self._memo:
-                depth -= 1
-            state = self._memo[addr[:depth]]
-            for pos in range(depth, len(addr)):
-                state = self._step(state, addr[pos])
-                self._memo[addr[: pos + 1]] = state
-            return state
+        return self._walk.get(reduce_word(addr))
 
 
-_gcf_patterns = {}
-_gcf_patterns_lock = threading.Lock()
+def _gcf_step(state, prefix, k):
+    """One mutation of the (B, G, C, F) state in direction k."""
+    b, g, c, f = state
+    r = len(b)
+    kk = k - 1
+    pos = IntLaurentPoly.one(r)
+    neg = IntLaurentPoly.one(r)
+    for j in range(r):
+        cjk = c[j][kk]
+        if cjk > 0:
+            pos = pos * IntLaurentPoly.variable(j + 1, r) ** cjk
+        elif cjk < 0:
+            neg = neg * IntLaurentPoly.variable(j + 1, r) ** (-cjk)
+        bjk = b[j][kk]
+        if bjk > 0:
+            pos = pos * f[j] ** bjk
+        elif bjk < 0:
+            neg = neg * f[j] ** (-bjk)
+    fk = (pos + neg).exact_div(f[kk])
+    fnew = f[:kk] + (fk,) + f[kk + 1 :]
+    # sign-coherence of the k-th c-vector selects the tropical sign
+    eps = 1 if any(c[j][kk] > 0 for j in range(r)) else -1
+    gnew = []
+    for i in range(r):
+        row = list(g[i])
+        row[kk] = -g[i][kk] + sum(g[i][l] * pp(-eps * b[l][kk]) for l in range(r))
+        gnew.append(tuple(row))
+    cnew = []
+    for i in range(r):
+        row = [c[i][j] + c[i][kk] * pp(eps * b[kk][j]) for j in range(r)]
+        row[kk] = -c[i][kk]
+        cnew.append(tuple(row))
+    return (mutate_matrix_raw(b, k), tuple(gnew), tuple(cnew), fnew)
+
+
+_gcf_patterns = _Registry()
 
 
 def gcf_pattern(b0) -> GCFPattern:
     b0 = as_matrix(b0)
-    with _gcf_patterns_lock:
-        if b0 not in _gcf_patterns:
-            _gcf_patterns[b0] = GCFPattern(b0)
-        return _gcf_patterns[b0]
+    return _gcf_patterns.get(b0, GCFPattern, b0)
 
 
 def extract_gcf(b0, addr) -> GCFData:

@@ -12,12 +12,14 @@ rule and the width of the pattern matrix:
 
 from __future__ import annotations
 
-import threading
+from functools import partial
 from itertools import product
 
 from .errors import DimensionMismatch, NegativeExponent
 from .laurent import check_trop
 from .mutation import (
+    _gauss_jordan,
+    _PrefixWalker,
     as_matrix,
     matrix_pattern,
     pp,
@@ -55,10 +57,15 @@ def trop_mutate_Y(coords, b, k):
 _RULES = {"A": trop_mutate_A, "Y": trop_mutate_Y, "Yprin": trop_mutate_Y}
 
 
+def _trop_step(space, pattern, coords, addr, k):
+    """Coordinates across edge k from the vertex at addr."""
+    return _RULES[space](coords, pattern.at(addr), k)
+
+
 class TropPoint:
     """Tropical point anchored at one vertex; coordinates cached per address."""
 
-    __slots__ = ("space", "b0", "anchor", "coords", "_cache", "_lock")
+    __slots__ = ("space", "b0", "anchor", "coords", "_walk")
 
     def __init__(self, space, b0, coords, anchor=()):
         if space not in _RULES:
@@ -75,8 +82,10 @@ class TropPoint:
             raise DimensionMismatch("pattern matrix must be square")
         if len(self.coords) != width:
             raise DimensionMismatch("coordinate vector has wrong length")
-        self._cache = {self.anchor: self.coords}
-        self._lock = threading.RLock()
+        self._walk = _PrefixWalker(
+            {self.anchor: self.coords},
+            partial(_trop_step, space, matrix_pattern(self.b0)),
+        )
 
     @property
     def rank(self):
@@ -86,30 +95,22 @@ class TropPoint:
         """Coordinate vector at a tree vertex, propagated from the nearest
         cached ancestor (every vertex passed gets cached)."""
         addr = reduce_word(addr)
-        with self._lock:
-            if addr in self._cache:
-                return self._cache[addr]
-            pattern = matrix_pattern(self.b0)
-            rule = _RULES[self.space]
-            if () not in self._cache:
-                # walk the anchor up to the root once; afterwards some prefix
-                # of any target is always cached
-                cur_addr, cur = self.anchor, self.coords
-                while cur_addr:
-                    cur = rule(cur, pattern.at(cur_addr), cur_addr[-1])
-                    cur_addr = cur_addr[:-1]
-                    self._cache.setdefault(cur_addr, cur)
-            depth = len(addr)
-            while addr[:depth] not in self._cache:
-                depth -= 1
-            cur_addr = addr[:depth]
-            cur = self._cache[cur_addr]
-            for pos in range(depth, len(addr)):
-                k = addr[pos]
-                cur = rule(cur, pattern.at(cur_addr), k)
-                cur_addr = cur_addr + (k,)
-                self._cache.setdefault(cur_addr, cur)
-            return cur
+        if addr not in self._walk.memo:
+            self._walk_to_root()
+        return self._walk.get(addr)
+
+    def _walk_to_root(self):
+        """Walk the anchor up to the root once; afterwards some prefix of
+        any address is cached."""
+        walk = self._walk
+        with walk.lock:
+            if () in walk.memo:
+                return
+            cur_addr, cur = self.anchor, self.coords
+            while cur_addr:
+                cur = walk.step(cur, cur_addr, cur_addr[-1])
+                cur_addr = cur_addr[:-1]
+                walk.memo[cur_addr] = cur
 
     def at_root(self):
         return self.coords_at(())
@@ -128,10 +129,6 @@ class TropPoint:
 
     def __repr__(self):
         return f"TropPoint({self.space}, coords_at_root={self.at_root()})"
-
-
-def coords_at(point: TropPoint, addr):
-    return point.coords_at(addr)
 
 
 def p_map(delta: TropPoint) -> TropPoint:
@@ -203,12 +200,12 @@ def _in_cone(bt_t, offset, bound=24):
     r = len(offset)
     cols = list(zip(*bt_t))
     # exact rational solve decides the full-rank case outright
-    sol = _solve_unique(bt_t, offset)
-    if sol is not None:
+    det, sol = _gauss_jordan(bt_t, offset)
+    if det:
         return all(x == int(x) and x >= 0 for x in sol)
     if all(x == 0 for x in offset):
         return True
-    if not _consistent(bt_t, offset):
+    if sol is None:
         return False
     limit = sum(abs(x) for x in offset) + 2
     if limit > bound or (limit + 1) ** r > 200_000:
@@ -222,46 +219,6 @@ def _in_cone(bt_t, offset, bound=24):
             return True
     # solutions exist over the rationals but none was found in the box
     return UNKNOWN
-
-
-def _solve_unique(m, rhs):
-    """Solve m*u = rhs over Q by Gaussian elimination; None when singular."""
-    from fractions import Fraction
-
-    n = len(rhs)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                factor = a[i][col] / a[col][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-    return [a[i][n] / a[i][i] for i in range(n)]
-
-
-def _consistent(m, rhs):
-    """Rational solvability of m*u = rhs (rank test on the augmented matrix)."""
-    from fractions import Fraction
-
-    n = len(rhs)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, n) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        for i in range(n):
-            if i != row and a[i][col] != 0:
-                factor = a[i][col] / a[row][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[row])]
-        row += 1
-    return all(
-        a[i][n] == 0 for i in range(row, n)
-    )
 
 
 def _pointed_form_ok(expansion, pointed, cone_matrix=None):

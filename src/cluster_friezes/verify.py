@@ -67,10 +67,10 @@ class SuiteResult:
 
 def _timed(fn):
     def wrapper(*args, **kwargs):
-        t0 = time.time()
+        t0 = time.perf_counter()
         passed, details = fn(*args, **kwargs)
         return SuiteResult(fn.__name__.replace("suite_", "").replace("_", "-"),
-                           passed, time.time() - t0, details)
+                           passed, time.perf_counter() - t0, details)
 
     return wrapper
 
@@ -449,11 +449,9 @@ def run_suite(name, **kwargs) -> SuiteResult:
     return SUITES[name](**kwargs)
 
 
-def run_all(parallel=True, **kwargs):
-    """Run every suite; independent suites execute concurrently (the shared
-    pattern caches are lock-protected) and results keep the registry order."""
-    if not parallel:
-        return [run_suite(name, **kwargs) for name in SUITES]
+def run_all(**kwargs):
+    """Run every suite with the same keyword arguments on a four-thread pool
+    (the shared memos are lock-protected); results keep the registry order."""
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=4) as pool:

@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import cluster_friezes
+from cluster_friezes import cli
 from cluster_friezes.cli import main
+from cluster_friezes.laurent import RationalFunction
 
 
 def run(capsys, *argv):
@@ -148,11 +155,18 @@ class TestVerifyAndErrors:
         assert out1 == out2
 
     def test_invalid_cartan_exit_2(self, capsys):
-        code, _, err = run(
-            capsys, "frieze", "--cartan", "Z9", "--kind", "trop", "--slice", "0,0",
-        )
-        assert code == 2
-        assert json.loads(err)["error"] == "ValueError"
+        cases = [
+            (("frieze", "--cartan", "Z9", "--kind", "trop", "--slice", "0,0"),
+             "ValueError"),
+            (("hammock", "--cartan", "A2", "--i", "5"), "DimensionMismatch"),
+            (("frieze", "--cartan", "A2", "--kind", "trop", "--slice", "1,0",
+              "--window", "5..1"), "ValueError"),
+        ]
+        for argv, error in cases:
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert json.loads(err)["error"] == error
 
     def test_budget_exit_3(self, capsys):
         code, _, err = run(
@@ -176,3 +190,47 @@ class TestVerifyAndErrors:
         )
         assert code == 3
         assert json.loads(err)["error"] == "TropOverflow"
+
+
+class TestRouteDisagreement:
+    """A cross-check failure in `monomial` ends in exit 4 with a JSON
+    diagnostic, also when asserts are stripped."""
+
+    WRONG = RationalFunction.constant(7, 2)
+
+    def test_a_side_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "x_from_rho", lambda cartan, rho: ({}, self.WRONG))
+        code, out, err = run(
+            capsys, "monomial", "--cartan", "A2", "--space", "A", "--coords", "1,0",
+        )
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == "InternalDisagreement"
+
+    def test_y_side_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "y_from_delta", lambda cartan, delta: self.WRONG)
+        code, out, err = run(
+            capsys, "monomial", "--cartan", "B2", "--space", "Y", "--coords", "2,-1",
+        )
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == "InternalDisagreement"
+
+    def test_y_side_exit_4_under_python_O(self):
+        script = "\n".join([
+            "import sys",
+            "from cluster_friezes import cli",
+            "from cluster_friezes.laurent import RationalFunction",
+            "assert False, 'asserts must be stripped'",
+            "cli.y_from_delta = lambda c, d: RationalFunction.constant(7, 2)",
+            "sys.exit(cli.main(['monomial', '--cartan', 'B2', '--space', 'Y',"
+            " '--coords', '2,-1']))",
+        ])
+        env = dict(os.environ)
+        src = str(Path(cluster_friezes.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "InternalDisagreement"

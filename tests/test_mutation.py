@@ -1,11 +1,19 @@
+import itertools
 import random
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
 
 from cluster_friezes.errors import BudgetExceeded, DimensionMismatch
 from cluster_friezes.laurent import IntLaurentPoly as P, RationalFunction as RF
 from cluster_friezes.mutation import (
+    GCFPattern,
+    MatrixPattern,
     MutationMatrix,
+    SeedPattern,
+    _gauss_jordan,
     canonical_address,
     enumerate_exchange_graph,
     extract_gcf,
@@ -23,7 +31,7 @@ from cluster_friezes.mutation import (
     seed_at,
     separation_check,
 )
-from cluster_friezes.tropical import reexpress_A
+from cluster_friezes.tropical import TropPoint, reexpress_A
 
 B_A2 = ((0, -1), (1, 0))
 B_A3 = ((0, -1, 0), (1, 0, -1), (0, 1, 0))
@@ -251,3 +259,134 @@ class TestExchangeGraph:
                         expr = reexpress_A(expr, pattern, target[:pos], k)
                     assert expr.is_laurent()
                     assert expr.num.coefficients_nonnegative()
+
+
+def cofactor_det(m):
+    """Determinant by Laplace expansion along the first row (test oracle)."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def mat_vec(m, u):
+    return [sum(x * y for x, y in zip(row, u)) for row in m]
+
+
+class TestGaussJordan:
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[0, 1, 2], [3, 4, 5], [6, 7, 9]],  # zero first pivot: row swap
+            [[0, 0, 1], [0, 1, 0], [1, 0, 0]],  # odd permutation
+            [[1, 2, 3], [4, 5, 6], [7, 8, 9]],  # singular
+            [[1, 2], [2, 4]],  # singular
+            [[2, 1], [1, 3]],  # det 5: pivots are not units
+            [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],  # Cartan A3, det 4
+            [[3]],
+            [],
+        ],
+    )
+    def test_det_matches_cofactor_expansion(self, m):
+        assert _gauss_jordan(m)[0] == cofactor_det(m)
+
+    def test_det_random(self):
+        rng = random.Random(19)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            assert _gauss_jordan(m)[0] == cofactor_det(m)
+
+    def test_unique_solution(self):
+        m, rhs = [[0, 2, 1], [1, 1, 0], [3, 0, 2]], [1, 2, 3]
+        det, u = _gauss_jordan(m, rhs)
+        assert det == cofactor_det(m) != 0
+        assert all(isinstance(x, Fraction) for x in u)
+        assert mat_vec(m, u) == rhs
+
+    def test_singular_consistent(self):
+        m, rhs = [[1, 2, 3], [4, 5, 6], [7, 8, 9]], [6, 15, 24]
+        det, u = _gauss_jordan(m, rhs)
+        assert det == 0
+        assert u is not None and mat_vec(m, u) == rhs
+
+    def test_singular_inconsistent(self):
+        det, u = _gauss_jordan([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [6, 15, 25])
+        assert det == 0 and u is None
+
+    def test_random_systems(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            rhs = [rng.randint(-3, 3) for _ in range(n)]
+            det, u = _gauss_jordan(m, rhs)
+            assert det == cofactor_det(m)
+            if det:
+                assert mat_vec(m, u) == rhs
+            elif u is not None:
+                assert mat_vec(m, u) == rhs
+
+
+def _reduced_words(r, max_len):
+    words = [()]
+    for length in range(1, max_len + 1):
+        for w in itertools.product(range(1, r + 1), repeat=length):
+            if all(a != b for a, b in zip(w, w[1:])):
+                words.append(w)
+    return words
+
+
+class TestPrefixWalkers:
+    """Every memoized walker returns the same value at an address whatever
+    was asked before it."""
+
+    ADDRS = _reduced_words(3, 4)
+    WALKERS = [
+        (lambda: MatrixPattern(B_A3), lambda w, a: w.at(a)),
+        (lambda: SeedPattern("A", B_A3), lambda w, a: w.seed_at(a)),
+        (lambda: SeedPattern("Y", B_A3), lambda w, a: w.seed_at(a)),
+        (lambda: GCFPattern(B_A3), lambda w, a: w.at(a)),
+        (
+            lambda: TropPoint("A", B_A3, (2, -1, 1), (2, 3, 1)),
+            lambda w, a: w.coords_at(a),
+        ),
+    ]
+    IDS = ["matrix", "a-seed", "y-seed", "gcf", "trop"]
+
+    @pytest.mark.parametrize("make,query", WALKERS, ids=IDS)
+    def test_deep_first_equals_shallow_first(self, make, query):
+        shallow, deep = make(), make()
+        by_shallow = {a: query(shallow, a) for a in sorted(self.ADDRS, key=len)}
+        by_deep = {
+            a: query(deep, a) for a in sorted(self.ADDRS, key=len, reverse=True)
+        }
+        assert by_shallow == by_deep
+
+    @pytest.mark.parametrize("make,query", WALKERS, ids=IDS)
+    def test_shared_between_threads(self, make, query):
+        reference = make()
+        expected = {a: query(reference, a) for a in self.ADDRS}
+        shared = make()
+        results = [None] * 6
+
+        def worker(t):
+            order = list(self.ADDRS)
+            random.Random(t).shuffle(order)
+            results[t] = {a: query(shared, a) for a in order}
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(result == expected for result in results)

@@ -5,7 +5,9 @@ fpoly, verify.  Tables are emitted as TSV (rows indexed by i, columns by m)
 or JSON; all randomness is seeded and the seed is echoed in the output.
 
 Exit codes: 0 success / verification passed, 1 verification failure,
-2 invalid input, 3 budget or overflow, 4 internal route disagreement.
+2 invalid input, 3 budget or overflow, 4 internal route disagreement or any
+other failed internal law (inexact division, zero denominator, lost search,
+failed pseudo-division or F-polynomial shape).
 """
 
 from __future__ import annotations
@@ -17,8 +19,11 @@ import sys
 from .errors import (
     BudgetExceeded,
     InternalDisagreement,
+    NotDivisible,
     NotFiniteType,
+    NotFound,
     TropOverflow,
+    ZeroDenominator,
 )
 from .finite import (
     decompose_hammocks,
@@ -431,7 +436,8 @@ def main(argv=None):
         return args.fn(args)
     except (BudgetExceeded, TropOverflow) as exc:
         return _diagnostic(3, type(exc).__name__, str(exc))
-    except InternalDisagreement as exc:
+    except (AssertionError, NotDivisible, NotFound, ZeroDenominator) as exc:
+        # a law the code relies on failed (InternalDisagreement included)
         return _diagnostic(4, type(exc).__name__, str(exc))
     except (ValueError, KeyError, OSError, NotFiniteType) as exc:
         return _diagnostic(2, type(exc).__name__, str(exc))

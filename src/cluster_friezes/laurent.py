@@ -10,6 +10,11 @@ form so that equality is plain dict comparison:
     content,
   * the graded-lex leading coefficient of the denominator is positive.
 
+Products cancel with the gcd and its cofactors from one routine: the
+heuristic gcd of Char, Geddes and Gonnet (integer gcd of Kronecker images,
+certified by exact division), with the primitive PRS as its fallback.
+Adding a Laurent polynomial to a reduced fraction needs no gcd at all.
+
 Tropical (max-plus) evaluation is provided for fractions whose stored
 coefficients are all positive.
 """
@@ -224,9 +229,11 @@ class IntLaurentPoly:
         # clear monomial content so both operands are true polynomials
         smin = self.min_exponents()
         omin = other.min_exponents()
-        p = self.shift(tuple(-x for x in smin))
-        q = other.shift(tuple(-x for x in omin))
+        p = self.shift(tuple(-x for x in smin)) if any(smin) else self
+        q = other.shift(tuple(-x for x in omin)) if any(omin) else other
         quot = _poly_exact_div(p, q)
+        if smin == omin:
+            return quot
         return quot.shift(tuple(a - b for a, b in zip(smin, omin)))
 
     # -- evaluation helpers --------------------------------------------------
@@ -302,7 +309,171 @@ def _poly_exact_div(p, q):
     return IntLaurentPoly(n, out)
 
 
-# -- multivariate gcd (content / primitive-part recursion, primitive PRS) ----
+# -- multivariate gcd ---------------------------------------------------------
+#
+# `_gcd_cofactors` is the one place a gcd is computed.  It first tries the
+# heuristic gcd of Char, Geddes and Gonnet ("GCDHEU: Heuristic polynomial GCD
+# algorithm based on integer GCD computation", 1989): evaluate both primitive
+# parts at one integer xi by Kronecker substitution, take the integer gcd,
+# read a candidate back from its symmetric xi-adic digits and certify it by
+# exact division, whose quotients are the cofactors.  If no try certifies a
+# candidate, the primitive PRS below (content / primitive-part recursion)
+# computes the gcd instead; it is also the tests' independent oracle.
+
+# Evaluation points tried before falling back to the PRS, and the largest
+# evaluated integer, in bits, that a try may build.
+_HEU_TRIES = 6
+_HEU_MAX_BITS = 1 << 15
+
+
+def poly_gcd(p, q):
+    """gcd of true polynomials over Z, positive graded-lex leading coefficient."""
+    return _gcd_cofactors(p, q)[0]
+
+
+def _gcd_cofactors(p, q):
+    """(g, p/g, q/g) for true polynomials p, q, with g as in `poly_gcd`.
+
+    gcd(0, 0) is 0, with both cofactors 0.
+    """
+    if p.is_zero() or q.is_zero():
+        # gcd(0, f) is f up to sign
+        zero = IntLaurentPoly(p.nvars)
+        f = q if p.is_zero() else p
+        if f.is_zero():
+            return zero, zero, zero
+        sign = 1 if f.leading()[1] > 0 else -1
+        unit = IntLaurentPoly.constant(sign, p.nvars)
+        return (f * sign, zero, unit) if p.is_zero() else (f * sign, unit, zero)
+    cp, cq = p.int_content(), q.int_content()
+    c = int_gcd(cp, cq)
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        # a monomial divides only monomials: the gcd is c times the
+        # componentwise minimum of the exponents
+        exp = tuple(map(min, p.min_exponents(), q.min_exponents()))
+        return (
+            IntLaurentPoly.monomial(exp, c),
+            _div_monomial(p, c, exp),
+            _div_monomial(q, c, exp),
+        )
+    pp, qp = _div_monomial(p, cp), _div_monomial(q, cq)
+    found = _heuristic_gcd(pp, qp)
+    if found is None:
+        h = _poly_gcd_prs(pp, qp)
+        found = h, _poly_exact_div(pp, h), _poly_exact_div(qp, h)
+    h, a, b = found
+    return _scaled(h, c), _scaled(a, cp // c), _scaled(b, cq // c)
+
+
+def _heuristic_gcd(p, q):
+    """(g, p/g, q/g) for primitive p, q of two or more terms, or None.
+
+    None means that no evaluation point gave a certified candidate within
+    `_HEU_TRIES` tries and `_HEU_MAX_BITS` bits.
+    """
+    n = p.nvars
+    # one more than the larger degree in each variable, so that distinct
+    # monomials of p, of q and of each of their divisors get distinct indices
+    radix = [
+        max(a, b) + 1
+        for a, b in zip(map(max, zip(*p.terms)), map(max, zip(*q.terms)))
+    ]
+    weights, w = [], 1
+    for r in radix:
+        weights.append(w)
+        w *= r
+    pk = _kronecker(p, weights)
+    qk = _kronecker(q, weights)
+    top = max(pk[0][0], qk[0][0])
+    # the bound of the paper's theorem is xi > 2 min(|p|, |q|) + 2
+    norm = min(max(map(abs, f.terms.values())) for f in (p, q))
+    xi = 2 * norm + 29
+    for _ in range(_HEU_TRIES):
+        if (top + 1) * xi.bit_length() > _HEU_MAX_BITS:
+            return None
+        gamma = int_gcd(_eval_descending(pk, xi), _eval_descending(qk, xi))
+        if gamma <= xi // 2:
+            # every nonconstant common divisor G has |G(xi)| > xi/2, and
+            # G(xi) divides gamma: the operands are coprime
+            return IntLaurentPoly.one(n), p, q
+        h = _from_digits(gamma, xi, radix)
+        if h is not None:
+            try:
+                return h, _poly_exact_div(p, h), _poly_exact_div(q, h)
+            except NotDivisible:
+                pass
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _kronecker(p, weights):
+    """(index, coefficient) pairs of p under x_i -> t^weights[i], descending."""
+    return sorted(
+        ((sum(map(int.__mul__, e, weights)), c) for e, c in p.terms.items()),
+        reverse=True,
+    )
+
+
+def _eval_descending(pairs, xi):
+    """Value at xi of the sum of c*xi^k over descending (k, c) pairs."""
+    value = 0
+    prev = pairs[0][0]
+    powers = {}
+    for k, c in pairs:
+        gap = prev - k
+        if gap:
+            step = powers.get(gap)
+            if step is None:
+                step = powers[gap] = xi**gap
+            value *= step
+        value += c
+        prev = k
+    return value * xi**prev
+
+
+def _from_digits(gamma, xi, radix):
+    """Primitive polynomial, positive leading coefficient, whose Kronecker image
+    has the symmetric xi-adic digits of gamma; None if an index is too large."""
+    half = xi // 2
+    terms = {}
+    k = 0
+    while gamma:
+        gamma, d = divmod(gamma, xi)
+        if d > half:
+            d -= xi
+            gamma += 1
+        if d:
+            exp = []
+            rest = k
+            for r in radix:
+                rest, e = divmod(rest, r)
+                exp.append(e)
+            if rest:
+                return None
+            terms[tuple(exp)] = d
+        k += 1
+    h = IntLaurentPoly(len(radix), terms)
+    content = h.int_content()
+    return _div_monomial(h, content if h.leading()[1] > 0 else -content)
+
+
+def _div_monomial(p, c, exp=()):
+    """p divided by the monomial c*x^exp, which the caller knows divides it."""
+    if not any(exp):
+        if c == 1:
+            return p
+        return IntLaurentPoly(p.nvars, {e: v // c for e, v in p.terms.items()})
+    return IntLaurentPoly(
+        p.nvars,
+        {tuple(map(int.__sub__, e, exp)): v // c for e, v in p.terms.items()},
+    )
+
+
+def _scaled(p, c):
+    return p if c == 1 else p * c
+
+
+# -- primitive PRS: the fallback and the tests' oracle --------------------------
 
 
 def _to_univariate(p, var):
@@ -328,7 +499,7 @@ def _from_univariate(coeffs, var):
 def _uni_content(coeffs):
     g = None
     for poly in coeffs.values():
-        g = poly if g is None else poly_gcd(g, poly)
+        g = poly if g is None else _poly_gcd_prs(g, poly)
         if g.is_one():
             break
     return g
@@ -356,7 +527,7 @@ def _uni_sub(a, b):
 
 def _pseudo_rem(f, g):
     """Pseudo-remainder of univariate polys with IntLaurentPoly coefficients."""
-    df, dg = max(f), max(g)
+    dg = max(g)
     lg = g[dg]
     rem = dict(f)
     while rem and max(rem) >= dg:
@@ -370,8 +541,8 @@ def _pseudo_rem(f, g):
     return rem
 
 
-def poly_gcd(p, q):
-    """gcd of true polynomials over Z, positive graded-lex leading coefficient."""
+def _poly_gcd_prs(p, q):
+    """gcd of true polynomials over Z by primitive PRS, normalized as `poly_gcd`."""
     if p.is_zero():
         g = q
     elif q.is_zero():
@@ -405,7 +576,7 @@ def _poly_gcd_nonzero(p, q):
         if p.degree_in(var) > 0:
             p, q = q, p
         qc = _uni_content(_to_univariate(q, var))
-        return poly_gcd(p, qc)
+        return _poly_gcd_prs(p, qc)
 
     fu = _to_univariate(p, var)
     gu = _to_univariate(q, var)
@@ -424,7 +595,7 @@ def _poly_gcd_nonzero(p, q):
             break
         rc = _uni_content(r)
         f, g = g, _uni_divexact(r, rc)
-    cont = poly_gcd(fc, gc)
+    cont = _poly_gcd_prs(fc, gc)
     prim = _from_univariate(g, var)
     prim = prim.exact_div(_uni_content(_to_univariate(prim, var)))
     return prim * cont
@@ -530,6 +701,12 @@ class RationalFunction:
         if isinstance(other, int):
             other = RationalFunction.constant(other, self.nvars)
         self._check(other)
+        if self.den.is_one() or other.den.is_one():
+            # gcd(n + L*d, d) = gcd(n, d): adding a Laurent polynomial L to a
+            # reduced n/d leaves it reduced (and the sum is 0 only if d = 1)
+            frac, poly = (other, self.num) if self.den.is_one() else (self, other.num)
+            num = frac.num + (poly if frac.den.is_one() else poly * frac.den)
+            return RationalFunction(num, frac.den, _reduced=True)
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
@@ -644,13 +821,12 @@ def _cancel(num, den):
     if den.is_one() or num.is_zero():
         return num, den
     nmin = num.min_exponents()
-    npoly = num.shift(tuple(-x for x in nmin))
-    g = poly_gcd(npoly, den)
-    if not g.is_one():
-        npoly = npoly.exact_div(g)
-        den = den.exact_div(g)
-        num = npoly.shift(nmin)
-    return num, den
+    shifted = any(nmin)
+    npoly = num.shift(tuple(-x for x in nmin)) if shifted else num
+    g, npoly, den_cofactor = _gcd_cofactors(npoly, den)
+    if g.is_one():
+        return num, den
+    return (npoly.shift(nmin) if shifted else npoly), den_cofactor
 
 
 def _reduce(num, den):

@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cluster_friezes
-from cluster_friezes import cli
+from cluster_friezes import cli, verify
 from cluster_friezes.cli import main
+from cluster_friezes.errors import NotDivisible, NotFound, ZeroDenominator
 from cluster_friezes.laurent import RationalFunction
 
 
@@ -215,22 +218,75 @@ class TestRouteDisagreement:
         assert json.loads(err)["error"] == "InternalDisagreement"
 
     def test_y_side_exit_4_under_python_O(self):
-        script = "\n".join([
-            "import sys",
-            "from cluster_friezes import cli",
+        proc = _run_monomial_under_python_O(
             "from cluster_friezes.laurent import RationalFunction",
-            "assert False, 'asserts must be stripped'",
             "cli.y_from_delta = lambda c, d: RationalFunction.constant(7, 2)",
-            "sys.exit(cli.main(['monomial', '--cartan', 'B2', '--space', 'Y',"
-            " '--coords', '2,-1']))",
-        ])
-        env = dict(os.environ)
-        src = str(Path(cluster_friezes.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 4, proc.stderr
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "InternalDisagreement"
+
+
+def _run_monomial_under_python_O(*patch):
+    """`monomial --space Y` on B2 in a `python -O` subprocess, after the
+    statements `patch`; asserts are checked to be stripped."""
+    script = "\n".join([
+        "import sys",
+        "from cluster_friezes import cli",
+        "assert False, 'asserts must be stripped'",
+        *patch,
+        "sys.exit(cli.main(['monomial', '--cartan', 'B2', '--space', 'Y',"
+        " '--coords', '2,-1']))",
+    ])
+    env = dict(os.environ)
+    src = str(Path(cluster_friezes.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def _raise(exc):
+    def fail(*args):
+        raise exc
+    return fail
+
+
+class TestInternalLawExit4:
+    """A failed internal law (inexact division, zero denominator, lost search,
+    failed pseudo-division or F-polynomial shape) ends in exit 4 with a JSON
+    diagnostic, never a traceback."""
+
+    @pytest.mark.parametrize("exc", [
+        NotDivisible("leading monomial does not divide"),
+        ZeroDenominator("zero denominator"),
+        NotFound("Y-side g-vector search failed (bug)"),
+        AssertionError("pseudo-division failed to reduce degree"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_monomial_exit_4(self, capsys, monkeypatch, exc):
+        monkeypatch.setattr(cli, "y_from_delta", _raise(exc))
+        code, out, err = run(
+            capsys, "monomial", "--cartan", "B2", "--space", "Y", "--coords", "2,-1",
+        )
+        assert code == 4 and out == ""
+        assert json.loads(err) == {"error": type(exc).__name__, "message": str(exc)}
+
+    def test_fpoly_shape_exit_4(self, capsys, monkeypatch):
+        exc = AssertionError("F-polynomial failed sign-coherence shape")
+        monkeypatch.setattr(verify, "extract_gcf", _raise(exc))
+        code, out, err = run(
+            capsys, "verify", "--suite", "fpoly-separation", "--types", "A2",
+            "--trials", "2",
+        )
+        assert code == 4 and out == ""
+        assert json.loads(err) == {"error": "AssertionError", "message": str(exc)}
+
+    def test_pseudo_rem_exit_4_under_python_O(self):
+        proc = _run_monomial_under_python_O(
+            "def fail(c, d): raise AssertionError('pseudo-division failed to reduce degree')",
+            "cli.y_from_delta = fail",
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "AssertionError"

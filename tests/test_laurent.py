@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cluster_friezes import laurent
 from cluster_friezes.errors import (
     NotDivisible,
     SubtractionFreeViolation,
@@ -10,9 +13,17 @@ from cluster_friezes.errors import (
 from cluster_friezes.laurent import (
     IntLaurentPoly as P,
     RationalFunction as RF,
+    _gcd_cofactors,
+    _heuristic_gcd,
+    _poly_gcd_prs,
     poly_gcd,
     substitute_monomials,
 )
+
+try:
+    import sympy
+except ImportError:  # sympy is only a test oracle
+    sympy = None
 
 
 def x(i, n=2):
@@ -153,6 +164,154 @@ class TestGcd:
             (a * g).exact_div(d)
             (b * g).exact_div(d)
             d.exact_div(g)
+
+
+def polys(nvars, lo=0, hi=3, max_terms=4):
+    """Polynomials in nvars variables with exponents in lo..hi."""
+    exps = st.tuples(*[st.integers(lo, hi)] * nvars)
+    coeffs = st.integers(-5, 5).filter(bool)
+    return st.dictionaries(exps, coeffs, max_size=max_terms).map(
+        lambda terms: P(nvars, terms)
+    )
+
+
+def poly_tuples(count, **kwargs):
+    """`count` polynomials over one shared number of variables (1..3)."""
+    return st.integers(1, 3).flatmap(
+        lambda n: st.tuples(*[polys(n, **kwargs)] * count)
+    )
+
+
+def _sympy_gcd(p, q):
+    gens = sympy.symbols(f"x0:{p.nvars}")
+    g = sympy.gcd(
+        sympy.Poly.from_dict(dict(p.terms) or {(0,) * p.nvars: 0}, *gens),
+        sympy.Poly.from_dict(dict(q.terms) or {(0,) * q.nvars: 0}, *gens),
+    )
+    return P(p.nvars, {e: int(c) for e, c in g.as_dict().items()})
+
+
+class TestGcdProperties:
+    """The heuristic gcd against the primitive PRS and sympy."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(poly_tuples(3))
+    def test_planted_factor_matches_prs(self, polys3):
+        g, a, b = polys3
+        p, q = a * g, b * g
+        d = poly_gcd(p, q)
+        assert d == _poly_gcd_prs(p, q)
+        if not g.is_zero():
+            d.exact_div(g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(poly_tuples(2))
+    def test_coprime_pair_matches_prs(self, polys2):
+        # any common divisor of a and a*b + 1 divides 1
+        a, b = polys2
+        q = a * b + P.one(a.nvars)
+        assert poly_gcd(a, q) == _poly_gcd_prs(a, q) == P.one(a.nvars)
+
+    @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+    @settings(max_examples=60, deadline=None)
+    @given(poly_tuples(3))
+    def test_matches_sympy_up_to_sign(self, polys3):
+        g, a, b = polys3
+        p, q = a * g, b * g
+        d = poly_gcd(p, q)
+        assert _sympy_gcd(p, q) in (d, -d)
+
+    @settings(max_examples=50, deadline=None)
+    @given(poly_tuples(3))
+    def test_cofactors(self, polys3):
+        g, a, b = polys3
+        p, q = a * g, b * g
+        assume(not (p.is_zero() and q.is_zero()))
+        d, cff, cfg = _gcd_cofactors(p, q)
+        assert d == poly_gcd(p, q)
+        assert d * cff == p and d * cfg == q
+        assert _poly_gcd_prs(cff, cfg).is_one()
+
+    @settings(max_examples=80, deadline=None)
+    @given(poly_tuples(2, lo=-2, hi=2))
+    def test_exact_div_round_trip(self, polys2):
+        p, q = polys2
+        assume(not q.is_zero())
+        assert (p * q).exact_div(q) == p
+
+    @settings(max_examples=60, deadline=None)
+    @given(poly_tuples(3, lo=-2, hi=2, max_terms=3))
+    def test_common_factor_cancels(self, polys3):
+        n, d, h = polys3
+        assume(not d.is_zero() and not h.is_zero())
+        assert RF(n * h, d * h) == RF(n, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(poly_tuples(3, lo=-2, hi=2, max_terms=3))
+    def test_add_laurent_skips_gcd(self, polys3):
+        # f + L for a reduced f = n/d and a Laurent polynomial L is
+        # (n + L*d)/d already in canonical form
+        n, d, poly = polys3
+        assume(not d.is_zero())
+        f = RF(n, d)
+        expected = RF(f.num + poly * f.den, f.den)
+        assert f + RF.from_poly(poly) == expected
+        assert RF.from_poly(poly) + f == expected
+        assert f + 3 == RF(f.num + f.den * 3, f.den)
+        laurent_f = RF.from_poly(poly)
+        assert laurent_f + (-laurent_f) == RF.zero(poly.nvars)
+
+
+class TestGcdFallback:
+    """The primitive PRS answers whenever the heuristic gives up."""
+
+    # coprime cofactors whose Kronecker images share the factor t + 1, so
+    # every evaluation point over-estimates the gcd (found on A4 Y-seeds)
+    P_SHARED = P(4, {
+        (0, 2, 2, 1): 1, (0, 1, 2, 1): 2, (0, 1, 1, 1): 2, (0, 0, 2, 1): 1,
+        (0, 1, 1, 0): 1, (0, 0, 1, 1): 2, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1,
+        (0, 0, 0, 0): 1,
+    })
+    Q_SHARED = P(4, {
+        (0, 1, 1, 1): 1, (0, 1, 1, 0): 1, (0, 0, 1, 1): 1, (0, 0, 1, 0): 1,
+        (0, 0, 0, 1): 1, (0, 0, 0, 0): 1,
+    })
+
+    def _cases(self):
+        rng = random.Random(23)
+        cases = [(self.P_SHARED, self.Q_SHARED)]
+        while len(cases) < 30:
+            g, a, b = (rand_poly(rng, nvars=3, terms=3) for _ in range(3))
+            if g.is_zero() or a.is_zero() or b.is_zero():
+                continue
+            a, b, g = (f.shift(tuple(-v for v in f.min_exponents())) for f in (a, b, g))
+            cases.append((a * g, b * g))
+        return cases
+
+    def test_heuristic_gives_up_on_shared_kronecker_factor(self):
+        p, q = self.P_SHARED, self.Q_SHARED
+        assert _heuristic_gcd(p, q) is None
+        g, cff, cfg = _gcd_cofactors(p, q)
+        assert g == _poly_gcd_prs(p, q) == P(4, {(0, 1, 1, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 0): 1})
+        assert g * cff == p and g * cfg == q
+
+    @pytest.mark.parametrize("limit", ["_HEU_TRIES", "_HEU_MAX_BITS"])
+    def test_forced_fallback(self, monkeypatch, limit):
+        expected = [_gcd_cofactors(p, q) for p, q in self._cases()]
+        fallbacks = []
+        prs = laurent._poly_gcd_prs
+
+        def counting_prs(p, q):
+            fallbacks.append((p, q))
+            return prs(p, q)
+
+        monkeypatch.setattr(laurent, limit, 0)
+        monkeypatch.setattr(laurent, "_poly_gcd_prs", counting_prs)
+        for (p, q), want in zip(self._cases(), expected):
+            del fallbacks[:]
+            assert _gcd_cofactors(p, q) == want
+            if len(p.terms) > 1 and len(q.terms) > 1:
+                assert fallbacks
 
 
 class TestSubstitution:

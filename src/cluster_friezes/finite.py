@@ -8,10 +8,9 @@ coefficient times that column.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
-from .errors import InternalDisagreement, NotFiniteType, NotFound
+from .errors import BudgetExceeded, InternalDisagreement, NotFiniteType, NotFound
 from .friezes import (
     Belts,
     CartanMatrix,
@@ -23,6 +22,7 @@ from .friezes import (
 from .laurent import IntLaurentPoly, RationalFunction
 from .mutation import (
     _gauss_jordan,
+    _neg_unit,
     _Registry,
     as_matrix,
     canonical_address,
@@ -101,7 +101,7 @@ def _type_G2():
 def named_cartan(name: str) -> CartanMatrix:
     """Cartan matrix for names like A3, B2, D4, E6, F4, G2."""
     name = name.strip().upper()
-    family, rank = name[0], name[1:]
+    family, rank = name[:1], name[1:]
     if not rank.isdigit():
         raise ValueError(f"bad type name {name!r}")
     r = int(rank)
@@ -325,19 +325,13 @@ class FiniteContext:
         self.belts: Belts = belts(cartan)
         self.roots = coxeter_data(cartan)
         self.fa = FAMap(self.roots)
-        self._lock = threading.RLock()
-        self._graphs = {}
+        self._graphs = _Registry()
 
     def graph(self, kind, root_matrix, budget=10_000):
-        from .errors import BudgetExceeded
-
         key = (kind, as_matrix(root_matrix))
-        with self._lock:
-            if key not in self._graphs:
-                self._graphs[key] = enumerate_exchange_graph(
-                    kind, root_matrix, budget
-                )
-            result = self._graphs[key]
+        result = self._graphs.get(
+            key, enumerate_exchange_graph, kind, root_matrix, budget
+        )
         if len(result.seeds) > budget:
             raise BudgetExceeded(
                 f"exchange graph needs {len(result.seeds)} seeds, budget {budget}"
@@ -392,6 +386,16 @@ def verify_periodicity(cartan, m_lo, m_hi, friezes=()):
 # -- global monomials from tropical points --------------------------------------
 
 
+def _monomial_at(seed, coords):
+    """Address, exponents and value of the monomial prod_i v_i^(-coords_i) in
+    the cluster v of seed."""
+    expr = RationalFunction.one(seed.rank)
+    for v, c in zip(seed.cluster, coords):
+        if c:
+            expr = expr * v ** (-c)
+    return seed.address, tuple(-c for c in coords), expr
+
+
 def mono_from_gvector_A(cartan, rho: TropPoint):
     """The cluster monomial on the A-space of B^T whose g-vector is rho:
     search the exchange graph for a vertex where -rho_t is nonnegative."""
@@ -401,11 +405,7 @@ def mono_from_gvector_A(cartan, rho: TropPoint):
     for seed in ctx.a_graph().seeds.values():
         coords = rho.coords_at(seed.address)
         if all(c <= 0 for c in coords):
-            expr = RationalFunction.one(cartan.rank)
-            for i, x in enumerate(seed.cluster):
-                if coords[i]:
-                    expr = expr * x ** (-coords[i])
-            return seed.address, tuple(-c for c in coords), expr
+            return _monomial_at(seed, coords)
     raise NotFound("g-vector fan completeness violated (bug)")
 
 
@@ -414,35 +414,36 @@ def mono_from_gvector_Y(cartan, delta_sv: TropPoint):
     ctx = finite_context(cartan)
     if delta_sv.space != "A" or delta_sv.b0 != ctx.belts.bt:
         raise ValueError("expected a point of the A-space of B^T")
-    ygraph = ctx.y_graph()
-    for seed in ygraph.seeds.values():
+    for seed in ctx.y_graph().seeds.values():
         coords = delta_sv.coords_at(seed.address)
-        bt = seed.matrix
-        image = row_times_matrix(coords, transpose(bt))
+        image = row_times_matrix(coords, transpose(seed.matrix))
         if all(c <= 0 for c in image):
-            expr = RationalFunction.one(cartan.rank)
-            for i, y in enumerate(seed.cluster):
-                if coords[i]:
-                    expr = expr * y ** (-coords[i])
-            return seed.address, tuple(-c for c in coords), expr
+            return _monomial_at(seed, coords)
     raise NotFound("Y-side g-vector search failed (bug)")
 
 
 # -- pairing and explicit bijections --------------------------------------------
 
 
+def _hammock_parts(cartan, k: FriezeFunction):
+    """The positive parts of -k over the fundamental domain, keyed by (i, m),
+    zeros left out: the hammock multiplicities of k."""
+    parts = {}
+    for i, m in finite_context(cartan).domain():
+        e = pp(-k.value(i, m))
+        if e:
+            parts[(i, m)] = e
+    return parts
+
+
 def x_from_rho(cartan, rho: TropPoint):
     """Exponents over the fundamental domain of the cluster monomial with
     g-vector rho: the positive parts of -k_rho."""
-    ctx = finite_context(cartan)
-    k = k_from_trop_point(rho, cartan)
-    exps = {}
+    b = belts(cartan)
+    exps = _hammock_parts(cartan, k_from_trop_point(rho, cartan))
     expr = RationalFunction.one(cartan.rank)
-    for i, m in ctx.domain():
-        e = pp(-k.value(i, m))
-        if e:
-            exps[(i, m)] = e
-            expr = expr * ctx.belts.x_sv(i, m) ** e
+    for (i, m), e in exps.items():
+        expr = expr * b.x_sv(i, m) ** e
     return exps, expr
 
 
@@ -450,18 +451,12 @@ def pairing(cartan, delta_sv: TropPoint, rho: TropPoint) -> int:
     """Duality pairing of tropical points, computed three ways and checked:
     tropical value of the monomial attached to rho, tropical value of the
     monomial attached to delta_sv, and the fundamental-domain sum."""
-    ctx = finite_context(cartan)
     _, _, xmono = mono_from_gvector_A(cartan, rho)
     via_x = xmono.trop_eval(delta_sv.at_root())
     _, _, ymono = mono_from_gvector_Y(cartan, delta_sv)
     via_y = ymono.trop_eval(rho.at_root())
-    k = k_from_trop_point(rho, cartan)
-    total = 0
-    for i, m in ctx.domain():
-        coeff = pp(-k.value(i, m))
-        if coeff:
-            f_im = delta_sv.coords_at(canonical_address(i, m, cartan.rank))[i - 1]
-            total += f_im * coeff
+    parts = _hammock_parts(cartan, k_from_trop_point(rho, cartan))
+    total = sum(delta_sv.belt_value(i, m) * e for (i, m), e in parts.items())
     if not via_x == via_y == total:
         raise InternalDisagreement(
             f"pairing routes disagree: {via_x}, {via_y}, {total}"
@@ -535,19 +530,17 @@ def y_from_delta(cartan, delta_sv: TropPoint) -> RationalFunction:
 # -- decomposition and duality ---------------------------------------------------
 
 
-def decompose_hammocks(cartan, k: FriezeFunction, check=True):
+def decompose_hammocks(cartan, k: FriezeFunction):
     """Multiplicities of the hammock summands of a cluster-additive function:
     the positive parts of -k over the fundamental domain.  The reconstruction
     is verified on the domain (hence everywhere, by periodicity)."""
     if k.kind != "cluster-additive":
         raise ValueError("expected a cluster-additive function")
-    ctx = finite_context(cartan)
-    dom = ctx.domain()
-    parts = {(i, m): pp(-k.value(i, m)) for i, m in dom if k.value(i, m) < 0}
-    if check:
-        rebuilt = reconstruct_from_hammocks(cartan, parts)
-        if any(rebuilt.value(i, m) != k.value(i, m) for i, m in dom):
-            raise InternalDisagreement("hammock reconstruction mismatch")
+    parts = _hammock_parts(cartan, k)
+    rebuilt = reconstruct_from_hammocks(cartan, parts)
+    dom = finite_context(cartan).domain()
+    if any(rebuilt.value(i, m) != k.value(i, m) for i, m in dom):
+        raise InternalDisagreement("hammock reconstruction mismatch")
     return parts
 
 
@@ -572,17 +565,13 @@ def d_duality_check(cartan):
     dom = ctx.domain()
     bad = []
     for i, m in dom:
-        d_x = TropPoint("A", mat_neg(b.b), _neg_e(i, r), canonical_address(i, m, r))
+        d_x = TropPoint("A", mat_neg(b.b), _neg_unit(i, r), canonical_address(i, m, r))
         for j, n in dom:
             lhs = b.x(j, n).trop_eval(d_x.at_root())
             rhs_point = TropPoint(
-                "A", b.bt, _neg_e(j, r), canonical_address(j, n, r)
+                "A", b.bt, _neg_unit(j, r), canonical_address(j, n, r)
             )
             rhs = b.x_sv(i, m).trop_eval(rhs_point.at_root())
             if lhs != rhs:
                 bad.append(((i, m), (j, n), lhs, rhs))
     return bad
-
-
-def _neg_e(i, r):
-    return tuple(-1 if j == i - 1 else 0 for j in range(r))

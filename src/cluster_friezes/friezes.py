@@ -20,6 +20,7 @@ from .errors import DimensionMismatch, NotAdmissible
 from .laurent import check_trop
 from .mutation import (
     _diagonal_symmetrizer,
+    _neg_unit,
     _Registry,
     as_matrix,
     canonical_address,
@@ -252,15 +253,13 @@ class Belts:
         """g-vector of x_sv(i,m): the point of the Y-space of B with
         coordinates -e^i at the belt vertex t(i,m)."""
         r = self.cartan.rank
-        coords = tuple(-1 if j == i - 1 else 0 for j in range(r))
-        return TropPoint("Y", self.b, coords, canonical_address(i, m, r))
+        return TropPoint("Y", self.b, _neg_unit(i, r), canonical_address(i, m, r))
 
     def delta_sv_im(self, i, m) -> TropPoint:
         """g-vector of y(i,m): the point of the A-space of B^T with
         coordinates -e^i at t(i,m)."""
         r = self.cartan.rank
-        coords = tuple(-1 if j == i - 1 else 0 for j in range(r))
-        return TropPoint("A", self.bt, coords, canonical_address(i, m, r))
+        return TropPoint("A", self.bt, _neg_unit(i, r), canonical_address(i, m, r))
 
 
 _belts = _Registry()
@@ -284,42 +283,26 @@ def generic_Y_frieze(cartan, i, m) -> RationalFunction:
 def f_from_trop_point(delta_sv: TropPoint, cartan: CartanMatrix) -> FriezeFunction:
     """Tropical frieze for A^T read off the coordinates of an A-space point of
     B^T along the belt."""
-    b = belts(cartan)
-    if delta_sv.space != "A" or delta_sv.b0 != b.bt:
+    if delta_sv.space != "A" or delta_sv.b0 != belts(cartan).bt:
         raise ValueError("expected a point of the A-space of B^T")
-    r = cartan.rank
-
-    def value(i, m):
-        return delta_sv.coords_at(canonical_address(i, m, r))[i - 1]
-
-    return FriezeFunction.from_values("tropical-frieze", cartan.transpose(), value)
+    return FriezeFunction.from_values(
+        "tropical-frieze", cartan.transpose(), delta_sv.belt_value
+    )
 
 
 def k_from_trop_point(rho: TropPoint, cartan: CartanMatrix) -> FriezeFunction:
     """Cluster-additive function for A read off a Y-space point of B."""
-    b = belts(cartan)
-    if rho.space != "Y" or rho.b0 != b.b:
+    if rho.space != "Y" or rho.b0 != belts(cartan).b:
         raise ValueError("expected a point of the Y-space of B")
-    r = cartan.rank
-
-    def value(i, m):
-        return rho.coords_at(canonical_address(i, m, r))[i - 1]
-
-    return FriezeFunction.from_values("cluster-additive", cartan, value)
+    return FriezeFunction.from_values("cluster-additive", cartan, rho.belt_value)
 
 
 def f_from_trop_point_neg(delta: TropPoint, cartan: CartanMatrix) -> FriezeFunction:
     """Tropical frieze for A itself, from an A-space point of -B (the pattern
     whose belt realizes the untransposed knitting relation)."""
-    b = belts(cartan)
-    if delta.space != "A" or delta.b0 != mat_neg(b.b):
+    if delta.space != "A" or delta.b0 != mat_neg(belts(cartan).b):
         raise ValueError("expected a point of the A-space of -B")
-    r = cartan.rank
-
-    def value(i, m):
-        return delta.coords_at(canonical_address(i, m, r))[i - 1]
-
-    return FriezeFunction.from_values("tropical-frieze", cartan, value)
+    return FriezeFunction.from_values("tropical-frieze", cartan, delta.belt_value)
 
 
 # -- piecewise-linear slice maps -----------------------------------------------
@@ -370,19 +353,16 @@ def hammock(cartan, i, m) -> FriezeFunction:
     r = cartan.rank
     if not 1 <= i <= r:
         raise DimensionMismatch(f"index {i} out of range 1..{r}")
-    values = tuple(-1 if j == i - 1 else 0 for j in range(r))
-    return FriezeFunction.from_slice("cluster-additive", cartan, values, m0=m)
+    return FriezeFunction.from_slice("cluster-additive", cartan, _neg_unit(i, r), m0=m)
 
 
-def f_from_admissible_y(y, cartan, depth=16, check=True) -> FriezeFunction:
+def f_from_admissible_y(y, cartan, depth=16) -> FriezeFunction:
     """Tropical frieze (for A^T) of an admissible element of the Y-space of B,
     by tropical evaluation at the g-vectors of the belt variables."""
     b = belts(cartan)
-    if check:
-        candidate = TropPoint("A", b.bt, _dvec_at_root(y))
-        verdict = check_admissible_Y(y, candidate, depth)
-        if verdict is not True:
-            raise NotAdmissible(f"element failed the Y-side check: {verdict}")
+    verdict = check_admissible_Y(y, TropPoint("A", b.bt, y.denominator_vector()), depth)
+    if verdict is not True:
+        raise NotAdmissible(f"element failed the Y-side check: {verdict}")
 
     def value(i, m):
         return y.trop_eval(b.rho_im(i, m).at_root())
@@ -390,27 +370,20 @@ def f_from_admissible_y(y, cartan, depth=16, check=True) -> FriezeFunction:
     return FriezeFunction.from_values("tropical-frieze", cartan.transpose(), value)
 
 
-def k_from_admissible_x(x, cartan, depth=16, check=True) -> FriezeFunction:
+def k_from_admissible_x(x, cartan, depth=16) -> FriezeFunction:
     """Cluster-additive function (for A) of an admissible element of the
     A-space of B^T, by tropical evaluation at the g-vectors of the belt
     Y-variables."""
     b = belts(cartan)
-    if check:
-        rho0 = PLMap(cartan, "+").apply(_dvec_at_root(x))
-        candidate = TropPoint("Y", b.b, rho0)
-        verdict = check_admissible_A(x, candidate, depth)
-        if verdict is not True:
-            raise NotAdmissible(f"element failed the A-side check: {verdict}")
+    rho0 = PLMap(cartan, "+").apply(x.denominator_vector())
+    verdict = check_admissible_A(x, TropPoint("Y", b.b, rho0), depth)
+    if verdict is not True:
+        raise NotAdmissible(f"element failed the A-side check: {verdict}")
 
     def value(i, m):
         return x.trop_eval(b.delta_sv_im(i, m).at_root())
 
     return FriezeFunction.from_values("cluster-additive", cartan, value)
-
-
-def _dvec_at_root(f):
-    """Denominator vector of a universally Laurent element at the root."""
-    return f.denominator_vector()
 
 
 def shift(f: FriezeFunction) -> FriezeFunction:

@@ -727,6 +727,9 @@ class RationalFunction:
         if isinstance(other, int):
             return RationalFunction(self.num * other, self.den)
         self._check(other)
+        if self.num.is_zero() or other.num.is_zero():
+            # zero is canonical only over the denominator 1
+            return RationalFunction.zero(self.nvars)
         # cross-cancel first; the four remaining pairs are then coprime, so
         # the product is already in canonical form
         a_num, b_den = _cancel(self.num, other.den)

@@ -36,6 +36,11 @@ def mat_neg(m: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in m)
 
 
+def _neg_unit(i, r):
+    """The vector -e_i of length r (i is 1-based)."""
+    return tuple(-1 if j == i - 1 else 0 for j in range(r))
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple(

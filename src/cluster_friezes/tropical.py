@@ -19,11 +19,15 @@ from .errors import DimensionMismatch, NegativeExponent
 from .laurent import check_trop
 from .mutation import (
     _gauss_jordan,
+    _neg_unit,
     _PrefixWalker,
     as_matrix,
+    canonical_address,
     matrix_pattern,
+    mutate_seed,
     pp,
     reduce_word,
+    root_seed,
     row_times_matrix,
     seed_pattern,
     transpose,
@@ -112,6 +116,10 @@ class TropPoint:
                 cur_addr = cur_addr[:-1]
                 walk.memo[cur_addr] = cur
 
+    def belt_value(self, i, m):
+        """The i-th coordinate at the belt vertex t(i, m)."""
+        return self.coords_at(canonical_address(i, m, self.rank))[i - 1]
+
     def at_root(self):
         return self.coords_at(())
 
@@ -178,9 +186,7 @@ def g_vector_of_cluster_monomial(b0, addr, exponents) -> TropPoint:
 def d_trop_point(space, b0, addr, i) -> TropPoint:
     """The d-tropical point of the i-th variable (1-based) at addr."""
     b0 = as_matrix(b0)
-    r = len(b0)
-    coords = tuple(-1 if j == i - 1 else 0 for j in range(r))
-    return TropPoint(space, b0, coords, addr)
+    return TropPoint(space, b0, _neg_unit(i, len(b0)), addr)
 
 
 def d_compat_degree(d_point: TropPoint, f) -> int:
@@ -249,53 +255,16 @@ def _pointed_form_ok(expansion, pointed, cone_matrix=None):
     return UNKNOWN if unknown else True
 
 
-def reexpress_A(f, pattern, addr, k):
-    """Rewrite f from the chart at addr into the chart across edge k."""
-    from .laurent import RationalFunction
+def reexpress(f, pattern, addr, k):
+    """Rewrite f from the chart at addr into the chart across edge k.
 
-    target = reduce_word(addr + (k,))
-    seed = pattern.seed_at(target)
-    b = seed.matrix
-    r = seed.rank
-    nv = r
-    targets = [RationalFunction.variable(j + 1, nv) for j in range(r)]
-    plus = RationalFunction.one(nv)
-    minus = RationalFunction.one(nv)
-    for j in range(r):
-        bjk = b[j][k - 1]
-        if bjk > 0:
-            plus = plus * targets[j] ** bjk
-        elif bjk < 0:
-            minus = minus * targets[j] ** (-bjk)
-    targets[k - 1] = (plus + minus) / RationalFunction.variable(k, nv)
-    return f.substitute(targets)
+    The coordinate variables at addr are the mutation, in direction k, of the
+    coordinate variables of the chart across the edge."""
+    s = pattern.seed_at(reduce_word(addr + (k,)))
+    return f.substitute(mutate_seed(root_seed(s.kind, s.matrix), k).cluster)
 
 
-def reexpress_Y(f, pattern, addr, k):
-    from .laurent import RationalFunction
-
-    target = reduce_word(addr + (k,))
-    seed = pattern.seed_at(target)
-    b = seed.matrix
-    r = seed.rank
-    yk = RationalFunction.variable(k, r)
-    one_plus = yk + 1
-    targets = []
-    for i in range(1, r + 1):
-        if i == k:
-            targets.append(yk.inverse())
-            continue
-        t = RationalFunction.variable(i, r)
-        bki = b[k - 1][i - 1]
-        if bki > 0:
-            t = t * yk**bki * one_plus ** (-bki)
-        elif bki < 0:
-            t = t * one_plus ** (-bki)
-        targets.append(t)
-    return f.substitute(targets)
-
-
-def _check_admissible(element, point, root_matrix, reexpress, with_cone, depth):
+def _check_admissible(element, point, root_matrix, with_cone, depth):
     """Shared depth-bounded admissibility walk over the tree with pruning of
     repeated unordered seeds; three-valued outcome."""
     pattern = seed_pattern("A" if with_cone else "Y", root_matrix)
@@ -348,9 +317,7 @@ def check_admissible_A(x, rho: TropPoint, depth=16):
     closes earlier).  Returns True, False, or UNKNOWN."""
     if rho.space != "Y":
         raise ValueError("expected a Y-space tropical point")
-    return _check_admissible(
-        x, rho, transpose(rho.b0), reexpress_A, True, depth
-    )
+    return _check_admissible(x, rho, transpose(rho.b0), True, depth)
 
 
 def check_admissible_Y(y, delta_sv: TropPoint, depth=16):
@@ -358,6 +325,4 @@ def check_admissible_Y(y, delta_sv: TropPoint, depth=16):
     A-space; offsets need only be componentwise nonnegative."""
     if delta_sv.space != "A":
         raise ValueError("expected an A-space tropical point")
-    return _check_admissible(
-        y, delta_sv, transpose(delta_sv.b0), reexpress_Y, False, depth
-    )
+    return _check_admissible(y, delta_sv, transpose(delta_sv.b0), False, depth)

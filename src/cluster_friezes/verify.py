@@ -10,14 +10,15 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded
 from .finite import (
+    _hammock_parts,
     d_duality_check,
-    decompose_hammocks,
     fim_recursion,
     finite_context,
     mono_from_gvector_A,
     named_cartan,
     pairing,
     reconstruct_from_hammocks,
+    verify_periodicity,
     x_from_rho,
     y_from_delta,
 )
@@ -39,7 +40,7 @@ from .mutation import (
     seed_pattern,
     separation_check,
 )
-from .tropical import TropPoint, check_admissible_A, reexpress_Y
+from .tropical import TropPoint, check_admissible_A, reexpress
 
 DEFAULT_TYPES = ("A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2")
 SMALL_TYPES = ("A2", "A3", "B2", "G2")
@@ -135,7 +136,7 @@ def suite_remark_not_in(**_):
         # stored entries are written in root-chart coordinates
         laurent_everywhere = True
         for target in addresses:
-            expr = _expand_at(y, (), target, pattern)
+            expr = _expand_at(y, target, pattern)
             if not expr.is_laurent():
                 laurent_everywhere = False
                 break
@@ -147,21 +148,11 @@ def suite_remark_not_in(**_):
     return ok, details
 
 
-def _expand_at(element, src, dst, pattern):
-    """Re-express an element given in the chart at src into the chart at dst
-    (walk through the common prefix)."""
-    lca = 0
-    while lca < len(src) and lca < len(dst) and src[lca] == dst[lca]:
-        lca += 1
-    expr = element
-    cur = src
-    while len(cur) > lca:
-        expr = reexpress_Y(expr, pattern, cur, cur[-1])
-        cur = cur[:-1]
-    for pos in range(lca, len(dst)):
-        expr = reexpress_Y(expr, pattern, cur, dst[pos])
-        cur = cur + (dst[pos],)
-    return expr
+def _expand_at(element, addr, pattern):
+    """Re-express an element given in the root chart into the chart at addr."""
+    for pos, k in enumerate(addr):
+        element = reexpress(element, pattern, addr[:pos], k)
+    return element
 
 
 @_timed
@@ -197,28 +188,19 @@ def suite_periodicity(types=DEFAULT_TYPES, trials=200, rng_seed=0, **_):
         ctx = finite_context(cartan)
         r = cartan.rank
         m_hi = 2 * max(ctx.roots.orbit_lengths) + 4
-        fa = ctx.fa
-        bad = 0
-
-        generic_bad = 0
-        for i in range(1, r + 1):
-            for m in range(-2, m_hi + 1):
-                j, n = fa.apply(i, m)
-                if ctx.belts.x_sv(i, m) != ctx.belts.x_sv(j, n):
-                    generic_bad += 1
-                if ctx.belts.y(i, m) != ctx.belts.y(j, n):
-                    generic_bad += 1
-
         at = cartan.transpose()
-        for trial in range(trials):
-            kind = ("tropical-frieze", "cluster-additive")[trial % 2]
-            base = (cartan, at)[(trial // 2) % 2]
-            f = FriezeFunction.from_slice(kind, base, _rand_coords(rng, r))
-            for i in range(1, r + 1):
-                for m in range(-2, m_hi + 1):
-                    j, n = fa.apply(i, m)
-                    if f.value(i, m) != f.value(j, n):
-                        bad += 1
+        # a generator, so that each random function is dropped once scanned
+        friezes = (
+            FriezeFunction.from_slice(
+                ("tropical-frieze", "cluster-additive")[trial % 2],
+                (cartan, at)[(trial // 2) % 2],
+                _rand_coords(rng, r),
+            )
+            for trial in range(trials)
+        )
+        violations = verify_periodicity(cartan, -2, m_hi, friezes)
+        generic_bad = sum(1 for tag, _, _ in violations if tag in ("x", "y"))
+        bad = len(violations) - generic_bad
         details[name] = {"generic_violations": generic_bad, "violations": bad}
         ok = ok and generic_bad == 0 and bad == 0
     return ok, details
@@ -303,7 +285,7 @@ def suite_decomposition(types=DEFAULT_TYPES, trials=100, rng_seed=0, **_):
             k = FriezeFunction.from_slice(
                 "cluster-additive", cartan, _rand_coords(rng, r)
             )
-            parts = decompose_hammocks(cartan, k)
+            parts = _hammock_parts(cartan, k)
             rebuilt = reconstruct_from_hammocks(cartan, parts)
             if any(rebuilt.value(i, m) != k.value(i, m) for i, m in dom):
                 bad += 1

@@ -157,19 +157,57 @@ class TestVerifyAndErrors:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
-    def test_invalid_cartan_exit_2(self, capsys):
+    def test_invalid_cartan_exit_2(self, capsys, tmp_path):
+        float_cartan = tmp_path / "cartan.json"
+        float_cartan.write_text('{"A": [[2, -1], [-1.0, 2]]}')
+        float_word = tmp_path / "job.json"
+        float_word.write_text('{"B": [[0, -1], [1, 0]], "word": [1.9]}')
+        bool_matrix = tmp_path / "bool.json"
+        bool_matrix.write_text('{"B": [[0, true], [-1, 0]], "word": [1]}')
         cases = [
             (("frieze", "--cartan", "Z9", "--kind", "trop", "--slice", "0,0"),
              "ValueError"),
             (("hammock", "--cartan", "A2", "--i", "5"), "DimensionMismatch"),
             (("frieze", "--cartan", "A2", "--kind", "trop", "--slice", "1,0",
               "--window", "5..1"), "ValueError"),
+            # exact integers only: no float or boolean is truncated to an int
+            (("mutate", "--B", "[[0,1.5],[-1,0]]"), "ValueError"),
+            (("mutate", "--B", "[[0,true],[-1,0]]"), "ValueError"),
+            (("mutate", "--json", str(float_word)), "ValueError"),
+            (("mutate", "--json", str(bool_matrix)), "ValueError"),
+            (("frieze", "--cartan", "[[2,-1.9],[-1,2]]", "--kind", "trop",
+              "--slice", "1,0"), "ValueError"),
+            (("frieze", "--cartan", str(float_cartan), "--kind", "trop",
+              "--slice", "1,0"), "ValueError"),
+            (("trop", "--cartan", "A2", "--point",
+              '{"space":"A","coords":[1.7,0]}'), "ValueError"),
+            (("trop", "--cartan", "A2", "--point",
+              '{"space":"A","coords":[true,0]}'), "ValueError"),
+            (("trop", "--cartan", "A2", "--point",
+              '{"space":"A","anchor":[1.0],"coords":[1,0]}'), "ValueError"),
+            # malformed inputs that once ended in a traceback
+            (("mutate",), "ValueError"),
+            (("frieze", "--cartan", "[1,2]", "--kind", "trop", "--slice", "1,0"),
+             "ValueError"),
+            (("trop", "--cartan", "A2", "--space", "A"), "ValueError"),
+            (("trop", "--cartan", "A2", "--point", "[1]"), "ValueError"),
+            # argparse usage errors are JSON diagnostics too
+            (("frieze", "--cartan", "A2"), "UsageError"),
+            (("hammock", "--cartan", "A2", "--i", "1.5"), "UsageError"),
+            (("nonsense",), "UsageError"),
         ]
         for argv, error in cases:
             code, out, err = run(capsys, *argv)
             assert code == 2, argv
             assert out == ""
-            assert json.loads(err)["error"] == error
+            assert json.loads(err)["error"] == error, argv
+
+    def test_help_exit_0(self, capsys):
+        for argv in (["--help"], ["frieze", "--help"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 0
+            assert capsys.readouterr().out.startswith("usage:")
 
     def test_budget_exit_3(self, capsys):
         code, _, err = run(

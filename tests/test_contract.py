@@ -1,0 +1,92 @@
+"""Behaviour contract: the README's CLI examples and `verify --suite all`
+print what they printed before the code behind them was refactored.
+
+`tests/data/readme_cli.txt` holds, for every `cluster-friezes` line of the
+README's `sh` blocks, the command, its stdout and its exit code, as written
+by `render()`.  It was generated from a checkout whose outputs are the
+reference; to regenerate it from such a checkout, run
+
+    PYTHONPATH=<checkout>/src python tests/test_contract.py > tests/data/readme_cli.txt
+
+with this file and the README of that checkout.
+"""
+
+import contextlib
+import functools
+import hashlib
+import io
+import shlex
+import sys
+from pathlib import Path
+
+from cluster_friezes.cli import main
+
+HERE = Path(__file__).resolve().parent
+README = HERE.parent / "README.md"
+EXPECTED = HERE / "data" / "readme_cli.txt"
+VERIFY_ALL = "cluster-friezes verify --suite all"
+VERIFY_ALL_SHA256 = "c03017aad88b92643ebfeef03de9432a907a4043ae7bf0690a6365223ef59951"
+
+
+def readme_examples():
+    """The command lines of the README's sh blocks that run the CLI."""
+    examples = []
+    in_sh = False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and "cluster-friezes " in line and not line.startswith("#"):
+            examples.append(line)
+    return examples
+
+
+@functools.lru_cache(maxsize=None)
+def run_example(line):
+    """(exit code, stdout) of one example run through `cli.main`; an
+    `echo '...' | cluster-friezes ...` line feeds the echoed text on stdin."""
+    stdin = ""
+    if " | " in line:
+        producer, line = line.split(" | ", 1)
+        echo, *words = shlex.split(producer)
+        assert echo == "echo"
+        stdin = " ".join(words) + "\n"
+    program, *argv = shlex.split(line)
+    assert program == "cluster-friezes"
+    out = io.StringIO()
+    saved_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = saved_stdin
+    return code, out.getvalue()
+
+
+def render():
+    chunks = []
+    for line in readme_examples():
+        code, out = run_example(line)
+        chunks.append(f"$ {line}\n{out}[exit {code}]\n")
+    return "".join(chunks)
+
+
+def test_readme_lists_the_examples():
+    examples = readme_examples()
+    assert VERIFY_ALL in examples
+    assert any(line.startswith("echo ") for line in examples)
+    assert len(examples) == 17
+
+
+def test_readme_cli_examples_unchanged():
+    assert render() == EXPECTED.read_text()
+
+
+def test_verify_all_stdout_digest():
+    code, out = run_example(VERIFY_ALL)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
+if __name__ == "__main__":
+    sys.stdout.write(render())

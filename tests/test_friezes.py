@@ -286,7 +286,7 @@ class TestAdmissibleRealizations:
 
     def test_denominator_vector_readback(self):
         from cluster_friezes.mutation import seed_pattern
-        from cluster_friezes.tropical import reexpress_Y
+        from cluster_friezes.tropical import reexpress
 
         b = belts(A2)
         y = b.y(1, 1)
@@ -296,7 +296,7 @@ class TestAdmissibleRealizations:
             addr = canonical_address(1, m, 2)
             expr = y
             for pos, k in enumerate(addr):
-                expr = reexpress_Y(expr, pattern, addr[:pos], k)
+                expr = reexpress(expr, pattern, addr[:pos], k)
             assert f.slice_at(m) == expr.denominator_vector()
 
 

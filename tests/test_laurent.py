@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -380,3 +382,125 @@ def _positive_rf(rng):
         exp = tuple(rng.randint(0, 2) for _ in range(2))
         den = den + P.monomial(exp, rng.randint(1, 3))
     return RF(num, den)
+
+
+# -- ring and field laws, by exact evaluation at random points ----------------
+#
+# Each law is checked twice: as an identity of canonical forms, and by
+# evaluating both sides with Fractions at random points of nonzero integers.
+# A wrong result agrees with the right value at a random point only with small
+# probability (Schwartz-Zippel), so evaluation pins every operation to plain
+# rational arithmetic.
+
+
+def evaluate(p, point):
+    """Exact value of a Laurent polynomial at a point of nonzero integers."""
+    total = Fraction(0)
+    for exp, c in p.terms.items():
+        term = Fraction(c)
+        for v, e in zip(point, exp):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+def rf_value(f, point):
+    return evaluate(f.num, point) / evaluate(f.den, point)
+
+
+def law_cases(element):
+    """(a, b, c, points): three elements over 1..3 shared variables, built
+    by element(polys) from Laurent polynomials, and three random points."""
+
+    def over(n):
+        laurent = polys(n, lo=-2, hi=2, max_terms=3)
+        point = st.tuples(*[st.integers(-30, 30).filter(bool)] * n)
+        return st.tuples(
+            *[element(laurent)] * 3, st.lists(point, min_size=3, max_size=3)
+        )
+
+    return st.integers(1, 3).flatmap(over)
+
+
+class TestRingLaws:
+    """`IntLaurentPoly` is a commutative ring."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(law_cases(lambda laurent: laurent))
+    def test_ring_laws(self, case):
+        a, b, c, points = case
+        zero, one = P.zero(a.nvars), P.one(a.nvars)
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a and a * zero == zero
+        assert a - a == zero and -(-a) == a
+        for point in points:
+            va, vb = evaluate(a, point), evaluate(b, point)
+            assert evaluate(a + b, point) == va + vb
+            assert evaluate(a - b, point) == va - vb
+            assert evaluate(a * b, point) == va * vb
+            assert evaluate(a**3, point) == va**3
+
+
+def small_factors(n):
+    """Low-degree polynomials over n variables, some sharing a factor."""
+    one, first, last = P.one(n), P.variable(1, n), P.variable(n, n)
+    return [one + first, one + last, one + first + last, one * 2 - first,
+            one + first * last]
+
+
+def fractions(laurent):
+    """p/d with d a product of at most two small factors.  Dense random
+    denominators are left out: on some of them the gcd's PRS fallback runs
+    for seconds to minutes (see CHANGES.md)."""
+
+    def over(p):
+        factors = st.lists(st.sampled_from(small_factors(p.nvars)), max_size=2)
+        return factors.map(lambda fs: RF(p, math.prod(fs, start=P.one(p.nvars))))
+
+    return laurent.flatmap(over)
+
+
+class TestFieldLaws:
+    """`RationalFunction` is a field, with canonical reduced forms."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(law_cases(fractions))
+    def test_field_laws(self, case):
+        a, b, c, points = case
+        zero, one = RF.zero(a.nvars), RF.one(a.nvars)
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a and a - a == zero
+        assert a * zero == zero and zero * a == zero
+        if not b.is_zero():
+            assert b * b.inverse() == one
+            assert (a / b) * b == a
+            assert a / b == a * b**-1
+        for point in points:
+            if not (evaluate(a.den, point) and evaluate(b.den, point)):
+                continue
+            va, vb = rf_value(a, point), rf_value(b, point)
+            assert rf_value(a + b, point) == va + vb
+            assert rf_value(a - b, point) == va - vb
+            assert rf_value(a * b, point) == va * vb
+            if vb:
+                assert rf_value(a / b, point) == va / vb
+                assert rf_value(b**-2, point) == vb**-2
+
+    @settings(max_examples=40, deadline=None)
+    @given(law_cases(lambda laurent: laurent.filter(lambda p: not p.is_zero())))
+    def test_reduced_form_evaluates_like_the_quotient(self, case):
+        """RF(n, d) is n/d at every point where d does not vanish, and its
+        denominator vanishes nowhere that d does not."""
+        n, d, _, points = case
+        f = RF(n, d)
+        for point in points:
+            vd = evaluate(d, point)
+            if vd:
+                assert evaluate(f.den, point) != 0
+                assert rf_value(f, point) == evaluate(n, point) / vd

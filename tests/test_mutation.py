@@ -31,7 +31,7 @@ from cluster_friezes.mutation import (
     seed_at,
     separation_check,
 )
-from cluster_friezes.tropical import TropPoint, reexpress_A
+from cluster_friezes.tropical import TropPoint, reexpress
 
 B_A2 = ((0, -1), (1, 0))
 B_A3 = ((0, -1, 0), (1, 0, -1), (0, 1, 0))
@@ -256,7 +256,7 @@ class TestExchangeGraph:
                 for target in addresses:
                     expr = var
                     for pos, k in enumerate(target):
-                        expr = reexpress_A(expr, pattern, target[:pos], k)
+                        expr = reexpress(expr, pattern, target[:pos], k)
                     assert expr.is_laurent()
                     assert expr.num.coefficients_nonnegative()
 

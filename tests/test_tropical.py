@@ -9,10 +9,12 @@ from cluster_friezes.finite import finite_context, named_cartan
 from cluster_friezes.laurent import RationalFunction as RF
 from cluster_friezes.mutation import (
     canonical_address,
+    enumerate_exchange_graph,
     gcf_pattern,
     matrix_pattern,
     mutate_matrix_raw,
     row_times_matrix,
+    seed_pattern,
     transpose,
 )
 from cluster_friezes.tropical import (
@@ -25,6 +27,7 @@ from cluster_friezes.tropical import (
     g_vector_of_cluster_monomial,
     p_map,
     principal_wide_root,
+    reexpress,
     trop_mutate_A,
     trop_mutate_Y,
 )
@@ -78,6 +81,36 @@ class TestCoordsAt:
         p = TropPoint("Y", B_A2, (1, -2))
         q = TropPoint("Y", B_A2, p.coords_at((2, 1)), (2, 1))
         assert p == q
+
+
+    @pytest.mark.parametrize("space", ["A", "Y", "Yprin"])
+    def test_belt_value(self, space):
+        b = named_cartan("B2").b_matrix()
+        root = principal_wide_root(b) if space == "Yprin" else b
+        p = TropPoint(space, root, (2, -1, 1, 0)[: len(root[0])], (1,))
+        for i in (1, 2):
+            for m in range(-3, 4):
+                addr = canonical_address(i, m, 2)
+                assert p.belt_value(i, m) == p.coords_at(addr)[i - 1]
+
+
+class TestReexpress:
+    @pytest.mark.parametrize("kind", ["A", "Y"])
+    @pytest.mark.parametrize("name", ["A2", "B2"])
+    def test_chart_round_trip(self, kind, name):
+        """The cluster of seed t, given in the root chart and re-expressed
+        along t's address into chart t, is the coordinate variables."""
+        b0 = named_cartan(name).b_matrix()
+        pattern = seed_pattern(kind, b0)
+        coordinates = tuple(RF.variable(i, 2) for i in (1, 2))
+        graph = enumerate_exchange_graph(kind, b0, 100)
+        assert len(graph.seeds) == {"A2": 5, "B2": 6}[name]
+        for seed in graph.seeds.values():
+            addr = seed.address
+            cluster = seed.cluster
+            for pos, k in enumerate(addr):
+                cluster = tuple(reexpress(x, pattern, addr[:pos], k) for x in cluster)
+            assert cluster == coordinates, addr
 
 
 class TestPMap:
@@ -196,13 +229,13 @@ class TestDCompat:
                 # reference: exponent read from the reduced expansion at the
                 # chart containing the variable (i, m)
                 from cluster_friezes.mutation import seed_pattern
-                from cluster_friezes.tropical import reexpress_A
+                from cluster_friezes.tropical import reexpress
 
                 pattern = seed_pattern("A", b.bt)
                 addr = canonical_address(i, m, 2)
                 expr = x
                 for pos, k in enumerate(addr):
-                    expr = reexpress_A(expr, pattern, addr[:pos], k)
+                    expr = reexpress(expr, pattern, addr[:pos], k)
                 assert got == expr.denominator_vector()[i - 1]
 
 

@@ -385,10 +385,25 @@ def verify_periodicity(cartan, m_lo, m_hi, friezes=()):
 
 # -- global monomials from tropical points --------------------------------------
 
+# Largest total |exponent| of a monomial in cluster variables that
+# `_monomial_at` and `x_from_rho` expand; a tropical coordinate can be near
+# 2^62, and that power of a cluster variable would never finish.
+MONOMIAL_EXPONENT_BUDGET = 64
+
+
+def _check_exponent_budget(exponents):
+    total = sum(abs(e) for e in exponents)
+    if total > MONOMIAL_EXPONENT_BUDGET:
+        raise BudgetExceeded(
+            f"monomial of total degree {total} exceeds the budget "
+            f"{MONOMIAL_EXPONENT_BUDGET}"
+        )
+
 
 def _monomial_at(seed, coords):
     """Address, exponents and value of the monomial prod_i v_i^(-coords_i) in
     the cluster v of seed."""
+    _check_exponent_budget(coords)
     expr = RationalFunction.one(seed.rank)
     for v, c in zip(seed.cluster, coords):
         if c:
@@ -441,6 +456,7 @@ def x_from_rho(cartan, rho: TropPoint):
     g-vector rho: the positive parts of -k_rho."""
     b = belts(cartan)
     exps = _hammock_parts(cartan, k_from_trop_point(rho, cartan))
+    _check_exponent_budget(exps.values())
     expr = RationalFunction.one(cartan.rank)
     for (i, m), e in exps.items():
         expr = expr * b.x_sv(i, m) ** e

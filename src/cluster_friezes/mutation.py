@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import BudgetExceeded, DimensionMismatch, InternalDisagreement
 from .laurent import IntLaurentPoly, RationalFunction
@@ -377,18 +379,32 @@ def exchange_binomial(matrix: Matrix, variables, k):
     return plus + minus
 
 
-def mutate_A_seed(seed: Seed, k: int) -> Seed:
+def _exchange_key(old, entries, column):
+    """Memo key of one exchange by value: the outgoing entry and the multiset
+    of (entry, b_jk) pairs with b_jk != 0, so seeds that list the same
+    entries in another order share it."""
+    pairs = Counter((v, b) for v, b in zip(entries, column) if b)
+    return (old, frozenset(pairs.items()))
+
+
+def mutate_A_seed(seed: Seed, k: int, memo=None) -> Seed:
+    """A-seed mutation in direction k.  memo maps exchange keys to new
+    cluster variables; a pattern passes its own, other callers a fresh one."""
     if seed.kind != "A":
         raise ValueError("A-mutation applied to a non-A seed")
     r = seed.rank
     if not 1 <= k <= r:
         raise DimensionMismatch(f"direction {k} out of range 1..{r}")
+    if memo is None:
+        memo = {}
     variables = seed.variables()
-    num = exchange_binomial(seed.matrix, variables, k)
     old = seed.cluster[k - 1]
-    # the exchange relation divides exactly by the Laurent phenomenon
-    new_num = num.exact_div(old.laurent())
-    new = RationalFunction.from_poly(new_num)
+    key = _exchange_key(old, variables, (row[k - 1] for row in seed.matrix))
+    new = memo.get(key)
+    if new is None:
+        num = exchange_binomial(seed.matrix, variables, k)
+        # the exchange relation divides exactly by the Laurent phenomenon
+        new = memo[key] = RationalFunction.from_poly(num.exact_div(old.laurent()))
     cluster = seed.cluster[: k - 1] + (new,) + seed.cluster[k:]
     return Seed(
         "A",
@@ -399,25 +415,34 @@ def mutate_A_seed(seed: Seed, k: int) -> Seed:
     )
 
 
-def mutate_Y_seed(seed: Seed, k: int) -> Seed:
+def mutate_Y_seed(seed: Seed, k: int, memo=None) -> Seed:
+    """Y-seed mutation in direction k.  memo maps (y_i, y_k, b_ki) to the new
+    y_i; a pattern passes its own, other callers a fresh one."""
     if seed.kind != "Y":
         raise ValueError("Y-mutation applied to a non-Y seed")
     r = seed.rank
     if not 1 <= k <= r:
         raise DimensionMismatch(f"direction {k} out of range 1..{r}")
+    if memo is None:
+        memo = {}
     yk = seed.cluster[k - 1]
-    one_plus = yk + 1
     cluster = []
     for i in range(1, r + 1):
-        if i == k:
-            cluster.append(yk.inverse())
-            continue
-        b = seed.matrix[k - 1][i - 1]
         yi = seed.cluster[i - 1]
-        if b > 0:
-            yi = yi * yk**b * one_plus ** (-b)
-        elif b < 0:
-            yi = yi * one_plus ** (-b)
+        b = seed.matrix[k - 1][i - 1]
+        if i == k:
+            yi = yk.inverse()
+        elif b:
+            key = (yi, yk, b)
+            new = memo.get(key)
+            if new is None:
+                one_plus = yk + 1
+                if b > 0:
+                    new = yi * yk**b * one_plus ** (-b)
+                else:
+                    new = yi * one_plus ** (-b)
+                memo[key] = new
+            yi = new
         cluster.append(yi)
     return Seed(
         "Y",
@@ -428,23 +453,31 @@ def mutate_Y_seed(seed: Seed, k: int) -> Seed:
     )
 
 
-def mutate_seed(seed: Seed, k: int) -> Seed:
-    return mutate_A_seed(seed, k) if seed.kind == "A" else mutate_Y_seed(seed, k)
+def mutate_seed(seed: Seed, k: int, memo=None) -> Seed:
+    if seed.kind == "A":
+        return mutate_A_seed(seed, k, memo)
+    return mutate_Y_seed(seed, k, memo)
 
 
 class SeedPattern:
-    """Memoized seed assignment for one root seed; safe for concurrent use."""
+    """Memoized seed assignment for one root seed; safe for concurrent use.
+
+    Seeds are memoized by address and exchanges by value: the pattern's
+    exchange memo is written only by walker steps, under the walker's lock."""
 
     def __init__(self, kind, b0, nfrozen=0):
         self.root = root_seed(kind, b0, nfrozen)
-        self._walk = _PrefixWalker({(): self.root}, _seed_step)
+        self._exchanges = {}
+        self._walk = _PrefixWalker(
+            {(): self.root}, partial(_seed_step, memo=self._exchanges)
+        )
 
     def seed_at(self, addr) -> Seed:
         return self._walk.get(reduce_word(addr))
 
 
-def _seed_step(seed, prefix, k):
-    return mutate_seed(seed, k)
+def _seed_step(seed, prefix, k, memo):
+    return mutate_seed(seed, k, memo)
 
 
 _seed_patterns = _Registry()
@@ -493,7 +526,8 @@ class GCFData:
 
 
 class GCFPattern:
-    """Walks the standard G/C/F mutation recurrences, memoized by address."""
+    """Walks the standard G/C/F mutation recurrences, memoized by address;
+    F-polynomial exchanges are memoized by value, as in SeedPattern."""
 
     def __init__(self, b0):
         b0 = as_matrix(b0)
@@ -502,34 +536,44 @@ class GCFPattern:
         ones = tuple(IntLaurentPoly.one(r) for _ in range(r))
         self.b0 = b0
         self.rank = r
-        self._walk = _PrefixWalker({(): (b0, ident, ident, ones)}, _gcf_step)
+        self._exchanges = {}
+        self._walk = _PrefixWalker(
+            {(): (b0, ident, ident, ones)}, partial(_gcf_step, memo=self._exchanges)
+        )
 
     def at(self, addr):
         return self._walk.get(reduce_word(addr))
 
 
-def _gcf_step(state, prefix, k):
-    """One mutation of the (B, G, C, F) state in direction k."""
+def _gcf_step(state, prefix, k, memo=None):
+    """One mutation of the (B, G, C, F) state in direction k.  memo maps
+    (F_k, (F_j, b_jk) pairs, k-th c-column) to the new F_k."""
     b, g, c, f = state
     r = len(b)
     kk = k - 1
-    pos = IntLaurentPoly.one(r)
-    neg = IntLaurentPoly.one(r)
-    for j in range(r):
-        cjk = c[j][kk]
-        if cjk > 0:
-            pos = pos * IntLaurentPoly.variable(j + 1, r) ** cjk
-        elif cjk < 0:
-            neg = neg * IntLaurentPoly.variable(j + 1, r) ** (-cjk)
-        bjk = b[j][kk]
-        if bjk > 0:
-            pos = pos * f[j] ** bjk
-        elif bjk < 0:
-            neg = neg * f[j] ** (-bjk)
-    fk = (pos + neg).exact_div(f[kk])
+    if memo is None:
+        memo = {}
+    ccol = tuple(c[j][kk] for j in range(r))
+    key = (_exchange_key(f[kk], f, (row[kk] for row in b)), ccol)
+    fk = memo.get(key)
+    if fk is None:
+        pos = IntLaurentPoly.one(r)
+        neg = IntLaurentPoly.one(r)
+        for j in range(r):
+            cjk = ccol[j]
+            if cjk > 0:
+                pos = pos * IntLaurentPoly.variable(j + 1, r) ** cjk
+            elif cjk < 0:
+                neg = neg * IntLaurentPoly.variable(j + 1, r) ** (-cjk)
+            bjk = b[j][kk]
+            if bjk > 0:
+                pos = pos * f[j] ** bjk
+            elif bjk < 0:
+                neg = neg * f[j] ** (-bjk)
+        fk = memo[key] = (pos + neg).exact_div(f[kk])
     fnew = f[:kk] + (fk,) + f[kk + 1 :]
     # sign-coherence of the k-th c-vector selects the tropical sign
-    eps = 1 if any(c[j][kk] > 0 for j in range(r)) else -1
+    eps = 1 if any(x > 0 for x in ccol) else -1
     gnew = []
     for i in range(r):
         row = list(g[i])

@@ -24,6 +24,7 @@ from .mutation import (
     as_matrix,
     canonical_address,
     matrix_pattern,
+    matrix_times_col,
     mutate_seed,
     pp,
     reduce_word,
@@ -227,16 +228,40 @@ def _in_cone(bt_t, offset, bound=24):
     return UNKNOWN
 
 
+def _kernel_ray(bt_t, bound=4):
+    """Is bt_t * u = 0 for some nonzero integer u >= 0?  Returns True/False
+    or UNKNOWN when the bounded search is exhausted."""
+    r = len(bt_t)
+    det, _ = _gauss_jordan(bt_t)
+    if det:
+        return False
+    if (bound + 1) ** r > 200_000:
+        return UNKNOWN
+    for u in product(range(bound + 1), repeat=r):
+        if any(u) and not any(matrix_times_col(bt_t, u)):
+            return True
+    return UNKNOWN
+
+
 def _pointed_form_ok(expansion, pointed, cone_matrix=None):
     """Check the pointed-expansion shape: coefficient 1 at `pointed`, all
     coefficients nonnegative, every offset nonnegative (and in the cone
-    spanned by cone_matrix columns when given).  Returns True/False/UNKNOWN."""
+    spanned by cone_matrix columns when given).  When cone_matrix * u = 0
+    for some nonzero u >= 0, offsets can cancel back onto `pointed`, so any
+    coefficient >= 1 is accepted there.  Returns True/False/UNKNOWN."""
     if not expansion.is_laurent():
         return False
     terms = expansion.laurent().terms
-    if terms.get(pointed, 0) != 1:
-        return False
     unknown = False
+    lead = terms.get(pointed, 0)
+    if lead != 1:
+        if lead < 1 or cone_matrix is None:
+            return False
+        ray = _kernel_ray(cone_matrix)
+        if ray is False:
+            return False
+        if ray is UNKNOWN:
+            unknown = True
     for e, c in terms.items():
         if c < 0:
             return False

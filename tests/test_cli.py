@@ -232,6 +232,27 @@ class TestVerifyAndErrors:
         assert code == 3
         assert json.loads(err)["error"] == "TropOverflow"
 
+    def test_monomial_budget_exit_3(self):
+        # rho becomes the exponent of 2/x1; the budget must stop it before
+        # the power is expanded.  A subprocess, so that a regression is
+        # killed by the timeout rather than growing the test's memory
+        script = "\n".join([
+            "import sys, time",
+            "from cluster_friezes import cli",
+            "t0 = time.perf_counter()",
+            "code = cli.main(['pairing', '--cartan', 'A1', '--delta', '-2',"
+            " '--rho', '6917529027641081856'])",
+            "print(time.perf_counter() - t0)",
+            "sys.exit(code)",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=_package_env(), timeout=30,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert float(proc.stdout) < 1.0
+        assert json.loads(proc.stderr)["error"] == "BudgetExceeded"
+
 
 class TestRouteDisagreement:
     """A cross-check failure in `monomial` ends in exit 4 with a JSON
@@ -276,13 +297,18 @@ def _run_monomial_under_python_O(*patch):
         "sys.exit(cli.main(['monomial', '--cartan', 'B2', '--space', 'Y',"
         " '--coords', '2,-1']))",
     ])
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=_package_env(), timeout=120,
+    )
+
+
+def _package_env():
+    """The environment with this package's source first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(cluster_friezes.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return env
 
 
 def _raise(exc):

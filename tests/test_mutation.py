@@ -6,14 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+from cluster_friezes import mutation
 from cluster_friezes.errors import BudgetExceeded, DimensionMismatch
+from cluster_friezes.finite import named_cartan
 from cluster_friezes.laurent import IntLaurentPoly as P, RationalFunction as RF
 from cluster_friezes.mutation import (
     GCFPattern,
     MatrixPattern,
     MutationMatrix,
     SeedPattern,
+    _exchange_key,
     _gauss_jordan,
+    _gcf_step,
+    _Registry,
     canonical_address,
     enumerate_exchange_graph,
     extract_gcf,
@@ -25,9 +30,12 @@ from cluster_friezes.mutation import (
     mutate_A_seed,
     mutate_matrix,
     mutate_matrix_raw,
+    mutate_seed,
     mutate_Y_seed,
+    principal_extension,
     principal_pattern_at,
     reduce_word,
+    root_seed,
     seed_at,
     separation_check,
 )
@@ -390,3 +398,112 @@ class TestPrefixWalkers:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(result == expected for result in results)
+
+
+def _random_reduced_word(rng, r, length):
+    word = [rng.randint(1, r)]
+    while len(word) < length:
+        k = rng.randint(1, r - 1)
+        word.append(k if k < word[-1] else k + 1)
+    return tuple(word)
+
+
+class TestExchangeMemo:
+    """Seed and G/C/F patterns memoize exchanges by value; the memo changes
+    no value, saves every repeated division, and is never shared."""
+
+    @pytest.mark.parametrize("name", ["A4", "B3", "G2"])
+    def test_walker_equals_memo_free_chain(self, name):
+        b = named_cartan(name).b_matrix()
+        r = len(b)
+        kinds = [("A", b, 0), ("Y", b, 0), ("A", principal_extension(b), r)]
+        roots = [root_seed(*kind) for kind in kinds]
+        patterns = [SeedPattern(*kind) for kind in kinds]
+        gcf = GCFPattern(b)
+        gcf_root = GCFPattern(b).at(())
+        rng = random.Random(name)
+        for _ in range(25):
+            word = _random_reduced_word(rng, r, 8)
+            for root, pattern in zip(roots, patterns):
+                seed = root
+                for k in word:
+                    seed = mutate_seed(seed, k)
+                assert pattern.seed_at(word) == seed
+            state = gcf_root
+            for i, k in enumerate(word):
+                state = _gcf_step(state, word[:i], k)
+            assert gcf.at(word) == state
+
+    def test_one_memo_across_matrices(self):
+        # one memo shared by rank-2 patterns whose seeds meet the same entries
+        # with other b_jk (bonds 1, 2 and 3, both signs, with and without
+        # frozen rows) still gives the memo-free values: every key carries
+        # all that its exchange depends on
+        mats = [B_A2, B_B2, ((0, 2), (-1, 0)), ((0, -3), (1, 0)), ((0, 3), (-1, 0))]
+        mats += [tuple(tuple(-x for x in row) for row in b) for b in mats]
+        roots = [root_seed(kind, b) for kind in "AY" for b in mats]
+        for b in mats:
+            roots.append(root_seed("A", b + ((0, 0), (0, 0)), 2))
+            roots.append(root_seed("A", principal_extension(b), 2))
+        words = _reduced_words(2, 6)
+        memo = {}
+        for root in roots:
+            for word in words:
+                shared = free = root
+                for k in word:
+                    shared = mutate_seed(shared, k, memo)
+                    free = mutate_seed(free, k)
+                assert shared == free
+        memo = {}
+        for b in mats:
+            for word in words:
+                shared = free = GCFPattern(b).at(())
+                for i, k in enumerate(word):
+                    shared = _gcf_step(shared, word[:i], k, memo)
+                    free = _gcf_step(free, word[:i], k)
+                assert shared == free
+
+    def test_key_counts_repeated_entries(self):
+        # F-polynomials can repeat within a seed (every initial one is 1)
+        y = RF.variable(1, 2)
+        assert _exchange_key(y, (y, y), (1, 1)) != _exchange_key(y, (y,), (1,))
+        assert _exchange_key(y, (y, 1), (2, 0)) == _exchange_key(y, (y,), (2,))
+
+    def test_one_division_per_exchange_key(self, monkeypatch):
+        calls = []
+        exact_div = P.exact_div
+
+        def counted(self, other):
+            calls.append(other)
+            return exact_div(self, other)
+
+        monkeypatch.setattr(P, "exact_div", counted)
+        # a fresh registry, so the pattern starts with an empty memo
+        monkeypatch.setattr(mutation, "_seed_patterns", _Registry())
+        b = named_cartan("D4").b_matrix()
+        graph = enumerate_exchange_graph("A", b)
+        (pattern,) = mutation._seed_patterns.items.values()
+        steps = len(pattern._walk.memo) - 1
+        assert len(graph.seeds) == 50
+        assert len(calls) == len(pattern._exchanges) < steps
+
+    def test_patterns_never_share_a_memo(self):
+        patterns = [
+            SeedPattern("A", B_A3), SeedPattern("A", B_A3), SeedPattern("Y", B_A3),
+            GCFPattern(B_A3),
+        ]
+        patterns[0].seed_at((1, 2, 3, 1))
+        assert patterns[0]._exchanges
+        assert not any(p._exchanges for p in patterns[1:])
+        for p in patterns[1:3]:
+            p.seed_at((1, 2, 3, 1))
+        patterns[3].at((1, 2, 3, 1))
+        memos = [p._exchanges for p in patterns]
+        assert all(memos)
+        assert len({id(m) for m in memos}) == len(memos)
+        # the registered patterns of one matrix keep separate memos too, so
+        # separation_check compares two independently computed values
+        yseed = mutation.seed_pattern("Y", B_A3)
+        assert yseed._exchanges is not mutation.gcf_pattern(B_A3)._exchanges
+        assert yseed._exchanges is not mutation.seed_pattern("A", B_A3)._exchanges
+        assert separation_check(B_A3, (1, 2, 3, 1))

@@ -18,7 +18,10 @@ from cluster_friezes.mutation import (
     transpose,
 )
 from cluster_friezes.tropical import (
+    UNKNOWN,
     TropPoint,
+    _kernel_ray,
+    _pointed_form_ok,
     beta_map,
     check_admissible_A,
     check_admissible_Y,
@@ -264,6 +267,35 @@ class TestAdmissibility:
             expected = coords == good
             res = check_admissible_A(x, TropPoint("Y", B_A2, coords), 12)
             assert res is (True if expected else False)
+
+    def test_a3_root_monomial_true(self):
+        # every B_t of A3 is singular; two mutations away x1*x2*x3 reads
+        # x2(1 + x2)^2/(x1' x3'), with coefficient 2 at its pointed exponent
+        ctx = finite_context(named_cartan("A3"))
+        x = [RF.variable(i, 3) for i in (1, 2, 3)]
+        rho = TropPoint("Y", ctx.belts.b, (-1, -1, -1))
+        depth = 2 * len(ctx.a_graph().seeds)
+        assert check_admissible_A(x[0] * x[1] * x[2], rho, depth) is True
+        for coords in itertools.product(range(-1, 2), repeat=3):
+            point = TropPoint("Y", ctx.belts.b, coords)
+            assert check_admissible_A(x[0] + x[1], point, depth) is False
+
+    def test_pointed_coefficient_above_one(self):
+        # x2(1 + x2)^2/(x1 x3) pointed at (-1, 2, -1): the offsets -e2 and e2
+        # are columns of the cone matrix, and u = (1, 0, 1) >= 0 spans its
+        # kernel, so the pointed term may collect coefficient 2
+        x1, x2, x3 = (RF.variable(i, 3) for i in (1, 2, 3))
+        expansion = x2 * (x2 + 1) ** 2 / (x1 * x3)
+        singular = ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
+        mixed_kernel = ((0, 1, 0), (-1, 0, -1), (0, 1, 0))
+        identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert _kernel_ray(singular) is True
+        assert _kernel_ray(identity) is False
+        assert _kernel_ray(mixed_kernel) is UNKNOWN
+        assert _pointed_form_ok(expansion, (-1, 2, -1), singular) is True
+        assert _pointed_form_ok(expansion, (-1, 2, -1), identity) is False
+        assert _pointed_form_ok(expansion, (-1, 2, -1)) is False
+        assert _pointed_form_ok(-expansion, (-1, 2, -1), singular) is False
 
     def test_y_side_globals(self):
         cartan = named_cartan("A2")

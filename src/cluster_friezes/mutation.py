@@ -13,7 +13,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from .errors import BudgetExceeded, DimensionMismatch, InternalDisagreement
 from .laurent import IntLaurentPoly, RationalFunction
@@ -157,9 +157,10 @@ class _Registry:
 
 
 class _PrefixWalker:
-    """Memo of values at reduced tree addresses.  A miss walks down from the
-    deepest cached prefix, calling step(value, prefix, k) on each edge and
-    caching every vertex it passes; the cached addresses stay prefix-closed."""
+    """Memo of values at interned tree vertices.  A miss walks up parent
+    links to the nearest cached vertex, then back down, calling
+    step(value, vertex, k) on each edge and caching every vertex it passes;
+    the cached vertices stay closed under taking parents."""
 
     __slots__ = ("memo", "lock", "step")
 
@@ -168,22 +169,23 @@ class _PrefixWalker:
         self.lock = threading.RLock()
         self.step = step
 
-    def get(self, addr):
-        """Value at the reduced address addr."""
-        memo = self.memo
-        # a cached value never changes, so a hit needs no lock
-        if addr in memo:
-            return memo[addr]
+    def get(self, v):
+        """Value at vertex v."""
+        # a cached value is never None and never changes, so a hit needs no lock
+        value = self.memo.get(v)
+        if value is not None:
+            return value
         with self.lock:
-            depth = len(addr)
-            while addr[:depth] not in memo:
-                depth -= 1
-            prefix = addr[:depth]
-            value = memo[prefix]
-            for k in addr[depth:]:
-                value = self.step(value, prefix, k)
-                prefix = prefix + (k,)
-                memo[prefix] = value
+            memo = self.memo
+            path = []
+            while v not in memo:
+                path.append(v)
+                v = _PARENT[v]
+            value = memo[v]
+            for child in reversed(path):
+                value = self.step(value, v, _LETTER[child])
+                memo[child] = value
+                v = child
             return value
 
 
@@ -243,23 +245,87 @@ def mutate_matrix_raw(m: Matrix, k: int) -> Matrix:
 
 
 def mutate_matrix(b: MutationMatrix, k: int) -> MutationMatrix:
-    if not 1 <= k <= b.rank:
-        raise DimensionMismatch(f"direction {k} out of range 1..{b.rank}")
+    k = _letter(k, b.rank)
     return b.mutate(k)
 
 
 # -- tree addresses ----------------------------------------------------------
 
 
+# Interned tree vertices, one process-wide append-only table.  Vertex 0 is
+# the root; vertex v > 0 hangs below _PARENT[v] on the edge _LETTER[v], and
+# _CHILD maps (v, k) to the child of v across edge k.  New vertices are made
+# under _VERTEX_LOCK, and a child is published in _CHILD only after its
+# parent and letter are stored, so readers need no lock.
+_PARENT = [0]
+_LETTER = [0]
+_CHILD = {}
+_VERTEX_LOCK = threading.Lock()
+
+
+def _letter(k, r=None):
+    """The direction k as an int, checked to be an int in 1..r (at least 1
+    when r is None)."""
+    if type(k) is not int:
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise TypeError(f"direction {k!r} is not an int")
+        k = int(k)
+    if k < 1 or (r is not None and k > r):
+        bound = "" if r is None else f"..{r}"
+        raise DimensionMismatch(f"direction {k} out of range 1{bound}")
+    return k
+
+
+def _child(v, k):
+    """The vertex across edge k from vertex v: its parent when k is the
+    letter of v's own edge, else its (possibly new) child."""
+    if k == _LETTER[v]:
+        return _PARENT[v]
+    child = _CHILD.get((v, k))
+    if child is None:
+        with _VERTEX_LOCK:
+            child = _CHILD.get((v, k))
+            if child is None:
+                child = len(_PARENT)
+                _PARENT.append(v)
+                _LETTER.append(k)
+                _CHILD[v, k] = child
+    return child
+
+
+def _vertex(word, r=None):
+    """The interned vertex reached from the root along word.  Every letter
+    is checked (see _letter) before any vertex is made."""
+    letters = [_letter(k, r) for k in word]
+    v = 0
+    for k in letters:
+        v = _child(v, k)
+    return v
+
+
+def _address(v):
+    """The reduced edge word of vertex v."""
+    word = []
+    while v:
+        word.append(_LETTER[v])
+        v = _PARENT[v]
+    return tuple(reversed(word))
+
+
+def _extend(address, k):
+    """The reduced word across edge k from the reduced word address."""
+    return address[:-1] if address and address[-1] == k else address + (k,)
+
+
 def reduce_word(word):
     """Cancel adjacent equal letters; mutation in the same direction twice
-    returns to the original seed."""
+    returns to the original seed.  Letters must be ints >= 1."""
     out = []
-    for k in word:
+    for k in map(_letter, word):
         if out and out[-1] == k:
             out.pop()
         else:
-            out.append(int(k))
+            out.append(k)
     return tuple(out)
 
 
@@ -278,18 +344,26 @@ def canonical_address(i: int, m: int, r: int):
     return reduce_word(word)
 
 
+@lru_cache(maxsize=None)
+def _belt_vertex(i, m, r):
+    """The interned vertex of the belt vertex t(i, m) of rank r."""
+    return _vertex(canonical_address(i, m, r))
+
+
 class MatrixPattern:
-    """Memoized assignment of matrices to reduced tree addresses."""
+    """Memoized assignment of matrices to tree vertices; square, or tall or
+    wide with directions indexing the smaller side."""
 
     def __init__(self, root: Matrix):
         self.root = as_matrix(root)
-        self._walk = _PrefixWalker({(): self.root}, _matrix_step)
+        self.rank = min(len(self.root), len(self.root[0])) if self.root else 0
+        self._walk = _PrefixWalker({0: self.root}, _matrix_step)
 
     def at(self, addr):
-        return self._walk.get(reduce_word(addr))
+        return self._walk.get(_vertex(addr, self.rank))
 
 
-def _matrix_step(m, prefix, k):
+def _matrix_step(m, v, k):
     return mutate_matrix_raw(m, k)
 
 
@@ -392,9 +466,7 @@ def mutate_A_seed(seed: Seed, k: int, memo=None) -> Seed:
     cluster variables; a pattern passes its own, other callers a fresh one."""
     if seed.kind != "A":
         raise ValueError("A-mutation applied to a non-A seed")
-    r = seed.rank
-    if not 1 <= k <= r:
-        raise DimensionMismatch(f"direction {k} out of range 1..{r}")
+    k = _letter(k, seed.rank)
     if memo is None:
         memo = {}
     variables = seed.variables()
@@ -411,7 +483,7 @@ def mutate_A_seed(seed: Seed, k: int, memo=None) -> Seed:
         mutate_matrix_raw(seed.matrix, k),
         cluster,
         seed.frozen,
-        reduce_word(seed.address + (k,)),
+        _extend(seed.address, k),
     )
 
 
@@ -421,8 +493,7 @@ def mutate_Y_seed(seed: Seed, k: int, memo=None) -> Seed:
     if seed.kind != "Y":
         raise ValueError("Y-mutation applied to a non-Y seed")
     r = seed.rank
-    if not 1 <= k <= r:
-        raise DimensionMismatch(f"direction {k} out of range 1..{r}")
+    k = _letter(k, r)
     if memo is None:
         memo = {}
     yk = seed.cluster[k - 1]
@@ -449,7 +520,7 @@ def mutate_Y_seed(seed: Seed, k: int, memo=None) -> Seed:
         mutate_matrix_raw(seed.matrix, k),
         tuple(cluster),
         (),
-        reduce_word(seed.address + (k,)),
+        _extend(seed.address, k),
     )
 
 
@@ -469,14 +540,14 @@ class SeedPattern:
         self.root = root_seed(kind, b0, nfrozen)
         self._exchanges = {}
         self._walk = _PrefixWalker(
-            {(): self.root}, partial(_seed_step, memo=self._exchanges)
+            {0: self.root}, partial(_seed_step, memo=self._exchanges)
         )
 
     def seed_at(self, addr) -> Seed:
-        return self._walk.get(reduce_word(addr))
+        return self._walk.get(_vertex(addr, self.root.rank))
 
 
-def _seed_step(seed, prefix, k, memo):
+def _seed_step(seed, v, k, memo):
     return mutate_seed(seed, k, memo)
 
 
@@ -538,14 +609,14 @@ class GCFPattern:
         self.rank = r
         self._exchanges = {}
         self._walk = _PrefixWalker(
-            {(): (b0, ident, ident, ones)}, partial(_gcf_step, memo=self._exchanges)
+            {0: (b0, ident, ident, ones)}, partial(_gcf_step, memo=self._exchanges)
         )
 
     def at(self, addr):
-        return self._walk.get(reduce_word(addr))
+        return self._walk.get(_vertex(addr, self.rank))
 
 
-def _gcf_step(state, prefix, k, memo=None):
+def _gcf_step(state, v, k, memo=None):
     """One mutation of the (B, G, C, F) state in direction k.  memo maps
     (F_k, (F_j, b_jk) pairs, k-th c-column) to the new F_k."""
     b, g, c, f = state
@@ -694,15 +765,16 @@ def enumerate_exchange_graph(kind, b0, max_seeds=10_000) -> ExchangeGraph:
     graph fails to close within max_seeds (likely infinite type)."""
     b0 = as_matrix(b0)
     r = len(b0[0])
-    pattern = seed_pattern(kind, b0)
-    start = pattern.seed_at(())
+    seed_at_vertex = seed_pattern(kind, b0)._walk.get
+    start = seed_at_vertex(0)
     seeds = {start.unordered_key(): start}
-    frontier = [start]
+    frontier = [0]
     while frontier:
         next_frontier = []
-        for seed in frontier:
+        for v in frontier:
             for k in range(1, r + 1):
-                nbr = pattern.seed_at(seed.address + (k,))
+                child = _child(v, k)
+                nbr = seed_at_vertex(child)
                 key = nbr.unordered_key()
                 if key not in seeds:
                     if len(seeds) >= max_seeds:
@@ -710,6 +782,6 @@ def enumerate_exchange_graph(kind, b0, max_seeds=10_000) -> ExchangeGraph:
                             f"exchange graph exceeded {max_seeds} seeds"
                         )
                     seeds[key] = nbr
-                    next_frontier.append(nbr)
+                    next_frontier.append(child)
         frontier = next_frontier
     return ExchangeGraph(kind, b0, seeds, True)

@@ -12,22 +12,26 @@ rule and the width of the pattern matrix:
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from itertools import product
 
 from .errors import DimensionMismatch, NegativeExponent
 from .laurent import check_trop
 from .mutation import (
+    _PARENT,
+    _address,
+    _belt_vertex,
     _gauss_jordan,
+    _LETTER,
     _neg_unit,
     _PrefixWalker,
+    _vertex,
     as_matrix,
-    canonical_address,
     matrix_pattern,
     matrix_times_col,
     mutate_seed,
     pp,
-    reduce_word,
     root_seed,
     row_times_matrix,
     seed_pattern,
@@ -62,22 +66,21 @@ def trop_mutate_Y(coords, b, k):
 _RULES = {"A": trop_mutate_A, "Y": trop_mutate_Y, "Yprin": trop_mutate_Y}
 
 
-def _trop_step(space, pattern, coords, addr, k):
-    """Coordinates across edge k from the vertex at addr."""
-    return _RULES[space](coords, pattern.at(addr), k)
+def _trop_step(rule, matrix_at, coords, v, k):
+    """Coordinates across edge k from vertex v."""
+    return rule(coords, matrix_at(v), k)
 
 
 class TropPoint:
-    """Tropical point anchored at one vertex; coordinates cached per address."""
+    """Tropical point anchored at one vertex; coordinates cached per vertex."""
 
-    __slots__ = ("space", "b0", "anchor", "coords", "_walk")
+    __slots__ = ("space", "b0", "anchor", "coords", "_anchor_vertex", "_walk")
 
     def __init__(self, space, b0, coords, anchor=()):
         if space not in _RULES:
             raise ValueError(f"unknown space {space!r}")
         self.space = space
         self.b0 = as_matrix(b0)
-        self.anchor = reduce_word(anchor)
         self.coords = tuple(int(c) for c in coords)
         width = len(self.b0[0])
         if space == "Yprin":
@@ -87,9 +90,11 @@ class TropPoint:
             raise DimensionMismatch("pattern matrix must be square")
         if len(self.coords) != width:
             raise DimensionMismatch("coordinate vector has wrong length")
+        self._anchor_vertex = _vertex(anchor, len(self.b0))
+        self.anchor = _address(self._anchor_vertex)
         self._walk = _PrefixWalker(
-            {self.anchor: self.coords},
-            partial(_trop_step, space, matrix_pattern(self.b0)),
+            {self._anchor_vertex: self.coords},
+            partial(_trop_step, _RULES[space], matrix_pattern(self.b0)._walk.get),
         )
 
     @property
@@ -99,30 +104,37 @@ class TropPoint:
     def coords_at(self, addr):
         """Coordinate vector at a tree vertex, propagated from the nearest
         cached ancestor (every vertex passed gets cached)."""
-        addr = reduce_word(addr)
-        if addr not in self._walk.memo:
-            self._walk_to_root()
-        return self._walk.get(addr)
+        return self._coords(_vertex(addr, self.rank))
+
+    def _coords(self, v):
+        """Coordinate vector at the interned vertex v."""
+        walk = self._walk
+        coords = walk.memo.get(v)
+        if coords is None:
+            if 0 not in walk.memo:
+                self._walk_to_root()
+            coords = walk.get(v)
+        return coords
 
     def _walk_to_root(self):
-        """Walk the anchor up to the root once; afterwards some prefix of
-        any address is cached."""
+        """Walk the anchor up to the root once; afterwards some ancestor of
+        every vertex is cached."""
         walk = self._walk
         with walk.lock:
-            if () in walk.memo:
+            if 0 in walk.memo:
                 return
-            cur_addr, cur = self.anchor, self.coords
-            while cur_addr:
-                cur = walk.step(cur, cur_addr, cur_addr[-1])
-                cur_addr = cur_addr[:-1]
-                walk.memo[cur_addr] = cur
+            v, cur = self._anchor_vertex, self.coords
+            while v:
+                cur = walk.step(cur, v, _LETTER[v])
+                v = _PARENT[v]
+                walk.memo[v] = cur
 
     def belt_value(self, i, m):
         """The i-th coordinate at the belt vertex t(i, m)."""
-        return self.coords_at(canonical_address(i, m, self.rank))[i - 1]
+        return self._coords(_belt_vertex(i, m, self.rank))[i - 1]
 
     def at_root(self):
-        return self.coords_at(())
+        return self._coords(0)
 
     def __eq__(self, other):
         if not isinstance(other, TropPoint):
@@ -130,7 +142,7 @@ class TropPoint:
         return (
             self.space == other.space
             and self.b0 == other.b0
-            and other.coords_at(self.anchor) == self.coords
+            and other._coords(self._anchor_vertex) == self.coords
         )
 
     def __hash__(self):
@@ -202,8 +214,10 @@ UNKNOWN = None
 
 
 def _in_cone(bt_t, offset, bound=24):
-    """Is offset = bt_t * u for some integer u >= 0?  Returns True/False or
-    UNKNOWN when the bounded search is exhausted without a certificate."""
+    """Is offset = bt_t * u for some integer u >= 0?  Decided exactly when
+    bt_t is invertible or has a one-dimensional kernel; otherwise a bounded
+    search returns True, False, or UNKNOWN when it is exhausted without a
+    certificate."""
     r = len(offset)
     cols = list(zip(*bt_t))
     # exact rational solve decides the full-rank case outright
@@ -214,6 +228,9 @@ def _in_cone(bt_t, offset, bound=24):
         return True
     if sol is None:
         return False
+    line = _kernel_line(bt_t)
+    if line is not None:
+        return _on_line(sol, line)
     limit = sum(abs(x) for x in offset) + 2
     if limit > bound or (limit + 1) ** r > 200_000:
         return UNKNOWN
@@ -226,6 +243,54 @@ def _in_cone(bt_t, offset, bound=24):
             return True
     # solutions exist over the rationals but none was found in the box
     return UNKNOWN
+
+
+def _kernel_line(m):
+    """The primitive integer vector spanning the kernel of the square matrix
+    m when that kernel is one-dimensional, else None."""
+    r = len(m)
+    line = None
+    for j in range(r):
+        # free unknowns are set to 0, so m u = -m e_j puts u + e_j in the
+        # kernel, and u + e_j != 0 exactly when column j is free
+        _, u = _gauss_jordan(m, tuple(-row[j] for row in m))
+        u[j] += 1
+        if any(u):
+            if line is not None:
+                return None
+            line = u
+    if line is None:
+        return None
+    scale = math.lcm(*(x.denominator for x in line))
+    ints = [int(x * scale) for x in line]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def _on_line(u0, n):
+    """Is u0 + t*n integral and >= 0 for some rational t?  u0 is a rational
+    vector, n a primitive integer vector, so the t giving integral points
+    form one coset t0 + Z, if any."""
+    j = next(j for j, y in enumerate(n) if y)
+    t0 = None
+    for a in range(abs(n[j])):
+        t = (a - u0[j]) / n[j]
+        if all((x + t * y).denominator == 1 for x, y in zip(u0, n)):
+            t0 = t
+            break
+    if t0 is None:
+        return False
+    # the integral points are w + s*n, s in Z, with w = u0 + t0*n
+    lo, hi = -math.inf, math.inf
+    for x, y in zip(u0, n):
+        w = int(x + t0 * y)
+        if y > 0:
+            lo = max(lo, -(w // y))
+        elif y < 0:
+            hi = min(hi, w // -y)
+        elif w < 0:
+            return False
+    return lo <= hi
 
 
 def _kernel_ray(bt_t, bound=4):
@@ -285,7 +350,7 @@ def reexpress(f, pattern, addr, k):
 
     The coordinate variables at addr are the mutation, in direction k, of the
     coordinate variables of the chart across the edge."""
-    s = pattern.seed_at(reduce_word(addr + (k,)))
+    s = pattern.seed_at(addr + (k,))
     return f.substitute(mutate_seed(root_seed(s.kind, s.matrix), k).cluster)
 
 

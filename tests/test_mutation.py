@@ -5,6 +5,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cluster_friezes import mutation
 from cluster_friezes.errors import BudgetExceeded, DimensionMismatch
@@ -18,7 +20,10 @@ from cluster_friezes.mutation import (
     _exchange_key,
     _gauss_jordan,
     _gcf_step,
+    _address,
+    _child,
     _Registry,
+    _vertex,
     canonical_address,
     enumerate_exchange_graph,
     extract_gcf,
@@ -108,6 +113,110 @@ class TestAddresses:
     def test_word_reduction(self):
         assert reduce_word((1, 1)) == ()
         assert reduce_word((1, 2, 2, 1, 3)) == (3,)
+
+
+WORDS = st.lists(st.integers(1, 4), max_size=24)
+
+
+class TestVertexTable:
+    """The interned vertex table against reduce_word, the independent
+    reduction of edge words."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(WORDS)
+    def test_vertex_of_reduced_word(self, word):
+        assert _vertex(word) == _vertex(reduce_word(word))
+
+    @settings(max_examples=200, deadline=None)
+    @given(WORDS)
+    def test_address_reads_back_reduced_word(self, word):
+        assert _address(_vertex(word)) == reduce_word(word)
+
+    @settings(max_examples=200, deadline=None)
+    @given(WORDS, st.integers(1, 4))
+    def test_child_is_an_involution(self, word, k):
+        v = _vertex(word)
+        assert _child(_child(v, k), k) == v
+        assert _address(_child(v, k)) == reduce_word(word + [k])
+
+    def test_threads_interning_overlapping_words(self):
+        # letters no other test uses, so the threads make the vertices
+        rng = random.Random(11)
+        words = [
+            tuple(rng.randint(61, 64) for _ in range(rng.randint(1, 30)))
+            for _ in range(60)
+        ]
+        results = [None] * 6
+
+        def worker(t):
+            order = list(range(len(words)))
+            random.Random(t).shuffle(order)
+            results[t] = {i: _vertex(words[i]) for i in order}
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(result == results[0] for result in results)
+        parent, letter, child = mutation._PARENT, mutation._LETTER, mutation._CHILD
+        assert len(parent) == len(letter) == len(child) + 1
+        for v in range(1, len(parent)):
+            assert child[parent[v], letter[v]] == v
+            assert parent[v] < v and letter[v] != letter[parent[v]]
+        for i, word in enumerate(words):
+            assert _address(results[0][i]) == reduce_word(word)
+
+
+class TestStrictLetters:
+    """A letter that is not an int >= 1 raises before any vertex is made."""
+
+    @pytest.mark.parametrize("word", [(True, 1), (1, False), (1.0,), (2, 1.9), ("1",)])
+    def test_non_int_letters(self, word):
+        with pytest.raises(TypeError):
+            reduce_word(word)
+        with pytest.raises(TypeError):
+            seed_at("A", B_A2, word)
+
+    @pytest.mark.parametrize("word", [(0,), (1, -1), (2, 1, 0)])
+    def test_letters_below_one(self, word):
+        with pytest.raises(DimensionMismatch):
+            reduce_word(word)
+        with pytest.raises(DimensionMismatch):
+            MatrixPattern(B_A2).at(word)
+
+    def test_seed_at_float_does_not_truncate(self):
+        # 1.9 used to be read as direction 1
+        with pytest.raises(TypeError):
+            seed_at("A", B_A2, (1.9,))
+        with pytest.raises(TypeError):
+            mutate_A_seed(root_seed("A", B_A2), True)
+
+    def test_out_of_range_letters(self):
+        for word in [(3,), (1, 2, 3)]:
+            with pytest.raises(DimensionMismatch):
+                seed_at("Y", B_A2, word)
+            with pytest.raises(DimensionMismatch):
+                TropPoint("A", B_A2, (1, 0), word)
+        with pytest.raises(DimensionMismatch):
+            extract_gcf(B_A2, (2, 1, 5))
+
+    @pytest.mark.parametrize(
+        "word", [(2, 1, 2, 1, 2, 1.5), (2, 1, 2, 1, 2, True), (2, 1, 2, 1, 2, 9)]
+    )
+    def test_no_vertex_before_the_check(self, word):
+        before = len(mutation._PARENT)
+        with pytest.raises((TypeError, DimensionMismatch)):
+            SeedPattern("A", B_A2).seed_at(word)
+        with pytest.raises((TypeError, DimensionMismatch)):
+            TropPoint("Y", B_A2, (0, 1), word)
+        assert len(mutation._PARENT) == before
 
 
 class TestSeedMutation:

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cluster_friezes.errors import NegativeExponent
 from cluster_friezes.friezes import PLMap, belts
@@ -20,6 +22,7 @@ from cluster_friezes.mutation import (
 from cluster_friezes.tropical import (
     UNKNOWN,
     TropPoint,
+    _in_cone,
     _kernel_ray,
     _pointed_form_ok,
     beta_map,
@@ -95,6 +98,56 @@ class TestCoordsAt:
             for m in range(-3, 4):
                 addr = canonical_address(i, m, 2)
                 assert p.belt_value(i, m) == p.coords_at(addr)[i - 1]
+
+
+def _memo_free_coords(space, root, coords, anchor, word):
+    """Coordinates after the unreduced walk anchor -> root -> word, by a
+    plain chain of tropical mutations: no walker, no vertex table."""
+    rule = trop_mutate_A if space == "A" else trop_mutate_Y
+    b = root
+    for k in anchor:
+        b = mutate_matrix_raw(b, k)
+    for k in tuple(reversed(anchor)) + tuple(word):
+        coords = rule(coords, b, k)
+        b = mutate_matrix_raw(b, k)
+    return coords
+
+
+TYPES = ["A3", "B3", "G2"]
+
+
+@st.composite
+def trop_points(draw):
+    name = draw(st.sampled_from(TYPES))
+    space = draw(st.sampled_from(["A", "Y", "Yprin"]))
+    b = named_cartan(name).b_matrix()
+    r = len(b)
+    root = principal_wide_root(b) if space == "Yprin" else b
+    coords = tuple(draw(st.lists(st.integers(-4, 4), min_size=len(root[0]), max_size=len(root[0]))))
+    anchor = tuple(draw(st.lists(st.integers(1, r), max_size=8)))
+    return space, root, coords, anchor, r
+
+
+class TestCoordsAtOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(trop_points(), st.data())
+    def test_equals_memo_free_chain(self, point, data):
+        space, root, coords, anchor, r = point
+        p = TropPoint(space, root, coords, anchor)
+        for _ in range(4):
+            word = tuple(data.draw(st.lists(st.integers(1, r), max_size=12)))
+            expected = _memo_free_coords(space, root, coords, anchor, word)
+            assert p.coords_at(word) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(trop_points(), st.lists(st.tuples(st.integers(1, 3), st.integers(-6, 6)), max_size=12))
+    def test_belt_value_reads_the_belt_vertex(self, point, cells):
+        space, root, coords, anchor, r = point
+        p = TropPoint(space, root, coords, anchor)
+        q = TropPoint(space, root, coords, anchor)
+        for i, m in cells:
+            i = min(i, r)
+            assert p.belt_value(i, m) == q.coords_at(canonical_address(i, m, r))[i - 1]
 
 
 class TestReexpress:
@@ -296,6 +349,25 @@ class TestAdmissibility:
         assert _pointed_form_ok(expansion, (-1, 2, -1), identity) is False
         assert _pointed_form_ok(expansion, (-1, 2, -1)) is False
         assert _pointed_form_ok(-expansion, (-1, 2, -1), singular) is False
+
+    @pytest.mark.parametrize("name", ["B3", "C3"])
+    def test_in_cone_against_box_search(self, name):
+        """Every B_t of B3 and C3 is singular with a one-dimensional kernel;
+        _in_cone decides it exactly, as a box enumeration of u >= 0 does for
+        offsets this small."""
+        bt = transpose(named_cartan(name).b_matrix())
+        graph = enumerate_exchange_graph("A", bt, 1000)
+        cones = {seed.principal_part() for seed in graph.seeds.values()}
+        box = list(itertools.product(range(9), repeat=3))
+        offsets = list(itertools.product(range(-2, 3), repeat=3))
+        decided = set()
+        for cone in cones:
+            images = {row_times_matrix(u, transpose(cone)) for u in box}
+            for offset in offsets:
+                verdict = _in_cone(cone, offset)
+                assert verdict == (offset in images)
+                decided.add(verdict)
+        assert decided == {True, False}
 
     def test_y_side_globals(self):
         cartan = named_cartan("A2")

@@ -243,8 +243,8 @@ def cmd_monomial(args):
     else:
         delta = TropPoint("A", b.bt, coords)
         addr, exps, expr = mono_from_gvector_Y(cartan, delta)
-        if y_from_delta(cartan, delta) != expr:
-            raise InternalDisagreement("y_from_delta disagrees with the graph search")
+        # y_from_delta raises unless it agrees with the graph search
+        y_from_delta(cartan, delta)
         out = {
             "space": "Y",
             "address": list(addr),

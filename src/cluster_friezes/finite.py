@@ -418,7 +418,7 @@ def mono_from_gvector_A(cartan, rho: TropPoint):
     if rho.space != "Y" or rho.b0 != ctx.belts.b:
         raise ValueError("expected a point of the Y-space of B")
     for seed in ctx.a_graph().seeds.values():
-        coords = rho.coords_at(seed.address)
+        coords = rho._walk.get(seed.vertex)
         if all(c <= 0 for c in coords):
             return _monomial_at(seed, coords)
     raise NotFound("g-vector fan completeness violated (bug)")
@@ -430,7 +430,7 @@ def mono_from_gvector_Y(cartan, delta_sv: TropPoint):
     if delta_sv.space != "A" or delta_sv.b0 != ctx.belts.bt:
         raise ValueError("expected a point of the A-space of B^T")
     for seed in ctx.y_graph().seeds.values():
-        coords = delta_sv.coords_at(seed.address)
+        coords = delta_sv._walk.get(seed.vertex)
         image = row_times_matrix(coords, transpose(seed.matrix))
         if all(c <= 0 for c in image):
             return _monomial_at(seed, coords)

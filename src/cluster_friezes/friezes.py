@@ -14,11 +14,10 @@ backward from a seed slice; each relation is linear in its extreme unknown.
 
 from __future__ import annotations
 
-import threading
-
 from .errors import DimensionMismatch, NotAdmissible
 from .laurent import check_trop
 from .mutation import (
+    _belt_vertex,
     _diagonal_symmetrizer,
     _neg_unit,
     _Registry,
@@ -115,8 +114,7 @@ class FriezeFunction:
         self.kind = kind
         self.cartan = cartan
         self._value_fn = value_fn
-        self._memo = {}
-        self._lock = threading.RLock()
+        self._memo = _Registry()
 
     # -- constructors ------------------------------------------------------
 
@@ -126,6 +124,7 @@ class FriezeFunction:
         if len(values) != cartan.rank:
             raise DimensionMismatch("slice length must equal the rank")
         self = cls(kind, cartan, None)
+        # the columns grow only inside memo misses, one at a time (_Registry)
         self._columns = {m0: values}
         self._lo = self._hi = m0
         self._value_fn = self._recursive_value
@@ -175,11 +174,10 @@ class FriezeFunction:
     def value(self, i, m):
         if not 1 <= i <= self.cartan.rank:
             raise DimensionMismatch(f"index {i} out of range")
-        with self._lock:
-            key = (i, m)
-            if key not in self._memo:
-                self._memo[key] = int(self._value_fn(i, m))
-            return self._memo[key]
+        return self._memo.get((i, m), self._int_value, i, m)
+
+    def _int_value(self, i, m):
+        return int(self._value_fn(i, m))
 
     def slice_at(self, m):
         return tuple(self.value(i, m) for i in range(1, self.cartan.rank + 1))
@@ -230,8 +228,8 @@ class Belts:
         self.bt = transpose(self.b)
 
     def _belt_variable(self, kind, root, i, m):
-        addr = canonical_address(i, m, self.cartan.rank)
-        return seed_pattern(kind, root).seed_at(addr).cluster[i - 1]
+        v = _belt_vertex(i, m, self.cartan.rank)
+        return seed_pattern(kind, root)._walk.get(v).cluster[i - 1]
 
     def x_sv(self, i, m):
         """Cluster variable x~(i,m) of the A-space of B^T."""

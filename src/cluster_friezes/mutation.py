@@ -13,7 +13,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from .errors import BudgetExceeded, DimensionMismatch, InternalDisagreement
 from .laurent import IntLaurentPoly, RationalFunction
@@ -139,28 +139,34 @@ def find_skew_symmetrizer(b: Matrix):
 
 
 class _Registry:
-    """Process-wide get-or-create memo of shared objects, one lock each."""
+    """Get-or-create memo.  A stored value is never None and never changes,
+    so a hit reads the dict without a lock; a miss re-checks, then creates
+    the value under the registry's lock, which is re-entrant so that make
+    may read the registry too."""
 
     __slots__ = ("items", "lock")
 
     def __init__(self):
         self.items = {}
-        self.lock = threading.Lock()
+        self.lock = threading.RLock()
 
     def get(self, key, make, *args):
-        """The object stored under key, created as make(*args) on first use."""
-        with self.lock:
-            item = self.items.get(key)
-            if item is None:
-                item = self.items[key] = make(*args)
-            return item
+        """The value stored under key, created as make(*args) on first use."""
+        item = self.items.get(key)
+        if item is None:
+            with self.lock:
+                item = self.items.get(key)
+                if item is None:
+                    item = self.items[key] = make(*args)
+        return item
 
 
 class _PrefixWalker:
-    """Memo of values at interned tree vertices.  A miss walks up parent
-    links to the nearest cached vertex, then back down, calling
-    step(value, vertex, k) on each edge and caching every vertex it passes;
-    the cached vertices stay closed under taking parents."""
+    """Memo of values at interned tree vertices, under the contract of
+    _Registry.  A miss walks up parent links to the nearest cached vertex,
+    then back down, calling step(value, vertex, k) on each edge and caching
+    every vertex it passes; the cached vertices stay closed under taking
+    parents."""
 
     __slots__ = ("memo", "lock", "step")
 
@@ -171,7 +177,6 @@ class _PrefixWalker:
 
     def get(self, v):
         """Value at vertex v."""
-        # a cached value is never None and never changes, so a hit needs no lock
         value = self.memo.get(v)
         if value is not None:
             return value
@@ -312,11 +317,6 @@ def _address(v):
     return tuple(reversed(word))
 
 
-def _extend(address, k):
-    """The reduced word across edge k from the reduced word address."""
-    return address[:-1] if address and address[-1] == k else address + (k,)
-
-
 def reduce_word(word):
     """Cancel adjacent equal letters; mutation in the same direction twice
     returns to the original seed.  Letters must be ints >= 1."""
@@ -344,9 +344,15 @@ def canonical_address(i: int, m: int, r: int):
     return reduce_word(word)
 
 
-@lru_cache(maxsize=None)
+_belt_vertices = _Registry()
+
+
 def _belt_vertex(i, m, r):
     """The interned vertex of the belt vertex t(i, m) of rank r."""
+    return _belt_vertices.get((i, m, r), _make_belt_vertex, i, m, r)
+
+
+def _make_belt_vertex(i, m, r):
     return _vertex(canonical_address(i, m, r))
 
 
@@ -381,13 +387,19 @@ def matrix_pattern(root) -> MatrixPattern:
 @dataclass(frozen=True)
 class Seed:
     """A labelled seed: exchange matrix (tall when frozen rows are present),
-    mutable cluster, frozen variables, and the tree address it sits at."""
+    mutable cluster, frozen variables, and the interned tree vertex it sits
+    at."""
 
     kind: str  # "A" or "Y"
     matrix: Matrix
     cluster: tuple
     frozen: tuple
-    address: tuple
+    vertex: int
+
+    @property
+    def address(self):
+        """The reduced edge word of the seed's vertex."""
+        return _address(self.vertex)
 
     @property
     def rank(self):
@@ -435,7 +447,7 @@ def root_seed(kind, b0, nfrozen=0) -> Seed:
         raise DimensionMismatch("Y-seeds carry no frozen variables here")
     cluster = tuple(RationalFunction.variable(i + 1, total) for i in range(r))
     frozen = tuple(RationalFunction.variable(i + 1, total) for i in range(r, total))
-    return Seed(kind, b0, cluster, frozen, ())
+    return Seed(kind, b0, cluster, frozen, 0)
 
 
 def exchange_binomial(matrix: Matrix, variables, k):
@@ -483,7 +495,7 @@ def mutate_A_seed(seed: Seed, k: int, memo=None) -> Seed:
         mutate_matrix_raw(seed.matrix, k),
         cluster,
         seed.frozen,
-        _extend(seed.address, k),
+        _child(seed.vertex, k),
     )
 
 
@@ -520,7 +532,7 @@ def mutate_Y_seed(seed: Seed, k: int, memo=None) -> Seed:
         mutate_matrix_raw(seed.matrix, k),
         tuple(cluster),
         (),
-        _extend(seed.address, k),
+        _child(seed.vertex, k),
     )
 
 
@@ -533,7 +545,7 @@ def mutate_seed(seed: Seed, k: int, memo=None) -> Seed:
 class SeedPattern:
     """Memoized seed assignment for one root seed; safe for concurrent use.
 
-    Seeds are memoized by address and exchanges by value: the pattern's
+    Seeds are memoized by vertex and exchanges by value: the pattern's
     exchange memo is written only by walker steps, under the walker's lock."""
 
     def __init__(self, kind, b0, nfrozen=0):
@@ -744,7 +756,6 @@ class ExchangeGraph:
     kind: str
     b0: Matrix
     seeds: dict  # canonical key -> Seed (first reached)
-    closed: bool
 
     @property
     def addresses(self):
@@ -755,7 +766,8 @@ class ExchangeGraph:
         out = {}
         for seed in self.seeds.values():
             for i, x in enumerate(seed.cluster):
-                out.setdefault(x, (seed.address, i + 1))
+                if x not in out:
+                    out[x] = (seed.address, i + 1)
         return out
 
 
@@ -784,4 +796,4 @@ def enumerate_exchange_graph(kind, b0, max_seeds=10_000) -> ExchangeGraph:
                     seeds[key] = nbr
                     next_frontier.append(child)
         frontier = next_frontier
-    return ExchangeGraph(kind, b0, seeds, True)
+    return ExchangeGraph(kind, b0, seeds)

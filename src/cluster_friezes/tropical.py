@@ -22,6 +22,7 @@ from .mutation import (
     _PARENT,
     _address,
     _belt_vertex,
+    _child,
     _gauss_jordan,
     _LETTER,
     _neg_unit,
@@ -74,7 +75,7 @@ def _trop_step(rule, matrix_at, coords, v, k):
 class TropPoint:
     """Tropical point anchored at one vertex; coordinates cached per vertex."""
 
-    __slots__ = ("space", "b0", "anchor", "coords", "_anchor_vertex", "_walk")
+    __slots__ = ("space", "b0", "coords", "vertex", "_walk")
 
     def __init__(self, space, b0, coords, anchor=()):
         if space not in _RULES:
@@ -90,12 +91,22 @@ class TropPoint:
             raise DimensionMismatch("pattern matrix must be square")
         if len(self.coords) != width:
             raise DimensionMismatch("coordinate vector has wrong length")
-        self._anchor_vertex = _vertex(anchor, len(self.b0))
-        self.anchor = _address(self._anchor_vertex)
-        self._walk = _PrefixWalker(
-            {self._anchor_vertex: self.coords},
-            partial(_trop_step, _RULES[space], matrix_pattern(self.b0)._walk.get),
-        )
+        self.vertex = v = _vertex(anchor, len(self.b0))
+        step = partial(_trop_step, _RULES[space], matrix_pattern(self.b0)._walk.get)
+        # walk the anchor up to the root once, so the memo starts closed
+        # under parents and every later miss walks down from an ancestor
+        memo = {v: self.coords}
+        coords = self.coords
+        while v:
+            coords = step(coords, v, _LETTER[v])
+            v = _PARENT[v]
+            memo[v] = coords
+        self._walk = _PrefixWalker(memo, step)
+
+    @property
+    def anchor(self):
+        """The reduced edge word of the anchor vertex."""
+        return _address(self.vertex)
 
     @property
     def rank(self):
@@ -104,37 +115,14 @@ class TropPoint:
     def coords_at(self, addr):
         """Coordinate vector at a tree vertex, propagated from the nearest
         cached ancestor (every vertex passed gets cached)."""
-        return self._coords(_vertex(addr, self.rank))
-
-    def _coords(self, v):
-        """Coordinate vector at the interned vertex v."""
-        walk = self._walk
-        coords = walk.memo.get(v)
-        if coords is None:
-            if 0 not in walk.memo:
-                self._walk_to_root()
-            coords = walk.get(v)
-        return coords
-
-    def _walk_to_root(self):
-        """Walk the anchor up to the root once; afterwards some ancestor of
-        every vertex is cached."""
-        walk = self._walk
-        with walk.lock:
-            if 0 in walk.memo:
-                return
-            v, cur = self._anchor_vertex, self.coords
-            while v:
-                cur = walk.step(cur, v, _LETTER[v])
-                v = _PARENT[v]
-                walk.memo[v] = cur
+        return self._walk.get(_vertex(addr, self.rank))
 
     def belt_value(self, i, m):
         """The i-th coordinate at the belt vertex t(i, m)."""
-        return self._coords(_belt_vertex(i, m, self.rank))[i - 1]
+        return self._walk.get(_belt_vertex(i, m, self.rank))[i - 1]
 
     def at_root(self):
-        return self._coords(0)
+        return self._walk.memo[0]
 
     def __eq__(self, other):
         if not isinstance(other, TropPoint):
@@ -142,7 +130,7 @@ class TropPoint:
         return (
             self.space == other.space
             and self.b0 == other.b0
-            and other._coords(self._anchor_vertex) == self.coords
+            and other._walk.get(self.vertex) == self.coords
         )
 
     def __hash__(self):
@@ -358,17 +346,17 @@ def _check_admissible(element, point, root_matrix, with_cone, depth):
     """Shared depth-bounded admissibility walk over the tree with pruning of
     repeated unordered seeds; three-valued outcome."""
     pattern = seed_pattern("A" if with_cone else "Y", root_matrix)
-    start = pattern.seed_at(())
-    seen = {start.unordered_key()}
-    frontier = [((), element)]
+    seed_at_vertex = pattern._walk.get
+    seen = {seed_at_vertex(0).unordered_key()}
+    frontier = [(0, element)]
     unknown = False
     closed = True
     r = len(root_matrix)
     for step in range(depth + 1):
         next_frontier = []
-        for addr, expr in frontier:
-            seed = pattern.seed_at(addr)
-            pointed = tuple(-c for c in point.coords_at(addr))
+        for v, expr in frontier:
+            seed = seed_at_vertex(v)
+            pointed = tuple(-c for c in point._walk.get(v))
             cone = None
             if with_cone:
                 # the A-pattern matrix at t equals B_t^T for the paired
@@ -381,21 +369,20 @@ def _check_admissible(element, point, root_matrix, with_cone, depth):
                 unknown = True
             if step == depth:
                 continue
+            addr = _address(v)
             for k in range(1, r + 1):
-                nbr = pattern.seed_at(addr + (k,))
-                key = nbr.unordered_key()
+                child = _child(v, k)
+                key = seed_at_vertex(child).unordered_key()
                 if key in seen:
                     continue
                 seen.add(key)
-                next_frontier.append((nbr.address, reexpress(expr, pattern, addr, k)))
+                next_frontier.append((child, reexpress(expr, pattern, addr, k)))
         if not next_frontier and step < depth:
             break
         frontier = next_frontier
     else:
         closed = False
-    if unknown:
-        return UNKNOWN
-    if not closed:
+    if unknown or not closed:
         return UNKNOWN
     return True
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cluster_friezes
-from cluster_friezes import cli, verify
+from cluster_friezes import cli, finite, verify
 from cluster_friezes.cli import main
 from cluster_friezes.errors import NotDivisible, NotFound, ZeroDenominator
 from cluster_friezes.laurent import RationalFunction
@@ -269,7 +269,11 @@ class TestRouteDisagreement:
         assert json.loads(err)["error"] == "InternalDisagreement"
 
     def test_y_side_exit_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "y_from_delta", lambda cartan, delta: self.WRONG)
+        # y_from_delta's own graph search returns a wrong monomial, so its
+        # check against the assembled expression fails
+        monkeypatch.setattr(
+            finite, "mono_from_gvector_Y", lambda cartan, delta: ((), (), self.WRONG)
+        )
         code, out, err = run(
             capsys, "monomial", "--cartan", "B2", "--space", "Y", "--coords", "2,-1",
         )
@@ -278,8 +282,9 @@ class TestRouteDisagreement:
 
     def test_y_side_exit_4_under_python_O(self):
         proc = _run_monomial_under_python_O(
+            "from cluster_friezes import finite",
             "from cluster_friezes.laurent import RationalFunction",
-            "cli.y_from_delta = lambda c, d: RationalFunction.constant(7, 2)",
+            "finite.mono_from_gvector_Y = lambda c, d: ((), (), RationalFunction.constant(7, 2))",
         )
         assert proc.returncode == 4, proc.stderr
         assert proc.stdout == ""

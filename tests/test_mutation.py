@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from cluster_friezes import mutation
 from cluster_friezes.errors import BudgetExceeded, DimensionMismatch
 from cluster_friezes.finite import named_cartan
+from cluster_friezes.friezes import FriezeFunction
 from cluster_friezes.laurent import IntLaurentPoly as P, RationalFunction as RF
 from cluster_friezes.mutation import (
     GCFPattern,
@@ -507,6 +509,85 @@ class TestPrefixWalkers:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(result == expected for result in results)
+
+
+class LockTaken(Exception):
+    pass
+
+
+class _NoLock:
+    """Stands in for a memo's lock; taking it raises LockTaken."""
+
+    def __enter__(self):
+        raise LockTaken
+
+    def __exit__(self, *exc):
+        return False
+
+
+class TestCacheContract:
+    """Every memo is a _Registry or a _PrefixWalker: a hit reads the dict
+    without a lock, and a miss creates the value once, under the lock."""
+
+    def test_hit_takes_no_lock(self):
+        registry = _Registry()
+        item = registry.get("key", object)
+        cartan = named_cartan("B2")
+        functions = [
+            FriezeFunction.from_slice("cluster-additive", cartan, (1, -2)),
+            FriezeFunction.from_values("additive", cartan, lambda i, m: 3 * i - m),
+        ]
+        cells = [(i, m) for i in (1, 2) for m in range(-4, 5)]
+        tables = [[f.value(i, m) for i, m in cells] for f in functions]
+        pattern = SeedPattern("Y", B_A3)
+        seeds = {a: pattern.seed_at(a) for a in _reduced_words(3, 3)}
+        registry.lock = pattern._walk.lock = _NoLock()
+        for f in functions:
+            f._memo.lock = _NoLock()
+        assert registry.get("key", object) is item
+        assert [[f.value(i, m) for i, m in cells] for f in functions] == tables
+        assert {a: pattern.seed_at(a) for a in seeds} == seeds
+        # the stand-ins are the locks a miss takes
+        for miss in (
+            lambda: registry.get("other", object),
+            lambda: functions[0].value(1, 9),
+            lambda: functions[1].value(2, 9),
+            lambda: pattern.seed_at((1, 2, 3, 1)),
+        ):
+            with pytest.raises(LockTaken):
+                miss()
+
+    def test_make_runs_once_per_key_under_a_race(self):
+        registry = _Registry()
+        keys = list(range(40))
+        calls = []
+
+        def make(key):
+            calls.append(key)
+            time.sleep(1e-4)  # widen the window between the probe and the store
+            return object()
+
+        results = [None] * 6
+
+        def worker(t):
+            order = list(keys)
+            random.Random(t).shuffle(order)
+            results[t] = {k: registry.get(k, make, k) for k in order}
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(calls) == keys
+        assert all(result == results[0] for result in results)
+        assert registry.items == results[0]
 
 
 def _random_reduced_word(rng, r, length):

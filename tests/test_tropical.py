@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cluster_friezes.errors import NegativeExponent
+from cluster_friezes import mutation
+from cluster_friezes.errors import NegativeExponent, TropOverflow
 from cluster_friezes.friezes import PLMap, belts
 from cluster_friezes.finite import finite_context, named_cartan
 from cluster_friezes.laurent import RationalFunction as RF
@@ -82,6 +83,25 @@ class TestCoordsAt:
             there = p.coords_at(addr)
             q = TropPoint("Y", B_A2, there, addr)
             assert q.at_root() == coords
+
+    @pytest.mark.parametrize("space", ["A", "Y", "Yprin"])
+    def test_memo_closed_under_parents_at_construction(self, space):
+        b = named_cartan("B3").b_matrix()
+        root = principal_wide_root(b) if space == "Yprin" else b
+        coords = (2, -1, 1, 0, 3, -2)[: len(root[0])]
+        anchor = (1, 2, 3, 1, 2)
+        memo = TropPoint(space, root, coords, anchor)._walk.memo
+        assert len(memo) == len(anchor) + 1
+        assert all(mutation._PARENT[v] in memo for v in memo)
+        assert memo[0] == _memo_free_coords(space, root, coords, anchor, ())
+
+    def test_overflow_on_the_walk_to_the_root_raises_at_construction(self):
+        # the triple bond of G2 pushes a near-limit coordinate past 2^63 on
+        # the edge from the anchor (2,) to the root
+        big = 2**62 + 2**61
+        b = named_cartan("G2").b_matrix()
+        with pytest.raises(TropOverflow):
+            TropPoint("A", transpose(b), (big, big), (2,))
 
     def test_equality_across_anchors(self):
         p = TropPoint("Y", B_A2, (1, -2))

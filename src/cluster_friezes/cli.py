@@ -44,7 +44,7 @@ from .friezes import (
 )
 from .mutation import (
     MutationMatrix,
-    mutate_matrix,
+    matrix_pattern,
     reduce_word,
     seed_at,
 )
@@ -77,11 +77,19 @@ def _json_object(value, what):
     return value
 
 
+# Largest |m| a window may reach.  A cell's cost grows with |m| (the belt
+# vertex t(i, m) lies about r*|m| edges from the root), so a window past it
+# is refused before any cell is computed.
+WINDOW_LIMIT = 1000
+
+
 def _parse_window(text):
     lo, _, hi = text.partition("..")
     lo, hi = int(lo), int(hi)
     if lo > hi:
         raise ValueError(f"empty window {text!r}: lo must not exceed hi")
+    if max(abs(lo), abs(hi)) > WINDOW_LIMIT:
+        raise BudgetExceeded(f"window {text!r} reaches past |m| = {WINDOW_LIMIT}")
     return lo, hi
 
 
@@ -160,13 +168,11 @@ def cmd_mutate(args):
         doc = {"B": json.loads(args.B), "word": list(_parse_ints(args.word or ""))}
     else:
         raise ValueError("mutate needs --B or --json")
+    # mutation keeps B skew-symmetrizable, so B is validated once, here
     b = MutationMatrix(_json_matrix(doc["B"], "B"))
     word = reduce_word(_json_ints(doc.get("word", []), "word"))
     out = {"B0": [list(r) for r in b.entries], "word": list(word)}
-    m = b.entries
-    for k in word:
-        m = mutate_matrix(MutationMatrix(m), k).entries
-    out["B"] = [list(r) for r in m]
+    out["B"] = [list(r) for r in matrix_pattern(b.entries).at(word)]
     if args.kind in ("a-seed", "y-seed"):
         kind = "A" if args.kind == "a-seed" else "Y"
         seed = seed_at(kind, b.entries, word)

@@ -101,11 +101,13 @@ class CartanMatrix:
 
 
 class FriezeFunction:
-    """Memoized Z-valued function on [1,r] x Z of one of the three kinds.
+    """Z-valued function on [1,r] x Z of one of the three kinds.
 
     Backed either by the defining recursion from a seed slice or by an
     arbitrary value provider (tropical readback, admissible elements); both
-    expose the same interface and can be compared on windows.
+    expose the same interface and can be compared on windows.  Nothing is
+    cached per cell: the slice recursion caches its columns, and a tropical
+    readback reads the point's vertex walker.
     """
 
     def __init__(self, kind, cartan, value_fn):
@@ -114,7 +116,6 @@ class FriezeFunction:
         self.kind = kind
         self.cartan = cartan
         self._value_fn = value_fn
-        self._memo = _Registry()
 
     # -- constructors ------------------------------------------------------
 
@@ -124,10 +125,11 @@ class FriezeFunction:
         if len(values) != cartan.rank:
             raise DimensionMismatch("slice length must equal the rank")
         self = cls(kind, cartan, None)
-        # the columns grow only inside memo misses, one at a time (_Registry)
-        self._columns = {m0: values}
-        self._lo = self._hi = m0
-        self._value_fn = self._recursive_value
+        # columns by m, a run of consecutive m around m0
+        self._m0 = m0
+        self._columns = _Registry()
+        self._columns.items[m0] = values
+        self._value_fn = lambda i, m: self._columns.get(m, self._column, m)[i - 1]
         return self
 
     @classmethod
@@ -147,37 +149,29 @@ class FriezeFunction:
         return pp(s) if self.kind == "tropical-frieze" else s
 
     def _column(self, m):
-        cols = self._columns
+        """Column m, on a miss of the column registry (under its lock): walk
+        from m toward m0 to the nearest cached column, then extend one column
+        at a time; each relation is linear in its unknown cur[i]."""
+        cols = self._columns.items
         r = self.cartan.rank
-        while self._hi < m:
-            prev = cols[self._hi]
-            cur = [0] * r
-            for i in range(r):
-                # relation at (i, hi); the unknown cur[i] enters linearly
-                cur[i] = check_trop(self._pair_sum(prev, cur, i) - prev[i])
-            self._hi += 1
-            cols[self._hi] = tuple(cur)
-        while self._lo > m:
-            nxt = cols[self._lo]
-            cur = [0] * r
-            for i in range(r - 1, -1, -1):
-                cur[i] = check_trop(self._pair_sum(cur, nxt, i) - nxt[i])
-            self._lo -= 1
-            cols[self._lo] = tuple(cur)
+        step = 1 if m > self._m0 else -1
+        k = m
+        while k not in cols:
+            k -= step
+        for k in range(k + step, m + step, step):
+            col, cur = cols[k - step], [0] * r
+            pair = (col, cur) if step > 0 else (cur, col)
+            for i in range(r) if step > 0 else range(r - 1, -1, -1):
+                cur[i] = check_trop(self._pair_sum(*pair, i) - col[i])
+            cols[k] = tuple(cur)
         return cols[m]
-
-    def _recursive_value(self, i, m):
-        return self._column(m)[i - 1]
 
     # -- interface -----------------------------------------------------------
 
     def value(self, i, m):
         if not 1 <= i <= self.cartan.rank:
             raise DimensionMismatch(f"index {i} out of range")
-        return self._memo.get((i, m), self._int_value, i, m)
-
-    def _int_value(self, i, m):
-        return int(self._value_fn(i, m))
+        return self._value_fn(i, m)
 
     def slice_at(self, m):
         return tuple(self.value(i, m) for i in range(1, self.cartan.rank + 1))

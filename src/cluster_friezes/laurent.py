@@ -119,8 +119,7 @@ class IntLaurentPoly:
         """Componentwise minimum of exponents over all terms."""
         if not self.terms:
             raise ValueError("zero polynomial has no exponents")
-        mins = [min(e[i] for e in self.terms) for i in range(self.nvars)]
-        return tuple(mins)
+        return tuple(map(min, zip(*self.terms)))
 
     def degree_in(self, i):
         """Max exponent of variable i (0-based), -1 for the zero polynomial."""
@@ -311,12 +310,13 @@ def _poly_exact_div(p, q):
 
 # -- multivariate gcd ---------------------------------------------------------
 #
-# `_gcd_cofactors` is the one place a gcd is computed.  It first tries the
-# heuristic gcd of Char, Geddes and Gonnet ("GCDHEU: Heuristic polynomial GCD
-# algorithm based on integer GCD computation", 1989): evaluate both primitive
-# parts at one integer xi by Kronecker substitution, take the integer gcd,
-# read a candidate back from its symmetric xi-adic digits and certify it by
-# exact division, whose quotients are the cofactors.  If no try certifies a
+# `_gcd_cofactors` is the one place a gcd is computed.  It splits off each
+# operand's integer and monomial content, then tries the heuristic gcd of
+# Char, Geddes and Gonnet ("GCDHEU: Heuristic polynomial GCD algorithm based
+# on integer GCD computation", 1989): evaluate both remaining parts at one
+# integer xi by Kronecker substitution, take the integer gcd, read a
+# candidate back from its symmetric xi-adic digits and certify it by exact
+# division, whose quotients are the cofactors.  If no try certifies a
 # candidate, the primitive PRS below (content / primitive-part recursion)
 # computes the gcd instead; it is also the tests' independent oracle.
 
@@ -347,26 +347,29 @@ def _gcd_cofactors(p, q):
         return (f * sign, zero, unit) if p.is_zero() else (f * sign, unit, zero)
     cp, cq = p.int_content(), q.int_content()
     c = int_gcd(cp, cq)
-    if len(p.terms) == 1 or len(q.terms) == 1:
-        # a monomial divides only monomials: the gcd is c times the
-        # componentwise minimum of the exponents
-        exp = tuple(map(min, p.min_exponents(), q.min_exponents()))
-        return (
-            IntLaurentPoly.monomial(exp, c),
-            _div_monomial(p, c, exp),
-            _div_monomial(q, c, exp),
-        )
-    pp, qp = _div_monomial(p, cp), _div_monomial(q, cq)
-    found = _heuristic_gcd(pp, qp)
-    if found is None:
-        h = _poly_gcd_prs(pp, qp)
-        found = h, _poly_exact_div(pp, h), _poly_exact_div(qp, h)
+    # gcd(x^e p0, x^f q0) = x^min(e, f) gcd(p0, q0) when neither p0 nor q0
+    # has a monomial factor; a monomial p0 or q0 is a constant
+    ep, eq = p.min_exponents(), q.min_exponents()
+    exp = tuple(map(min, ep, eq))
+    p0, q0 = _div_monomial(p, cp, ep), _div_monomial(q, cq, eq)
+    if len(p0.terms) == 1 or len(q0.terms) == 1:
+        found = IntLaurentPoly.one(p.nvars), p0, q0
+    else:
+        found = _heuristic_gcd(p0, q0)
+        if found is None:
+            h = _poly_gcd_prs(p0, q0)
+            found = h, _poly_exact_div(p0, h), _poly_exact_div(q0, h)
     h, a, b = found
-    return _scaled(h, c), _scaled(a, cp // c), _scaled(b, cq // c)
+    return (
+        _times_monomial(h, c, exp),
+        _times_monomial(a, cp // c, tuple(map(int.__sub__, ep, exp))),
+        _times_monomial(b, cq // c, tuple(map(int.__sub__, eq, exp))),
+    )
 
 
 def _heuristic_gcd(p, q):
-    """(g, p/g, q/g) for primitive p, q of two or more terms, or None.
+    """(g, p/g, q/g) for primitive p, q of two or more terms and without a
+    monomial factor, or None.
 
     None means that no evaluation point gave a certified candidate within
     `_HEU_TRIES` tries and `_HEU_MAX_BITS` bits.
@@ -382,36 +385,46 @@ def _heuristic_gcd(p, q):
     for r in radix:
         weights.append(w)
         w *= r
-    pk = _kronecker(p, weights)
-    qk = _kronecker(q, weights)
+    # The gcd G has no monomial factor, so its image is t^g G' with G'(0) != 0,
+    # and G' divides both images divided by their lowest powers of t.  G' is
+    # constant only when G = 1: the coprimality bound below still holds.
+    pk, plow = _kronecker(p, weights)
+    qk, qlow = _kronecker(q, weights)
     top = max(pk[0][0], qk[0][0])
     # the bound of the paper's theorem is xi > 2 min(|p|, |q|) + 2
     norm = min(max(map(abs, f.terms.values())) for f in (p, q))
     xi = 2 * norm + 29
+    # G read from index 0 (G has a constant term) or from the images' common
+    # order; other orders are left to later tries and the PRS
+    offsets = (0, min(plow, qlow)) if min(plow, qlow) else (0,)
     for _ in range(_HEU_TRIES):
         if (top + 1) * xi.bit_length() > _HEU_MAX_BITS:
             return None
         gamma = int_gcd(_eval_descending(pk, xi), _eval_descending(qk, xi))
         if gamma <= xi // 2:
-            # every nonconstant common divisor G has |G(xi)| > xi/2, and
-            # G(xi) divides gamma: the operands are coprime
+            # every nonconstant common divisor G' has |G'(xi)| > xi/2, and
+            # G'(xi) divides gamma: the operands are coprime
             return IntLaurentPoly.one(n), p, q
-        h = _from_digits(gamma, xi, radix)
-        if h is not None:
-            try:
-                return h, _poly_exact_div(p, h), _poly_exact_div(q, h)
-            except NotDivisible:
-                pass
+        for offset in offsets:
+            h = _from_digits(gamma, xi, radix, offset)
+            if h is not None:
+                try:
+                    return h, _poly_exact_div(p, h), _poly_exact_div(q, h)
+                except NotDivisible:
+                    pass
         xi = xi * 73794 // 27011
     return None
 
 
 def _kronecker(p, weights):
-    """(index, coefficient) pairs of p under x_i -> t^weights[i], descending."""
-    return sorted(
+    """(index, coefficient) pairs, descending, of p under x_i -> t^weights[i]
+    divided by its lowest power of t, and that power's exponent."""
+    pairs = sorted(
         ((sum(map(int.__mul__, e, weights)), c) for e, c in p.terms.items()),
         reverse=True,
     )
+    low = pairs[-1][0]
+    return ([(k - low, c) for k, c in pairs] if low else pairs), low
 
 
 def _eval_descending(pairs, xi):
@@ -431,12 +444,12 @@ def _eval_descending(pairs, xi):
     return value * xi**prev
 
 
-def _from_digits(gamma, xi, radix):
+def _from_digits(gamma, xi, radix, k=0):
     """Primitive polynomial, positive leading coefficient, whose Kronecker image
-    has the symmetric xi-adic digits of gamma; None if an index is too large."""
+    has the symmetric xi-adic digits of gamma from index k on; None if an index
+    is too large."""
     half = xi // 2
     terms = {}
-    k = 0
     while gamma:
         gamma, d = divmod(gamma, xi)
         if d > half:
@@ -469,7 +482,10 @@ def _div_monomial(p, c, exp=()):
     )
 
 
-def _scaled(p, c):
+def _times_monomial(p, c, exp):
+    """p times the monomial c*x^exp."""
+    if any(exp):
+        p = p.shift(exp)
     return p if c == 1 else p * c
 
 

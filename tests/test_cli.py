@@ -175,6 +175,8 @@ class TestVerifyAndErrors:
             (("mutate", "--B", "[[0,true],[-1,0]]"), "ValueError"),
             (("mutate", "--json", str(float_word)), "ValueError"),
             (("mutate", "--json", str(bool_matrix)), "ValueError"),
+            (("mutate", "--B", "[[0,-1],[1,0]]", "--word", "1,3"),
+             "DimensionMismatch"),
             (("frieze", "--cartan", "[[2,-1.9],[-1,2]]", "--kind", "trop",
               "--slice", "1,0"), "ValueError"),
             (("frieze", "--cartan", str(float_cartan), "--kind", "trop",
@@ -231,6 +233,28 @@ class TestVerifyAndErrors:
         )
         assert code == 3
         assert json.loads(err)["error"] == "TropOverflow"
+
+    def test_window_bound_exit_3(self, capsys):
+        # far windows are refused before any cell is computed; the first two
+        # once ran for over a minute and for about six seconds
+        for argv in (
+            ("trop", "--cartan", "A2", "--space", "A", "--coords", "1,0",
+             "--window", "0..20000"),
+            ("hammock", "--cartan", "E6", "--i", "1", "--window", "0..100000"),
+            ("frieze", "--cartan", "A2", "--kind", "trop", "--slice", "1,0",
+             "--window", "-1001..0"),
+            ("fpoly", "--cartan", "A2", "--window", "0..1001"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 3, argv
+            assert out == ""
+            assert json.loads(err)["error"] == "BudgetExceeded"
+        edge = ("--window", f"{cli.WINDOW_LIMIT - 1}..{cli.WINDOW_LIMIT}")
+        code, out, _ = run(capsys, "hammock", "--cartan", "A2", "--i", "1", *edge)
+        assert code == 0
+        assert out.splitlines()[0].split("\t")[1:] == [
+            str(cli.WINDOW_LIMIT - 1), str(cli.WINDOW_LIMIT)
+        ]
 
     def test_monomial_budget_exit_3(self):
         # rho becomes the exponent of 2/x1; the budget must stop it before

@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 
 import pytest
@@ -376,3 +377,65 @@ class TestConcurrency:
             t.join()
         for tag in results:
             assert results[tag] == expected
+
+    def test_threads_read_the_single_threaded_columns(self):
+        cartan = named_cartan("B3")
+        values = (2, -1, 3)
+        fresh = FriezeFunction.from_slice("tropical-frieze", cartan, values)
+        expected = {m: fresh.slice_at(m) for m in range(-40, 41)}
+        windows = [range(-40 + 6 * t, 11 + 6 * t) for t in range(6)]
+        for trial in range(4):
+            shared = FriezeFunction.from_slice("tropical-frieze", cartan, values)
+            computed = _count_pair_sums(shared)
+            results = [None] * 6
+            start = threading.Barrier(6)
+
+            def worker(t):
+                order = list(windows[t])
+                random.Random(6 * trial + t).shuffle(order)
+                start.wait(timeout=60)
+                results[t] = {m: shared.slice_at(m) for m in order}
+
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            for window, result in zip(windows, results):
+                assert result == {m: expected[m] for m in window}
+            # each of the 80 columns past the slice was computed once
+            assert len(computed) == 3 * 80
+
+    def test_far_columns_need_no_recursion(self):
+        values = (2, -3)
+        f = FriezeFunction.from_slice("cluster-additive", A2, values)
+        computed = _count_pair_sums(f)
+        far = (f.slice_at(5000), f.slice_at(-5000))
+        outward = FriezeFunction.from_slice("cluster-additive", A2, values)
+        for m in range(5001):
+            outward.slice_at(m)
+        for m in range(0, -5001, -1):
+            outward.slice_at(m)
+        assert far == (outward.slice_at(5000), outward.slice_at(-5000))
+        assert all(f.slice_at(m) == outward.slice_at(m) for m in range(-5000, 5001))
+        assert len(computed) == 2 * 10000
+
+
+def _count_pair_sums(f):
+    """Record each relation f solves while extending its columns; there are
+    rank many per column."""
+    calls = []
+    pair_sum = f._pair_sum
+
+    def counting(col_m, col_m1, i):
+        calls.append(i)
+        return pair_sum(col_m, col_m1, i)
+
+    f._pair_sum = counting
+    return calls

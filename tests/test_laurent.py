@@ -184,6 +184,31 @@ def poly_tuples(count, **kwargs):
     )
 
 
+# exponents of a monomial factor for each of two operands over up to 3 variables
+monomial_exponents = st.lists(st.integers(0, 3), min_size=6, max_size=6)
+
+
+def planted(polys3, exps):
+    """(p, q, x^min) for p = a*g*x^ea and q = b*g*x^eb, from (g, a, b) and
+    the exponents ea = exps[:n], eb = exps[3:3+n]."""
+    g, a, b = polys3
+    n = g.nvars
+    ea, eb = tuple(exps[:n]), tuple(exps[3:3 + n])
+    common = P.monomial(tuple(map(min, ea, eb)))
+    return a * g * P.monomial(ea), b * g * P.monomial(eb), common
+
+
+def _prs_by_parts(p, q):
+    """The PRS gcd, with each operand's monomial factor split off first:
+    gcd(x^e p0, x^f q0) = x^min(e, f) gcd(p0, q0).  On whole operands with
+    large monomial factors the PRS can run for minutes (CHANGES.md)."""
+    if p.is_zero() or q.is_zero():
+        return _poly_gcd_prs(p, q)
+    ep, eq = p.min_exponents(), q.min_exponents()
+    p0, q0 = (f.shift(tuple(-v for v in e)) for f, e in ((p, ep), (q, eq)))
+    return _poly_gcd_prs(p0, q0).shift(tuple(map(min, ep, eq)))
+
+
 def _sympy_gcd(p, q):
     gens = sympy.symbols(f"x0:{p.nvars}")
     g = sympy.gcd(
@@ -197,14 +222,16 @@ class TestGcdProperties:
     """The heuristic gcd against the primitive PRS and sympy."""
 
     @settings(max_examples=80, deadline=None)
-    @given(poly_tuples(3))
-    def test_planted_factor_matches_prs(self, polys3):
-        g, a, b = polys3
-        p, q = a * g, b * g
+    @given(poly_tuples(3), monomial_exponents)
+    def test_planted_factor_matches_prs(self, polys3, exps):
+        # a monomial factor on each operand too (x^0 included)
+        p, q, common = planted(polys3, exps)
         d = poly_gcd(p, q)
-        assert d == _poly_gcd_prs(p, q)
+        assert d == _prs_by_parts(p, q)
+        g = polys3[0]
         if not g.is_zero():
-            d.exact_div(g)
+            # and g x^min(ea, eb) divides it when both operands are nonzero
+            d.exact_div(g if p.is_zero() or q.is_zero() else g * common)
 
     @settings(max_examples=80, deadline=None)
     @given(poly_tuples(2))
@@ -216,10 +243,9 @@ class TestGcdProperties:
 
     @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
     @settings(max_examples=60, deadline=None)
-    @given(poly_tuples(3))
-    def test_matches_sympy_up_to_sign(self, polys3):
-        g, a, b = polys3
-        p, q = a * g, b * g
+    @given(poly_tuples(3), monomial_exponents)
+    def test_matches_sympy_up_to_sign(self, polys3, exps):
+        p, q, _ = planted(polys3, exps)
         d = poly_gcd(p, q)
         assert _sympy_gcd(p, q) in (d, -d)
 
@@ -314,6 +340,39 @@ class TestGcdFallback:
             assert _gcd_cofactors(p, q) == want
             if len(p.terms) > 1 and len(q.terms) > 1:
                 assert fallbacks
+
+
+class TestMonomialContent:
+    """Each operand's monomial factor is split off before the heuristic, so
+    Kronecker images that share a power of t do not send it to the PRS."""
+
+    def test_sum_without_prs(self, monkeypatch):
+        # coprime numerator and denominator whose primitive parts both have
+        # Kronecker images divisible by t^6; the PRS once ran for minutes here
+        x1, x2, x3 = (RF.variable(i, 3) for i in (1, 2, 3))
+        a = (-5 * x1 * x2**4 * x3**3 + x1**3 * x2 * x3**2 - x1**-1 * x2 * x3) / (
+            4 * x1 * x2**4 * x3**3 - 2 * x1 * x3**3 + 4
+        )
+        c = (-x2**4 * x3 - x1**-2 * x2**2 * x3**-1) / (2 * x2**3 - 5 * x3)
+
+        def no_prs(p, q):
+            raise AssertionError("the PRS fallback ran")
+
+        monkeypatch.setattr(laurent, "_poly_gcd_prs", no_prs)
+        total = a + c
+        rng = random.Random(11)
+        checked = 0
+        while checked < 5:
+            point = tuple(rng.choice((-1, 1)) * rng.randint(1, 30) for _ in range(3))
+            if all(evaluate(f.den, point) for f in (a, c, total)):
+                assert rf_value(total, point) == rf_value(a, point) + rf_value(c, point)
+                checked += 1
+        if sympy is not None:
+            num, den = (
+                f.shift(tuple(-v for v in f.min_exponents()))
+                for f in (total.num, total.den)
+            )
+            assert _sympy_gcd(num, den) in (P.one(3), -P.one(3))
 
 
 class TestSubstitution:

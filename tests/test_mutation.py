@@ -533,25 +533,36 @@ class TestCacheContract:
         registry = _Registry()
         item = registry.get("key", object)
         cartan = named_cartan("B2")
-        functions = [
-            FriezeFunction.from_slice("cluster-additive", cartan, (1, -2)),
-            FriezeFunction.from_values("additive", cartan, lambda i, m: 3 * i - m),
-        ]
+        slice_backed = FriezeFunction.from_slice("cluster-additive", cartan, (1, -2))
+        reads = []
+
+        def provider(i, m):
+            reads.append((i, m))
+            return 3 * i - m
+
+        provider_backed = FriezeFunction.from_values("additive", cartan, provider)
         cells = [(i, m) for i in (1, 2) for m in range(-4, 5)]
-        tables = [[f.value(i, m) for i, m in cells] for f in functions]
+        table = [slice_backed.value(i, m) for i, m in cells]
         pattern = SeedPattern("Y", B_A3)
         seeds = {a: pattern.seed_at(a) for a in _reduced_words(3, 3)}
         registry.lock = pattern._walk.lock = _NoLock()
-        for f in functions:
-            f._memo.lock = _NoLock()
+        slice_backed._columns.lock = _NoLock()
         assert registry.get("key", object) is item
-        assert [[f.value(i, m) for i, m in cells] for f in functions] == tables
+        assert [slice_backed.value(i, m) for i, m in cells] == table
         assert {a: pattern.seed_at(a) for a in seeds} == seeds
+        # a provider-backed function caches nothing and owns no lock: every
+        # read, a repeated one too, calls the provider
+        for _ in range(2):
+            assert [provider_backed.value(i, m) for i, m in cells] == [
+                3 * i - m for i, m in cells
+            ]
+        assert reads == cells * 2
+        lock_types = (type(threading.Lock()), type(threading.RLock()), _Registry)
+        assert not any(isinstance(v, lock_types) for v in vars(provider_backed).values())
         # the stand-ins are the locks a miss takes
         for miss in (
             lambda: registry.get("other", object),
-            lambda: functions[0].value(1, 9),
-            lambda: functions[1].value(2, 9),
+            lambda: slice_backed.value(1, 9),
             lambda: pattern.seed_at((1, 2, 3, 1)),
         ):
             with pytest.raises(LockTaken):

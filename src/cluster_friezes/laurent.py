@@ -12,7 +12,8 @@ form so that equality is plain dict comparison:
 
 Products cancel with the gcd and its cofactors from one routine: the
 heuristic gcd of Char, Geddes and Gonnet (integer gcd of Kronecker images,
-certified by exact division), with the primitive PRS as its fallback.
+certified by exact division; then the same one variable at a time), with
+the primitive PRS as the last fallback.
 Adding a Laurent polynomial to a reduced fraction needs no gcd at all.
 
 Tropical (max-plus) evaluation is provided for fractions whose stored
@@ -317,8 +318,10 @@ def _poly_exact_div(p, q):
 # integer xi by Kronecker substitution, take the integer gcd, read a
 # candidate back from its symmetric xi-adic digits and certify it by exact
 # division, whose quotients are the cofactors.  If no try certifies a
-# candidate, the primitive PRS below (content / primitive-part recursion)
-# computes the gcd instead; it is also the tests' independent oracle.
+# candidate, the same heuristic runs one variable at a time, which a common
+# factor of the Kronecker images cannot defeat on every try.  If that fails
+# too, the primitive PRS below (content / primitive-part recursion) computes
+# the gcd instead; it is also the tests' independent oracle.
 
 # Evaluation points tried before falling back to the PRS, and the largest
 # evaluated integer, in bits, that a try may build.
@@ -355,7 +358,7 @@ def _gcd_cofactors(p, q):
     if len(p0.terms) == 1 or len(q0.terms) == 1:
         found = IntLaurentPoly.one(p.nvars), p0, q0
     else:
-        found = _heuristic_gcd(p0, q0)
+        found = _heuristic_gcd(p0, q0) or _heuristic_gcd_by_variable(p0, q0)
         if found is None:
             h = _poly_gcd_prs(p0, q0)
             found = h, _poly_exact_div(p0, h), _poly_exact_div(q0, h)
@@ -414,6 +417,102 @@ def _heuristic_gcd(p, q):
                     pass
         xi = xi * 73794 // 27011
     return None
+
+
+def _heuristic_gcd_by_variable(p, q):
+    """(g, p/g, q/g) for nonzero p, q, with g as in `poly_gcd`, or None, by
+    the heuristic gcd as Char, Geddes and Gonnet give it: one variable at a
+    time.  None means that some level found no certified candidate within
+    `_HEU_TRIES` tries and `_HEU_MAX_BITS` bits.
+
+    The Kronecker images of coprime cofactors can share a factor for every
+    evaluation point (x1 + 1 and x2 + 1 map to t + 1 and t^r + 1, and t + 1
+    divides the latter for odd r), so one substitution of all variables can
+    fail on every try.  Evaluating one variable at an integer keeps the other
+    variables apart; a spurious common factor of the images then depends on
+    the point, and a later point avoids it.
+    """
+    found = _heu_by_variable(p, q, p.nvars)
+    if found is None:
+        return None
+    h, a, b = found
+    return (-h, -a, -b) if h.leading()[1] < 0 else found
+
+
+def _heu_by_variable(p, q, live):
+    """(g, p/g, q/g), g up to sign, for nonzero p, q in the variables below
+    `live`, or None: evaluate the last variable present at xi, take the gcd
+    of the images by recursion, read g (or a cofactor) back from the
+    symmetric xi-adic digits of its coefficients and certify by division."""
+    n = p.nvars
+    v = next(
+        (i for i in range(live - 1, -1, -1)
+         if any(e[i] for e in p.terms) or any(e[i] for e in q.terms)),
+        None,
+    )
+    cp, cq = p.int_content(), q.int_content()
+    c = int_gcd(cp, cq)
+    if v is None:
+        return IntLaurentPoly.constant(c, n), _div_monomial(p, c), _div_monomial(q, c)
+    p, q = _div_monomial(p, c), _div_monomial(q, c)
+    top = max(p.degree_in(v), q.degree_in(v))
+    # with xi > 2 min(|p|, |q|) + 2 a certified candidate is the gcd, given
+    # that the images' gcd is (the theorem of `_heuristic_gcd`)
+    xi = 2 * min(max(map(abs, f.terms.values())) for f in (p, q)) + 29
+    for _ in range(_HEU_TRIES):
+        if (top + 1) * xi.bit_length() > _HEU_MAX_BITS:
+            return None
+        pv, qv = _evaluate_at(p, v, xi), _evaluate_at(q, v, xi)
+        if pv.terms and qv.terms:
+            images = _heu_by_variable(pv, qv, v)
+            if images is None:
+                return None
+            h, a, b = (_interpolate(f, v, xi) for f in images)
+            # g from its image, or from the image of either cofactor
+            for g in (_div_monomial(h, h.int_content()), _quotient(p, a), _quotient(q, b)):
+                if g is not None:
+                    cff, cfg = _quotient(p, g), _quotient(q, g)
+                    if cff is not None and cfg is not None:
+                        return g * c, cff, cfg
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _quotient(p, q):
+    """p/q if q divides p, else None."""
+    try:
+        return _poly_exact_div(p, q)
+    except NotDivisible:
+        return None
+
+
+def _evaluate_at(p, v, xi):
+    """p with variable v set to the integer xi."""
+    terms = {}
+    for e, c in p.terms.items():
+        if e[v]:
+            c *= xi ** e[v]
+            e = e[:v] + (0,) + e[v + 1:]
+        terms[e] = terms.get(e, 0) + c
+    return IntLaurentPoly(p.nvars, terms)
+
+
+def _interpolate(p, v, xi):
+    """The polynomial in variable v whose coefficients have, as digits in
+    powers of v, the symmetric xi-adic digits of p's coefficients."""
+    half = xi // 2
+    terms = {}
+    for e, c in p.terms.items():
+        k = 0
+        while c:
+            c, d = divmod(c, xi)
+            if d > half:
+                d -= xi
+                c += 1
+            if d:
+                terms[e[:v] + (k,) + e[v + 1:]] = d
+            k += 1
+    return IntLaurentPoly(p.nvars, terms)
 
 
 def _kronecker(p, weights):

@@ -17,6 +17,7 @@ from cluster_friezes.laurent import (
     RationalFunction as RF,
     _gcd_cofactors,
     _heuristic_gcd,
+    _heuristic_gcd_by_variable,
     _poly_gcd_prs,
     poly_gcd,
     substitute_monomials,
@@ -228,6 +229,10 @@ class TestGcdProperties:
         p, q, common = planted(polys3, exps)
         d = poly_gcd(p, q)
         assert d == _prs_by_parts(p, q)
+        if not (p.is_zero() or q.is_zero()):
+            # the heuristic one variable at a time, on its own
+            h, cff, cfg = _heuristic_gcd_by_variable(p, q)
+            assert h == d and h * cff == p and h * cfg == q
         g = polys3[0]
         if not g.is_zero():
             # and g x^min(ea, eb) divides it when both operands are nonzero
@@ -291,7 +296,7 @@ class TestGcdProperties:
 
 
 class TestGcdFallback:
-    """The primitive PRS answers whenever the heuristic gives up."""
+    """The primitive PRS answers whenever both heuristics give up."""
 
     # coprime cofactors whose Kronecker images share the factor t + 1, so
     # every evaluation point over-estimates the gcd (found on A4 Y-seeds)
@@ -342,6 +347,65 @@ class TestGcdFallback:
                 assert fallbacks
 
 
+def _no_prs(p, q):
+    raise AssertionError("the PRS fallback ran")
+
+
+class TestGcdByVariable:
+    """Where a spurious factor shared by the Kronecker images defeats every
+    try, the heuristic one variable at a time answers without the PRS."""
+
+    def test_field_law_pair(self, monkeypatch):
+        # a numerator and a denominator met in a field law draw, gcd
+        # (x3 + 1)(x1 x3 + 1)^2; the PRS ran for minutes on them
+        x1, x2, x3 = (P.variable(i, 3) for i in (1, 2, 3))
+        one = P.one(3)
+        f = P(3, {
+            (5, 0, 2): 4, (4, 0, 3): 4, (4, 0, 2): 4, (3, 2, 4): -5,
+            (2, 2, 5): -5, (2, 2, 4): -9, (2, 2, 3): -4, (1, 1, 0): 1,
+            (0, 2, 3): -3, (0, 2, 2): 1, (0, 2, 1): 4, (0, 1, 1): 1,
+            (0, 1, 0): 1,
+        })
+        g = (x3 + one) * (x1 * x3 + one) ** 2
+        p = g * (4 * x1**4 * x3**2 - 5 * x1**2 * x2**2 * x3**4 + x2) * f
+        q = g * (x3 + one) ** 2 * (x1 * x3 + one) ** 2 * (x1 + x3 + one)
+        assert _heuristic_gcd(p, q) is None
+        monkeypatch.setattr(laurent, "_poly_gcd_prs", _no_prs)
+        d, cff, cfg = _gcd_cofactors(p, q)
+        assert d == g and d * cff == p and d * cfg == q
+
+    def test_shared_kronecker_factor(self, monkeypatch):
+        p, q = TestGcdFallback.P_SHARED, TestGcdFallback.Q_SHARED
+        monkeypatch.setattr(laurent, "_poly_gcd_prs", _no_prs)
+        d, cff, cfg = _gcd_cofactors(p, q)
+        assert d == P(4, {(0, 1, 1, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 0): 1})
+        assert d * cff == p and d * cfg == q
+
+    @pytest.mark.parametrize("seed, terms", [(1, 5), (2, 3)])
+    def test_dense_sums(self, monkeypatch, seed, terms):
+        # sums of three dense 3-variable fractions; the Kronecker heuristic
+        # gives up on some of their gcds, and the PRS fallback ran past a
+        # 5 s alarm on about one such sum in twenty
+        rng = random.Random(seed)
+        coeffs = (-5, -4, -2, -1, 1, 2, 4, 5)
+
+        def dense(lo, hi):
+            out = P.zero(3)
+            while out.is_zero():
+                for _ in range(terms):
+                    exp = tuple(rng.randint(lo, hi) for _ in range(3))
+                    out = out + P.monomial(exp, rng.choice(coeffs))
+            return out
+
+        monkeypatch.setattr(laurent, "_poly_gcd_prs", _no_prs)
+        for _ in range(20):
+            parts = [RF(dense(-2, 4), dense(0, 3)) for _ in range(3)]
+            total = parts[0] + parts[1] + parts[2]
+            point = tuple(rng.choice((-1, 1)) * rng.randint(1, 30) for _ in range(3))
+            if all(evaluate(f.den, point) for f in (*parts, total)):
+                assert rf_value(total, point) == sum(rf_value(f, point) for f in parts)
+
+
 class TestMonomialContent:
     """Each operand's monomial factor is split off before the heuristic, so
     Kronecker images that share a power of t do not send it to the PRS."""
@@ -355,10 +419,7 @@ class TestMonomialContent:
         )
         c = (-x2**4 * x3 - x1**-2 * x2**2 * x3**-1) / (2 * x2**3 - 5 * x3)
 
-        def no_prs(p, q):
-            raise AssertionError("the PRS fallback ran")
-
-        monkeypatch.setattr(laurent, "_poly_gcd_prs", no_prs)
+        monkeypatch.setattr(laurent, "_poly_gcd_prs", _no_prs)
         total = a + c
         rng = random.Random(11)
         checked = 0
@@ -512,8 +573,10 @@ def small_factors(n):
 
 def fractions(laurent):
     """p/d with d a product of at most two small factors.  Dense random
-    denominators are left out: on some of them the gcd's PRS fallback runs
-    for seconds to minutes (see CHANGES.md)."""
+    denominators are left out: a draw on which both heuristics give up
+    would leave the gcd to the PRS fallback, which can run for minutes
+    (see CHANGES.md); `TestGcdByVariable.test_dense_sums` sums dense
+    fractions at fixed seeds."""
 
     def over(p):
         factors = st.lists(st.sampled_from(small_factors(p.nvars)), max_size=2)

@@ -322,6 +322,10 @@ def _poly_exact_div(p, q):
 # factor of the Kronecker images cannot defeat on every try.  If that fails
 # too, the primitive PRS below (content / primitive-part recursion) computes
 # the gcd instead; it is also the tests' independent oracle.
+#
+# The Kronecker heuristic comes first because it is the cheaper one: it
+# certifies one candidate where the heuristic by variable certifies one per
+# variable, and run alone the latter made y-walk about half as slow again.
 
 # Evaluation points tried before falling back to the PRS, and the largest
 # evaluated integer, in bits, that a try may build.
@@ -338,6 +342,25 @@ def _gcd_cofactors(p, q):
     """(g, p/g, q/g) for true polynomials p, q, with g as in `poly_gcd`.
 
     gcd(0, 0) is 0, with both cofactors 0.
+    """
+    return _by_parts(p, q, _gcd_of_parts)
+
+
+def _gcd_of_parts(p, q):
+    """`_gcd_cofactors` of the parts that `_by_parts` hands over."""
+    found = _heuristic_gcd(p, q) or _heuristic_gcd_by_variable(p, q)
+    if found is None:
+        h = _poly_gcd_prs(p, q)
+        found = h, _poly_exact_div(p, h), _poly_exact_div(q, h)
+    return found
+
+
+def _by_parts(p, q, gcd):
+    """(g, p/g, q/g), g as in `poly_gcd`, from `gcd` of the parts of p and q
+    without integer or monomial content, or None if `gcd` returns None.
+
+    `gcd` sees only parts of two or more terms, and answers as
+    `_heuristic_gcd` does.
     """
     if p.is_zero() or q.is_zero():
         # gcd(0, f) is f up to sign
@@ -358,10 +381,9 @@ def _gcd_cofactors(p, q):
     if len(p0.terms) == 1 or len(q0.terms) == 1:
         found = IntLaurentPoly.one(p.nvars), p0, q0
     else:
-        found = _heuristic_gcd(p0, q0) or _heuristic_gcd_by_variable(p0, q0)
+        found = gcd(p0, q0)
         if found is None:
-            h = _poly_gcd_prs(p0, q0)
-            found = h, _poly_exact_div(p0, h), _poly_exact_div(q0, h)
+            return None
     h, a, b = found
     return (
         _times_monomial(h, c, exp),
@@ -372,7 +394,7 @@ def _gcd_cofactors(p, q):
 
 def _heuristic_gcd(p, q):
     """(g, p/g, q/g) for primitive p, q of two or more terms and without a
-    monomial factor, or None.
+    monomial factor, g with a positive leading coefficient, or None.
 
     None means that no evaluation point gave a certified candidate within
     `_HEU_TRIES` tries and `_HEU_MAX_BITS` bits.
@@ -411,18 +433,16 @@ def _heuristic_gcd(p, q):
         for offset in offsets:
             h = _from_digits(gamma, xi, radix, offset)
             if h is not None:
-                try:
-                    return h, _poly_exact_div(p, h), _poly_exact_div(q, h)
-                except NotDivisible:
-                    pass
+                found = _certify(p, q, h)
+                if found is not None:
+                    return found
         xi = xi * 73794 // 27011
     return None
 
 
 def _heuristic_gcd_by_variable(p, q):
-    """(g, p/g, q/g) for nonzero p, q, with g as in `poly_gcd`, or None, by
-    the heuristic gcd as Char, Geddes and Gonnet give it: one variable at a
-    time.  None means that some level found no certified candidate within
+    """`_heuristic_gcd` as Char, Geddes and Gonnet give it: one variable at a
+    time.  None means that some variable found no certified candidate within
     `_HEU_TRIES` tries and `_HEU_MAX_BITS` bits.
 
     The Kronecker images of coprime cofactors can share a factor for every
@@ -432,29 +452,7 @@ def _heuristic_gcd_by_variable(p, q):
     variables apart; a spurious common factor of the images then depends on
     the point, and a later point avoids it.
     """
-    found = _heu_by_variable(p, q, p.nvars)
-    if found is None:
-        return None
-    h, a, b = found
-    return (-h, -a, -b) if h.leading()[1] < 0 else found
-
-
-def _heu_by_variable(p, q, live):
-    """(g, p/g, q/g), g up to sign, for nonzero p, q in the variables below
-    `live`, or None: evaluate the last variable present at xi, take the gcd
-    of the images by recursion, read g (or a cofactor) back from the
-    symmetric xi-adic digits of its coefficients and certify by division."""
-    n = p.nvars
-    v = next(
-        (i for i in range(live - 1, -1, -1)
-         if any(e[i] for e in p.terms) or any(e[i] for e in q.terms)),
-        None,
-    )
-    cp, cq = p.int_content(), q.int_content()
-    c = int_gcd(cp, cq)
-    if v is None:
-        return IntLaurentPoly.constant(c, n), _div_monomial(p, c), _div_monomial(q, c)
-    p, q = _div_monomial(p, c), _div_monomial(q, c)
+    v = max(i for i in range(p.nvars) if p.degree_in(i) or q.degree_in(i))
     top = max(p.degree_in(v), q.degree_in(v))
     # with xi > 2 min(|p|, |q|) + 2 a certified candidate is the gcd, given
     # that the images' gcd is (the theorem of `_heuristic_gcd`)
@@ -464,18 +462,25 @@ def _heu_by_variable(p, q, live):
             return None
         pv, qv = _evaluate_at(p, v, xi), _evaluate_at(q, v, xi)
         if pv.terms and qv.terms:
-            images = _heu_by_variable(pv, qv, v)
+            images = _by_parts(pv, qv, _heuristic_gcd_by_variable)
             if images is None:
                 return None
             h, a, b = (_interpolate(f, v, xi) for f in images)
             # g from its image, or from the image of either cofactor
-            for g in (_div_monomial(h, h.int_content()), _quotient(p, a), _quotient(q, b)):
+            for g in (h, _quotient(p, a), _quotient(q, b)):
                 if g is not None:
-                    cff, cfg = _quotient(p, g), _quotient(q, g)
-                    if cff is not None and cfg is not None:
-                        return g * c, cff, cfg
+                    found = _certify(p, q, _primitive(g))
+                    if found is not None:
+                        return found
         xi = xi * 73794 // 27011
     return None
+
+
+def _certify(p, q, g):
+    """(g, p/g, q/g) if g divides p and q, else None."""
+    cff = _quotient(p, g)
+    cfg = None if cff is None else _quotient(q, g)
+    return None if cfg is None else (g, cff, cfg)
 
 
 def _quotient(p, q):
@@ -500,18 +505,10 @@ def _evaluate_at(p, v, xi):
 def _interpolate(p, v, xi):
     """The polynomial in variable v whose coefficients have, as digits in
     powers of v, the symmetric xi-adic digits of p's coefficients."""
-    half = xi // 2
     terms = {}
     for e, c in p.terms.items():
-        k = 0
-        while c:
-            c, d = divmod(c, xi)
-            if d > half:
-                d -= xi
-                c += 1
-            if d:
-                terms[e[:v] + (k,) + e[v + 1:]] = d
-            k += 1
+        for k, d in _symmetric_digits(c, xi):
+            terms[e[:v] + (k,) + e[v + 1:]] = d
     return IntLaurentPoly(p.nvars, terms)
 
 
@@ -544,29 +541,41 @@ def _eval_descending(pairs, xi):
 
 
 def _from_digits(gamma, xi, radix, k=0):
-    """Primitive polynomial, positive leading coefficient, whose Kronecker image
-    has the symmetric xi-adic digits of gamma from index k on; None if an index
-    is too large."""
-    half = xi // 2
+    """The primitive polynomial, positive leading coefficient, whose Kronecker
+    image has the symmetric xi-adic digits of gamma from index k on; None if
+    an index is too large."""
     terms = {}
-    while gamma:
-        gamma, d = divmod(gamma, xi)
-        if d > half:
-            d -= xi
-            gamma += 1
-        if d:
-            exp = []
-            rest = k
-            for r in radix:
-                rest, e = divmod(rest, r)
-                exp.append(e)
-            if rest:
-                return None
-            terms[tuple(exp)] = d
-        k += 1
-    h = IntLaurentPoly(len(radix), terms)
+    for index, d in _symmetric_digits(gamma, xi):
+        exp = []
+        rest = index + k
+        for r in radix:
+            rest, e = divmod(rest, r)
+            exp.append(e)
+        if rest:
+            return None
+        terms[tuple(exp)] = d
+    return _primitive(IntLaurentPoly(len(radix), terms))
+
+
+def _primitive(h):
+    """h divided by its integer content, with a positive leading coefficient."""
     content = h.int_content()
     return _div_monomial(h, content if h.leading()[1] > 0 else -content)
+
+
+def _symmetric_digits(c, xi):
+    """(k, d) for the nonzero digits d of the integer c = sum d*xi^k, each
+    in -xi/2 < d <= xi/2."""
+    half = xi // 2
+    k = 0
+    while c:
+        c, d = divmod(c, xi)
+        if d > half:
+            d -= xi
+            c += 1
+        if d:
+            yield k, d
+        k += 1
 
 
 def _div_monomial(p, c, exp=()):

@@ -15,6 +15,7 @@ from cluster_friezes.errors import (
 from cluster_friezes.laurent import (
     IntLaurentPoly as P,
     RationalFunction as RF,
+    _by_parts,
     _gcd_cofactors,
     _heuristic_gcd,
     _heuristic_gcd_by_variable,
@@ -229,9 +230,11 @@ class TestGcdProperties:
         p, q, common = planted(polys3, exps)
         d = poly_gcd(p, q)
         assert d == _prs_by_parts(p, q)
-        if not (p.is_zero() or q.is_zero()):
-            # the heuristic one variable at a time, on its own
-            h, cff, cfg = _heuristic_gcd_by_variable(p, q)
+        # the heuristic one variable at a time, on its own; where it gives
+        # up (within `_HEU_TRIES` tries) the library falls back to the PRS
+        found = _by_parts(p, q, _heuristic_gcd_by_variable)
+        if found is not None:
+            h, cff, cfg = found
             assert h == d and h * cff == p and h * cfg == q
         g = polys3[0]
         if not g.is_zero():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cluster_friezes import mutation
 from cluster_friezes.errors import NegativeExponent, TropOverflow
-from cluster_friezes.friezes import PLMap, belts
+from cluster_friezes.friezes import CartanMatrix, PLMap, belts
 from cluster_friezes.finite import finite_context, named_cartan
 from cluster_friezes.laurent import RationalFunction as RF
 from cluster_friezes.mutation import (
@@ -330,6 +330,25 @@ class TestAdmissibility:
     def test_one_against_zero(self):
         d0 = TropPoint("A", BT_A2, (0, 0))
         assert check_admissible_Y(RF.one(2), d0, depth=12) is True
+
+    @pytest.mark.parametrize(
+        "depth, expected",
+        [(0, UNKNOWN), (1, UNKNOWN), (2, UNKNOWN), (3, True), (4, True)],
+    )
+    def test_depth_edge(self, depth, expected):
+        """The A2 exchange graph's BFS levels are 0, 1, 1, 2, 2: a walk that
+        reaches a chart at level `depth` has not seen the graph close."""
+        b = belts(named_cartan("A2"))
+        x1 = RF.variable(1, 2)
+        rho = TropPoint("Y", b.b, (-1, 0))
+        delta = TropPoint("A", b.bt, (-1, 0))
+        assert check_admissible_A(x1, rho, depth) is expected
+        assert check_admissible_Y(x1, delta, depth) is expected
+
+    def test_affine_graph_never_closes(self):
+        b = belts(CartanMatrix([[2, -2], [-2, 2]]))
+        rho = TropPoint("Y", b.b, (-1, 0))
+        assert check_admissible_A(RF.variable(1, 2), rho, 6) is UNKNOWN
 
     def test_uniqueness_among_sampled(self):
         cartan = named_cartan("A2")

@@ -18,7 +18,6 @@ import sys
 
 from .errors import (
     BudgetExceeded,
-    InternalDisagreement,
     NotDivisible,
     NotFiniteType,
     NotFound,
@@ -107,25 +106,21 @@ def _load_cartan(args) -> CartanMatrix:
     return named_cartan(src)
 
 
-def _emit_table(args, rows, header):
-    """rows: list of (label, values); header: column labels."""
+def _emit_table(args, cell, r, m_lo, m_hi):
+    """Print cell(i, m) for rows i = 1..r and columns m = m_lo..m_hi, as TSV
+    or, with --format json, as JSON."""
+    columns = range(m_lo, m_hi + 1)
+    rows = [(i, [cell(i, m) for m in columns]) for i in range(1, r + 1)]
     if args.format == "json":
         payload = {
-            "columns": list(header),
-            "rows": [{"i": label, "values": list(vals)} for label, vals in rows],
+            "columns": list(columns),
+            "rows": [{"i": i, "values": values} for i, values in rows],
         }
         print(json.dumps(payload, sort_keys=True))
     else:
-        print("\t".join(["i\\m"] + [str(h) for h in header]))
-        for label, vals in rows:
-            print("\t".join([str(label)] + [str(v) for v in vals]))
-
-
-def _frieze_table(args, f, m_lo, m_hi, r):
-    rows = [
-        (i, [f.value(i, m) for m in range(m_lo, m_hi + 1)]) for i in range(1, r + 1)
-    ]
-    _emit_table(args, rows, range(m_lo, m_hi + 1))
+        print("\t".join(["i\\m"] + [str(m) for m in columns]))
+        for i, values in rows:
+            print("\t".join([str(i)] + [str(v) for v in values]))
 
 
 def cmd_frieze(args):
@@ -139,7 +134,7 @@ def cmd_frieze(args):
         values = _parse_ints(args.slice)
         name = "tropical-frieze" if kind == "trop" else kind
         f = FriezeFunction.from_slice(name, cartan, values)
-        _frieze_table(args, f, m_lo, m_hi, r)
+        _emit_table(args, f.value, r, m_lo, m_hi)
         return 0
     if kind in ("generic-a", "generic-y"):
         b = belts(cartan)
@@ -147,11 +142,7 @@ def cmd_frieze(args):
         names = [f"x{i}" for i in range(1, r + 1)] if kind == "generic-a" else [
             f"y{i}" for i in range(1, r + 1)
         ]
-        rows = [
-            (i, [fn(i, m).to_str(names) for m in range(m_lo, m_hi + 1)])
-            for i in range(1, r + 1)
-        ]
-        _emit_table(args, rows, range(m_lo, m_hi + 1))
+        _emit_table(args, lambda i, m: fn(i, m).to_str(names), r, m_lo, m_hi)
         return 0
     raise ValueError(f"unknown frieze kind {args.kind!r}")
 
@@ -203,11 +194,7 @@ def cmd_trop(args):
     roots = {"A": b.bt, "Y": b.b, "Yprin": principal_wide_root(b.b)}
     point = TropPoint(space, roots[space], coords, anchor)
     m_lo, m_hi = _parse_window(args.window)
-    rows = [
-        (i, [point.belt_value(i, m) for m in range(m_lo, m_hi + 1)])
-        for i in range(1, r + 1)
-    ]
-    _emit_table(args, rows, range(m_lo, m_hi + 1))
+    _emit_table(args, point.belt_value, r, m_lo, m_hi)
     return 0
 
 
@@ -236,9 +223,8 @@ def cmd_monomial(args):
     if args.space == "A":
         rho = TropPoint("Y", b.b, coords)
         addr, exps, expr = mono_from_gvector_A(cartan, rho)
-        dom_exps, dom_expr = x_from_rho(cartan, rho)
-        if dom_expr != expr:
-            raise InternalDisagreement("x_from_rho disagrees with the graph search")
+        # x_from_rho raises unless it agrees with the graph search
+        dom_exps, _ = x_from_rho(cartan, rho)
         out = {
             "space": "A",
             "address": list(addr),
@@ -283,7 +269,7 @@ def cmd_hammock(args):
     cartan = _load_cartan(args)
     m_lo, m_hi = _parse_window(args.window)
     h = hammock(cartan, args.i, args.m)
-    _frieze_table(args, h, m_lo, m_hi, cartan.rank)
+    _emit_table(args, h.value, cartan.rank, m_lo, m_hi)
     return 0
 
 
@@ -296,11 +282,7 @@ def cmd_fpoly(args):
         m_lo, m_hi = 0, max(finite_context(cartan).roots.orbit_lengths) + 1
     table = fim_recursion(cartan, m_hi=m_hi, m_lo=m_lo)
     names = [f"p{i}" for i in range(1, r + 1)]
-    rows = [
-        (i, [table[(i, m)].to_str(names) for m in range(m_lo, m_hi + 1)])
-        for i in range(1, r + 1)
-    ]
-    _emit_table(args, rows, range(m_lo, m_hi + 1))
+    _emit_table(args, lambda i, m: table[(i, m)].to_str(names), r, m_lo, m_hi)
     return 0
 
 

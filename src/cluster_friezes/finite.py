@@ -22,7 +22,6 @@ from .friezes import (
 from .laurent import IntLaurentPoly, RationalFunction
 from .mutation import (
     _gauss_jordan,
-    _neg_unit,
     _Registry,
     as_matrix,
     canonical_address,
@@ -34,7 +33,7 @@ from .mutation import (
     row_times_matrix,
     transpose,
 )
-from .tropical import TropPoint
+from .tropical import TropPoint, d_trop_point
 
 # -- registry of named finite types -------------------------------------------
 
@@ -453,13 +452,17 @@ def _hammock_parts(cartan, k: FriezeFunction):
 
 def x_from_rho(cartan, rho: TropPoint):
     """Exponents over the fundamental domain of the cluster monomial with
-    g-vector rho: the positive parts of -k_rho."""
+    g-vector rho, the positive parts of -k_rho, and the monomial they give;
+    checked against the exchange-graph search."""
     b = belts(cartan)
     exps = _hammock_parts(cartan, k_from_trop_point(rho, cartan))
     _check_exponent_budget(exps.values())
     expr = RationalFunction.one(cartan.rank)
     for (i, m), e in exps.items():
         expr = expr * b.x_sv(i, m) ** e
+    _, _, xmono = mono_from_gvector_A(cartan, rho)
+    if expr != xmono:
+        raise InternalDisagreement("x_from_rho disagrees with the graph search")
     return exps, expr
 
 
@@ -581,13 +584,10 @@ def d_duality_check(cartan):
     dom = ctx.domain()
     bad = []
     for i, m in dom:
-        d_x = TropPoint("A", mat_neg(b.b), _neg_unit(i, r), canonical_address(i, m, r))
+        d_x = d_trop_point("A", mat_neg(b.b), canonical_address(i, m, r), i)
         for j, n in dom:
             lhs = b.x(j, n).trop_eval(d_x.at_root())
-            rhs_point = TropPoint(
-                "A", b.bt, _neg_unit(j, r), canonical_address(j, n, r)
-            )
-            rhs = b.x_sv(i, m).trop_eval(rhs_point.at_root())
+            rhs = b.x_sv(i, m).trop_eval(b.delta_sv_im(j, n).at_root())
             if lhs != rhs:
                 bad.append(((i, m), (j, n), lhs, rhs))
     return bad

@@ -15,7 +15,7 @@ backward from a seed slice; each relation is linear in its extreme unknown.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, NotAdmissible
-from .laurent import check_trop
+from .laurent import RationalFunction, check_trop
 from .mutation import (
     _belt_vertex,
     _diagonal_symmetrizer,
@@ -28,7 +28,7 @@ from .mutation import (
     seed_pattern,
     transpose,
 )
-from .tropical import TropPoint, check_admissible_A, check_admissible_Y
+from .tropical import TropPoint, check_admissible_A, check_admissible_Y, d_trop_point
 
 KINDS = ("additive", "cluster-additive", "tropical-frieze")
 
@@ -244,14 +244,12 @@ class Belts:
     def rho_im(self, i, m) -> TropPoint:
         """g-vector of x_sv(i,m): the point of the Y-space of B with
         coordinates -e^i at the belt vertex t(i,m)."""
-        r = self.cartan.rank
-        return TropPoint("Y", self.b, _neg_unit(i, r), canonical_address(i, m, r))
+        return d_trop_point("Y", self.b, canonical_address(i, m, self.cartan.rank), i)
 
     def delta_sv_im(self, i, m) -> TropPoint:
         """g-vector of y(i,m): the point of the A-space of B^T with
         coordinates -e^i at t(i,m)."""
-        r = self.cartan.rank
-        return TropPoint("A", self.bt, _neg_unit(i, r), canonical_address(i, m, r))
+        return d_trop_point("A", self.bt, canonical_address(i, m, self.cartan.rank), i)
 
 
 _belts = _Registry()

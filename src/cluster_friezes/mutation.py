@@ -771,29 +771,43 @@ class ExchangeGraph:
         return out
 
 
-def enumerate_exchange_graph(kind, b0, max_seeds=10_000) -> ExchangeGraph:
-    """BFS over mutations, identifying seeds that agree up to a simultaneous
-    permutation of cluster and matrix indices.  Raises BudgetExceeded when the
-    graph fails to close within max_seeds (likely infinite type)."""
-    b0 = as_matrix(b0)
-    r = len(b0[0])
+def walk_exchange_graph(kind, b0, depth=None):
+    """Breadth-first walk over mutations from the root seed of b0, pruning
+    seeds that agree up to a simultaneous permutation of cluster and matrix
+    indices.  Yields (level, vertex, key, seed): the root first, then each
+    seed whose unordered key is new, down to level depth when depth is
+    given.  Each yielded vertex but the root is a child of one yielded
+    before it."""
     seed_at_vertex = seed_pattern(kind, b0)._walk.get
-    start = seed_at_vertex(0)
-    seeds = {start.unordered_key(): start}
+    seed = seed_at_vertex(0)
+    key = seed.unordered_key()
+    yield 0, 0, key, seed
+    r = seed.rank
+    seen = {key}
     frontier = [0]
-    while frontier:
+    level = 0
+    while frontier and (depth is None or level < depth):
+        level += 1
         next_frontier = []
         for v in frontier:
             for k in range(1, r + 1):
                 child = _child(v, k)
-                nbr = seed_at_vertex(child)
-                key = nbr.unordered_key()
-                if key not in seeds:
-                    if len(seeds) >= max_seeds:
-                        raise BudgetExceeded(
-                            f"exchange graph exceeded {max_seeds} seeds"
-                        )
-                    seeds[key] = nbr
+                seed = seed_at_vertex(child)
+                key = seed.unordered_key()
+                if key not in seen:
+                    seen.add(key)
                     next_frontier.append(child)
+                    yield level, child, key, seed
         frontier = next_frontier
-    return ExchangeGraph(kind, b0, seeds)
+
+
+def enumerate_exchange_graph(kind, b0, max_seeds=10_000) -> ExchangeGraph:
+    """The whole exchange graph, as walk_exchange_graph reaches it.  Raises
+    BudgetExceeded when the graph fails to close within max_seeds (likely
+    infinite type)."""
+    seeds = {}
+    for _, _, key, seed in walk_exchange_graph(kind, b0):
+        if len(seeds) >= max_seeds:
+            raise BudgetExceeded(f"exchange graph exceeded {max_seeds} seeds")
+        seeds[key] = seed
+    return ExchangeGraph(kind, as_matrix(b0), seeds)

@@ -22,7 +22,6 @@ from .mutation import (
     _PARENT,
     _address,
     _belt_vertex,
-    _child,
     _gauss_jordan,
     _LETTER,
     _neg_unit,
@@ -33,10 +32,12 @@ from .mutation import (
     matrix_times_col,
     mutate_seed,
     pp,
+    principal_extension,
     root_seed,
     row_times_matrix,
     seed_pattern,
     transpose,
+    walk_exchange_graph,
 )
 
 
@@ -152,12 +153,7 @@ def p_map(delta: TropPoint) -> TropPoint:
 
 def principal_wide_root(b0):
     """Wide matrix (B^T I) of the principal Y-pattern attached to B."""
-    b0 = as_matrix(b0)
-    r = len(b0)
-    bt = transpose(b0)
-    return tuple(
-        bt[i] + tuple(1 if j == i else 0 for j in range(r)) for i in range(r)
-    )
+    return transpose(principal_extension(b0))
 
 
 def beta_map(delta_sv: TropPoint, b0) -> TropPoint:
@@ -200,8 +196,13 @@ def d_compat_degree(d_point: TropPoint, f) -> int:
 
 UNKNOWN = None
 
+# Box sizes of the bounded searches behind _in_cone and _kernel_ray, which
+# only run when the kernel has dimension 2 or more.
+_CONE_SEARCH_BOUND = 24
+_RAY_SEARCH_BOUND = 4
 
-def _in_cone(bt_t, offset, bound=24):
+
+def _in_cone(bt_t, offset):
     """Is offset = bt_t * u for some integer u >= 0?  Decided exactly when
     bt_t is invertible or has a one-dimensional kernel; otherwise a bounded
     search returns True, False, or UNKNOWN when it is exhausted without a
@@ -220,7 +221,7 @@ def _in_cone(bt_t, offset, bound=24):
     if line is not None:
         return _on_line(sol, line)
     limit = sum(abs(x) for x in offset) + 2
-    if limit > bound or (limit + 1) ** r > 200_000:
+    if limit > _CONE_SEARCH_BOUND or (limit + 1) ** r > 200_000:
         return UNKNOWN
     for u in product(range(limit + 1), repeat=r):
         if not any(u):
@@ -281,16 +282,21 @@ def _on_line(u0, n):
     return lo <= hi
 
 
-def _kernel_ray(bt_t, bound=4):
-    """Is bt_t * u = 0 for some nonzero integer u >= 0?  Returns True/False
-    or UNKNOWN when the bounded search is exhausted."""
+def _kernel_ray(bt_t):
+    """Is bt_t * u = 0 for some nonzero integer u >= 0?  Decided exactly when
+    bt_t is invertible or has a one-dimensional kernel (spanned by a
+    primitive n, so u is a nonzero multiple of n); otherwise a bounded
+    search returns True, or UNKNOWN when it is exhausted."""
     r = len(bt_t)
     det, _ = _gauss_jordan(bt_t)
     if det:
         return False
-    if (bound + 1) ** r > 200_000:
+    line = _kernel_line(bt_t)
+    if line is not None:
+        return all(x >= 0 for x in line) or all(x <= 0 for x in line)
+    if (_RAY_SEARCH_BOUND + 1) ** r > 200_000:
         return UNKNOWN
-    for u in product(range(bound + 1), repeat=r):
+    for u in product(range(_RAY_SEARCH_BOUND + 1), repeat=r):
         if any(u) and not any(matrix_times_col(bt_t, u)):
             return True
     return UNKNOWN
@@ -342,49 +348,37 @@ def reexpress(f, pattern, addr, k):
     return f.substitute(mutate_seed(root_seed(s.kind, s.matrix), k).cluster)
 
 
+def _charts(element, kind, b0, depth=None):
+    """Yields (level, vertex, seed, f) for each chart walk_exchange_graph
+    reaches, with f the element, given in the root chart, rewritten into
+    that chart: it is carried from the chart's parent by reexpress."""
+    pattern = seed_pattern(kind, b0)
+    exprs = {}
+    for level, v, _, seed in walk_exchange_graph(kind, b0, depth):
+        if v:
+            parent = _PARENT[v]
+            element = reexpress(exprs[parent], pattern, _address(parent), _LETTER[v])
+        exprs[v] = element
+        yield level, v, seed, element
+
+
 def _check_admissible(element, point, root_matrix, with_cone, depth):
-    """Shared depth-bounded admissibility walk over the tree with pruning of
-    repeated unordered seeds; three-valued outcome."""
-    pattern = seed_pattern("A" if with_cone else "Y", root_matrix)
-    seed_at_vertex = pattern._walk.get
-    seen = {seed_at_vertex(0).unordered_key()}
-    frontier = [(0, element)]
+    """Admissibility in every chart within depth of the root; three-valued.
+    A chart at level >= depth (the root when depth < 0) leaves it UNKNOWN,
+    as the exchange graph is then not known to have closed."""
     unknown = False
-    closed = True
-    r = len(root_matrix)
-    for step in range(depth + 1):
-        next_frontier = []
-        for v, expr in frontier:
-            seed = seed_at_vertex(v)
-            pointed = tuple(-c for c in point._walk.get(v))
-            cone = None
-            if with_cone:
-                # the A-pattern matrix at t equals B_t^T for the paired
-                # Y-pattern, whose columns span the admissible offset cone
-                cone = seed.principal_part()
-            ok = _pointed_form_ok(expr, pointed, cone)
-            if ok is False:
-                return False
-            if ok is UNKNOWN:
-                unknown = True
-            if step == depth:
-                continue
-            addr = _address(v)
-            for k in range(1, r + 1):
-                child = _child(v, k)
-                key = seed_at_vertex(child).unordered_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                next_frontier.append((child, reexpress(expr, pattern, addr, k)))
-        if not next_frontier and step < depth:
-            break
-        frontier = next_frontier
-    else:
-        closed = False
-    if unknown or not closed:
-        return UNKNOWN
-    return True
+    kind = "A" if with_cone else "Y"
+    for level, v, seed, expr in _charts(element, kind, root_matrix, depth):
+        pointed = tuple(-c for c in point._walk.get(v))
+        # the A-pattern matrix at t equals B_t^T for the paired Y-pattern,
+        # whose columns span the admissible offset cone
+        cone = seed.principal_part() if with_cone else None
+        ok = _pointed_form_ok(expr, pointed, cone)
+        if ok is False:
+            return False
+        if ok is UNKNOWN or level >= depth:
+            unknown = True
+    return UNKNOWN if unknown else True
 
 
 def check_admissible_A(x, rho: TropPoint, depth=16):

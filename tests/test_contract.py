@@ -1,5 +1,6 @@
 """Behaviour contract: the README's CLI examples and `verify --suite all`
-print what they printed before the code behind them was refactored.
+print what they printed before the code behind them was refactored, and
+every annotation of the public API resolves.
 
 `tests/data/readme_cli.txt` holds, for every `cluster-friezes` line of the
 README's `sh` blocks, the command, its stdout and its exit code, as written
@@ -14,11 +15,14 @@ with this file and the README of that checkout.
 import contextlib
 import functools
 import hashlib
+import inspect
 import io
 import shlex
 import sys
+import typing
 from pathlib import Path
 
+import cluster_friezes
 from cluster_friezes.cli import main
 
 HERE = Path(__file__).resolve().parent
@@ -86,6 +90,31 @@ def test_verify_all_stdout_digest():
     code, out = run_example(VERIFY_ALL)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
+def exported_annotated():
+    """(name, object) for every function and class in `cluster_friezes.__all__`
+    and every method, classmethod, staticmethod and property getter those
+    classes define."""
+    for name in cluster_friezes.__all__:
+        obj = getattr(cluster_friezes, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            yield name, obj
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "fget", getattr(member, "__func__", member))
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def test_public_type_hints_resolve():
+    unresolved = []
+    for name, obj in exported_annotated():
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append(f"{name}: {exc}")
+    assert unresolved == []
 
 
 if __name__ == "__main__":

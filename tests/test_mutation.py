@@ -24,6 +24,7 @@ from cluster_friezes.mutation import (
     _gcf_step,
     _address,
     _child,
+    _PARENT,
     _Registry,
     _vertex,
     canonical_address,
@@ -45,6 +46,7 @@ from cluster_friezes.mutation import (
     root_seed,
     seed_at,
     separation_check,
+    walk_exchange_graph,
 )
 from cluster_friezes.tropical import TropPoint, reexpress
 
@@ -361,6 +363,19 @@ class TestExchangeGraph:
     def test_budget_exceeded_affine(self):
         with pytest.raises(BudgetExceeded):
             enumerate_exchange_graph("A", ((0, -2), (2, 0)), 20)
+
+    def test_walk_levels_and_depth(self):
+        walk = list(walk_exchange_graph("A", B_A2))
+        assert [level for level, _, _, _ in walk] == [0, 1, 1, 2, 2]
+        assert list(walk_exchange_graph("A", B_A2, 1)) == walk[:3]
+        assert list(walk_exchange_graph("A", B_A2, 0)) == walk[:1]
+        graph = enumerate_exchange_graph("A", B_A2, 100)
+        assert [(key, seed) for _, _, key, seed in walk] == list(graph.seeds.items())
+        # every vertex but the root hangs below one yielded before it
+        yielded = set()
+        for _, v, _, _ in walk:
+            assert v == 0 or _PARENT[v] in yielded
+            yielded.add(v)
 
     def test_laurent_positivity(self):
         # every variable, re-expanded in every chart, is a nonnegative

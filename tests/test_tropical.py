@@ -383,7 +383,7 @@ class TestAdmissibility:
         identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert _kernel_ray(singular) is True
         assert _kernel_ray(identity) is False
-        assert _kernel_ray(mixed_kernel) is UNKNOWN
+        assert _kernel_ray(mixed_kernel) is False
         assert _pointed_form_ok(expansion, (-1, 2, -1), singular) is True
         assert _pointed_form_ok(expansion, (-1, 2, -1), identity) is False
         assert _pointed_form_ok(expansion, (-1, 2, -1)) is False
@@ -406,6 +406,22 @@ class TestAdmissibility:
                 verdict = _in_cone(cone, offset)
                 assert verdict == (offset in images)
                 decided.add(verdict)
+        assert decided == {True, False}
+
+    @pytest.mark.parametrize("name", ["B3", "C3"])
+    def test_kernel_ray_against_box_search(self, name):
+        """_kernel_ray decides the one-dimensional kernel of every B_t of B3
+        and C3 exactly, as a box enumeration of nonzero u >= 0 does."""
+        bt = transpose(named_cartan(name).b_matrix())
+        graph = enumerate_exchange_graph("A", bt, 1000)
+        cones = {seed.principal_part() for seed in graph.seeds.values()}
+        box = [u for u in itertools.product(range(9), repeat=3) if any(u)]
+        decided = set()
+        for cone in cones:
+            images = (row_times_matrix(u, transpose(cone)) for u in box)
+            verdict = _kernel_ray(cone)
+            assert verdict == any(not any(image) for image in images)
+            decided.add(verdict)
         assert decided == {True, False}
 
     def test_y_side_globals(self):

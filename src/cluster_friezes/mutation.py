@@ -757,10 +757,6 @@ class ExchangeGraph:
     b0: Matrix
     seeds: dict  # canonical key -> Seed (first reached)
 
-    @property
-    def addresses(self):
-        return [seed.address for seed in self.seeds.values()]
-
     def cluster_variables(self):
         """Distinct cluster entries over all enumerated seeds."""
         out = {}

@@ -21,6 +21,10 @@ class TropOverflow(OverflowError):
     """A tropical coordinate left the checked machine-integer range."""
 
 
+class ExponentOverflow(TropOverflow):
+    """A Laurent exponent or total degree left the packed range."""
+
+
 class BudgetExceeded(RuntimeError):
     """Exchange-graph enumeration hit its seed budget (likely infinite type)."""
 

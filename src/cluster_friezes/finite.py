@@ -582,12 +582,17 @@ def d_duality_check(cartan):
     b = ctx.belts
     r = cartan.rank
     dom = ctx.domain()
+    # each d-point and belt variable of the inner loop, built once
+    xs = [b.x(j, n) for j, n in dom]
+    deltas = [b.delta_sv_im(j, n).at_root() for j, n in dom]
     bad = []
     for i, m in dom:
         d_x = d_trop_point("A", mat_neg(b.b), canonical_address(i, m, r), i)
-        for j, n in dom:
-            lhs = b.x(j, n).trop_eval(d_x.at_root())
-            rhs = b.x_sv(i, m).trop_eval(b.delta_sv_im(j, n).at_root())
+        d_root = d_x.at_root()
+        x_sv = b.x_sv(i, m)
+        for (j, n), x, delta in zip(dom, xs, deltas):
+            lhs = x.trop_eval(d_root)
+            rhs = x_sv.trop_eval(delta)
             if lhs != rhs:
                 bad.append(((i, m), (j, n), lhs, rhs))
     return bad

@@ -1,8 +1,18 @@
 """Exact sparse Laurent-polynomial and rational-function arithmetic over Z.
 
-Polynomials are stored as dicts mapping exponent tuples (entries may be
-negative) to nonzero Python ints.  Fractions are kept in a canonical reduced
-form so that equality is plain dict comparison:
+A polynomial maps each monomial to a nonzero Python int.  The monomial x^e
+over n variables is stored as one packed int: its base-2^32 digits are, from
+the top, the total degree and then e_1, ..., e_n, each plus the bias 2^30
+(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", 2007).  So a product of monomials is one int
+addition, and graded-lex order is plain int order.  Every exponent and total
+degree must lie in [-2^30, 2^30) (`EXPONENT_LIMIT`); the top bit of each
+digit stays clear and catches a digit that leaves the range, which raises
+`ExponentOverflow` and never wraps into the next digit.  Exact division
+and the gcd first shift their operands to exponents >= 0, so there the
+spread of each exponent must stay in range too.  `.terms` and the
+constructor speak exponent tuples.  Fractions are kept in a canonical
+reduced form so that equality is plain dict comparison:
 
   * the denominator is a true polynomial with nonzero constant term (all
     monomial content lives in the numerator),
@@ -22,10 +32,15 @@ coefficients are all positive.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import repeat
 from math import gcd as int_gcd
+from operator import mul, or_
+from struct import Struct
 
 from .errors import (
     DimensionMismatch,
+    ExponentOverflow,
     NotDivisible,
     SubtractionFreeViolation,
     TropOverflow,
@@ -36,6 +51,11 @@ from .errors import (
 # is an error, never wraparound.
 TROP_LIMIT = 2**63
 
+# Every exponent and total degree of a packed monomial lies in
+# [-EXPONENT_LIMIT, EXPONENT_LIMIT).
+_DIGIT_BITS = 32
+EXPONENT_LIMIT = 1 << (_DIGIT_BITS - 2)
+
 
 def check_trop(value: int) -> int:
     if not -TROP_LIMIT < value < TROP_LIMIT:
@@ -43,33 +63,141 @@ def check_trop(value: int) -> int:
     return value
 
 
-def _grlex_key(exp):
-    return (sum(exp), exp)
+class _Layout:
+    """Packing constants for monomials over n variables.
+
+    `zero` is the packed exponent 0: the bias in every digit, that is bit 30
+    of each digit, which is set exactly when the digit's exponent is >= 0.
+    A key is in range exactly when it has no bit of `overflow`: the top bit
+    of a digit, a bit above the top digit, or the sign.
+    """
+
+    __slots__ = ("n", "zero", "guard", "overflow", "weights", "shifts", "nbytes", "_struct")
+
+    def __init__(self, n):
+        ndigits = n + 1
+        self.n = n
+        self.zero = sum(EXPONENT_LIMIT << (_DIGIT_BITS * i) for i in range(ndigits))
+        self.guard = self.zero << 1
+        self.overflow = self.guard | -(1 << (_DIGIT_BITS * ndigits))
+        # x_i sits in digit n - i; it adds to the degree digit n as well
+        self.shifts = tuple(_DIGIT_BITS * (n - 1 - i) for i in range(n))
+        self.weights = tuple((1 << s) + (1 << (_DIGIT_BITS * n)) for s in self.shifts)
+        self.nbytes = 4 * ndigits
+        # (key + zero) ^ guard holds each exponent as a 32-bit two's
+        # complement digit; the format skips the degree digit
+        self._struct = Struct(f">4x{n}i")
+
+    def pack(self, exps):
+        """(packed keys, componentwise minimum) of a list of exponent tuples,
+        the minimum None for no tuples; ExponentOverflow past the range."""
+        keys = [self.zero + self.shift_key(e) for e in exps]
+        self.check(keys)
+        return keys, (tuple(map(min, zip(*exps))) if exps else None)
+
+    def shift_key(self, exp):
+        """The packed key of x^exp minus that of x^0: adding it to a key
+        multiplies its monomial by x^exp.  Its entries may reach
+        EXPONENT_LIMIT, the negated least exponent; its total degree is not
+        checked.  `check` sees either in the sum."""
+        if len(exp) != self.n:
+            raise DimensionMismatch(f"exponent vector not of length {self.n}")
+        # an entry further out could carry into its neighbour's digit, which
+        # `check` would not see
+        if exp and (min(exp) < -EXPONENT_LIMIT or max(exp) > EXPONENT_LIMIT):
+            raise ExponentOverflow(
+                f"exponent outside [-{EXPONENT_LIMIT}, {EXPONENT_LIMIT})"
+            )
+        return sum(map(mul, exp, self.weights))
+
+    def check(self, keys):
+        """Raise ExponentOverflow unless every key is in range.
+
+        Exact for keys whose digits are each in range or the sum of an
+        in-range digit and one in [-EXPONENT_LIMIT, EXPONENT_LIMIT]: the
+        lowest digit out of range sets its top bit.
+        """
+        if reduce(or_, keys, 0) & self.overflow:
+            raise ExponentOverflow(
+                f"exponent or degree outside [-{EXPONENT_LIMIT}, {EXPONENT_LIMIT})"
+            )
+
+    def exps(self, keys):
+        """The exponent tuples of packed keys, in order."""
+        words = map(self.guard.__xor__, map(self.zero.__add__, keys))
+        return self._struct.iter_unpack(
+            b"".join(map(int.to_bytes, words, repeat(self.nbytes), repeat("big")))
+        )
+
+    def digit(self, key, i):
+        """Exponent of variable i (0-based) in key."""
+        return (key >> self.shifts[i] & (2 * EXPONENT_LIMIT - 1)) - EXPONENT_LIMIT
+
+
+_LAYOUTS = {}
+
+
+def _layout(n):
+    lay = _LAYOUTS.get(n)
+    if lay is None:
+        lay = _LAYOUTS.setdefault(n, _Layout(n))
+    return lay
+
+
+_new = object.__new__
+
+
+def _make(lay, packed, low=None):
+    """IntLaurentPoly over lay.n variables from nonzero packed terms; `low`
+    is its `min_exponents()` when known."""
+    p = _new(IntLaurentPoly)
+    p.nvars = lay.n
+    p._lay = lay
+    p._packed = packed
+    p._min = low
+    p._hash = None
+    return p
+
+
+def _add_exps(a, b):
+    return None if a is None or b is None else tuple(map(int.__add__, a, b))
+
+
+def _sub_exps(a, b):
+    return None if a is None or b is None else tuple(map(int.__sub__, a, b))
 
 
 class IntLaurentPoly:
-    """Sparse Laurent polynomial with arbitrary-precision integer coefficients."""
+    """Sparse Laurent polynomial with arbitrary-precision integer coefficients.
 
-    __slots__ = ("nvars", "terms", "_hash")
+    Terms are stored packed (see the module docstring); `_min` carries the
+    componentwise minimum exponent through products, shifts and exact
+    quotients, and is recomputed from the keys only after a sum.
+    """
+
+    __slots__ = ("nvars", "_lay", "_packed", "_min", "_hash")
 
     def __init__(self, nvars: int, terms=None):
+        lay = _layout(nvars)
         self.nvars = nvars
-        if terms is None:
-            terms = {}
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self._lay = lay
         self._hash = None
+        items = [(e, c) for e, c in terms.items() if c] if terms else []
+        keys, self._min = lay.pack([e for e, _ in items])
+        self._packed = dict(zip(keys, (c for _, c in items)))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars):
-        return cls(nvars)
+        return _make(_layout(nvars), {})
 
     @classmethod
     def constant(cls, c, nvars):
+        lay = _layout(nvars)
         if c == 0:
-            return cls(nvars)
-        return cls(nvars, {(0,) * nvars: c})
+            return _make(lay, {})
+        return _make(lay, {lay.zero: c}, (0,) * nvars)
 
     @classmethod
     def one(cls, nvars):
@@ -80,9 +208,10 @@ class IntLaurentPoly:
         """The variable x_i, 1-based."""
         if not 1 <= i <= nvars:
             raise DimensionMismatch(f"variable index {i} out of range 1..{nvars}")
-        e = [0] * nvars
-        e[i - 1] = 1
-        return cls(nvars, {tuple(e): 1})
+        lay = _layout(nvars)
+        low = [0] * nvars
+        low[i - 1] = 1
+        return _make(lay, {lay.zero + lay.weights[i - 1]: 1}, tuple(low))
 
     @classmethod
     def monomial(cls, exp, coeff=1):
@@ -90,43 +219,61 @@ class IntLaurentPoly:
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def terms(self):
+        """The terms as a fresh dict from exponent tuples to coefficients."""
+        return dict(zip(self._lay.exps(self._packed), self._packed.values()))
+
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._packed)
 
     def is_zero(self):
-        return not self.terms
+        return not self._packed
 
     def is_one(self):
-        return self.terms == {(0,) * self.nvars: 1}
+        return len(self._packed) == 1 and self._packed.get(self._lay.zero) == 1
 
     def is_monomial(self):
-        return len(self.terms) == 1
+        return len(self._packed) == 1
 
     def is_constant(self):
-        return not self.terms or self.terms.keys() == {(0,) * self.nvars}
+        return not self._packed or (
+            len(self._packed) == 1 and self._lay.zero in self._packed
+        )
 
     def constant_coeff(self):
-        return self.terms.get((0,) * self.nvars, 0)
+        return self._packed.get(self._lay.zero, 0)
 
     def coefficients_nonnegative(self):
-        return all(c > 0 for c in self.terms.values())
+        return all(c > 0 for c in self._packed.values())
 
     def leading(self):
         """Graded-lex leading (exponent, coefficient); poly must be nonzero."""
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        k = max(self._packed)
+        return next(self._lay.exps((k,))), self._packed[k]
+
+    def _leading_coeff(self):
+        return self._packed[max(self._packed)]
 
     def min_exponents(self):
         """Componentwise minimum of exponents over all terms."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return tuple(map(min, zip(*self.terms)))
+        if self._min is None:
+            if not self._packed:
+                raise ValueError("zero polynomial has no exponents")
+            self._min = tuple(map(min, zip(*self._lay.exps(self._packed))))
+        return self._min
 
     def degree_in(self, i):
         """Max exponent of variable i (0-based), -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._packed:
             return -1
-        return max(e[i] for e in self.terms)
+        digit = self._lay.digit
+        return max(digit(k, i) for k in self._packed)
+
+    def sort_key(self):
+        """A total order on polynomials over the same variables (not
+        graded-lex on polynomials; any fixed order serves deduplication)."""
+        return tuple(sorted(self._packed.items()))
 
     # -- ring operations ---------------------------------------------------
 
@@ -139,26 +286,28 @@ class IntLaurentPoly:
     def __eq__(self, other):
         if not isinstance(other, IntLaurentPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self._packed == other._packed
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+            self._hash = hash((self.nvars, frozenset(self._packed.items())))
         return self._hash
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+        out = dict(self._packed)
+        for k, c in other._packed.items():
+            s = out.get(k, 0) + c
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                out.pop(e, None)
-        return IntLaurentPoly(self.nvars, out)
+                del out[k]
+        return _make(self._lay, out)
 
     def __neg__(self):
-        return IntLaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _make(
+            self._lay, {k: -c for k, c in self._packed.items()}, self._min
+        )
 
     def __sub__(self, other):
         return self + (-other)
@@ -166,24 +315,30 @@ class IntLaurentPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
-                return IntLaurentPoly(self.nvars)
-            return IntLaurentPoly(
-                self.nvars, {e: c * other for e, c in self.terms.items()}
+                return _make(self._lay, {})
+            return _make(
+                self._lay, {k: c * other for k, c in self._packed.items()}, self._min
             )
         self._check(other)
-        if len(self.terms) > len(other.terms):
+        small, large = self._packed, other._packed
+        if len(small) > len(large):
             # iterate over the smaller operand in the outer loop
-            return other * self
+            small, large = large, small
+        lay = self._lay
+        zero = lay.zero
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
+        get = out.get
+        for k1, c1 in small.items():
+            k1 -= zero
+            for k2, c2 in large.items():
+                k = k1 + k2
+                s = get(k, 0) + c1 * c2
                 if s:
-                    out[e] = s
+                    out[k] = s
                 else:
-                    del out[e]
-        return IntLaurentPoly(self.nvars, out)
+                    del out[k]
+        lay.check(out)
+        return _make(lay, out, _add_exps(self._min, other._min))
 
     __rmul__ = __mul__
 
@@ -202,16 +357,17 @@ class IntLaurentPoly:
 
     def shift(self, exp):
         """Multiply by the monomial x^exp."""
-        return IntLaurentPoly(
-            self.nvars,
-            {tuple(a + b for a, b in zip(e, exp)): c for e, c in self.terms.items()},
-        )
+        lay = self._lay
+        d = lay.shift_key(exp)
+        out = {k + d: c for k, c in self._packed.items()}
+        lay.check(out)
+        return _make(lay, out, _add_exps(self._min, exp))
 
     def int_content(self):
-        if not self.terms:
+        if not self._packed:
             return 0
         g = 0
-        for c in self.terms.values():
+        for c in self._packed.values():
             g = int_gcd(g, abs(c))
             if g == 1:
                 break
@@ -225,7 +381,7 @@ class IntLaurentPoly:
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
-            return IntLaurentPoly(self.nvars)
+            return _make(self._lay, {})
         # clear monomial content so both operands are true polynomials
         smin = self.min_exponents()
         omin = other.min_exponents()
@@ -240,25 +396,23 @@ class IntLaurentPoly:
 
     def trop_max(self, coords):
         """max over terms of <coords, exponent>; the poly must be nonzero."""
-        if not self.terms:
+        if not self._packed:
             raise SubtractionFreeViolation("tropical evaluation of zero")
-        best = None
-        for e in self.terms:
-            v = sum(c * x for c, x in zip(coords, e))
-            if best is None or v > best:
-                best = v
-        return check_trop(best)
+        return check_trop(
+            max(sum(map(mul, coords, e)) for e in self._lay.exps(self._packed))
+        )
 
     # -- display -----------------------------------------------------------
 
     def to_str(self, names=None):
-        if not self.terms:
+        if not self._packed:
             return "0"
         if names is None:
             names = [f"x{i + 1}" for i in range(self.nvars)]
         parts = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
+        keys = sorted(self._packed, reverse=True)
+        for e, k in zip(self._lay.exps(keys), keys):
+            c = self._packed[k]
             factors = [
                 f"{names[i]}" if p == 1 else f"{names[i]}^{p}"
                 for i, p in enumerate(e)
@@ -285,28 +439,35 @@ def _poly_exact_div(p, q):
     If q*h = p for some polynomial h the quotient is returned; any failure of
     leading-term divisibility proves inexactness and raises NotDivisible.
     """
-    n = p.nvars
-    qe, qc = q.leading()
-    rem = dict(p.terms)
+    lay = p._lay
+    zero = lay.zero
+    qk = max(q._packed)
+    qc = q._packed[qk]
+    qk -= zero
+    rem = dict(p._packed)
     out = {}
+    # every exponent met below lies in [0, deg p], so each digit of
+    # rk - qk + zero is exact, and its bit 30 is set exactly when that
+    # exponent of the quotient term is >= 0
     while rem:
-        re = max(rem, key=_grlex_key)
-        rc = rem[re]
+        rk = max(rem)
+        rc = rem[rk]
         if rc % qc != 0:
             raise NotDivisible("leading coefficient does not divide")
-        de = tuple(a - b for a, b in zip(re, qe))
-        if any(x < 0 for x in de):
+        dk = rk - qk
+        if dk & zero != zero:
             raise NotDivisible("leading monomial does not divide")
         dc = rc // qc
-        out[de] = dc
-        for e2, c2 in q.terms.items():
-            e = tuple(a + b for a, b in zip(de, e2))
-            s = rem.get(e, 0) - dc * c2
+        out[dk] = dc
+        dk -= zero
+        for k2, c2 in q._packed.items():
+            k = dk + k2
+            s = rem.get(k, 0) - dc * c2
             if s:
-                rem[e] = s
+                rem[k] = s
             else:
-                rem.pop(e, None)
-    return IntLaurentPoly(n, out)
+                del rem[k]
+    return _make(lay, out, _sub_exps(p._min, q._min))
 
 
 # -- multivariate gcd ---------------------------------------------------------
@@ -364,11 +525,11 @@ def _by_parts(p, q, gcd):
     """
     if p.is_zero() or q.is_zero():
         # gcd(0, f) is f up to sign
-        zero = IntLaurentPoly(p.nvars)
+        zero = IntLaurentPoly.zero(p.nvars)
         f = q if p.is_zero() else p
         if f.is_zero():
             return zero, zero, zero
-        sign = 1 if f.leading()[1] > 0 else -1
+        sign = 1 if f._leading_coeff() > 0 else -1
         unit = IntLaurentPoly.constant(sign, p.nvars)
         return (f * sign, zero, unit) if p.is_zero() else (f * sign, unit, zero)
     cp, cq = p.int_content(), q.int_content()
@@ -378,7 +539,7 @@ def _by_parts(p, q, gcd):
     ep, eq = p.min_exponents(), q.min_exponents()
     exp = tuple(map(min, ep, eq))
     p0, q0 = _div_monomial(p, cp, ep), _div_monomial(q, cq, eq)
-    if len(p0.terms) == 1 or len(q0.terms) == 1:
+    if len(p0._packed) == 1 or len(q0._packed) == 1:
         found = IntLaurentPoly.one(p.nvars), p0, q0
     else:
         found = gcd(p0, q0)
@@ -400,11 +561,11 @@ def _heuristic_gcd(p, q):
     `_HEU_TRIES` tries and `_HEU_MAX_BITS` bits.
     """
     n = p.nvars
+    pt, qt = p.terms, q.terms
     # one more than the larger degree in each variable, so that distinct
     # monomials of p, of q and of each of their divisors get distinct indices
     radix = [
-        max(a, b) + 1
-        for a, b in zip(map(max, zip(*p.terms)), map(max, zip(*q.terms)))
+        max(a, b) + 1 for a, b in zip(map(max, zip(*pt)), map(max, zip(*qt)))
     ]
     weights, w = [], 1
     for r in radix:
@@ -413,11 +574,11 @@ def _heuristic_gcd(p, q):
     # The gcd G has no monomial factor, so its image is t^g G' with G'(0) != 0,
     # and G' divides both images divided by their lowest powers of t.  G' is
     # constant only when G = 1: the coprimality bound below still holds.
-    pk, plow = _kronecker(p, weights)
-    qk, qlow = _kronecker(q, weights)
+    pk, plow = _kronecker(pt, weights)
+    qk, qlow = _kronecker(qt, weights)
     top = max(pk[0][0], qk[0][0])
     # the bound of the paper's theorem is xi > 2 min(|p|, |q|) + 2
-    norm = min(max(map(abs, f.terms.values())) for f in (p, q))
+    norm = min(max(map(abs, f._packed.values())) for f in (p, q))
     xi = 2 * norm + 29
     # G read from index 0 (G has a constant term) or from the images' common
     # order; other orders are left to later tries and the PRS
@@ -456,12 +617,12 @@ def _heuristic_gcd_by_variable(p, q):
     top = max(p.degree_in(v), q.degree_in(v))
     # with xi > 2 min(|p|, |q|) + 2 a certified candidate is the gcd, given
     # that the images' gcd is (the theorem of `_heuristic_gcd`)
-    xi = 2 * min(max(map(abs, f.terms.values())) for f in (p, q)) + 29
+    xi = 2 * min(max(map(abs, f._packed.values())) for f in (p, q)) + 29
     for _ in range(_HEU_TRIES):
         if (top + 1) * xi.bit_length() > _HEU_MAX_BITS:
             return None
         pv, qv = _evaluate_at(p, v, xi), _evaluate_at(q, v, xi)
-        if pv.terms and qv.terms:
+        if pv._packed and qv._packed:
             images = _by_parts(pv, qv, _heuristic_gcd_by_variable)
             if images is None:
                 return None
@@ -493,30 +654,38 @@ def _quotient(p, q):
 
 def _evaluate_at(p, v, xi):
     """p with variable v set to the integer xi."""
+    lay = p._lay
+    w = lay.weights[v]
     terms = {}
-    for e, c in p.terms.items():
-        if e[v]:
-            c *= xi ** e[v]
-            e = e[:v] + (0,) + e[v + 1:]
-        terms[e] = terms.get(e, 0) + c
-    return IntLaurentPoly(p.nvars, terms)
+    for k, c in p._packed.items():
+        e = lay.digit(k, v)
+        if e:
+            c *= xi**e
+            k -= e * w
+        terms[k] = terms.get(k, 0) + c
+    return _make(lay, {k: c for k, c in terms.items() if c})
 
 
 def _interpolate(p, v, xi):
     """The polynomial in variable v whose coefficients have, as digits in
     powers of v, the symmetric xi-adic digits of p's coefficients."""
+    lay = p._lay
+    w = lay.weights[v]
     terms = {}
-    for e, c in p.terms.items():
-        for k, d in _symmetric_digits(c, xi):
-            terms[e[:v] + (k,) + e[v + 1:]] = d
-    return IntLaurentPoly(p.nvars, terms)
+    for k, c in p._packed.items():
+        base = k - lay.digit(k, v) * w
+        for j, d in _symmetric_digits(c, xi):
+            terms[base + j * w] = d
+    lay.check(terms)
+    return _make(lay, terms)
 
 
-def _kronecker(p, weights):
-    """(index, coefficient) pairs, descending, of p under x_i -> t^weights[i]
-    divided by its lowest power of t, and that power's exponent."""
+def _kronecker(terms, weights):
+    """(index, coefficient) pairs, descending, of the polynomial with `terms`
+    under x_i -> t^weights[i] divided by its lowest power of t, and that
+    power's exponent."""
     pairs = sorted(
-        ((sum(map(int.__mul__, e, weights)), c) for e, c in p.terms.items()),
+        ((sum(map(int.__mul__, e, weights)), c) for e, c in terms.items()),
         reverse=True,
     )
     low = pairs[-1][0]
@@ -560,7 +729,7 @@ def _from_digits(gamma, xi, radix, k=0):
 def _primitive(h):
     """h divided by its integer content, with a positive leading coefficient."""
     content = h.int_content()
-    return _div_monomial(h, content if h.leading()[1] > 0 else -content)
+    return _div_monomial(h, content if h._leading_coeff() > 0 else -content)
 
 
 def _symmetric_digits(c, xi):
@@ -583,11 +752,12 @@ def _div_monomial(p, c, exp=()):
     if not any(exp):
         if c == 1:
             return p
-        return IntLaurentPoly(p.nvars, {e: v // c for e, v in p.terms.items()})
-    return IntLaurentPoly(
-        p.nvars,
-        {tuple(map(int.__sub__, e, exp)): v // c for e, v in p.terms.items()},
-    )
+        return _make(p._lay, {k: v // c for k, v in p._packed.items()}, p._min)
+    lay = p._lay
+    d = lay.shift_key(exp)
+    out = {k - d: v // c for k, v in p._packed.items()}
+    lay.check(out)
+    return _make(lay, out, _sub_exps(p._min, exp))
 
 
 def _times_monomial(p, c, exp):
@@ -675,7 +845,7 @@ def _poly_gcd_prs(p, q):
         g = _poly_gcd_nonzero(p, q)
     if g.is_zero():
         return g
-    if g.leading()[1] < 0:
+    if g._leading_coeff() < 0:
         g = -g
     return g
 
@@ -875,7 +1045,7 @@ class RationalFunction:
         shift = self.num.min_exponents()
         den = self.num.shift(tuple(-x for x in shift))
         num = self.den.shift(tuple(-x for x in shift))
-        if den.leading()[1] < 0:
+        if den._leading_coeff() < 0:
             num, den = -num, -den
         return RationalFunction(num, den, _reduced=True)
 
@@ -933,9 +1103,9 @@ class RationalFunction:
         if self.den.is_one():
             return num
         den = self.den.to_str(names)
-        if len(self.num.terms) > 1:
+        if len(self.num._packed) > 1:
             num = f"({num})"
-        if len(self.den.terms) > 1:
+        if len(self.den._packed) > 1:
             den = f"({den})"
         return f"{num}/{den}"
 
@@ -971,7 +1141,7 @@ def _reduce(num, den):
         den = den.shift(tuple(-x for x in dmin))
         num = num.shift(tuple(-x for x in dmin))
     num, den = _cancel(num, den)
-    if den.leading()[1] < 0:
+    if den._leading_coeff() < 0:
         num, den = -num, -den
     return num, den
 

@@ -233,19 +233,23 @@ def mutate_matrix_raw(m: Matrix, k: int) -> Matrix:
     kk = k - 1
     if not (0 <= kk < nrows and kk < ncols):
         raise DimensionMismatch(f"direction {k} out of range")
+    # row i gains b_ik [b_kj]+ when b_ik > 0 and b_ik [-b_kj]+ when b_ik < 0;
+    # column k and row k change sign, so a row with b_ik = 0 is unchanged
+    row_k = m[kk]
+    pos = [pp(x) for x in row_k]
+    neg = [pp(-x) for x in row_k]
     out = []
-    for i in range(nrows):
-        row = []
-        for j in range(ncols):
-            if i == kk or j == kk:
-                row.append(-m[i][j])
-            else:
-                row.append(
-                    m[i][j]
-                    + pp(m[i][kk]) * pp(m[kk][j])
-                    - pp(-m[i][kk]) * pp(-m[kk][j])
-                )
-        out.append(tuple(row))
+    for i, row in enumerate(m):
+        c = row[kk]
+        if i == kk:
+            row = tuple(-x for x in row)
+        elif c:
+            row = [a + c * b for a, b in zip(row, pos if c > 0 else neg)]
+            row[kk] = -c
+            row = tuple(row)
+        else:
+            row = tuple(row)
+        out.append(row)
     return tuple(out)
 
 
@@ -424,10 +428,7 @@ class Seed:
 
 
 def _rf_sort_key(f: RationalFunction):
-    return (
-        tuple(sorted(f.num.terms.items())),
-        tuple(sorted(f.den.terms.items())),
-    )
+    return (f.num.sort_key(), f.den.sort_key())
 
 
 def root_seed(kind, b0, nfrozen=0) -> Seed:

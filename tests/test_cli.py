@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cluster_friezes
-from cluster_friezes import cli, finite, verify
+from cluster_friezes import cli, finite, laurent, verify
 from cluster_friezes.cli import main
 from cluster_friezes.errors import NotDivisible, NotFound, ZeroDenominator
 from cluster_friezes.laurent import RationalFunction
@@ -233,6 +233,19 @@ class TestVerifyAndErrors:
         )
         assert code == 3
         assert json.loads(err)["error"] == "TropOverflow"
+
+    def test_exponent_overflow_exit_3(self, capsys, monkeypatch):
+        # with the monomial budget lifted, x1^(2^30) leaves the packed
+        # exponent range of laurent: exit 3, never a wrapped exponent
+        monkeypatch.setattr(finite, "MONOMIAL_EXPONENT_BUDGET", 2**62)
+        limit = laurent.EXPONENT_LIMIT
+        argv = ("monomial", "--cartan", "A1", "--space", "A", "--coords")
+        code, out, _ = run(capsys, *argv, str(1 - limit))
+        assert code == 0
+        assert json.loads(out)["expression"] == f"x1^{limit - 1}"
+        code, out, err = run(capsys, *argv, str(-limit))
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "ExponentOverflow"
 
     def test_window_bound_exit_3(self, capsys):
         # far windows are refused before any cell is computed; the first two

@@ -24,12 +24,17 @@ from pathlib import Path
 
 import cluster_friezes
 from cluster_friezes.cli import main
+from cluster_friezes.finite import finite_context, named_cartan
+from cluster_friezes.mutation import enumerate_exchange_graph
+from cluster_friezes.verify import DEFAULT_TYPES
 
 HERE = Path(__file__).resolve().parent
 README = HERE.parent / "README.md"
 EXPECTED = HERE / "data" / "readme_cli.txt"
 VERIFY_ALL = "cluster-friezes verify --suite all"
 VERIFY_ALL_SHA256 = "c03017aad88b92643ebfeef03de9432a907a4043ae7bf0690a6365223ef59951"
+# every DEFAULT_TYPES A- and Y-graph, seed by seed in walk order
+GRAPHS_SHA256 = "0ec6383a9012bd8f69f1644b64f2c329244d9dc3e98799a92b6b0345cb1a3d2c"
 
 
 def readme_examples():
@@ -90,6 +95,19 @@ def test_verify_all_stdout_digest():
     code, out = run_example(VERIFY_ALL)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
+def test_default_graphs_digest():
+    # the same seeds, in the same order, at the same addresses
+    lines = []
+    for name in DEFAULT_TYPES:
+        b = finite_context(named_cartan(name)).belts.b
+        for kind in ("A", "Y"):
+            for seed in enumerate_exchange_graph(kind, b).seeds.values():
+                cluster = [x.to_str() for x in seed.cluster]
+                lines.append(f"{name} {kind} {seed.address} {cluster} {seed.matrix}")
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == GRAPHS_SHA256
 
 
 def exported_annotated():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cluster_friezes import laurent
 from cluster_friezes.errors import (
+    ExponentOverflow,
     NotDivisible,
     SubtractionFreeViolation,
     ZeroDenominator,
@@ -629,3 +630,235 @@ class TestFieldLaws:
             if vd:
                 assert evaluate(f.den, point) != 0
                 assert rf_value(f, point) == evaluate(n, point) / vd
+
+
+# -- packed monomials against tuple-keyed references ---------------------------
+#
+# A polynomial stores one packed int per monomial.  These tests pin the
+# packing to plain arithmetic on exponent tuples, written here independently
+# of `laurent`, over 0..12 variables with negative exponents, and pin the
+# range check: an exponent or total degree outside
+# [-EXPONENT_LIMIT, EXPONENT_LIMIT) raises and never wraps into another
+# monomial.
+
+LIMIT = laurent.EXPONENT_LIMIT
+
+
+def grlex(exp):
+    return (sum(exp), exp)
+
+
+def ref_mul(s, t):
+    out = {}
+    for e1, c1 in s.items():
+        for e2, c2 in t.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_shift(s, exp):
+    return {tuple(a + b for a, b in zip(e, exp)): c for e, c in s.items()}
+
+
+def ref_min(s):
+    return tuple(map(min, zip(*s)))
+
+
+def ref_exact_div(s, t):
+    """s/t by graded-lex leading-term elimination on exponent tuples, for
+    nonzero t that divides s."""
+    smin, tmin = ref_min(s), ref_min(t)
+    rem = ref_shift(s, tuple(-x for x in smin))
+    q = ref_shift(t, tuple(-x for x in tmin))
+    qe = max(q, key=grlex)
+    out = {}
+    while rem:
+        re = max(rem, key=grlex)
+        de = tuple(a - b for a, b in zip(re, qe))
+        assert all(x >= 0 for x in de) and rem[re] % q[qe] == 0
+        dc = out[de] = rem[re] // q[qe]
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(de, e2))
+            rem[e] = rem.get(e, 0) - dc * c2
+            if not rem[e]:
+                del rem[e]
+    return ref_shift(out, tuple(a - b for a, b in zip(smin, tmin)))
+
+
+def term_dicts(n, span=3, max_terms=4):
+    """Tuple-keyed terms in n variables, zero coefficients included."""
+    exps = st.tuples(*[st.integers(-span, span)] * n)
+    return st.dictionaries(exps, st.integers(-5, 5), max_size=max_terms)
+
+
+packed_cases = st.integers(0, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        term_dicts(n),
+        term_dicts(n),
+        st.tuples(*[st.integers(-3, 3)] * n),
+    )
+)
+
+
+def in_range(exp):
+    return all(-LIMIT <= x < LIMIT for x in exp) and -LIMIT <= sum(exp) < LIMIT
+
+
+class TestPacking:
+    @settings(max_examples=150, deadline=None)
+    @given(packed_cases)
+    def test_round_trip_and_leading(self, case):
+        n, s, _, _ = case
+        nonzero = {e: c for e, c in s.items() if c}
+        p = P(n, s)
+        assert p.terms == nonzero
+        assert p == P(n, nonzero) and hash(p) == hash(P(n, nonzero))
+        if nonzero:
+            top = max(nonzero, key=grlex)
+            assert p.leading() == (top, nonzero[top])
+            assert p.min_exponents() == ref_min(nonzero)
+
+    @settings(max_examples=150, deadline=None)
+    @given(packed_cases)
+    def test_products_shifts_quotients(self, case):
+        n, s, t, exp = case
+        p, q = P(n, s), P(n, t)
+        product = p * q
+        shifted = p.shift(exp)
+        assert product.terms == ref_mul(p.terms, q.terms)
+        assert shifted.terms == ref_shift(p.terms, exp)
+        assert (p**2).terms == ref_mul(p.terms, p.terms)
+        if not q.is_zero():
+            quotient = product.exact_div(q)
+            assert quotient == p
+            if not p.is_zero():
+                assert quotient.terms == ref_exact_div(product.terms, q.terms)
+                # true polynomials with monomial content, divided directly
+                a, b = (f.shift(tuple(1 - m for m in f.min_exponents())) for f in (p, q))
+                h = laurent._poly_exact_div(a * b, b)
+                assert h == a and h.min_exponents() == ref_min(h.terms)
+        # the carried monomial content is the one the terms give
+        for r in (product, shifted, -p, p * 3, p**2, product.exact_div(q) if q else p):
+            if not r.is_zero():
+                assert r.min_exponents() == ref_min(r.terms)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.integers(-(LIMIT // n), LIMIT // n - 1)] * n),
+                min_size=2,
+                max_size=2,
+                unique=True,
+            )
+        )
+    )
+    def test_leading_is_grlex_max(self, pair):
+        # packed int order is graded-lex order, also far from 0
+        n = len(pair[0])
+        assert P(n, dict.fromkeys(pair, 1)).leading()[0] == max(pair, key=grlex)
+
+
+near_limit = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-LIMIT - 2, -LIMIT + 2),
+    st.integers(LIMIT - 3, LIMIT + 1),
+    st.integers(-(2**40), 2**40),
+)
+
+
+def near_limit_exps(n):
+    return st.tuples(*[near_limit] * n)
+
+
+class TestPackedRange:
+    """Past the packed range every operation raises; inside it, nothing
+    wraps into a neighbouring digit."""
+
+    def test_construction_edges(self):
+        for n in (1, 2, 12):
+            zeros = (0,) * (n - 1)
+            for e in ((LIMIT - 1,), (-LIMIT,)):
+                assert P(n, {e + zeros: 1}).terms == {e + zeros: 1}
+            for e in ((LIMIT,), (-LIMIT - 1,), (2**40,), (-(2**40),)):
+                with pytest.raises(ExponentOverflow):
+                    P(n, {e + zeros: 1})
+                with pytest.raises(ExponentOverflow):
+                    P.monomial(e + zeros)
+        # the degree digit has the same range
+        for e in ((LIMIT - 1, 1), (-LIMIT, -1)):
+            with pytest.raises(ExponentOverflow):
+                P(2, {e: 1})
+        # packed unchecked, these entries carry and borrow into digits that
+        # absorb them, which reads as x2^7 x4^5: they are refused first
+        with pytest.raises(ExponentOverflow):
+            P(4, {(1, -(2**32) + 7, -1, 2**32 + 5): 1})
+
+    def test_operation_edges(self):
+        top = P.monomial((LIMIT - 1, 0))
+        bottom = P.monomial((-LIMIT, 0))
+        x1, x2 = P.variable(1, 2), P.variable(2, 2)
+        for op in (
+            lambda: top * x1,
+            lambda: top * x2,
+            lambda: bottom * P.monomial((-1, 0)),
+            lambda: top.shift((0, 1)),
+            lambda: bottom.shift((-1, 0)),
+            lambda: x1 ** LIMIT,
+            lambda: P.monomial((2**20, -(2**20))) ** (2**11),
+            lambda: top * (P.one(2) + x1),
+        ):
+            with pytest.raises(ExponentOverflow):
+                op()
+        assert (x1 ** (LIMIT - 1)).terms == {(LIMIT - 1, 0): 1}
+        # dividing out the least exponent -LIMIT shifts by +LIMIT
+        low = bottom * (P.one(2) + x2)
+        assert low.exact_div(P.one(2) + x2) == bottom
+        assert bottom.exact_div(P.monomial((-1, 0))).terms == {(1 - LIMIT, 0): 1}
+        with pytest.raises(ExponentOverflow):
+            RF(P.one(2), bottom)
+        assert (top * P.monomial((-1, 1))).terms == {(LIMIT - 2, 1): 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(near_limit_exps(n), near_limit_exps(n), st.integers(2, 5))
+        )
+    )
+    def test_never_wraps(self, case):
+        a, b, k = case
+        n = len(a)
+        if not in_range(a):
+            with pytest.raises(ExponentOverflow):
+                P.monomial(a)
+            return
+        pa = P.monomial(a)
+        assert pa.terms == {a: 1}
+        if not in_range(b):
+            return
+        pb = P.monomial(b)
+        ab = tuple(x + y for x, y in zip(a, b))
+        for op in (lambda: pa * pb, lambda: pa.shift(b)):
+            if in_range(ab):
+                assert op().terms == {ab: 1}
+            else:
+                with pytest.raises(ExponentOverflow):
+                    op()
+        ak = tuple(k * x for x in a)
+        if in_range(ak):
+            assert (pa**k).terms == {ak: 1}
+        else:
+            with pytest.raises(ExponentOverflow):
+                pa**k
+        # two terms: only the surviving monomials decide
+        two = pa + P.one(n)
+        two_terms = {a: 1}
+        two_terms[(0,) * n] = two_terms.get((0,) * n, 0) + 1
+        expected = ref_mul(two_terms, {b: 2})
+        if all(map(in_range, expected)):
+            assert (two * (pb * 2)).terms == expected
+        else:
+            with pytest.raises(ExponentOverflow):
+                two * (pb * 2)

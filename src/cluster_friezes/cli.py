@@ -76,10 +76,14 @@ def _json_object(value, what):
     return value
 
 
-# Largest |m| a window may reach.  A cell's cost grows with |m| (the belt
-# vertex t(i, m) lies about r*|m| edges from the root), so a window past it
-# is refused before any cell is computed.
+# Largest |m| a window, or the anchor column of `hammock`, may reach.  A
+# cell's cost grows with |m| (the belt vertex t(i, m) lies about r*|m| edges
+# from the root), so a column past it is refused before any cell is computed.
 WINDOW_LIMIT = 1000
+
+# Largest `verify --trials`, ten times the largest acceptance size (1,000,
+# shift-laws); a larger count is refused before any suite runs.
+TRIALS_LIMIT = 10_000
 
 
 def _parse_window(text):
@@ -268,6 +272,8 @@ def cmd_decompose(args):
 def cmd_hammock(args):
     cartan = _load_cartan(args)
     m_lo, m_hi = _parse_window(args.window)
+    if abs(args.m) > WINDOW_LIMIT:
+        raise BudgetExceeded(f"--m {args.m} is past |m| = {WINDOW_LIMIT}")
     h = hammock(cartan, args.i, args.m)
     _emit_table(args, h.value, cartan.rank, m_lo, m_hi)
     return 0
@@ -287,6 +293,11 @@ def cmd_fpoly(args):
 
 
 def cmd_verify(args):
+    for flag, count in (("--trials", args.trials), ("--budget", args.budget)):
+        if count is not None and count < 1:
+            raise ValueError(f"{flag} must be at least 1, got {count}")
+    if args.trials is not None and args.trials > TRIALS_LIMIT:
+        raise BudgetExceeded(f"--trials {args.trials} exceeds {TRIALS_LIMIT}")
     kwargs = {
         "rng_seed": args.rng_seed,
         "trials": args.trials,

@@ -14,8 +14,9 @@ spread of each exponent must stay in range too.  `.terms` and the
 constructor speak exponent tuples.  Fractions are kept in a canonical
 reduced form so that equality is plain dict comparison:
 
-  * the denominator is a true polynomial with nonzero constant term (all
-    monomial content lives in the numerator),
+  * the denominator is a true polynomial without a monomial factor (all
+    monomial content lives in the numerator); it may lack a constant term,
+    as 1/(x1 + x2) does,
   * numerator and denominator share no polynomial factor and no integer
     content,
   * the graded-lex leading coefficient of the denominator is positive.
@@ -487,6 +488,11 @@ def _poly_exact_div(p, q):
 # The Kronecker heuristic comes first because it is the cheaper one: it
 # certifies one candidate where the heuristic by variable certifies one per
 # variable, and run alone the latter made the y-walk benchmark 1.7x slower.
+#
+# Both draw their points from `_evaluation_points`: xi starts at
+# 2 min(|p|, |q|) + 29 and grows by the factor 73794/27011 of the paper, for
+# at most `_HEU_TRIES` points and while an image of degree `top` evaluated
+# at xi stays within about `_HEU_MAX_BITS` bits.
 
 # Evaluation points tried before falling back to the PRS, and the largest
 # evaluated integer, in bits, that a try may build.
@@ -557,8 +563,8 @@ def _heuristic_gcd(p, q):
     """(g, p/g, q/g) for primitive p, q of two or more terms and without a
     monomial factor, g with a positive leading coefficient, or None.
 
-    None means that no evaluation point gave a certified candidate within
-    `_HEU_TRIES` tries and `_HEU_MAX_BITS` bits.
+    None means that no point of `_evaluation_points` gave a certified
+    candidate.
     """
     n = p.nvars
     pt, qt = p.terms, q.terms
@@ -573,38 +579,28 @@ def _heuristic_gcd(p, q):
         w *= r
     # The gcd G has no monomial factor, so its image is t^g G' with G'(0) != 0,
     # and G' divides both images divided by their lowest powers of t.  G' is
-    # constant only when G = 1: the coprimality bound below still holds.
-    pk, plow = _kronecker(pt, weights)
-    qk, qlow = _kronecker(qt, weights)
-    top = max(pk[0][0], qk[0][0])
-    # the bound of the paper's theorem is xi > 2 min(|p|, |q|) + 2
-    norm = min(max(map(abs, f._packed.values())) for f in (p, q))
-    xi = 2 * norm + 29
-    # G read from index 0 (G has a constant term) or from the images' common
-    # order; other orders are left to later tries and the PRS
-    offsets = (0, min(plow, qlow)) if min(plow, qlow) else (0,)
-    for _ in range(_HEU_TRIES):
-        if (top + 1) * xi.bit_length() > _HEU_MAX_BITS:
-            return None
+    # constant only when G = 1: the coprimality bound below still holds.  A
+    # candidate read from index 0 is G only if g = 0; the heuristic by
+    # variable finds the other G.
+    pk, qk = _kronecker(pt, weights), _kronecker(qt, weights)
+    for xi in _evaluation_points(p, q, max(pk[0][0], qk[0][0])):
         gamma = int_gcd(_eval_descending(pk, xi), _eval_descending(qk, xi))
         if gamma <= xi // 2:
             # every nonconstant common divisor G' has |G'(xi)| > xi/2, and
             # G'(xi) divides gamma: the operands are coprime
             return IntLaurentPoly.one(n), p, q
-        for offset in offsets:
-            h = _from_digits(gamma, xi, radix, offset)
-            if h is not None:
-                found = _certify(p, q, h)
-                if found is not None:
-                    return found
-        xi = xi * 73794 // 27011
+        h = _from_digits(gamma, xi, radix)
+        if h is not None:
+            found = _certify(p, q, h)
+            if found is not None:
+                return found
     return None
 
 
 def _heuristic_gcd_by_variable(p, q):
     """`_heuristic_gcd` as Char, Geddes and Gonnet give it: one variable at a
-    time.  None means that some variable found no certified candidate within
-    `_HEU_TRIES` tries and `_HEU_MAX_BITS` bits.
+    time.  None means that some variable found no certified candidate at any
+    point of `_evaluation_points`.
 
     The Kronecker images of coprime cofactors can share a factor for every
     evaluation point (x1 + 1 and x2 + 1 map to t + 1 and t^r + 1, and t + 1
@@ -614,13 +610,7 @@ def _heuristic_gcd_by_variable(p, q):
     the point, and a later point avoids it.
     """
     v = max(i for i in range(p.nvars) if p.degree_in(i) or q.degree_in(i))
-    top = max(p.degree_in(v), q.degree_in(v))
-    # with xi > 2 min(|p|, |q|) + 2 a certified candidate is the gcd, given
-    # that the images' gcd is (the theorem of `_heuristic_gcd`)
-    xi = 2 * min(max(map(abs, f._packed.values())) for f in (p, q)) + 29
-    for _ in range(_HEU_TRIES):
-        if (top + 1) * xi.bit_length() > _HEU_MAX_BITS:
-            return None
+    for xi in _evaluation_points(p, q, max(p.degree_in(v), q.degree_in(v))):
         pv, qv = _evaluate_at(p, v, xi), _evaluate_at(q, v, xi)
         if pv._packed and qv._packed:
             images = _by_parts(pv, qv, _heuristic_gcd_by_variable)
@@ -633,8 +623,19 @@ def _heuristic_gcd_by_variable(p, q):
                     found = _certify(p, q, _primitive(g))
                     if found is not None:
                         return found
-        xi = xi * 73794 // 27011
     return None
+
+
+def _evaluation_points(p, q, top):
+    """The points xi of both heuristics, for images of degree at most `top`."""
+    # with xi > 2 min(|p|, |q|) + 2 a certified candidate is the gcd, given
+    # that the images' gcd is (the theorem of Char, Geddes and Gonnet)
+    xi = 2 * min(max(map(abs, f._packed.values())) for f in (p, q)) + 29
+    for _ in range(_HEU_TRIES):
+        if (top + 1) * xi.bit_length() > _HEU_MAX_BITS:
+            return
+        yield xi
+        xi = xi * 73794 // 27011
 
 
 def _certify(p, q, g):
@@ -682,14 +683,13 @@ def _interpolate(p, v, xi):
 
 def _kronecker(terms, weights):
     """(index, coefficient) pairs, descending, of the polynomial with `terms`
-    under x_i -> t^weights[i] divided by its lowest power of t, and that
-    power's exponent."""
+    under x_i -> t^weights[i] divided by its lowest power of t."""
     pairs = sorted(
         ((sum(map(int.__mul__, e, weights)), c) for e, c in terms.items()),
         reverse=True,
     )
     low = pairs[-1][0]
-    return ([(k - low, c) for k, c in pairs] if low else pairs), low
+    return [(k - low, c) for k, c in pairs] if low else pairs
 
 
 def _eval_descending(pairs, xi):
@@ -709,18 +709,17 @@ def _eval_descending(pairs, xi):
     return value * xi**prev
 
 
-def _from_digits(gamma, xi, radix, k=0):
+def _from_digits(gamma, xi, radix):
     """The primitive polynomial, positive leading coefficient, whose Kronecker
-    image has the symmetric xi-adic digits of gamma from index k on; None if
-    an index is too large."""
+    image has the symmetric xi-adic digits of gamma; None if an index is too
+    large."""
     terms = {}
     for index, d in _symmetric_digits(gamma, xi):
         exp = []
-        rest = index + k
         for r in radix:
-            rest, e = divmod(rest, r)
+            index, e = divmod(index, r)
             exp.append(e)
-        if rest:
+        if index:
             return None
         terms[tuple(exp)] = d
     return _primitive(IntLaurentPoly(len(radix), terms))

@@ -129,35 +129,42 @@ def suite_remark_not_in(**_):
     return ok, details
 
 
-def suite_closure_counts(types=DEFAULT_TYPES, budget=10_000, **_):
-    """Variable counts of the finite exchange graphs against the root count."""
-    details = {}
+def _over_types(types, check, rng_seed=None):
+    """(ok, details) of `check(name, cartan, ctx, rng) -> (ok, entry)` on each
+    named type in turn, the entry filed under the name; all types draw from
+    one random.Random(rng_seed), whose seed the details record if given."""
+    rng = random.Random(rng_seed)
+    details = {} if rng_seed is None else {"rng_seed": rng_seed}
     ok = True
     for name in types:
-        ctx = finite_context(named_cartan(name))
+        cartan = named_cartan(name)
+        type_ok, details[name] = check(name, cartan, finite_context(cartan), rng)
+        ok = ok and type_ok
+    return ok, details
+
+
+def suite_closure_counts(types=DEFAULT_TYPES, budget=10_000, **_):
+    """Variable counts of the finite exchange graphs against the root count."""
+
+    def check(name, cartan, ctx, rng):
         try:
             graph = ctx.graph("A", ctx.belts.bt, budget)
         except BudgetExceeded:
-            details[name] = "budget exceeded"
-            ok = False
-            continue
+            return False, "budget exceeded"
         count = len(graph.cluster_variables())
         expected = ctx.roots.rank + len(ctx.roots.positive_roots)
-        details[name] = {"variables": count, "expected": expected}
-        ok = ok and count == expected
+        ok = count == expected
         if name in EXPECTED_VARIABLE_COUNTS:
             ok = ok and count == EXPECTED_VARIABLE_COUNTS[name]
-    return ok, details
+        return ok, {"variables": count, "expected": expected}
+
+    return _over_types(types, check)
 
 
 def suite_periodicity(types=DEFAULT_TYPES, trials=200, rng_seed=0, **_):
     """Gliding-symmetry invariance of generic patterns and random functions."""
-    rng = random.Random(rng_seed)
-    details = {"rng_seed": rng_seed}
-    ok = True
-    for name in types:
-        cartan = named_cartan(name)
-        ctx = finite_context(cartan)
+
+    def check(name, cartan, ctx, rng):
         r = cartan.rank
         m_hi = 2 * max(ctx.roots.orbit_lengths) + 4
         at = cartan.transpose()
@@ -173,19 +180,17 @@ def suite_periodicity(types=DEFAULT_TYPES, trials=200, rng_seed=0, **_):
         violations = verify_periodicity(cartan, -2, m_hi, friezes)
         generic_bad = sum(1 for tag, _, _ in violations if tag in ("x", "y"))
         bad = len(violations) - generic_bad
-        details[name] = {"generic_violations": generic_bad, "violations": bad}
-        ok = ok and generic_bad == 0 and bad == 0
-    return ok, details
+        return generic_bad == 0 and bad == 0, {
+            "generic_violations": generic_bad, "violations": bad,
+        }
+
+    return _over_types(types, check, rng_seed)
 
 
 def suite_realization(types=SMALL_TYPES, trials=100, rng_seed=0, **_):
     """Coordinate readback along the belt equals the defining recursions."""
-    rng = random.Random(rng_seed)
-    details = {"rng_seed": rng_seed}
-    ok = True
-    for name in types:
-        cartan = named_cartan(name)
-        ctx = finite_context(cartan)
+
+    def check(name, cartan, ctx, rng):
         r = cartan.rank
         bad = 0
         for _ in range(trials):
@@ -202,19 +207,16 @@ def suite_realization(types=SMALL_TYPES, trials=100, rng_seed=0, **_):
             k_rec = FriezeFunction.from_slice("cluster-additive", cartan, k.slice_at(0))
             if not k.agrees_with(k_rec, -6, 6):
                 bad += 1
-        details[name] = {"disagreements": bad}
-        ok = ok and bad == 0
-    return ok, details
+        return bad == 0, {"disagreements": bad}
+
+    return _over_types(types, check, rng_seed)
 
 
 def suite_pairing(types=SMALL_TYPES, trials=50, rng_seed=0, **_):
     """Triple agreement of the duality pairing plus the explicit monomial
     formulas (each call is internally cross-checked and raises on mismatch)."""
-    rng = random.Random(rng_seed)
-    details = {"rng_seed": rng_seed}
-    for name in types:
-        cartan = named_cartan(name)
-        ctx = finite_context(cartan)
+
+    def check(name, cartan, ctx, rng):
         r = cartan.rank
         checked = 0
         for _ in range(trials):
@@ -224,22 +226,20 @@ def suite_pairing(types=SMALL_TYPES, trials=50, rng_seed=0, **_):
             x_from_rho(cartan, rho)
             y_from_delta(cartan, delta)
             checked += 1
-        details[name] = {"pairs": checked}
-    return True, details
+        return True, {"pairs": checked}
+
+    return _over_types(types, check, rng_seed)
 
 
 def suite_decomposition(types=DEFAULT_TYPES, trials=100, rng_seed=0, **_):
     """Hammock decomposition reconstructs exactly; hammocks satisfy the
     tropical-frieze recursion."""
-    rng = random.Random(rng_seed)
-    details = {"rng_seed": rng_seed}
-    ok = True
-    for name in types:
-        cartan = named_cartan(name)
-        ctx = finite_context(cartan)
+
+    def check(name, cartan, ctx, rng):
         r = cartan.rank
         dom = ctx.domain()
         m_hi = max(m for _, m in dom)
+        ok = True
         for i, m in dom:
             h = hammock(cartan, i, m)
             as_frieze = FriezeFunction.from_values("tropical-frieze", cartan, h.value)
@@ -254,29 +254,24 @@ def suite_decomposition(types=DEFAULT_TYPES, trials=100, rng_seed=0, **_):
             rebuilt = reconstruct_from_hammocks(cartan, parts)
             if any(rebuilt.value(i, m) != k.value(i, m) for i, m in dom):
                 bad += 1
-        details[name] = {"failures": bad}
-        ok = ok and bad == 0
-    return ok, details
+        return ok and bad == 0, {"failures": bad}
+
+    return _over_types(types, check, rng_seed)
 
 
 def suite_d_duality(types=SMALL_TYPES, **_):
-    details = {}
-    ok = True
-    for name in types:
-        bad = d_duality_check(named_cartan(name))
-        details[name] = {"violations": len(bad)}
-        ok = ok and not bad
-    return ok, details
+    def check(name, cartan, ctx, rng):
+        bad = d_duality_check(cartan)
+        return not bad, {"violations": len(bad)}
+
+    return _over_types(types, check)
 
 
 def suite_fpoly_separation(types=DEFAULT_TYPES, **_):
     """Coefficient-polynomial recursion against the principal-coefficient
     pattern, and the separation identity at every enumerated vertex."""
-    details = {}
-    ok = True
-    for name in types:
-        cartan = named_cartan(name)
-        ctx = finite_context(cartan)
+
+    def check(name, cartan, ctx, rng):
         r = cartan.rank
         table = fim_recursion(cartan)
         mismatches = 0
@@ -288,20 +283,18 @@ def suite_fpoly_separation(types=DEFAULT_TYPES, **_):
         for seed in ctx.y_graph().seeds.values():
             if not separation_check(ctx.belts.b, seed.address):
                 sep_fail += 1
-        details[name] = {"fpoly_mismatches": mismatches, "separation_failures": sep_fail}
-        ok = ok and mismatches == 0 and sep_fail == 0
-    return ok, details
+        return mismatches == 0 and sep_fail == 0, {
+            "fpoly_mismatches": mismatches, "separation_failures": sep_fail,
+        }
+
+    return _over_types(types, check)
 
 
 def suite_shift_laws(types=SMALL_TYPES, trials=1000, rng_seed=0, **_):
     """Slice stepping, piecewise-linear round trips, and the tropical shift."""
-    rng = random.Random(rng_seed)
-    details = {"rng_seed": rng_seed}
-    ok = True
     per_type = max(1, trials // len(types))
-    for name in types:
-        cartan = named_cartan(name)
-        ctx = finite_context(cartan)
+
+    def check(name, cartan, ctx, rng):
         r = cartan.rank
         eplus, eminus = PLMap(cartan, "+"), PLMap(cartan, "-")
         bad = 0
@@ -327,22 +320,19 @@ def suite_shift_laws(types=SMALL_TYPES, trials=1000, rng_seed=0, **_):
             )
             if shifted != reanchored:
                 bad += 1
-        details[name] = {"failures": bad}
-        ok = ok and bad == 0
-    return ok, details
+        return bad == 0, {"failures": bad}
+
+    return _over_types(types, check, rng_seed)
 
 
 def suite_admissibility(types=("A2", "B2"), rng_seed=0, **_):
     """Finite-type characterization: cluster monomials pass against their
     g-vectors at full depth, two-term sums fail against every sampled point."""
-    rng = random.Random(rng_seed)
-    details = {"rng_seed": rng_seed}
-    ok = True
-    for name in types:
-        cartan = named_cartan(name)
-        ctx = finite_context(cartan)
+
+    def check(name, cartan, ctx, rng):
         r = cartan.rank
         depth = 2 * len(ctx.a_graph().seeds)
+        ok = True
         checked = 0
         for seed in ctx.a_graph().seeds.values():
             exp_sets = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
@@ -359,16 +349,17 @@ def suite_admissibility(types=("A2", "B2"), rng_seed=0, **_):
                     ok = False
                 checked += 1
         sums_checked = 0
+        # a sum of two distinct cluster monomials of the initial seed
         x1 = RationalFunction.variable(1, r)
-        x2 = RationalFunction.variable(2, r)
-        two_term = x1 + x2
+        two_term = x1 + (RationalFunction.variable(2, r) if r > 1 else 1)
         for _ in range(25):
             rho = TropPoint("Y", ctx.belts.b, _rand_coords(rng, r))
             if check_admissible_A(two_term, rho, depth) is not False:
                 ok = False
             sums_checked += 1
-        details[name] = {"monomials": checked, "sums": sums_checked}
-    return ok, details
+        return ok, {"monomials": checked, "sums": sums_checked}
+
+    return _over_types(types, check, rng_seed)
 
 
 SUITES = {

@@ -157,6 +157,12 @@ class TestVerifyAndErrors:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
+    def test_verify_admissibility_rank_one(self, capsys):
+        # the two-term sum is x1 + 1 on rank 1, which has no x2
+        code, out, _ = run(capsys, "verify", "--suite", "admissibility", "--types", "A1")
+        assert code == 0
+        assert json.loads(out)["suites"][0]["details"]["A1"] == {"monomials": 6, "sums": 25}
+
     def test_invalid_cartan_exit_2(self, capsys, tmp_path):
         float_cartan = tmp_path / "cartan.json"
         float_cartan.write_text('{"A": [[2, -1], [-1.0, 2]]}')
@@ -168,6 +174,13 @@ class TestVerifyAndErrors:
             (("frieze", "--cartan", "Z9", "--kind", "trop", "--slice", "0,0"),
              "ValueError"),
             (("hammock", "--cartan", "A2", "--i", "5"), "DimensionMismatch"),
+            # counts below 1 would let a suite pass after checking nothing
+            (("verify", "--suite", "realization", "--types", "A2",
+              "--trials", "-1"), "ValueError"),
+            (("verify", "--suite", "realization", "--types", "A2",
+              "--trials", "0"), "ValueError"),
+            (("verify", "--suite", "closure-counts", "--types", "A2",
+              "--budget", "-5"), "ValueError"),
             (("frieze", "--cartan", "A2", "--kind", "trop", "--slice", "1,0",
               "--window", "5..1"), "ValueError"),
             # exact integers only: no float or boolean is truncated to an int
@@ -257,6 +270,14 @@ class TestVerifyAndErrors:
             ("frieze", "--cartan", "A2", "--kind", "trop", "--slice", "1,0",
              "--window", "-1001..0"),
             ("fpoly", "--cartan", "A2", "--window", "0..1001"),
+            # the anchor column too; --m 10^8 ran past 20 s column by column
+            ("hammock", "--cartan", "A2", "--i", "1", "--m", "100000000"),
+            ("hammock", "--cartan", "A2", "--i", "1", "--m", "-1001"),
+            # and verify's trial count; 10^11 ran past 60 s
+            ("verify", "--suite", "shift-laws", "--types", "A2",
+             "--trials", str(cli.TRIALS_LIMIT + 1)),
+            ("verify", "--suite", "shift-laws", "--types", "A2",
+             "--trials", "100000000000"),
         ):
             code, out, err = run(capsys, *argv)
             assert code == 3, argv
@@ -268,6 +289,12 @@ class TestVerifyAndErrors:
         assert out.splitlines()[0].split("\t")[1:] == [
             str(cli.WINDOW_LIMIT - 1), str(cli.WINDOW_LIMIT)
         ]
+        for m in (cli.WINDOW_LIMIT, -cli.WINDOW_LIMIT):
+            code, out, _ = run(
+                capsys, "hammock", "--cartan", "A2", "--i", "1", "--m", str(m),
+                "--window", "0..1",
+            )
+            assert code == 0 and out.splitlines()[0] == "i\\m\t0\t1", m
 
     def test_monomial_budget_exit_3(self):
         # rho becomes the exponent of 2/x1; the budget must stop it before

@@ -410,6 +410,21 @@ class TestGcdByVariable:
                 assert rf_value(total, point) == sum(rf_value(f, point) for f in parts)
 
 
+class TestGcdWithoutConstantTerm:
+    """A gcd without a constant term, of operands without one, is left by
+    the Kronecker heuristic (it reads its candidate from index 0) to the
+    heuristic by variable."""
+
+    def test_cofactors_with_constant_term(self, monkeypatch):
+        x1, x2, x3 = (P.variable(i, 3) for i in (1, 2, 3))
+        one = P.one(3)
+        p, q = (x1 + x2) * (one + x3), (x1 + x2) * (2 * one + x3)
+        monkeypatch.setattr(laurent, "_poly_gcd_prs", _no_prs)
+        assert _heuristic_gcd(p, q) is None
+        assert _gcd_cofactors(p, q) == (x1 + x2, one + x3, 2 * one + x3)
+        assert RF(p, q) == RF(one + x3, 2 * one + x3)
+
+
 class TestMonomialContent:
     """Each operand's monomial factor is split off before the heuristic, so
     Kronecker images that share a power of t do not send it to the PRS."""

@@ -365,20 +365,23 @@ def verify_periodicity(cartan, m_lo, m_hi, friezes=()):
     of violations (expected empty)."""
     ctx = finite_context(cartan)
     b = ctx.belts
+    # each cell with its image under the gliding symmetry, read once for all
+    # the functions
+    cells = [
+        (i, m) + ctx.fa.apply(i, m)
+        for i in range(1, cartan.rank + 1)
+        for m in range(m_lo, m_hi + 1)
+    ]
     violations = []
-    for i in range(1, cartan.rank + 1):
-        for m in range(m_lo, m_hi + 1):
-            j, n = ctx.fa.apply(i, m)
-            if b.x_sv(i, m) != b.x_sv(j, n):
-                violations.append(("x", i, m))
-            if b.y(i, m) != b.y(j, n):
-                violations.append(("y", i, m))
+    for i, m, j, n in cells:
+        if b.x_sv(i, m) != b.x_sv(j, n):
+            violations.append(("x", i, m))
+        if b.y(i, m) != b.y(j, n):
+            violations.append(("y", i, m))
     for tag, f in enumerate(friezes):
-        for i in range(1, cartan.rank + 1):
-            for m in range(m_lo, m_hi + 1):
-                j, n = ctx.fa.apply(i, m)
-                if f.value(i, m) != f.value(j, n):
-                    violations.append((f"frieze{tag}", i, m))
+        for i, m, j, n in cells:
+            if f.value(i, m) != f.value(j, n):
+                violations.append((f"frieze{tag}", i, m))
     return violations
 
 

@@ -76,20 +76,6 @@ class CartanMatrix:
             for i in range(r)
         )
 
-    def upper_part(self):
-        a = self.entries
-        r = self.rank
-        return tuple(
-            tuple(a[i][j] if i < j else 0 for j in range(r)) for i in range(r)
-        )
-
-    def lower_part(self):
-        a = self.entries
-        r = self.rank
-        return tuple(
-            tuple(a[i][j] if i > j else 0 for j in range(r)) for i in range(r)
-        )
-
     def __eq__(self, other):
         return isinstance(other, CartanMatrix) and self.entries == other.entries
 
@@ -98,6 +84,33 @@ class CartanMatrix:
 
     def __repr__(self):
         return f"CartanMatrix({list(map(list, self.entries))})"
+
+
+# -- the knitting relation ---------------------------------------------------
+
+# The nonzero terms of S(i, m), one table per Cartan matrix, shared by every
+# function and PL map over it (shift-laws alone builds thousands of
+# functions).  Entry i (0-based) is a pair (later, earlier) of tuples of
+# (j, -a_ji) with a_ji != 0: later holds the j > i, read in column m, and
+# earlier the j < i, read in column m + 1.  A column of a finite-type Cartan
+# matrix has at most three nonzero off-diagonal entries, so a relation reads
+# a few cells, not r.
+_knitting_terms = _Registry()
+
+
+def _terms(cartan):
+    return _knitting_terms.get(cartan.entries, _make_terms, cartan.entries)
+
+
+def _make_terms(a):
+    r = len(a)
+    return tuple(
+        (
+            tuple((j, -a[j][i]) for j in range(i + 1, r) if a[j][i]),
+            tuple((j, -a[j][i]) for j in range(i) if a[j][i]),
+        )
+        for i in range(r)
+    )
 
 
 class FriezeFunction:
@@ -116,6 +129,8 @@ class FriezeFunction:
         self.kind = kind
         self.cartan = cartan
         self._value_fn = value_fn
+        self._rank = cartan.rank
+        self._terms = _terms(cartan)
 
     # -- constructors ------------------------------------------------------
 
@@ -127,9 +142,17 @@ class FriezeFunction:
         self = cls(kind, cartan, None)
         # columns by m, a run of consecutive m around m0
         self._m0 = m0
-        self._columns = _Registry()
-        self._columns.items[m0] = values
-        self._value_fn = lambda i, m: self._columns.get(m, self._column, m)[i - 1]
+        self._columns = columns = _Registry()
+        cached = columns.items
+        cached[m0] = values
+
+        def value(i, m):
+            col = cached.get(m)
+            if col is None:
+                col = columns.get(m, self._column, m)
+            return col[i - 1]
+
+        self._value_fn = value
         return self
 
     @classmethod
@@ -138,14 +161,25 @@ class FriezeFunction:
 
     # -- recursion ---------------------------------------------------------
 
-    def _bracket(self, v):
-        return pp(v) if self.kind == "cluster-additive" else v
-
     def _pair_sum(self, col_m, col_m1, i):
-        a = self.cartan.entries
-        r = self.cartan.rank
-        s = sum(-a[j][i] * self._bracket(col_m[j]) for j in range(i + 1, r))
-        s += sum(-a[j][i] * self._bracket(col_m1[j]) for j in range(i))
+        """S(i, m) of the function's kind, for 0-based i, from columns m and
+        m + 1."""
+        later, earlier = self._terms[i]
+        s = 0
+        if self.kind == "cluster-additive":
+            for j, c in later:
+                v = col_m[j]
+                if v > 0:
+                    s += c * v
+            for j, c in earlier:
+                v = col_m1[j]
+                if v > 0:
+                    s += c * v
+            return s
+        for j, c in later:
+            s += c * col_m[j]
+        for j, c in earlier:
+            s += c * col_m1[j]
         return pp(s) if self.kind == "tropical-frieze" else s
 
     def _column(self, m):
@@ -153,7 +187,7 @@ class FriezeFunction:
         from m toward m0 to the nearest cached column, then extend one column
         at a time; each relation is linear in its unknown cur[i]."""
         cols = self._columns.items
-        r = self.cartan.rank
+        r = self._rank
         step = 1 if m > self._m0 else -1
         k = m
         while k not in cols:
@@ -169,19 +203,18 @@ class FriezeFunction:
     # -- interface -----------------------------------------------------------
 
     def value(self, i, m):
-        if not 1 <= i <= self.cartan.rank:
+        if not 1 <= i <= self._rank:
             raise DimensionMismatch(f"index {i} out of range")
         return self._value_fn(i, m)
 
     def slice_at(self, m):
-        return tuple(self.value(i, m) for i in range(1, self.cartan.rank + 1))
+        value = self._value_fn
+        return tuple(value(i, m) for i in range(1, self._rank + 1))
 
     def table(self, m_lo, m_hi):
-        return {
-            (i, m): self.value(i, m)
-            for m in range(m_lo, m_hi + 1)
-            for i in range(1, self.cartan.rank + 1)
-        }
+        value = self._value_fn
+        rows = range(1, self._rank + 1)
+        return {(i, m): value(i, m) for m in range(m_lo, m_hi + 1) for i in rows}
 
     def satisfies_recursion(self, m_lo, m_hi):
         """Exact check of the defining relation on all (i,m) with both columns
@@ -189,7 +222,7 @@ class FriezeFunction:
         for m in range(m_lo, m_hi + 1):
             col_m = self.slice_at(m)
             col_m1 = self.slice_at(m + 1)
-            for i in range(self.cartan.rank):
+            for i in range(self._rank):
                 if col_m[i] + col_m1[i] != self._pair_sum(col_m, col_m1, i):
                     return False
         return True
@@ -306,25 +339,32 @@ class PLMap:
             raise ValueError("sign must be '+' or '-'")
         self.cartan = cartan
         self.sign = sign
-        self.matrix = cartan.upper_part() if sign == "+" else cartan.lower_part()
+        # column i of U holds the a_ji with j < i, of L those with j > i:
+        # the earlier, resp. later, knitting terms of i
+        part = 1 if sign == "+" else 0
+        self._terms = tuple(t[part] for t in _terms(cartan))
 
     def apply(self, d):
         """Column vector in, row vector out."""
-        a = self.matrix
-        r = self.cartan.rank
-        return tuple(
-            d[i] + sum(pp(d[j]) * a[j][i] for j in range(r)) for i in range(r)
-        )
+        out = []
+        for i, terms in enumerate(self._terms):
+            s = d[i]
+            for j, c in terms:
+                if d[j] > 0:
+                    s -= c * d[j]
+            out.append(s)
+        return tuple(out)
 
     def invert(self, v):
         """Row vector in, column vector out, by forward substitution; the
         strict triangularity of the matrix makes each step explicit."""
-        a = self.matrix
-        r = self.cartan.rank
-        d = [0] * r
-        order = range(r) if self.sign == "+" else range(r - 1, -1, -1)
+        terms = self._terms
+        d = list(v)
+        order = range(len(d)) if self.sign == "+" else range(len(d) - 1, -1, -1)
         for i in order:
-            d[i] = v[i] - sum(pp(d[j]) * a[j][i] for j in range(r))
+            for j, c in terms[i]:
+                if d[j] > 0:
+                    d[i] += c * d[j]
         return tuple(d)
 
 

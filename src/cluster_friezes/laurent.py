@@ -900,7 +900,9 @@ def _poly_gcd_nonzero(p, q):
 class RationalFunction:
     """Reduced fraction of Laurent polynomials, canonical per module docstring."""
 
-    __slots__ = ("num", "den", "_hash")
+    # _sort_key is left unset here; mutation._rf_sort_key fills it on first
+    # use, so construction pays nothing for it
+    __slots__ = ("num", "den", "_hash", "_sort_key")
 
     def __init__(self, num, den=None, _reduced=False):
         if den is None:

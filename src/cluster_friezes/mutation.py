@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 
 from .errors import BudgetExceeded, DimensionMismatch, InternalDisagreement
 from .laurent import IntLaurentPoly, RationalFunction
@@ -419,16 +420,26 @@ class Seed:
     def unordered_key(self):
         """Canonical form under simultaneous permutation of cluster entries
         and matrix rows/columns; frozen rows keep their place."""
-        r = self.rank
-        order = sorted(range(r), key=lambda i: _rf_sort_key(self.cluster[i]))
-        cluster = tuple(self.cluster[i] for i in order)
-        rows = [tuple(self.matrix[i][j] for j in order) for i in order]
-        rows += [tuple(row[j] for j in order) for row in self.matrix[r:]]
-        return (cluster, tuple(rows))
+        cluster, matrix = self.cluster, self.matrix
+        if len(cluster) < 2:
+            # no permutation to undo (itemgetter of one index is no tuple)
+            return (cluster, matrix)
+        keys = [_rf_sort_key(x) for x in cluster]
+        order = sorted(range(len(cluster)), key=keys.__getitem__)
+        permute = itemgetter(*order)
+        rows = [permute(matrix[i]) for i in order]
+        rows += [permute(row) for row in matrix[len(cluster) :]]
+        return (permute(cluster), tuple(rows))
 
 
 def _rf_sort_key(f: RationalFunction):
-    return (f.num.sort_key(), f.den.sort_key())
+    """The sort key of f, computed on first use and kept on f: cluster
+    variables are shared by many seeds."""
+    try:
+        return f._sort_key
+    except AttributeError:
+        key = f._sort_key = (f.num.sort_key(), f.den.sort_key())
+        return key
 
 
 def root_seed(kind, b0, nfrozen=0) -> Seed:
@@ -787,7 +798,11 @@ def walk_exchange_graph(kind, b0, depth=None):
         level += 1
         next_frontier = []
         for v in frontier:
+            # the edge back to v's parent leads to a seed yielded before v
+            back = _LETTER[v]
             for k in range(1, r + 1):
+                if k == back:
+                    continue
                 child = _child(v, k)
                 seed = seed_at_vertex(child)
                 key = seed.unordered_key()

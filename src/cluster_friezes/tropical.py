@@ -13,7 +13,6 @@ rule and the width of the pattern matrix:
 from __future__ import annotations
 
 import math
-from functools import partial
 from itertools import product
 
 from .errors import DimensionMismatch, NegativeExponent
@@ -31,7 +30,6 @@ from .mutation import (
     matrix_pattern,
     matrix_times_col,
     mutate_seed,
-    pp,
     principal_extension,
     root_seed,
     row_times_matrix,
@@ -42,35 +40,47 @@ from .mutation import (
 
 
 def trop_mutate_A(coords, b, k):
-    """Tropicalized cluster-variable mutation in direction k (1-based)."""
+    """Tropicalized cluster-variable mutation in direction k (1-based):
+    x_k becomes max(sum of [b_jk]_+ x_j, sum of [-b_jk]_+ x_j) - x_k."""
     kk = k - 1
-    plus = sum(pp(b[j][kk]) * coords[j] for j in range(len(coords)))
-    minus = sum(pp(-b[j][kk]) * coords[j] for j in range(len(coords)))
-    new = -coords[kk] + max(plus, minus)
-    check_trop(new)
+    plus = minus = 0
+    for c, row in zip(coords, b):
+        bjk = row[kk]
+        if bjk > 0:
+            plus += bjk * c
+        elif bjk < 0:
+            minus -= bjk * c
+    new = check_trop(max(plus, minus) - coords[kk])
     return coords[:kk] + (new,) + coords[kk + 1 :]
 
 
 def trop_mutate_Y(coords, b, k):
-    """Tropicalized Y-variable mutation; b may be square or wide."""
+    """Tropicalized Y-variable mutation; b may be square or wide.
+
+    y_i becomes y_i + [b_ki]_+ y_k - b_ki [y_k]_+ (Fomin and Zelevinsky,
+    "Cluster algebras IV"), split on the sign of y_k: for y_k > 0 only the
+    entries with b_ki < 0 move, by -y_k b_ki; for y_k < 0 only those with
+    b_ki > 0, by y_k b_ki.  y_k becomes -y_k, whatever b_kk is.  The
+    coordinates are in range (TropPoint checks them), so only the moved ones
+    are checked."""
     kk = k - 1
     ck = coords[kk]
-    out = []
-    for i in range(len(coords)):
-        if i == kk:
-            out.append(-ck)
-        else:
-            bki = b[kk][i]
-            out.append(check_trop(coords[i] + pp(bki) * ck - bki * pp(ck)))
+    if not ck:
+        return tuple(coords)
+    out = list(coords)
+    if ck > 0:
+        for i, bki in enumerate(b[kk]):
+            if bki < 0 and i != kk:
+                out[i] = check_trop(out[i] - ck * bki)
+    else:
+        for i, bki in enumerate(b[kk]):
+            if bki > 0 and i != kk:
+                out[i] = check_trop(out[i] + ck * bki)
+    out[kk] = -ck
     return tuple(out)
 
 
 _RULES = {"A": trop_mutate_A, "Y": trop_mutate_Y, "Yprin": trop_mutate_Y}
-
-
-def _trop_step(rule, matrix_at, coords, v, k):
-    """Coordinates across edge k from vertex v."""
-    return rule(coords, matrix_at(v), k)
 
 
 class TropPoint:
@@ -92,8 +102,17 @@ class TropPoint:
             raise DimensionMismatch("pattern matrix must be square")
         if len(self.coords) != width:
             raise DimensionMismatch("coordinate vector has wrong length")
+        # the mutation rules rely on in-range coordinates
+        for c in self.coords:
+            check_trop(c)
         self.vertex = v = _vertex(anchor, len(self.b0))
-        step = partial(_trop_step, _RULES[space], matrix_pattern(self.b0)._walk.get)
+        rule = _RULES[space]
+        matrix_at = matrix_pattern(self.b0)._walk.get
+
+        def step(coords, v, k):
+            """Coordinates across edge k from vertex v."""
+            return rule(coords, matrix_at(v), k)
+
         # walk the anchor up to the root once, so the memo starts closed
         # under parents and every later miss walks down from an ancestor
         memo = {v: self.coords}
@@ -120,7 +139,7 @@ class TropPoint:
 
     def belt_value(self, i, m):
         """The i-th coordinate at the belt vertex t(i, m)."""
-        return self._walk.get(_belt_vertex(i, m, self.rank))[i - 1]
+        return self._walk.get(_belt_vertex(i, m, len(self.b0)))[i - 1]
 
     def at_root(self):
         return self._walk.memo[0]

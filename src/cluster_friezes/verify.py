@@ -132,7 +132,11 @@ def suite_remark_not_in(**_):
 def _over_types(types, check, rng_seed=None):
     """(ok, details) of `check(name, cartan, ctx, rng) -> (ok, entry)` on each
     named type in turn, the entry filed under the name; all types draw from
-    one random.Random(rng_seed), whose seed the details record if given."""
+    one random.Random(rng_seed), whose seed the details record if given.
+    An empty type list raises ValueError: it would pass with nothing
+    checked."""
+    if not types:
+        raise ValueError("no types to check")
     rng = random.Random(rng_seed)
     details = {} if rng_seed is None else {"rng_seed": rng_seed}
     ok = True
@@ -292,10 +296,10 @@ def suite_fpoly_separation(types=DEFAULT_TYPES, **_):
 
 def suite_shift_laws(types=SMALL_TYPES, trials=1000, rng_seed=0, **_):
     """Slice stepping, piecewise-linear round trips, and the tropical shift."""
-    per_type = max(1, trials // len(types))
 
     def check(name, cartan, ctx, rng):
         r = cartan.rank
+        per_type = max(1, trials // len(types))
         eplus, eminus = PLMap(cartan, "+"), PLMap(cartan, "-")
         bad = 0
         for _ in range(per_type):

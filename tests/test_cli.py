@@ -163,6 +163,19 @@ class TestVerifyAndErrors:
         assert code == 0
         assert json.loads(out)["suites"][0]["details"]["A1"] == {"monomials": 6, "sums": 25}
 
+    @pytest.mark.parametrize(
+        "suite", [s for s in verify.SUITES if s != "remark-not-in"]
+    )
+    def test_empty_type_list_raises(self, suite, monkeypatch):
+        # every suite but remark-not-in loops over types; with none it would
+        # pass having checked nothing (shift-laws divided by zero)
+        def no_type(name):
+            raise AssertionError(f"type {name} built for an empty list")
+
+        monkeypatch.setattr(verify, "named_cartan", no_type)
+        with pytest.raises(ValueError, match="no types"):
+            verify.run_suite(suite, types=())
+
     def test_invalid_cartan_exit_2(self, capsys, tmp_path):
         float_cartan = tmp_path / "cartan.json"
         float_cartan.write_text('{"A": [[2, -1], [-1.0, 2]]}')
@@ -246,6 +259,18 @@ class TestVerifyAndErrors:
         )
         assert code == 3
         assert json.loads(err)["error"] == "TropOverflow"
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coordinate_at_the_limit_exit_3(self, capsys, sign):
+        # a point is checked when built, so +-2^63 exits 3 although no step
+        # touches it, and +-(2^63 - 1) is printed
+        argv = ("trop", "--cartan", "A2", "--space", "Y", "--window", "0..0")
+        code, out, err = run(capsys, *argv, f"--coords={sign * 2**63},0")
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "TropOverflow"
+        code, out, _ = run(capsys, *argv, f"--coords={sign * (2**63 - 1)},0")
+        assert code == 0
+        assert out.splitlines()[1].split("\t") == ["1", str(sign * (2**63 - 1))]
 
     def test_exponent_overflow_exit_3(self, capsys, monkeypatch):
         # with the monomial budget lifted, x1^(2^30) leaves the packed

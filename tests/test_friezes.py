@@ -3,10 +3,14 @@ import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cluster_friezes.errors import NotAdmissible
 from cluster_friezes.finite import finite_context, named_cartan
 from cluster_friezes.friezes import (
+    KINDS,
+    CartanMatrix,
     FriezeFunction,
     PLMap,
     additive_extend,
@@ -25,7 +29,7 @@ from cluster_friezes.friezes import (
     slice_step,
 )
 from cluster_friezes.laurent import RationalFunction as RF
-from cluster_friezes.mutation import canonical_address, mat_neg
+from cluster_friezes.mutation import canonical_address, mat_neg, pp
 from cluster_friezes.tropical import TropPoint, p_map
 
 A2 = named_cartan("A2")
@@ -212,6 +216,92 @@ class TestPLMaps:
             v = tuple(rng.randint(-4, 4) for _ in range(2))
             k = FriezeFunction.from_slice("cluster-additive", A2, v)
             assert slice_step(A2, v) == k.slice_at(1)
+
+
+@st.composite
+def cartans_with_vectors(draw):
+    """A symmetrizable Cartan matrix of rank 1..6 and six integer vectors of
+    its rank.  The matrix is symmetric, or has the bonds of a forest (each
+    index j > 0 bonds to at most one i < j) with any pair of negative
+    entries on a bond."""
+    r = draw(st.integers(1, 6))
+    a = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
+    symmetric = draw(st.booleans())
+    for j in range(1, r):
+        for i in range(j) if symmetric else [draw(st.integers(0, j - 1))]:
+            a[i][j] = draw(st.integers(-4, 0))
+            if a[i][j]:
+                a[j][i] = a[i][j] if symmetric else draw(st.integers(-4, -1))
+    vector = st.tuples(*[st.integers(-(10**6), 10**6)] * r)
+    return CartanMatrix(a), draw(st.lists(vector, min_size=6, max_size=6))
+
+
+# the affine rank-2 matrices, whose bonds are 2-2 and 4-1
+AFFINE_CASES = [
+    (CartanMatrix(a), [(3, -2), (-1, 4), (0, 0), (-5, -5), (7, 1), (-2, 9)])
+    for a in (((2, -2), (-2, 2)), ((2, -4), (-1, 2)))
+]
+
+
+def _pair_sum_by_formula(kind, cartan, col_m, col_m1, i):
+    """S(i, m) summed over every j, as the knitting relation reads."""
+    a, r = cartan.entries, cartan.rank
+    bracket = pp if kind == "cluster-additive" else (lambda v: v)
+    s = sum(-a[j][i] * bracket(col_m[j]) for j in range(i + 1, r))
+    s += sum(-a[j][i] * bracket(col_m1[j]) for j in range(i))
+    return pp(s) if kind == "tropical-frieze" else s
+
+
+def _pl_by_formula(cartan, sign):
+    """E^{+/-} and its inverse from the whole strict upper (lower) part."""
+    a, r = cartan.entries, cartan.rank
+    u = [
+        [a[j][i] if (j < i if sign == "+" else j > i) else 0 for i in range(r)]
+        for j in range(r)
+    ]
+
+    def apply(d):
+        return tuple(d[i] + sum(pp(d[j]) * u[j][i] for j in range(r)) for i in range(r))
+
+    def invert(v):
+        d = [0] * r
+        for i in range(r) if sign == "+" else range(r - 1, -1, -1):
+            d[i] = v[i] - sum(pp(d[j]) * u[j][i] for j in range(r))
+        return tuple(d)
+
+    return apply, invert
+
+
+class TestKnittingTerms:
+    """The sparse kernels against the dense formulas they replace."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(cartans_with_vectors())
+    @example(AFFINE_CASES[0])
+    @example(AFFINE_CASES[1])
+    def test_pair_sum(self, case):
+        cartan, vectors = case
+        for kind in KINDS:
+            f = FriezeFunction.from_slice(kind, cartan, vectors[0])
+            for cols in zip(vectors, vectors[1:]):
+                for i in range(cartan.rank):
+                    assert f._pair_sum(*cols, i) == _pair_sum_by_formula(
+                        kind, cartan, *cols, i
+                    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(cartans_with_vectors())
+    @example(AFFINE_CASES[0])
+    @example(AFFINE_CASES[1])
+    def test_pl_maps(self, case):
+        cartan, vectors = case
+        for sign in "+-":
+            pl = PLMap(cartan, sign)
+            apply, invert = _pl_by_formula(cartan, sign)
+            for d in vectors:
+                assert pl.apply(d) == apply(d)
+                assert pl.invert(d) == invert(d)
+                assert pl.invert(pl.apply(d)) == d
 
 
 class TestHammocks:

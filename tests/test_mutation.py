@@ -14,6 +14,7 @@ from cluster_friezes.errors import BudgetExceeded, DimensionMismatch
 from cluster_friezes.finite import named_cartan
 from cluster_friezes.friezes import FriezeFunction
 from cluster_friezes.laurent import IntLaurentPoly as P, RationalFunction as RF
+from cluster_friezes.verify import DEFAULT_TYPES
 from cluster_friezes.mutation import (
     GCFPattern,
     MatrixPattern,
@@ -350,6 +351,42 @@ class TestGlobalMonomials:
         assert not is_global_Y_monomial(B_A2, (), (0, 1))
 
 
+def _reference_walk(kind, b0):
+    """(level, vertex, key) of the breadth-first exchange-graph walk,
+    following every edge (the one back to the parent too) and sorting each
+    seed by keys recomputed from its polynomials, never read from a cache."""
+
+    def key(seed):
+        r = seed.rank
+        order = sorted(
+            range(r),
+            key=lambda i: (seed.cluster[i].num.sort_key(), seed.cluster[i].den.sort_key()),
+        )
+        rows = [tuple(seed.matrix[i][j] for j in order) for i in order]
+        rows += [tuple(row[j] for j in order) for row in seed.matrix[r:]]
+        return (tuple(seed.cluster[i] for i in order), tuple(rows))
+
+    pattern = mutation.seed_pattern(kind, b0)
+    root = pattern.seed_at(())
+    walk = [(0, 0, key(root))]
+    seen = {walk[0][2]}
+    frontier = [()]
+    level = 0
+    while frontier:
+        level += 1
+        next_frontier = []
+        for addr in frontier:
+            for k in range(1, root.rank + 1):
+                child = reduce_word(addr + (k,))
+                child_key = key(pattern.seed_at(child))
+                if child_key not in seen:
+                    seen.add(child_key)
+                    next_frontier.append(child)
+                    walk.append((level, _vertex(child), child_key))
+        frontier = next_frontier
+    return walk
+
+
 class TestExchangeGraph:
     def test_a2_counts(self):
         graph = enumerate_exchange_graph("A", B_A2, 100)
@@ -376,6 +413,15 @@ class TestExchangeGraph:
         for _, v, _, _ in walk:
             assert v == 0 or _PARENT[v] in yielded
             yielded.add(v)
+
+    @pytest.mark.parametrize("name", ("A1",) + DEFAULT_TYPES)
+    @pytest.mark.parametrize("kind", ["A", "Y"])
+    def test_walk_matches_reference_walk(self, kind, name):
+        # the A-graph of B^T and the Y-graph of B, as a finite context has them
+        b = named_cartan(name).b_matrix()
+        b0 = mutation.transpose(b) if kind == "A" else b
+        walk = [(level, v, key) for level, v, key, _ in walk_exchange_graph(kind, b0)]
+        assert walk == _reference_walk(kind, b0)
 
     def test_laurent_positivity(self):
         # every variable, re-expanded in every chart, is a nonnegative

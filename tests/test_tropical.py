@@ -9,7 +9,7 @@ from cluster_friezes import mutation
 from cluster_friezes.errors import NegativeExponent, TropOverflow
 from cluster_friezes.friezes import CartanMatrix, PLMap, belts
 from cluster_friezes.finite import finite_context, named_cartan
-from cluster_friezes.laurent import RationalFunction as RF
+from cluster_friezes.laurent import RationalFunction as RF, check_trop
 from cluster_friezes.mutation import (
     canonical_address,
     enumerate_exchange_graph,
@@ -63,6 +63,95 @@ class TestMutationRules:
             b2 = mutate_matrix_raw(b, k)
             assert trop_mutate_A(trop_mutate_A(coords, b, k), b2, k) == coords
             assert trop_mutate_Y(trop_mutate_Y(coords, b, k), b2, k) == coords
+
+
+def _trop_mutate_A_by_formula(coords, b, k):
+    """x_k -> -x_k + max(sum [b_jk]_+ x_j, sum [-b_jk]_+ x_j), one sum per
+    sign, over every j."""
+    kk = k - 1
+    plus = sum(mutation.pp(b[j][kk]) * coords[j] for j in range(len(coords)))
+    minus = sum(mutation.pp(-b[j][kk]) * coords[j] for j in range(len(coords)))
+    new = -coords[kk] + max(plus, minus)
+    check_trop(new)
+    return coords[:kk] + (new,) + coords[kk + 1 :]
+
+
+def _trop_mutate_Y_by_formula(coords, b, k):
+    """y_i -> y_i + [b_ki]_+ y_k - b_ki [y_k]_+ for i != k, each checked;
+    y_k -> -y_k."""
+    kk = k - 1
+    ck = coords[kk]
+    pp = mutation.pp
+    return tuple(
+        -ck if i == kk else check_trop(coords[i] + pp(b[kk][i]) * ck - b[kk][i] * pp(ck))
+        for i in range(len(coords))
+    )
+
+
+def _outcome(rule, *args):
+    try:
+        return rule(*args)
+    except TropOverflow:
+        return TropOverflow
+
+
+# in-range coordinates, small or within 8 of the limit 2^63 - 1 on either side
+_NEAR_LIMIT = 2**63 - 1
+_COORD = st.one_of(
+    st.integers(-5, 5),
+    st.integers(_NEAR_LIMIT - 8, _NEAR_LIMIT),
+    st.integers(-_NEAR_LIMIT, -_NEAR_LIMIT + 8),
+    st.integers(-(2**62), 2**62),
+)
+
+
+@st.composite
+def _rule_cases(draw):
+    """(coords, b, k): b an r x r or r x 2r integer matrix and coords as
+    wide as b; the rules are formulas in the entries, so b need not be an
+    exchange matrix (b_kk != 0 included)."""
+    r = draw(st.integers(1, 5))
+    width = r * draw(st.sampled_from([1, 2]))
+    entry = st.integers(-4, 4)
+    b = tuple(tuple(draw(entry) for _ in range(width)) for _ in range(r))
+    coords = tuple(draw(_COORD) for _ in range(width))
+    return coords, b, draw(st.integers(1, r))
+
+
+class TestSignSplitRules:
+    """The rules against the formulas they replace, overflow included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rule_cases())
+    def test_y_rule(self, case):
+        assert _outcome(trop_mutate_Y, *case) == _outcome(
+            _trop_mutate_Y_by_formula, *case
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rule_cases())
+    def test_a_rule(self, case):
+        coords, b, k = case
+        square = tuple(row[: len(b)] for row in b)
+        coords = coords[: len(b)]
+        assert _outcome(trop_mutate_A, coords, square, k) == _outcome(
+            _trop_mutate_A_by_formula, coords, square, k
+        )
+
+    def test_near_limit_cases(self):
+        # y_k > 0 moves y_i with b_ki < 0 up, y_k < 0 moves y_i with b_ki > 0
+        # down; a result of +-2^63 overflows, +-(2^63 - 1) does not
+        top = _NEAR_LIMIT
+        down, up = ((0, -1), (1, 0)), ((0, 1), (-1, 0))
+        assert trop_mutate_Y((1, top - 1), down, 1) == (-1, top)
+        assert trop_mutate_Y((-1, 1 - top), up, 1) == (1, -top)
+        for coords, b in (((1, top), down), ((2, top - 1), down), ((-1, -top), up)):
+            for rule in (trop_mutate_Y, _trop_mutate_Y_by_formula):
+                with pytest.raises(TropOverflow):
+                    rule(coords, b, 1)
+        assert trop_mutate_A((top, 0), up, 1) == (-top, 0)
+        with pytest.raises(TropOverflow):
+            trop_mutate_A((0, top), ((0, -1), (2, 0)), 1)
 
 
 class TestCoordsAt:

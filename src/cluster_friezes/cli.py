@@ -349,7 +349,8 @@ def build_parser():
         p.add_argument(
             "--cartan",
             required=True,
-            help="type name (A2..G2), inline JSON rows, or a .json path",
+            help="type name (A1..A8, B2..B5, C2..C5, D4..D6, E6..E8, F4, G2), "
+            "inline JSON rows, or a .json path",
         )
         if table:
             p.add_argument("--format", choices=("tsv", "json"), default="tsv")

@@ -15,6 +15,7 @@ from .friezes import (
     Belts,
     CartanMatrix,
     FriezeFunction,
+    _terms,
     belts,
     hammock,
     k_from_trop_point,
@@ -37,64 +38,19 @@ from .tropical import TropPoint, d_trop_point
 
 # -- registry of named finite types -------------------------------------------
 
-
-def _chain(r, tweak=None):
-    a = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
-    for i in range(r - 1):
-        a[i][i + 1] = -1
-        a[i + 1][i] = -1
-    if tweak:
-        tweak(a)
-    return a
-
-
-def _type_A(r):
-    return _chain(r)
-
-
-def _type_B(r):
-    def tweak(a):
-        a[r - 1][r - 2] = -2
-
-    return _chain(r, tweak)
-
-
-def _type_C(r):
-    def tweak(a):
-        a[r - 2][r - 1] = -2
-
-    return _chain(r, tweak)
-
-
-def _type_D(r):
-    a = _chain(r - 1)
-    a = [row + [0] for row in a] + [[0] * r]
-    a[r - 1][r - 1] = 2
-    a[r - 1][r - 3] = -1
-    a[r - 3][r - 1] = -1
-    a[r - 1][r - 2] = 0
-    a[r - 2][r - 1] = 0
-    return a
-
-
-def _type_E(r):
-    # Bourbaki numbering: chain 1-3-4-5-..., node 2 attached to node 4
-    a = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
-    edges = [(1, 3), (3, 4), (4, 5), (2, 4)] + [(i, i + 1) for i in range(5, r)]
-    for i, j in edges:
-        a[i - 1][j - 1] = -1
-        a[j - 1][i - 1] = -1
-    return a
-
-
-def _type_F4():
-    a = _chain(4)
-    a[2][1] = -2
-    return a
-
-
-def _type_G2():
-    return [[2, -1], [-3, 2]]
+# The supported Dynkin diagrams, Bourbaki numbering.  Per family: the ranks,
+# the first and last node of a path of simple edges, and further edges
+# (i, j, a_ij, a_ji), which add to the path or replace its edge.  A node
+# k <= 0 stands for node r + k of the rank-r diagram.
+_DYNKIN = {
+    "A": (range(1, 9), 1, 0, ()),
+    "B": (range(2, 6), 1, 0, ((-1, 0, -1, -2),)),
+    "C": (range(2, 6), 1, 0, ((-1, 0, -2, -1),)),
+    "D": (range(4, 7), 1, -1, ((-2, 0, -1, -1),)),
+    "E": (range(6, 9), 3, 0, ((1, 3, -1, -1), (2, 4, -1, -1))),
+    "F": (range(4, 5), 1, 0, ((2, 3, -1, -2),)),
+    "G": (range(2, 3), 1, 0, ((1, 2, -1, -3),)),
+}
 
 
 def named_cartan(name: str) -> CartanMatrix:
@@ -103,24 +59,19 @@ def named_cartan(name: str) -> CartanMatrix:
     family, rank = name[:1], name[1:]
     if not rank.isdigit():
         raise ValueError(f"bad type name {name!r}")
+    if family not in _DYNKIN:
+        raise ValueError(f"unknown type name {name!r}")
     r = int(rank)
-    builders = {
-        "A": (_type_A, 1, 8),
-        "B": (_type_B, 2, 5),
-        "C": (_type_C, 2, 5),
-        "D": (_type_D, 4, 6),
-        "E": (_type_E, 6, 8),
-    }
-    if family in builders:
-        fn, lo, hi = builders[family]
-        if not lo <= r <= hi:
-            raise ValueError(f"rank {r} out of supported range for {family}")
-        return CartanMatrix(fn(r))
-    if name == "F4":
-        return CartanMatrix(_type_F4())
-    if name == "G2":
-        return CartanMatrix(_type_G2())
-    raise ValueError(f"unknown type name {name!r}")
+    ranks, first, last, edges = _DYNKIN[family]
+    if r not in ranks:
+        raise ValueError(f"rank {r} out of supported range for {family}")
+    a = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
+    path = tuple((i, i + 1, -1, -1) for i in range(first, r + last))
+    for i, j, aij, aji in path + edges:
+        # (k - 1) % r is the 0-based index of node k, k <= 0 included
+        i, j = (i - 1) % r, (j - 1) % r
+        a[i][j], a[j][i] = aij, aji
+    return CartanMatrix(a)
 
 
 # -- classification ------------------------------------------------------------
@@ -169,7 +120,6 @@ class RootSystemData:
     positive_roots: tuple  # vectors in the simple-root basis
     involution: tuple  # i -> i*, 1-based
     orbit_lengths: tuple  # h(i; c) per index, 1-based
-    coxeter_number: int
 
     @property
     def rank(self):
@@ -235,52 +185,36 @@ def _dominance_drop(cartan, lam, mu):
 def coxeter_data(cartan: CartanMatrix) -> RootSystemData:
     """Orbit data of the Coxeter element c = s_1 ... s_r on the fundamental
     weights; h(i;c) counts the strictly dominance-decreasing steps from
-    omega_i down to -omega_{i*}."""
+    omega_i down to -omega_{i*}.  A walk is cut after |Phi+| steps: a longer
+    one could not pass the final check sum(h(i;c) + 1) = r + |Phi+|."""
     cls = classify(cartan)
     if not cls.finite:
         raise NotFiniteType("Coxeter orbits are finite only in finite type")
     a = cartan.entries
     r = cartan.rank
     roots = positive_roots(cartan)
-
-    # order of c, bounded by twice the root count for safety
-    ident = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-    cols = ident
-    order = 0
-    for step in range(1, 4 * len(roots) + 64):
-        cols = [_coxeter_apply(a, col) for col in cols]
-        if cols == ident:
-            order = step
-            break
-    if not order:
-        raise NotFiniteType("Coxeter element order not found (bug)")
-
     involution = [0] * r
     lengths = [0] * r
     for i in range(r):
         mu = tuple(1 if j == i else 0 for j in range(r))
-        steps = 0
-        while True:
+        for steps in range(1, len(roots) + 1):
             nxt = _coxeter_apply(a, mu)
-            if steps > 2 * order:
-                raise NotFiniteType("Coxeter orbit failed to terminate (bug)")
             if _dominance_drop(cartan, mu, nxt) is None:
                 raise InternalDisagreement("orbit chain is not dominance-decreasing")
             mu = nxt
-            steps += 1
             neg = [-x for x in mu]
             if neg.count(1) == 1 and neg.count(0) == r - 1:
                 involution[i] = neg.index(1) + 1
                 lengths[i] = steps
                 break
+        else:
+            raise NotFiniteType("Coxeter orbit failed to terminate (bug)")
     for i in range(r):
         if involution[involution[i] - 1] != i + 1:
             raise InternalDisagreement("weight involution is not an involution")
     if sum(h + 1 for h in lengths) != r + len(roots):
         raise InternalDisagreement("fundamental-domain count mismatch")
-    return RootSystemData(
-        cartan, roots, tuple(involution), tuple(lengths), order
-    )
+    return RootSystemData(cartan, roots, tuple(involution), tuple(lengths))
 
 
 @dataclass(frozen=True)
@@ -296,9 +230,6 @@ class FAMap:
     def inverse(self, i, m):
         istar = self.roots.involution[i - 1]
         return (istar, m - 1 - self.roots.orbit_lengths[i - 1])
-
-    def domain(self):
-        return self.roots.fundamental_domain()
 
     def reduce(self, i, m):
         """Representative of the orbit of (i, m) inside the fundamental domain."""
@@ -501,17 +432,18 @@ def fim_recursion(cartan, m_hi=None, m_lo=0):
         _, _, c, _ = pattern.at(canonical_address(i, m, r))
         return tuple(c[j][i - 1] for j in range(r))
 
-    a = cartan.entries
+    terms = _terms(cartan)
     table = {(i, 0): IntLaurentPoly.one(r) for i in range(1, r + 1)}
 
     def rhs(i, m):
         col = c_col(i, m)
+        later, earlier = terms[i - 1]
         term1 = IntLaurentPoly.monomial(tuple(pp(-x) for x in col))
         term2 = IntLaurentPoly.monomial(tuple(pp(x) for x in col))
-        for j in range(i + 1, r + 1):
-            term2 = term2 * table[(j, m)] ** (-a[j - 1][i - 1])
-        for j in range(1, i):
-            term2 = term2 * table[(j, m + 1)] ** (-a[j - 1][i - 1])
+        for j, c in later:
+            term2 = term2 * table[(j + 1, m)] ** c
+        for j, c in earlier:
+            term2 = term2 * table[(j + 1, m + 1)] ** c
         return term1 + term2
 
     for m in range(0, m_hi):

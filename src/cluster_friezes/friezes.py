@@ -230,13 +230,6 @@ class FriezeFunction:
     def agrees_with(self, other, m_lo, m_hi):
         return self.table(m_lo, m_hi) == other.table(m_lo, m_hi)
 
-    def __add__(self, other):
-        if self.cartan != other.cartan:
-            raise DimensionMismatch("mismatched Cartan matrices")
-        return FriezeFunction.from_values(
-            self.kind, self.cartan, lambda i, m: self.value(i, m) + other.value(i, m)
-        )
-
 
 def additive_extend(cartan, values, m0=0) -> FriezeFunction:
     return FriezeFunction.from_slice("additive", cartan, values, m0)
@@ -440,12 +433,11 @@ def ensemble_map_friezes(f: FriezeFunction) -> FriezeFunction:
     cluster-additive function for A."""
     if f.kind != "tropical-frieze":
         raise ValueError("expected a tropical frieze")
-    a = f.cartan.entries
-    r = f.cartan.rank
+    terms = _terms(f.cartan)
 
     def value(i, m):
-        s = sum(-a[j][i - 1] * f.value(j + 1, m) for j in range(i, r))
-        s += sum(-a[j][i - 1] * f.value(j + 1, m + 1) for j in range(i - 1))
-        return s
+        later, earlier = terms[i - 1]
+        s = sum(c * f.value(j + 1, m) for j, c in later)
+        return s + sum(c * f.value(j + 1, m + 1) for j, c in earlier)
 
     return FriezeFunction.from_values("cluster-additive", f.cartan, value)

@@ -363,11 +363,14 @@ def _make_belt_vertex(i, m, r):
 
 class MatrixPattern:
     """Memoized assignment of matrices to tree vertices; square, or tall or
-    wide with directions indexing the smaller side."""
+    wide with directions indexing the smaller side, and with a
+    skew-symmetrizable principal part."""
 
     def __init__(self, root: Matrix):
         self.root = as_matrix(root)
-        self.rank = min(len(self.root), len(self.root[0])) if self.root else 0
+        self.rank = r = min(len(self.root), len(self.root[0])) if self.root else 0
+        if find_skew_symmetrizer(tuple(row[:r] for row in self.root[:r])) is None:
+            raise ValueError("principal part is not skew-symmetrizable")
         self._walk = _PrefixWalker({0: self.root}, _matrix_step)
 
     def at(self, addr):

@@ -1,6 +1,7 @@
 """Behaviour contract: the README's CLI examples and `verify --suite all`
-print what they printed before the code behind them was refactored, and
-every annotation of the public API resolves.
+print what they printed before the code behind them was refactored, every
+named Cartan type keeps its matrix and root data, and every annotation of
+the public API resolves.
 
 `tests/data/readme_cli.txt` holds, for every `cluster-friezes` line of the
 README's `sh` blocks, the command, its stdout and its exit code, as written
@@ -17,14 +18,17 @@ import functools
 import hashlib
 import inspect
 import io
+import json
 import shlex
 import sys
 import typing
 from pathlib import Path
 
+import pytest
+
 import cluster_friezes
 from cluster_friezes.cli import main
-from cluster_friezes.finite import finite_context, named_cartan
+from cluster_friezes.finite import coxeter_data, finite_context, named_cartan
 from cluster_friezes.mutation import enumerate_exchange_graph
 from cluster_friezes.verify import DEFAULT_TYPES
 
@@ -35,6 +39,37 @@ VERIFY_ALL = "cluster-friezes verify --suite all"
 VERIFY_ALL_SHA256 = "c03017aad88b92643ebfeef03de9432a907a4043ae7bf0690a6365223ef59951"
 # every DEFAULT_TYPES A- and Y-graph, seed by seed in walk order
 GRAPHS_SHA256 = "0ec6383a9012bd8f69f1644b64f2c329244d9dc3e98799a92b6b0345cb1a3d2c"
+# every supported type name: |Phi+|, the involution i -> i* and the orbit
+# lengths h(i; c)
+NAMED_TYPES = {
+    "A1": (1, (1,), (1,)),
+    "A2": (3, (2, 1), (2, 1)),
+    "A3": (6, (3, 2, 1), (3, 2, 1)),
+    "A4": (10, (4, 3, 2, 1), (4, 3, 2, 1)),
+    "A5": (15, (5, 4, 3, 2, 1), (5, 4, 3, 2, 1)),
+    "A6": (21, (6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1)),
+    "A7": (28, (7, 6, 5, 4, 3, 2, 1), (7, 6, 5, 4, 3, 2, 1)),
+    "A8": (36, (8, 7, 6, 5, 4, 3, 2, 1), (8, 7, 6, 5, 4, 3, 2, 1)),
+    "B2": (4, (1, 2), (2, 2)),
+    "B3": (9, (1, 2, 3), (3, 3, 3)),
+    "B4": (16, (1, 2, 3, 4), (4, 4, 4, 4)),
+    "B5": (25, (1, 2, 3, 4, 5), (5, 5, 5, 5, 5)),
+    "C2": (4, (1, 2), (2, 2)),
+    "C3": (9, (1, 2, 3), (3, 3, 3)),
+    "C4": (16, (1, 2, 3, 4), (4, 4, 4, 4)),
+    "C5": (25, (1, 2, 3, 4, 5), (5, 5, 5, 5, 5)),
+    "D4": (12, (1, 2, 3, 4), (3, 3, 3, 3)),
+    "D5": (20, (1, 2, 3, 5, 4), (4, 4, 4, 4, 4)),
+    "D6": (30, (1, 2, 3, 4, 5, 6), (5, 5, 5, 5, 5, 5)),
+    "E6": (36, (6, 2, 5, 4, 3, 1), (8, 6, 7, 6, 5, 4)),
+    "E7": (63, (1, 2, 3, 4, 5, 6, 7), (9, 9, 9, 9, 9, 9, 9)),
+    "E8": (120, (1, 2, 3, 4, 5, 6, 7, 8), (15, 15, 15, 15, 15, 15, 15, 15)),
+    "F4": (24, (1, 2, 3, 4), (6, 6, 6, 6)),
+    "G2": (6, (1, 2), (3, 3)),
+}
+# one line "<name> <entries>" per name of NAMED_TYPES, in its order
+NAMED_CARTAN_SHA256 = "94f86fbbee49bcc588a339273563e6902323ae8fb929f2ed1fe5b326ac6b1a65"
+REJECTED_NAMES = ("A0", "A9", "B1", "D3", "E9", "F5", "G3", "X2", "A", "")
 
 
 def readme_examples():
@@ -108,6 +143,29 @@ def test_default_graphs_digest():
                 lines.append(f"{name} {kind} {seed.address} {cluster} {seed.matrix}")
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == GRAPHS_SHA256
+
+
+def test_named_types_unchanged():
+    lines = []
+    for name, expected in NAMED_TYPES.items():
+        cartan = named_cartan(name)
+        rd = coxeter_data(cartan)
+        got = (len(rd.positive_roots), rd.involution, rd.orbit_lengths)
+        assert got == expected, name
+        lines.append(f"{name} {cartan.entries}")
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == NAMED_CARTAN_SHA256
+
+
+@pytest.mark.parametrize("name", REJECTED_NAMES)
+def test_rejected_type_names(name):
+    with pytest.raises(ValueError):
+        named_cartan(name)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["fpoly", "--cartan", name])
+    assert code == 2
+    assert json.loads(err.getvalue())["error"] == "ValueError"
 
 
 def exported_annotated():

@@ -97,7 +97,7 @@ class TestCoxeterData:
     def test_fundamental_domain_covers_orbits(self):
         rd = coxeter_data(named_cartan("A3"))
         fa = FAMap(rd)
-        dom = set(fa.domain())
+        dom = set(rd.fundamental_domain())
         for i in range(1, 4):
             for m in range(-8, 9):
                 assert fa.reduce(i, m) in dom

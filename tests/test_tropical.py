@@ -24,6 +24,7 @@ from cluster_friezes.tropical import (
     UNKNOWN,
     TropPoint,
     _in_cone,
+    _kernel_line,
     _kernel_ray,
     _pointed_form_ok,
     beta_map,
@@ -191,6 +192,13 @@ class TestCoordsAt:
         b = named_cartan("G2").b_matrix()
         with pytest.raises(TropOverflow):
             TropPoint("A", transpose(b), (big, big), (2,))
+
+    def test_pattern_must_be_an_exchange_matrix(self):
+        # b_11 != 0, and a wide pattern whose principal part is symmetric
+        with pytest.raises(ValueError, match="skew-symmetrizable"):
+            TropPoint("Y", ((-1, 0), (0, 0)), (2**62 + 2**61, 0))
+        with pytest.raises(ValueError, match="skew-symmetrizable"):
+            TropPoint("Yprin", ((0, 1, 1, 0), (1, 0, 0, 1)), (0, 0, 0, 0))
 
     def test_equality_across_anchors(self):
         p = TropPoint("Y", B_A2, (1, -2))
@@ -512,6 +520,36 @@ class TestAdmissibility:
             assert verdict == any(not any(image) for image in images)
             decided.add(verdict)
         assert decided == {True, False}
+
+    def test_two_dimensional_kernels_against_box_search(self):
+        """Every B_t of D4 has rank 2, so _in_cone and _kernel_ray fall back
+        to their bounded searches, whose box for these offsets lies inside
+        0..6: a False verdict has no solution u >= 0 there, a True one has
+        one, and UNKNOWN is the only other answer (218 True, 2,468 False and
+        68 UNKNOWN over the 34 matrices)."""
+        ctx = finite_context(named_cartan("D4"))
+        cones = {seed.principal_part() for seed in ctx.a_graph().seeds.values()}
+        assert len(cones) == 34
+        box = list(itertools.product(range(7), repeat=4))
+        offsets = list(itertools.product(range(-1, 2), repeat=4))
+        verdicts = set()
+        for cone in cones:
+            assert mutation._gauss_jordan(cone)[0] == 0
+            assert _kernel_line(cone) is None
+            images = {row_times_matrix(u, transpose(cone)) for u in box}
+            for offset in offsets:
+                verdict = _in_cone(cone, offset)
+                if verdict is not UNKNOWN:
+                    assert verdict == (offset in images), (cone, offset)
+                verdicts.add(verdict)
+            ray = _kernel_ray(cone)
+            assert ray in (True, UNKNOWN)
+            if ray:
+                zero = (0, 0, 0, 0)
+                assert any(
+                    row_times_matrix(u, transpose(cone)) == zero for u in box if any(u)
+                )
+        assert verdicts == {True, False, UNKNOWN}
 
     def test_y_side_globals(self):
         cartan = named_cartan("A2")

@@ -25,17 +25,13 @@ from .laurent import (
 )
 from .mutation import (
     GCFData,
-    MutationMatrix,
     Seed,
     canonical_address,
     enumerate_exchange_graph,
     extract_gcf,
-    is_cluster_monomial,
     is_global_Y_monomial,
     mutate_A_seed,
-    mutate_matrix,
     mutate_Y_seed,
-    principal_pattern_at,
     seed_at,
     separation_check,
 )
@@ -55,7 +51,6 @@ from .friezes import (
     CartanMatrix,
     FriezeFunction,
     PLMap,
-    additive_extend,
     belts,
     ensemble_map_friezes,
     f_from_admissible_y,
@@ -71,7 +66,6 @@ from .friezes import (
 )
 from .finite import (
     Classification,
-    FAMap,
     RootSystemData,
     classify,
     coxeter_data,

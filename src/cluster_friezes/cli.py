@@ -18,6 +18,7 @@ import sys
 
 from .errors import (
     BudgetExceeded,
+    DimensionMismatch,
     NotDivisible,
     NotFiniteType,
     NotFound,
@@ -41,12 +42,7 @@ from .friezes import (
     belts,
     hammock,
 )
-from .mutation import (
-    MutationMatrix,
-    matrix_pattern,
-    reduce_word,
-    seed_at,
-)
+from .mutation import matrix_pattern, reduce_word, seed_at
 from .tropical import TropPoint, principal_wide_root
 from .verify import SUITES, run_all, run_suite
 
@@ -163,15 +159,18 @@ def cmd_mutate(args):
         doc = {"B": json.loads(args.B), "word": list(_parse_ints(args.word or ""))}
     else:
         raise ValueError("mutate needs --B or --json")
-    # mutation keeps B skew-symmetrizable, so B is validated once, here
-    b = MutationMatrix(_json_matrix(doc["B"], "B"))
+    b = _json_matrix(doc["B"], "B")
+    if any(len(row) != len(b) for row in b):
+        raise DimensionMismatch("mutation matrix must be square")
+    # mutation keeps B skew-symmetrizable, so its pattern validates B once
+    pattern = matrix_pattern(b)
     word = reduce_word(_json_ints(doc.get("word", []), "word"))
-    out = {"B0": [list(r) for r in b.entries], "word": list(word)}
-    out["B"] = [list(r) for r in matrix_pattern(b.entries).at(word)]
+    out = {"B0": [list(r) for r in b], "word": list(word)}
+    out["B"] = [list(r) for r in pattern.at(word)]
     if args.kind in ("a-seed", "y-seed"):
         kind = "A" if args.kind == "a-seed" else "Y"
-        seed = seed_at(kind, b.entries, word)
-        names = [f"{'x' if kind == 'A' else 'y'}{i}" for i in range(1, b.rank + 1)]
+        seed = seed_at(kind, b, word)
+        names = [f"{'x' if kind == 'A' else 'y'}{i}" for i in range(1, len(b) + 1)]
         out["cluster"] = [v.to_str(names) for v in seed.cluster]
     print(json.dumps(out, sort_keys=True))
     return 0

@@ -133,6 +133,23 @@ class RootSystemData:
             for m in range(self.orbit_lengths[i - 1] + 1)
         ]
 
+    def glide(self, i, m):
+        """The gliding symmetry (i, m) -> (i*, m + 1 + h(i*; c))."""
+        istar = self.involution[i - 1]
+        return (istar, m + 1 + self.orbit_lengths[istar - 1])
+
+    def reduce(self, i, m):
+        """Representative of the orbit of (i, m) inside the fundamental domain."""
+        h = self.orbit_lengths
+        while m < 0:
+            i, m = self.glide(i, m)
+        while m > h[i - 1]:
+            # the inverse of glide
+            i, m = self.involution[i - 1], m - 1 - h[i - 1]
+        if m < 0:
+            raise InternalDisagreement("orbit reduction left the grid")
+        return (i, m)
+
 
 def positive_roots(cartan: CartanMatrix):
     """Closure of the simple roots under reflections, in the root basis."""
@@ -217,32 +234,6 @@ def coxeter_data(cartan: CartanMatrix) -> RootSystemData:
     return RootSystemData(cartan, roots, tuple(involution), tuple(lengths))
 
 
-@dataclass(frozen=True)
-class FAMap:
-    """The gliding symmetry (i, m) -> (i*, m + 1 + h(i*; c))."""
-
-    roots: RootSystemData
-
-    def apply(self, i, m):
-        istar = self.roots.involution[i - 1]
-        return (istar, m + 1 + self.roots.orbit_lengths[istar - 1])
-
-    def inverse(self, i, m):
-        istar = self.roots.involution[i - 1]
-        return (istar, m - 1 - self.roots.orbit_lengths[i - 1])
-
-    def reduce(self, i, m):
-        """Representative of the orbit of (i, m) inside the fundamental domain."""
-        h = self.roots.orbit_lengths
-        while m < 0:
-            i, m = self.apply(i, m)
-        while m > h[i - 1]:
-            i, m = self.inverse(i, m)
-        if m < 0:
-            raise InternalDisagreement("orbit reduction left the grid")
-        return (i, m)
-
-
 # -- finite-type context -------------------------------------------------------
 
 
@@ -254,7 +245,6 @@ class FiniteContext:
         self.cartan = cartan
         self.belts: Belts = belts(cartan)
         self.roots = coxeter_data(cartan)
-        self.fa = FAMap(self.roots)
         self._graphs = _Registry()
 
     def graph(self, kind, root_matrix, budget=10_000):
@@ -276,9 +266,6 @@ class FiniteContext:
         """Exchange graph of the Y-space of B."""
         return self.graph("Y", self.belts.b)
 
-    def domain(self):
-        return self.roots.fundamental_domain()
-
 
 _contexts = _Registry()
 
@@ -299,7 +286,7 @@ def verify_periodicity(cartan, m_lo, m_hi, friezes=()):
     # each cell with its image under the gliding symmetry, read once for all
     # the functions
     cells = [
-        (i, m) + ctx.fa.apply(i, m)
+        (i, m) + ctx.roots.glide(i, m)
         for i in range(1, cartan.rank + 1)
         for m in range(m_lo, m_hi + 1)
     ]
@@ -377,7 +364,7 @@ def _hammock_parts(cartan, k: FriezeFunction):
     """The positive parts of -k over the fundamental domain, keyed by (i, m),
     zeros left out: the hammock multiplicities of k."""
     parts = {}
-    for i, m in finite_context(cartan).domain():
+    for i, m in finite_context(cartan).roots.fundamental_domain():
         e = pp(-k.value(i, m))
         if e:
             parts[(i, m)] = e
@@ -471,7 +458,7 @@ def y_from_delta(cartan, delta_sv: TropPoint) -> RationalFunction:
     k = k_from_trop_point(minus_p, at)
     ftable = fim_recursion(cartan)
     expr = RationalFunction.monomial(tuple(-x for x in d0))
-    for i, m in ctx.domain():
+    for i, m in ctx.roots.fundamental_domain():
         coeff = pp(-k.value(i, m - 1))
         if coeff:
             expr = expr * RationalFunction.from_poly(ftable[(i, m)]) ** coeff
@@ -492,7 +479,7 @@ def decompose_hammocks(cartan, k: FriezeFunction):
         raise ValueError("expected a cluster-additive function")
     parts = _hammock_parts(cartan, k)
     rebuilt = reconstruct_from_hammocks(cartan, parts)
-    dom = finite_context(cartan).domain()
+    dom = finite_context(cartan).roots.fundamental_domain()
     if any(rebuilt.value(i, m) != k.value(i, m) for i, m in dom):
         raise InternalDisagreement("hammock reconstruction mismatch")
     return parts
@@ -506,7 +493,7 @@ def reconstruct_from_hammocks(cartan, parts):
     def value(i, m):
         return sum(mult * h.value(i, m) for h, mult in pieces)
 
-    return FriezeFunction.from_values("cluster-additive", cartan, value)
+    return FriezeFunction("cluster-additive", cartan, value)
 
 
 def d_duality_check(cartan):
@@ -516,7 +503,7 @@ def d_duality_check(cartan):
     ctx = finite_context(cartan)
     b = ctx.belts
     r = cartan.rank
-    dom = ctx.domain()
+    dom = ctx.roots.fundamental_domain()
     # each d-point and belt variable of the inner loop, built once
     xs = [b.x(j, n) for j, n in dom]
     deltas = [b.delta_sv_im(j, n).at_root() for j, n in dom]

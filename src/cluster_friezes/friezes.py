@@ -155,10 +155,6 @@ class FriezeFunction:
         self._value_fn = value
         return self
 
-    @classmethod
-    def from_values(cls, kind, cartan, value_fn):
-        return cls(kind, cartan, value_fn)
-
     # -- recursion ---------------------------------------------------------
 
     def _pair_sum(self, col_m, col_m1, i):
@@ -231,10 +227,6 @@ class FriezeFunction:
         return self.table(m_lo, m_hi) == other.table(m_lo, m_hi)
 
 
-def additive_extend(cartan, values, m0=0) -> FriezeFunction:
-    return FriezeFunction.from_slice("additive", cartan, values, m0)
-
-
 # -- generic frieze patterns ---------------------------------------------------
 
 
@@ -301,16 +293,14 @@ def f_from_trop_point(delta_sv: TropPoint, cartan: CartanMatrix) -> FriezeFuncti
     B^T along the belt."""
     if delta_sv.space != "A" or delta_sv.b0 != belts(cartan).bt:
         raise ValueError("expected a point of the A-space of B^T")
-    return FriezeFunction.from_values(
-        "tropical-frieze", cartan.transpose(), delta_sv.belt_value
-    )
+    return FriezeFunction("tropical-frieze", cartan.transpose(), delta_sv.belt_value)
 
 
 def k_from_trop_point(rho: TropPoint, cartan: CartanMatrix) -> FriezeFunction:
     """Cluster-additive function for A read off a Y-space point of B."""
     if rho.space != "Y" or rho.b0 != belts(cartan).b:
         raise ValueError("expected a point of the Y-space of B")
-    return FriezeFunction.from_values("cluster-additive", cartan, rho.belt_value)
+    return FriezeFunction("cluster-additive", cartan, rho.belt_value)
 
 
 def f_from_trop_point_neg(delta: TropPoint, cartan: CartanMatrix) -> FriezeFunction:
@@ -318,7 +308,7 @@ def f_from_trop_point_neg(delta: TropPoint, cartan: CartanMatrix) -> FriezeFunct
     whose belt realizes the untransposed knitting relation)."""
     if delta.space != "A" or delta.b0 != mat_neg(belts(cartan).b):
         raise ValueError("expected a point of the A-space of -B")
-    return FriezeFunction.from_values("tropical-frieze", cartan, delta.belt_value)
+    return FriezeFunction("tropical-frieze", cartan, delta.belt_value)
 
 
 # -- piecewise-linear slice maps -----------------------------------------------
@@ -390,7 +380,7 @@ def f_from_admissible_y(y, cartan, depth=16) -> FriezeFunction:
     def value(i, m):
         return y.trop_eval(b.rho_im(i, m).at_root())
 
-    return FriezeFunction.from_values("tropical-frieze", cartan.transpose(), value)
+    return FriezeFunction("tropical-frieze", cartan.transpose(), value)
 
 
 def k_from_admissible_x(x, cartan, depth=16) -> FriezeFunction:
@@ -406,14 +396,12 @@ def k_from_admissible_x(x, cartan, depth=16) -> FriezeFunction:
     def value(i, m):
         return x.trop_eval(b.delta_sv_im(i, m).at_root())
 
-    return FriezeFunction.from_values("cluster-additive", cartan, value)
+    return FriezeFunction("cluster-additive", cartan, value)
 
 
 def shift(f: FriezeFunction) -> FriezeFunction:
     """Shift by one column: (i, m) -> f(i, m-1)."""
-    return FriezeFunction.from_values(
-        f.kind, f.cartan, lambda i, m: f.value(i, m - 1)
-    )
+    return FriezeFunction(f.kind, f.cartan, lambda i, m: f.value(i, m - 1))
 
 
 def shift_trop(rho: TropPoint, cartan: CartanMatrix) -> TropPoint:
@@ -440,4 +428,4 @@ def ensemble_map_friezes(f: FriezeFunction) -> FriezeFunction:
         s = sum(c * f.value(j + 1, m) for j, c in later)
         return s + sum(c * f.value(j + 1, m + 1) for j, c in earlier)
 
-    return FriezeFunction.from_values("cluster-additive", f.cartan, value)
+    return FriezeFunction("cluster-additive", f.cartan, value)

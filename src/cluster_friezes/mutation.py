@@ -195,38 +195,6 @@ class _PrefixWalker:
             return value
 
 
-class MutationMatrix:
-    """Skew-symmetrizable integer matrix; validated at construction."""
-
-    __slots__ = ("entries", "skew_symmetrizer")
-
-    def __init__(self, rows):
-        self.entries = as_matrix(rows)
-        r = len(self.entries)
-        if any(len(row) != r for row in self.entries):
-            raise DimensionMismatch("mutation matrix must be square")
-        d = find_skew_symmetrizer(self.entries)
-        if d is None:
-            raise ValueError("matrix is not skew-symmetrizable")
-        self.skew_symmetrizer = d
-
-    @property
-    def rank(self):
-        return len(self.entries)
-
-    def mutate(self, k):
-        return MutationMatrix(mutate_matrix_raw(self.entries, k))
-
-    def __eq__(self, other):
-        return isinstance(other, MutationMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"MutationMatrix({list(map(list, self.entries))})"
-
-
 def mutate_matrix_raw(m: Matrix, k: int) -> Matrix:
     """Matrix mutation in direction k (1-based); works for square, tall and
     wide shapes as long as k indexes both a row and a column."""
@@ -252,11 +220,6 @@ def mutate_matrix_raw(m: Matrix, k: int) -> Matrix:
             row = tuple(row)
         out.append(row)
     return tuple(out)
-
-
-def mutate_matrix(b: MutationMatrix, k: int) -> MutationMatrix:
-    k = _letter(k, b.rank)
-    return b.mutate(k)
 
 
 # -- tree addresses ----------------------------------------------------------
@@ -599,13 +562,6 @@ def principal_extension(b0: Matrix) -> Matrix:
     return b0 + ident
 
 
-def principal_pattern_at(b0, addr) -> Seed:
-    """Principal-coefficients seed at addr: r mutable variables plus r frozen
-    coefficient variables that never mutate."""
-    b0 = as_matrix(b0)
-    return seed_pattern("A", principal_extension(b0), len(b0)).seed_at(addr)
-
-
 # -- g-vectors, c-vectors and F-polynomials ----------------------------------
 
 
@@ -708,7 +664,8 @@ def gcf_from_principal(b0, addr) -> GCFData:
     """G/C/F read off the symbolic principal-coefficients seed (slow oracle)."""
     b0 = as_matrix(b0)
     r = len(b0)
-    seed = principal_pattern_at(b0, addr)
+    # r mutable variables plus r frozen coefficient variables
+    seed = seed_pattern("A", principal_extension(b0), r).seed_at(addr)
     gcols = []
     fpolys = []
     for i in range(r):
@@ -731,13 +688,6 @@ def gcf_from_principal(b0, addr) -> GCFData:
 
 
 # -- global-monomial tests ---------------------------------------------------
-
-
-def is_cluster_monomial(b0, addr, exponents) -> bool:
-    """A local monomial on an A-space is a cluster monomial iff its exponent
-    vector is componentwise nonnegative."""
-    del b0, addr
-    return all(e >= 0 for e in exponents)
 
 
 def is_global_Y_monomial(b0, addr, exponents) -> bool:

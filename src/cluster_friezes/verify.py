@@ -241,12 +241,12 @@ def suite_decomposition(types=DEFAULT_TYPES, trials=100, rng_seed=0, **_):
 
     def check(name, cartan, ctx, rng):
         r = cartan.rank
-        dom = ctx.domain()
+        dom = ctx.roots.fundamental_domain()
         m_hi = max(m for _, m in dom)
         ok = True
         for i, m in dom:
             h = hammock(cartan, i, m)
-            as_frieze = FriezeFunction.from_values("tropical-frieze", cartan, h.value)
+            as_frieze = FriezeFunction("tropical-frieze", cartan, h.value)
             if not as_frieze.satisfies_recursion(-2, m_hi + 2):
                 ok = False
         bad = 0

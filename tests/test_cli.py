@@ -10,13 +10,66 @@ import cluster_friezes
 from cluster_friezes import cli, finite, laurent, verify
 from cluster_friezes.cli import main
 from cluster_friezes.errors import NotDivisible, NotFound, ZeroDenominator
-from cluster_friezes.laurent import RationalFunction
+from cluster_friezes.friezes import FriezeFunction
+from cluster_friezes.laurent import IntLaurentPoly, RationalFunction
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _off_by_one_at_3(make):
+    """A readback that agrees with make(point, cartan) except in column 3."""
+
+    def broken(point, cartan):
+        f = make(point, cartan)
+        return FriezeFunction(f.kind, f.cartan, lambda i, m: f.value(i, m) + (m == 3))
+
+    return broken
+
+
+def _constant(value):
+    return lambda cartan, *_: FriezeFunction(
+        "cluster-additive", cartan, lambda i, m: value
+    )
+
+
+# (suite, owner, name, breaker, kwargs, counter): setting owner.name to
+# breaker(owner.name) breaks one route that the suite reads, and the suite
+# must then fail, with counter (when given) nonzero in its A2 details
+BROKEN_ROUTES = {
+    "separation": ("fpoly-separation", verify, "separation_check",
+                   lambda orig: lambda b0, addr: False, {}, "separation_failures"),
+    "fpoly": ("fpoly-separation", verify, "fim_recursion",
+              lambda orig: lambda cartan: dict.fromkeys(
+                  orig(cartan), IntLaurentPoly.one(cartan.rank)),
+              {}, "fpoly_mismatches"),
+    "reconstruction": ("decomposition", verify, "reconstruct_from_hammocks",
+                       lambda orig: _constant(0), {"trials": 5}, "failures"),
+    "hammock": ("decomposition", verify, "hammock",
+                lambda orig: _constant(1), {"trials": 5}, None),
+    "shift-trop": ("shift-laws", verify, "shift_trop",
+                   lambda orig: lambda rho, cartan: rho, {"trials": 5}, "failures"),
+    "slice-step": ("shift-laws", verify, "slice_step",
+                   lambda orig: lambda cartan, values: tuple(values),
+                   {"trials": 5}, "failures"),
+    "pl-inverse": ("shift-laws", verify.PLMap, "invert",
+                   lambda orig: lambda self, v: v, {"trials": 5}, "failures"),
+    "k-readback": ("realization", verify, "k_from_trop_point", _off_by_one_at_3,
+                   {"trials": 3}, "disagreements"),
+    "f-readback": ("realization", verify, "f_from_trop_point", _off_by_one_at_3,
+                   {"trials": 3}, "disagreements"),
+    "d-point": ("d-duality", finite, "d_trop_point",
+                lambda orig: lambda space, b0, addr, i: orig(space, b0, addr, 1),
+                {}, "violations"),
+    "glide": ("periodicity", finite.RootSystemData, "glide",
+              lambda orig: lambda self, i, m: (i, m + 1), {"trials": 4},
+              "generic_violations"),
+    "admissibility": ("admissibility", verify, "check_admissible_A",
+                      lambda orig: lambda *args: None, {}, None),
+}
 
 
 class TestFrieze:
@@ -39,6 +92,18 @@ class TestFrieze:
         )
         assert code == 0
         assert "x1^-1*x2 + x1^-1" in out
+
+    def test_generic_y(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "frieze", "--cartan", "A2", "--kind", "generic-y", "--window", "0..1",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "i\\m\t0\t1",
+            "1\ty1\ty2 + y1^-1*y2 + y1^-1",
+            "2\ty1*y2 + y2\ty1^-1 + y1^-1*y2^-1",
+        ]
 
     def test_zero_slice(self, capsys):
         code, out, _ = run(
@@ -176,6 +241,15 @@ class TestVerifyAndErrors:
         with pytest.raises(ValueError, match="no types"):
             verify.run_suite(suite, types=())
 
+    @pytest.mark.parametrize("route", sorted(BROKEN_ROUTES))
+    def test_suite_can_fail(self, route, monkeypatch):
+        suite, owner, name, breaker, kwargs, counter = BROKEN_ROUTES[route]
+        monkeypatch.setattr(owner, name, breaker(getattr(owner, name)))
+        result = verify.run_suite(suite, types=("A2",), **kwargs)
+        assert result.passed is False
+        if counter is not None:
+            assert result.details["A2"][counter] > 0
+
     def test_invalid_cartan_exit_2(self, capsys, tmp_path):
         float_cartan = tmp_path / "cartan.json"
         float_cartan.write_text('{"A": [[2, -1], [-1.0, 2]]}')
@@ -219,6 +293,11 @@ class TestVerifyAndErrors:
              "ValueError"),
             (("trop", "--cartan", "A2", "--space", "A"), "ValueError"),
             (("trop", "--cartan", "A2", "--point", "[1]"), "ValueError"),
+            (("frieze", "--cartan", "A2", "--kind", "trop"), "ValueError"),
+            (("mutate", "--B", "[]"), "ValueError"),
+            (("trop", "--cartan", "A2", "--point",
+              '{"space":"Z","coords":[1,0]}'), "ValueError"),
+            (("mutate", "--B", "[[0,1,0],[-1,0,0]]"), "DimensionMismatch"),
             # argparse usage errors are JSON diagnostics too
             (("frieze", "--cartan", "A2"), "UsageError"),
             (("hammock", "--cartan", "A2", "--i", "1.5"), "UsageError"),

@@ -4,7 +4,6 @@ import pytest
 
 from cluster_friezes.errors import NotFiniteType
 from cluster_friezes.finite import (
-    FAMap,
     classify,
     coxeter_data,
     d_duality_check,
@@ -96,11 +95,10 @@ class TestCoxeterData:
 
     def test_fundamental_domain_covers_orbits(self):
         rd = coxeter_data(named_cartan("A3"))
-        fa = FAMap(rd)
         dom = set(rd.fundamental_domain())
         for i in range(1, 4):
             for m in range(-8, 9):
-                assert fa.reduce(i, m) in dom
+                assert rd.reduce(i, m) in dom
 
 
 class TestPeriodicity:
@@ -115,16 +113,22 @@ class TestPeriodicity:
         ]
         assert verify_periodicity(A2, -2, 6, friezes) == []
 
+    def test_violations_reported(self):
+        # f(i, m) = m is not invariant under (i, m) -> (i*, m + 1 + h(i*; c))
+        f = FriezeFunction("cluster-additive", A2, lambda i, m: m)
+        cells = [(i, m) for i in (1, 2) for m in range(4)]
+        assert verify_periodicity(A2, 0, 3, [f]) == [("frieze0",) + c for c in cells]
+
     def test_frieze_values_across_gliding(self):
         ctx = finite_context(A2)
         f = FriezeFunction.from_slice("tropical-frieze", A2, (1, 0))
-        assert f.value(1, 0) == 1 == f.value(*ctx.fa.apply(1, 0))
-        assert f.value(2, 0) == 0 == f.value(*ctx.fa.apply(2, 0))
-        assert f.value(1, 1) == -1 == f.value(*ctx.fa.apply(1, 1))
+        assert f.value(1, 0) == 1 == f.value(*ctx.roots.glide(1, 0))
+        assert f.value(2, 0) == 0 == f.value(*ctx.roots.glide(2, 0))
+        assert f.value(1, 1) == -1 == f.value(*ctx.roots.glide(1, 1))
 
     def test_one_period_of_variables(self):
         ctx = finite_context(A2)
-        seen = {ctx.belts.x_sv(i, m) for i, m in ctx.domain()}
+        seen = {ctx.belts.x_sv(i, m) for i, m in ctx.roots.fundamental_domain()}
         assert len(seen) == 5
 
 
@@ -151,7 +155,7 @@ class TestMonomialsFromPoints:
 
     def test_y_monomial_gvector_roundtrip(self):
         ctx = finite_context(A2)
-        for i, m in ctx.domain():
+        for i, m in ctx.roots.fundamental_domain():
             delta = ctx.belts.delta_sv_im(i, m)
             _, _, expr = mono_from_gvector_Y(A2, delta)
             assert expr == ctx.belts.y(i, m)
@@ -172,7 +176,7 @@ class TestPairing:
         k = k_from_trop_point(rho, A2)
         contributions = {
             (i, m): max(0, -k.value(i, m))
-            for i, m in finite_context(A2).domain()
+            for i, m in finite_context(A2).roots.fundamental_domain()
             if k.value(i, m) < 0
         }
         assert contributions == {(1, 0): 1}
@@ -275,15 +279,13 @@ class TestDecomposition:
 
     def test_reconstruction_exact(self):
         rng = random.Random(4)
-        ctx = finite_context(A2)
+        dom = finite_context(A2).roots.fundamental_domain()
         for _ in range(30):
             k = FriezeFunction.from_slice(
                 "cluster-additive", A2, (rng.randint(-3, 3), rng.randint(-3, 3))
             )
             rebuilt = reconstruct_from_hammocks(A2, decompose_hammocks(A2, k))
-            assert all(
-                rebuilt.value(i, m) == k.value(i, m) for i, m in ctx.domain()
-            )
+            assert all(rebuilt.value(i, m) == k.value(i, m) for i, m in dom)
             # agreement on the domain propagates to any window by periodicity
             assert all(
                 rebuilt.value(i, m) == k.value(i, m)
@@ -303,7 +305,7 @@ class TestDDuality:
         from cluster_friezes.tropical import d_trop_point, d_compat_degree
         from cluster_friezes.mutation import mat_neg
 
-        for i, m in ctx.domain():
+        for i, m in ctx.roots.fundamental_domain():
             d = d_trop_point("A", mat_neg(b.b), canonical_address(i, m, 2), i)
             assert d_compat_degree(d, b.x(i, m)) == -1
 

@@ -368,7 +368,7 @@ class TestDCompat:
     def test_self_is_minus_one(self):
         cartan = named_cartan("A2")
         b = belts(cartan)
-        for i, m in finite_context(cartan).domain():
+        for i, m in finite_context(cartan).roots.fundamental_domain():
             d = d_trop_point("A", b.bt, canonical_address(i, m, 2), i)
             assert d_compat_degree(d, b.x_sv(i, m)) == -1
 
@@ -393,7 +393,7 @@ class TestDCompat:
         cartan = named_cartan("B2")
         ctx = finite_context(cartan)
         b = ctx.belts
-        dom = ctx.domain()
+        dom = ctx.roots.fundamental_domain()
         for i, m in dom:
             d = d_trop_point("A", b.bt, canonical_address(i, m, 2), i)
             for j, n in dom:
@@ -555,7 +555,7 @@ class TestAdmissibility:
         cartan = named_cartan("A2")
         ctx = finite_context(cartan)
         b = ctx.belts
-        for i, m in ctx.domain():
+        for i, m in ctx.roots.fundamental_domain():
             assert check_admissible_Y(b.y(i, m), b.delta_sv_im(i, m), 12) is True
 
 
@@ -574,6 +574,6 @@ class TestVariableCorrespondence:
                     b.b, seed.address, tuple(1 if j == i - 1 else 0 for j in range(2))
                 )
                 assert d_y == g_of_x
-        for i, m in ctx.domain():
+        for i, m in ctx.roots.fundamental_domain():
             addr = canonical_address(i, m, 2)
             assert b.delta_sv_im(i, m) == d_trop_point("A", b.bt, addr, i)

@@ -25,7 +25,9 @@ Products cancel with the gcd and its cofactors from one routine: the
 heuristic gcd of Char, Geddes and Gonnet (integer gcd of Kronecker images,
 certified by exact division; then the same one variable at a time), with
 the primitive PRS as the last fallback.
-Adding a Laurent polynomial to a reduced fraction needs no gcd at all.
+Adding a Laurent polynomial to a reduced fraction needs no gcd at all, and
+neither do `inverse()`, powers, negation, nor y/(1 + y) = 1 - 1/(1 + y):
+with y = n/d, 1 + y = s/d for s = n + d, and s is coprime to n and to d.
 
 Tropical (max-plus) evaluation is provided for fractions whose stored
 coefficients are all positive.
@@ -1018,6 +1020,11 @@ class RationalFunction:
             other = RationalFunction.constant(other, self.nvars)
         return self + (-other)
 
+    def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        return -self + other
+
     def __mul__(self, other):
         if isinstance(other, int):
             return RationalFunction(self.num * other, self.den)
@@ -1037,6 +1044,11 @@ class RationalFunction:
         if isinstance(other, int):
             other = RationalFunction.constant(other, self.nvars)
         return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        return self.inverse() * other
 
     def inverse(self):
         if self.num.is_zero():

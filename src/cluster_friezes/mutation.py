@@ -478,8 +478,15 @@ def mutate_A_seed(seed: Seed, k: int, memo=None) -> Seed:
 
 
 def mutate_Y_seed(seed: Seed, k: int, memo=None) -> Seed:
-    """Y-seed mutation in direction k.  memo maps (y_i, y_k, b_ki) to the new
-    y_i; a pattern passes its own, other callers a fresh one."""
+    """Y-seed mutation in direction k (Fomin and Zelevinsky, "Cluster
+    algebras IV"): y_i' = y_i y_k^[b_ki]+ (1 + y_k)^(-b_ki).
+
+    With y_k = n/d and s = n + d, s is coprime to n and to d, so 1/y_k,
+    1 + y_k = s/d and y_k/(1 + y_k) = 1 - 1/(1 + y_k) = n/s come out reduced
+    with no gcd; each new y_i is then one cancelling product, y_i (n/s)^b for
+    b > 0 and y_i (s/d)^(-b) for b < 0.  memo maps y_k to those three
+    fractions and (y_i, y_k, b_ki) to the new y_i; a pattern passes its own,
+    other callers a fresh one."""
     if seed.kind != "Y":
         raise ValueError("Y-mutation applied to a non-Y seed")
     r = seed.rank
@@ -487,22 +494,22 @@ def mutate_Y_seed(seed: Seed, k: int, memo=None) -> Seed:
     if memo is None:
         memo = {}
     yk = seed.cluster[k - 1]
+    parts = memo.get(yk)
+    if parts is None:
+        one_plus = yk + 1
+        parts = memo[yk] = (yk.inverse(), one_plus, 1 - one_plus.inverse())
+    inverse, one_plus, ratio = parts
     cluster = []
     for i in range(1, r + 1):
         yi = seed.cluster[i - 1]
         b = seed.matrix[k - 1][i - 1]
         if i == k:
-            yi = yk.inverse()
+            yi = inverse
         elif b:
             key = (yi, yk, b)
             new = memo.get(key)
             if new is None:
-                one_plus = yk + 1
-                if b > 0:
-                    new = yi * yk**b * one_plus ** (-b)
-                else:
-                    new = yi * one_plus ** (-b)
-                memo[key] = new
+                new = memo[key] = yi * (ratio**b if b > 0 else one_plus ** (-b))
             yi = new
         cluster.append(yi)
     return Seed(
@@ -697,18 +704,24 @@ def is_global_Y_monomial(b0, addr, exponents) -> bool:
 
 
 def separation_check(b0, addr) -> bool:
-    """Check y_t = y^{C_t} * F_t(y)^{B_t} as exact rational functions."""
+    """Check y_t = y^{C_t} * F_t(y)^{B_t} exactly: with y_t = n/d, the j-th
+    entry holds iff n * prod_{b_ij < 0} F_i^(-b_ij) equals
+    d * y^(c_j) * prod_{b_ij > 0} F_i^(b_ij), which needs no gcd."""
     b0 = as_matrix(b0)
     r = len(b0)
     yseed = seed_at("Y", b0, addr)
     b, _, c, f = gcf_pattern(b0).at(addr)
-    fr = [RationalFunction.from_poly(p) for p in f]
     for j in range(r):
-        rhs = RationalFunction.monomial(tuple(c[i][j] for i in range(r)))
+        pos = IntLaurentPoly.one(r)
+        neg = IntLaurentPoly.one(r)
         for i in range(r):
-            if b[i][j]:
-                rhs = rhs * fr[i] ** b[i][j]
-        if rhs != yseed.cluster[j]:
+            bij = b[i][j]
+            if bij > 0:
+                pos = pos * f[i] ** bij
+            elif bij < 0:
+                neg = neg * f[i] ** (-bij)
+        y = yseed.cluster[j]
+        if y.num * neg != y.den * pos.shift(tuple(c[i][j] for i in range(r))):
             return False
     return True
 

@@ -646,6 +646,41 @@ class TestFieldLaws:
                 assert evaluate(f.den, point) != 0
                 assert rf_value(f, point) == evaluate(n, point) / vd
 
+    @settings(max_examples=40, deadline=None)
+    @given(law_cases(fractions), st.integers(-5, 5))
+    def test_int_on_the_left(self, case, m):
+        """m - a and m / a, as m + a and m * a already were."""
+        a, _, _, points = case
+        assert m - a == RF.constant(m, a.nvars) - a
+        if not a.is_zero():
+            assert m / a == RF.constant(m, a.nvars) / a
+        for point in points:
+            if not evaluate(a.den, point):
+                continue
+            va = rf_value(a, point)
+            assert rf_value(m - a, point) == m - va
+            if va:
+                assert rf_value(m / a, point) == m / va
+
+    @settings(max_examples=40, deadline=None)
+    @given(law_cases(fractions))
+    def test_y_step_parts_need_no_gcd(self, case):
+        """With y = n/d and s = n + d: 1/y, 1 + y = s/d and
+        y/(1 + y) = 1 - 1/(1 + y) = n/s come out canonical with no gcd."""
+        y, _, _, _ = case
+        assume(not y.is_zero() and not (y + 1).is_zero())
+        real = laurent._gcd_cofactors
+
+        def no_gcd(p, q):
+            raise AssertionError("gcd called")
+
+        laurent._gcd_cofactors = no_gcd
+        try:
+            parts = (y.inverse(), y + 1, 1 - (y + 1).inverse())
+        finally:
+            laurent._gcd_cofactors = real
+        assert parts == (RF.one(y.nvars) / y, RF(y.num + y.den, y.den), y / (y + 1))
+
 
 # -- packed monomials against tuple-keyed references ---------------------------
 #

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cluster_friezes import mutation
+from cluster_friezes import laurent, mutation, verify
 from cluster_friezes.errors import BudgetExceeded, DimensionMismatch
 from cluster_friezes.finite import named_cartan
 from cluster_friezes.friezes import FriezeFunction
@@ -336,6 +336,82 @@ class TestSeparation:
     def test_b2_whole_graph(self):
         graph = enumerate_exchange_graph("Y", B_B2, 100)
         assert all(separation_check(B_B2, s.address) for s in graph.seeds.values())
+
+    @pytest.mark.parametrize("break_state", [
+        # F_1 times (1 + x1)
+        lambda b, g, c, f: (b, g, c, (f[0] * (P.one(len(b)) + P.variable(1, len(b))),)
+                            + f[1:]),
+        # the entry c_11 off by one
+        lambda b, g, c, f: (b, g, ((c[0][0] + 1,) + c[0][1:],) + c[1:], f),
+    ], ids=["f-times-1-plus-x1", "c-entry-off-by-one"])
+    def test_catches_a_broken_gcf_state(self, break_state, monkeypatch):
+        class Broken:
+            def __init__(self, pattern):
+                self.pattern = pattern
+
+            def at(self, addr):
+                return break_state(*self.pattern.at(addr))
+
+        gcf_pattern = mutation.gcf_pattern
+        monkeypatch.setattr(mutation, "gcf_pattern", lambda b0: Broken(gcf_pattern(b0)))
+        for addr in [(), (1,), (1, 2), (3, 2, 1), (2, 1, 3, 2)]:
+            assert separation_check(B_A3, addr) is False
+        result = verify.run_suite("fpoly-separation", types=("A2",))
+        assert result.passed is False
+        assert result.details["A2"]["separation_failures"] > 0
+
+    @pytest.mark.parametrize("name", ["A3", "B3"])
+    def test_no_gcd(self, name, monkeypatch):
+        b = named_cartan(name).b_matrix()
+        addrs = [s.address for s in enumerate_exchange_graph("Y", b).seeds.values()]
+        # both routes are memoized, so the first pass leaves only the
+        # comparison to run under the patch
+        assert all(separation_check(b, addr) for addr in addrs)
+
+        def no_gcd(p, q):
+            raise AssertionError("separation_check ran a gcd")
+
+        monkeypatch.setattr(laurent, "_gcd_cofactors", no_gcd)
+        assert all(separation_check(b, addr) for addr in addrs)
+
+
+def _textbook_y_step(seed, k):
+    """y_i' = y_i y_k^[b_ki]+ (1 + y_k)^(-b_ki), and y_k' = 1/y_k, as written
+    (Fomin and Zelevinsky, "Cluster algebras IV")."""
+    yk = seed.cluster[k - 1]
+    out = []
+    for i, yi in enumerate(seed.cluster, 1):
+        b = seed.matrix[k - 1][i - 1]
+        out.append(yk**-1 if i == k else yi * yk ** max(b, 0) * (yk + 1) ** (-b))
+    return tuple(out)
+
+
+class TestYStep:
+    """mutate_Y_seed against the textbook product, with and without a memo."""
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
+    def test_every_vertex_of_the_graph(self, name):
+        b = named_cartan(name).b_matrix()
+        memo = {}
+        for _, _, _, seed in walk_exchange_graph("Y", b):
+            for k in range(1, len(b) + 1):
+                expected = _textbook_y_step(seed, k)
+                assert mutate_Y_seed(seed, k).cluster == expected
+                assert mutate_Y_seed(seed, k, memo).cluster == expected
+                yk = seed.cluster[k - 1]
+                assert memo[yk] == (yk**-1, yk + 1, yk / (yk + 1))
+
+    def test_random_words_a4(self):
+        b = named_cartan("A4").b_matrix()
+        rng = random.Random("A4")
+        memo = {}
+        for _ in range(30):
+            seed = root_seed("Y", b)
+            for k in _random_reduced_word(rng, 4, 10):
+                expected = _textbook_y_step(seed, k)
+                assert mutate_Y_seed(seed, k, memo).cluster == expected
+                seed = mutate_Y_seed(seed, k)
+                assert seed.cluster == expected
 
 
 class TestGlobalMonomials:

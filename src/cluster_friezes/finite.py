@@ -238,18 +238,19 @@ def coxeter_data(cartan: CartanMatrix) -> RootSystemData:
 
 
 class FiniteContext:
-    """Bundles the belt data, root data and exchange graphs of one finite-type
-    Cartan matrix; computed lazily and shared."""
+    """Bundles the belt data, root data, exchange graphs and coefficient
+    polynomials of one finite-type Cartan matrix; computed lazily and
+    shared."""
 
     def __init__(self, cartan: CartanMatrix):
         self.cartan = cartan
         self.belts: Belts = belts(cartan)
         self.roots = coxeter_data(cartan)
-        self._graphs = _Registry()
+        self._lazy = _Registry()
 
     def graph(self, kind, root_matrix, budget=10_000):
         key = (kind, as_matrix(root_matrix))
-        result = self._graphs.get(
+        result = self._lazy.get(
             key, enumerate_exchange_graph, kind, root_matrix, budget
         )
         if len(result.seeds) > budget:
@@ -265,6 +266,10 @@ class FiniteContext:
     def y_graph(self):
         """Exchange graph of the Y-space of B."""
         return self.graph("Y", self.belts.b)
+
+    def fim_table(self):
+        """fim_recursion on its default window, built once; read only."""
+        return self._lazy.get("fim", fim_recursion, self.cartan)
 
 
 _contexts = _Registry()
@@ -456,7 +461,7 @@ def y_from_delta(cartan, delta_sv: TropPoint) -> RationalFunction:
     at = cartan.transpose()
     minus_p = TropPoint("Y", belts(at).b, neg_image)
     k = k_from_trop_point(minus_p, at)
-    ftable = fim_recursion(cartan)
+    ftable = ctx.fim_table()
     expr = RationalFunction.monomial(tuple(-x for x in d0))
     for i, m in ctx.roots.fundamental_domain():
         coeff = pp(-k.value(i, m - 1))

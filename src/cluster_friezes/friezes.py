@@ -41,7 +41,7 @@ def find_symmetrizer(a):
 class CartanMatrix:
     """Symmetrizable generalized Cartan matrix."""
 
-    __slots__ = ("entries", "symmetrizer")
+    __slots__ = ("entries", "symmetrizer", "_transpose")
 
     def __init__(self, rows):
         self.entries = as_matrix(rows)
@@ -58,13 +58,21 @@ class CartanMatrix:
         if d is None:
             raise ValueError("matrix is not symmetrizable")
         self.symmetrizer = d
+        self._transpose = None
 
     @property
     def rank(self):
         return len(self.entries)
 
     def transpose(self):
-        return CartanMatrix(transpose(self.entries))
+        """The transposed matrix, built once; its own transpose is self."""
+        t = self._transpose
+        if t is None:
+            entries = transpose(self.entries)
+            t = self if entries == self.entries else CartanMatrix(entries)
+            t._transpose = self
+            self._transpose = t
+        return t
 
     def b_matrix(self):
         """The acyclic exchange matrix attached to A: strictly upper part is

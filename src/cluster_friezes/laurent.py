@@ -9,10 +9,10 @@ addition, and graded-lex order is plain int order.  Every exponent and total
 degree must lie in [-2^30, 2^30) (`EXPONENT_LIMIT`); the top bit of each
 digit stays clear and catches a digit that leaves the range, which raises
 `ExponentOverflow` and never wraps into the next digit.  Exact division
-and the gcd first shift their operands to exponents >= 0, so there the
-spread of each exponent must stay in range too.  `.terms` and the
-constructor speak exponent tuples.  Fractions are kept in a canonical
-reduced form so that equality is plain dict comparison:
+by more than one term and the gcd first shift their operands to exponents
+>= 0, so there the spread of each exponent must stay in range too.
+`.terms` and the constructor speak exponent tuples.  Fractions are kept in
+a canonical reduced form so that equality is plain dict comparison:
 
   * the denominator is a true polynomial without a monomial factor (all
     monomial content lives in the numerator); it may lack a constant term,
@@ -348,15 +348,18 @@ class IntLaurentPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial; use RationalFunction")
-        result = IntLaurentPoly.one(self.nvars)
+        if n == 0:
+            return IntLaurentPoly.one(self.nvars)
+        # square and multiply, started from the first factor, so p**1 is p
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def shift(self, exp):
         """Multiply by the monomial x^exp."""
@@ -385,6 +388,13 @@ class IntLaurentPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return _make(self._lay, {})
+        if other.is_monomial():
+            # c*x^e: a shift by -e and an integer division per coefficient,
+            # with no shift of self to exponents >= 0 that could overflow
+            c = other._leading_coeff()
+            if any(v % c for v in self._packed.values()):
+                raise NotDivisible("coefficient does not divide")
+            return _div_monomial(self, c, other.min_exponents())
         # clear monomial content so both operands are true polynomials
         smin = self.min_exponents()
         omin = other.min_exponents()
@@ -1065,6 +1075,8 @@ class RationalFunction:
     def __pow__(self, n):
         if n == 0:
             return RationalFunction.one(self.nvars)
+        if n == 1:
+            return self
         base = self if n > 0 else self.inverse()
         n = abs(n)
         # coprimality and the canonical form survive taking powers

@@ -428,18 +428,22 @@ def root_seed(kind, b0, nfrozen=0) -> Seed:
     return Seed(kind, b0, cluster, frozen, 0)
 
 
+def _product(factors, nvars):
+    """Product of the powers p**e of (p, e) pairs, started from the first
+    factor; 1 over nvars variables when there is none."""
+    out = None
+    for p, e in factors:
+        p = p**e
+        out = p if out is None else out * p
+    return IntLaurentPoly.one(nvars) if out is None else out
+
+
 def exchange_binomial(matrix: Matrix, variables, k):
     """The two-term exchange numerator at direction k (1-based)."""
-    total = len(variables)
+    column = [(v, row[k - 1]) for v, row in zip(variables, matrix)]
     nv = variables[0].nvars
-    plus = IntLaurentPoly.one(nv)
-    minus = IntLaurentPoly.one(nv)
-    for j in range(total):
-        b = matrix[j][k - 1]
-        if b > 0:
-            plus = plus * variables[j].laurent() ** b
-        elif b < 0:
-            minus = minus * variables[j].laurent() ** (-b)
+    plus = _product(((v.laurent(), b) for v, b in column if b > 0), nv)
+    minus = _product(((v.laurent(), -b) for v, b in column if b < 0), nv)
     return plus + minus
 
 
@@ -451,9 +455,34 @@ def _exchange_key(old, entries, column):
     return (old, frozenset(pairs.items()))
 
 
+def _reverse_key(key, new):
+    """The exchange key of the mutation back across the same edge: new goes
+    out, and column k changes sign while the other entries stay (b_kk = 0,
+    so the entry at k is in no pair)."""
+    _, pairs = key
+    return (new, frozenset(((v, -b), n) for (v, b), n in pairs))
+
+
+def _learn(memo, key, new, reverse, old):
+    """Store the exchange key -> new computed on a miss and, mutation in one
+    direction being an involution, its reverse -> old.  A reverse entry
+    already there is kept, and must equal old."""
+    known = memo.get(reverse)
+    if known is None:
+        memo[reverse] = old
+    elif known != old:
+        raise InternalDisagreement(
+            f"memo holds {known!r} for a reverse exchange that gives {old!r}"
+        )
+    memo[key] = new
+
+
 def mutate_A_seed(seed: Seed, k: int, memo=None) -> Seed:
     """A-seed mutation in direction k.  memo maps exchange keys to new
-    cluster variables; a pattern passes its own, other callers a fresh one."""
+    cluster variables; a pattern passes its own, other callers a fresh one.
+    A miss writes both directions: the exchange, and the one back from the
+    new seed (new x_k out, every b_jk negated, frozen rows included) to the
+    old x_k."""
     if seed.kind != "A":
         raise ValueError("A-mutation applied to a non-A seed")
     k = _letter(k, seed.rank)
@@ -466,7 +495,8 @@ def mutate_A_seed(seed: Seed, k: int, memo=None) -> Seed:
     if new is None:
         num = exchange_binomial(seed.matrix, variables, k)
         # the exchange relation divides exactly by the Laurent phenomenon
-        new = memo[key] = RationalFunction.from_poly(num.exact_div(old.laurent()))
+        new = RationalFunction.from_poly(num.exact_div(old.laurent()))
+        _learn(memo, key, new, _reverse_key(key, new), old)
     cluster = seed.cluster[: k - 1] + (new,) + seed.cluster[k:]
     return Seed(
         "A",
@@ -486,7 +516,9 @@ def mutate_Y_seed(seed: Seed, k: int, memo=None) -> Seed:
     with no gcd; each new y_i is then one cancelling product, y_i (n/s)^b for
     b > 0 and y_i (s/d)^(-b) for b < 0.  memo maps y_k to those three
     fractions and (y_i, y_k, b_ki) to the new y_i; a pattern passes its own,
-    other callers a fresh one."""
+    other callers a fresh one.  A miss writes both directions: also
+    (y_i', 1/y_k, -b_ki) to y_i, with the memo's own 1/y_k, which is the
+    entry the new seed holds."""
     if seed.kind != "Y":
         raise ValueError("Y-mutation applied to a non-Y seed")
     r = seed.rank
@@ -509,7 +541,8 @@ def mutate_Y_seed(seed: Seed, k: int, memo=None) -> Seed:
             key = (yi, yk, b)
             new = memo.get(key)
             if new is None:
-                new = memo[key] = yi * (ratio**b if b > 0 else one_plus ** (-b))
+                new = yi * (ratio**b if b > 0 else one_plus ** (-b))
+                _learn(memo, key, new, (new, inverse, -b), yi)
             yi = new
         cluster.append(yi)
     return Seed(
@@ -608,44 +641,51 @@ class GCFPattern:
 
 def _gcf_step(state, v, k, memo=None):
     """One mutation of the (B, G, C, F) state in direction k.  memo maps
-    (F_k, (F_j, b_jk) pairs, k-th c-column) to the new F_k."""
+    (F_k, (F_j, b_jk) pairs, k-th c-column) to the new F_k.  A miss writes
+    both directions: also (F_k', the new seed's (F_j, -b_jk) pairs, minus
+    the k-th c-column) to F_k.  G moves in column k only and C only in the
+    rows with c_ik != 0, so only those entries are computed."""
     b, g, c, f = state
     r = len(b)
     kk = k - 1
     if memo is None:
         memo = {}
-    ccol = tuple(c[j][kk] for j in range(r))
-    key = (_exchange_key(f[kk], f, (row[kk] for row in b)), ccol)
+    ccol = tuple(row[kk] for row in c)
+    bcol = tuple(row[kk] for row in b)
+    key = (_exchange_key(f[kk], f, bcol), ccol)
     fk = memo.get(key)
     if fk is None:
-        pos = IntLaurentPoly.one(r)
-        neg = IntLaurentPoly.one(r)
-        for j in range(r):
-            cjk = ccol[j]
-            if cjk > 0:
-                pos = pos * IntLaurentPoly.variable(j + 1, r) ** cjk
-            elif cjk < 0:
-                neg = neg * IntLaurentPoly.variable(j + 1, r) ** (-cjk)
-            bjk = b[j][kk]
-            if bjk > 0:
-                pos = pos * f[j] ** bjk
-            elif bjk < 0:
-                neg = neg * f[j] ** (-bjk)
-        fk = memo[key] = (pos + neg).exact_div(f[kk])
+        pos = _product(((f[j], x) for j, x in enumerate(bcol) if x > 0), r)
+        neg = _product(((f[j], -x) for j, x in enumerate(bcol) if x < 0), r)
+        up = tuple(pp(x) for x in ccol)
+        down = tuple(pp(-x) for x in ccol)
+        if any(up):
+            pos = pos.shift(up)
+        if any(down):
+            neg = neg.shift(down)
+        fk = (pos + neg).exact_div(f[kk])
+        reverse = (_reverse_key(key[0], fk), tuple(-x for x in ccol))
+        _learn(memo, key, fk, reverse, f[kk])
     fnew = f[:kk] + (fk,) + f[kk + 1 :]
     # sign-coherence of the k-th c-vector selects the tropical sign
     eps = 1 if any(x > 0 for x in ccol) else -1
-    gnew = []
-    for i in range(r):
-        row = list(g[i])
-        row[kk] = -g[i][kk] + sum(g[i][l] * pp(-eps * b[l][kk]) for l in range(r))
-        gnew.append(tuple(row))
+    gsum = [(l, -eps * x) for l, x in enumerate(bcol) if eps * x < 0]
+    gnew = tuple(
+        row[:kk] + (sum(row[l] * w for l, w in gsum) - row[kk],) + row[kk + 1 :]
+        for row in g
+    )
+    csum = [(j, eps * x) for j, x in enumerate(b[kk]) if eps * x > 0]
     cnew = []
-    for i in range(r):
-        row = [c[i][j] + c[i][kk] * pp(eps * b[kk][j]) for j in range(r)]
-        row[kk] = -c[i][kk]
-        cnew.append(tuple(row))
-    return (mutate_matrix_raw(b, k), tuple(gnew), tuple(cnew), fnew)
+    for row in c:
+        cik = row[kk]
+        if cik:
+            row = list(row)
+            for j, w in csum:
+                row[j] += cik * w
+            row[kk] = -cik
+            row = tuple(row)
+        cnew.append(row)
+    return (mutate_matrix_raw(b, k), gnew, tuple(cnew), fnew)
 
 
 _gcf_patterns = _Registry()
@@ -712,16 +752,11 @@ def separation_check(b0, addr) -> bool:
     yseed = seed_at("Y", b0, addr)
     b, _, c, f = gcf_pattern(b0).at(addr)
     for j in range(r):
-        pos = IntLaurentPoly.one(r)
-        neg = IntLaurentPoly.one(r)
-        for i in range(r):
-            bij = b[i][j]
-            if bij > 0:
-                pos = pos * f[i] ** bij
-            elif bij < 0:
-                neg = neg * f[i] ** (-bij)
+        col = [row[j] for row in b]
+        pos = _product(((f[i], x) for i, x in enumerate(col) if x > 0), r)
+        neg = _product(((f[i], -x) for i, x in enumerate(col) if x < 0), r)
         y = yseed.cluster[j]
-        if y.num * neg != y.den * pos.shift(tuple(c[i][j] for i in range(r))):
+        if y.num * neg != y.den * pos.shift(tuple(row[j] for row in c)):
             return False
     return True
 

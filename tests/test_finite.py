@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cluster_friezes import finite, verify
 from cluster_friezes.errors import NotFiniteType
 from cluster_friezes.finite import (
     classify,
@@ -25,14 +26,28 @@ from cluster_friezes.friezes import (
     FriezeFunction,
     PLMap,
     belts,
+    find_symmetrizer,
     hammock,
     k_from_trop_point,
 )
 from cluster_friezes.laurent import IntLaurentPoly as P, RationalFunction as RF
-from cluster_friezes.mutation import canonical_address, extract_gcf
+from cluster_friezes.mutation import _Registry, canonical_address, extract_gcf
 from cluster_friezes.tropical import TropPoint
 
 A2 = named_cartan("A2")
+
+
+class TestCartanTranspose:
+    @pytest.mark.parametrize("name", [
+        f"{family}{r}" for family, (ranks, *_) in finite._DYNKIN.items() for r in ranks
+    ])
+    def test_built_once(self, name):
+        c = named_cartan(name)
+        t = c.transpose()
+        assert t is c.transpose()
+        assert t.transpose() == c and t.transpose() is c
+        assert t.entries == tuple(zip(*c.entries))
+        assert t.symmetrizer == find_symmetrizer(t.entries)
 
 
 class TestClassification:
@@ -243,6 +258,22 @@ class TestFimRecursion:
         for i in (1, 2):
             assert (i, -2) in table
             assert table[(i, -2)].coefficients_nonnegative()
+
+    def test_built_once_per_type(self, monkeypatch):
+        # fresh contexts, so each type's table is built within the suite
+        monkeypatch.setattr(finite, "_contexts", _Registry())
+        calls = []
+
+        def counted(cartan, *args, **kwargs):
+            calls.append(cartan.entries)
+            return fim_recursion(cartan, *args, **kwargs)
+
+        monkeypatch.setattr(finite, "fim_recursion", counted)
+        assert verify.run_suite("pairing", types=("A2", "A3")).passed
+        assert sorted(calls) == sorted({named_cartan(n).entries for n in ("A2", "A3")})
+        ctx = finite.finite_context(A2)
+        assert ctx.fim_table() is ctx.fim_table()
+        assert ctx.fim_table() == fim_recursion(A2)
 
 
 class TestYFromDelta:

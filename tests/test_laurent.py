@@ -871,6 +871,22 @@ class TestPackedRange:
             RF(P.one(2), bottom)
         assert (top * P.monomial((-1, 1))).terms == {(LIMIT - 2, 1): 1}
 
+    def test_division_by_one_term_shifts(self):
+        # exponents of x1 spanning 2^30: shifting the dividend to exponents
+        # >= 0 would overflow, the quotient by c*x^e does not
+        wide = P(1, {(LIMIT - 1,): 1, (-1,): 1})
+        x1 = P.variable(1, 1)
+        assert wide.exact_div(P.one(1)) == wide
+        assert wide.exact_div(x1).terms == {(LIMIT - 2,): 1, (-2,): 1}
+        assert (wide * 6).exact_div(P.monomial((1,), -3)).terms == {
+            (LIMIT - 2,): -2, (-2,): -2
+        }
+        with pytest.raises(NotDivisible):
+            (wide * 3).exact_div(x1 * 2)
+        # a fraction over it still shifts both parts inside _cancel
+        with pytest.raises(ExponentOverflow):
+            RF(wide, P.one(1) + x1)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(1, 12).flatmap(

@@ -4,13 +4,14 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cluster_friezes import laurent, mutation, verify
-from cluster_friezes.errors import BudgetExceeded, DimensionMismatch
+from cluster_friezes.errors import BudgetExceeded, DimensionMismatch, InternalDisagreement
 from cluster_friezes.finite import named_cartan
 from cluster_friezes.friezes import FriezeFunction
 from cluster_friezes.laurent import IntLaurentPoly as P, RationalFunction as RF
@@ -288,10 +289,16 @@ class TestPrincipalCoefficients:
 
     def test_recurrence_matches_principal_seed(self):
         rng = random.Random(4)
-        for b0 in (B_A2, B_B2, B_A3):
+        # (b0, n): (1, 2)^n and (2, 1)^n go round the exchange graph, a
+        # polygon, and come back along edges that they crossed the other
+        # way, so they read reverse entries
+        cases = [(B_A2, 5), (B_B2, 6), (B_A3, 0), (named_cartan("G2").b_matrix(), 8)]
+        cases += [(named_cartan(n).b_matrix(), 0) for n in ("B3", "C3", "D4")]
+        for b0, n in cases:
             r = len(b0)
-            for _ in range(12):
-                addr = reduce_word(tuple(rng.randint(1, r) for _ in range(5)))
+            addrs = [reduce_word(tuple(rng.randint(1, r) for _ in range(5)))
+                     for _ in range(12)]
+            for addr in addrs + [(1, 2) * n, (2, 1) * n]:
                 fast = extract_gcf(b0, addr)
                 slow = gcf_from_principal(b0, addr)
                 assert fast.gmatrix == slow.gmatrix
@@ -732,6 +739,26 @@ class TestCacheContract:
         assert registry.items == results[0]
 
 
+def _memo_free_entries(state, k):
+    """The exchange-memo entries that a step in direction k from state (a
+    seed or a (B, G, C, F) state) reads, each computed with memo=None."""
+    if isinstance(state, tuple):
+        b, _, c, f = state
+        key = (_exchange_key(f[k - 1], f, [row[k - 1] for row in b]),
+               tuple(row[k - 1] for row in c))
+        return {key: _gcf_step(state, 0, k)[3][k - 1]}
+    new = mutate_seed(state, k)
+    out = state.cluster[k - 1]
+    if state.kind == "A":
+        key = _exchange_key(out, state.variables(), [row[k - 1] for row in state.matrix])
+        return {key: new.cluster[k - 1]}
+    entries = {out: (new.cluster[k - 1], out + 1, out / (out + 1))}
+    for i, (yi, bki) in enumerate(zip(state.cluster, state.matrix[k - 1])):
+        if i != k - 1 and bki:
+            entries[(yi, out, bki)] = new.cluster[i]
+    return entries
+
+
 def _random_reduced_word(rng, r, length):
     word = [rng.randint(1, r)]
     while len(word) < length:
@@ -806,7 +833,7 @@ class TestExchangeMemo:
         exact_div = P.exact_div
 
         def counted(self, other):
-            calls.append(other)
+            calls.append((self, other))
             return exact_div(self, other)
 
         monkeypatch.setattr(P, "exact_div", counted)
@@ -817,7 +844,81 @@ class TestExchangeMemo:
         (pattern,) = mutation._seed_patterns.items.values()
         steps = len(pattern._walk.memo) - 1
         assert len(graph.seeds) == 50
-        assert len(calls) == len(pattern._exchanges) < steps
+        # no exchange is divided for twice; each division writes its key and
+        # the reverse one, and the reverse entries save divisions outright
+        assert len(set(calls)) == len(calls) < steps
+        assert len(calls) < len(pattern._exchanges) <= 2 * len(calls)
+
+    @pytest.mark.parametrize("name", ["A4", "B3", "G2"])
+    def test_reverse_entries_match_memo_free(self, name):
+        b = named_cartan(name).b_matrix()
+        r = len(b)
+        rng = random.Random(name)
+        words = [_random_reduced_word(rng, r, 8) for _ in range(20)]
+        patterns = [SeedPattern("A", b), SeedPattern("A", principal_extension(b), r),
+                    SeedPattern("Y", b), GCFPattern(b)]
+        for pattern in patterns:
+            walk = pattern._walk
+            for word in words:
+                walk.get(mutation._vertex(word))
+            memo = pattern._exchanges
+            # every entry, forward or reverse, is an exchange that a walked
+            # seed reads, and equals that exchange recomputed with memo=None
+            expected = {}
+            for state in walk.memo.values():
+                for k in range(1, r + 1):
+                    expected.update(_memo_free_entries(state, k))
+            assert memo.keys() <= expected.keys()
+            assert all(memo[key] == expected[key] for key in memo)
+            # each step the walker took wrote the way back too (exchanges
+            # have tuple keys; a Y memo also keys the parts of y_k by y_k)
+            for v, state in walk.memo.items():
+                if v:
+                    back = _memo_free_entries(state, mutation._LETTER[v])
+                    assert {key for key in back if isinstance(key, tuple)} <= memo.keys()
+
+    @pytest.mark.parametrize("kind", ["A", "A-frozen", "Y", "GCF"])
+    def test_cycle_back_reads_reverse_entries(self, kind, monkeypatch):
+        # (1, 2)^5 closes the A2 pentagon twice; (2, 1)^5 then walks it the
+        # other way, across edges that the first walk crossed the other way
+        pattern = {
+            "A": lambda: SeedPattern("A", B_A2),
+            "A-frozen": lambda: SeedPattern("A", principal_extension(B_A2), 2),
+            "Y": lambda: SeedPattern("Y", B_A2),
+            "GCF": lambda: GCFPattern(B_A2),
+        }[kind]()
+        calls = []
+        for cls, op in ((P, "exact_div"), (RF, "__mul__")):
+            def counted(self, other, _f=getattr(cls, op)):
+                calls.append(other)
+                return _f(self, other)
+
+            monkeypatch.setattr(cls, op, counted)
+        pattern._walk.get(mutation._vertex((1, 2) * 5))
+        assert calls
+        del calls[:]
+        pattern._walk.get(mutation._vertex((2, 1) * 5))
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["A", "A-frozen", "Y", "GCF"])
+    def test_planted_wrong_reverse_entry_raises(self, kind):
+        b = named_cartan("A3").b_matrix()
+        k = 2
+        if kind == "GCF":
+            step = partial(_gcf_step, GCFPattern(b).at(()), 0, k)
+        elif kind == "A-frozen":
+            step = partial(mutate_seed, root_seed("A", principal_extension(b), 3), k)
+        else:
+            step = partial(mutate_seed, root_seed(kind, b), k)
+        new = step()
+        # the exchanges that the step back from the new seed reads
+        back = {key: value for key, value in _memo_free_entries(new, k).items()
+                if isinstance(key, tuple)}
+        assert back
+        for key, value in back.items():
+            assert step(memo={key: value}) == new
+            with pytest.raises(InternalDisagreement):
+                step(memo={key: value * 2})
 
     def test_patterns_never_share_a_memo(self):
         patterns = [

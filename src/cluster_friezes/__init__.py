@@ -21,7 +21,6 @@ from .laurent import (
     RationalFunction,
     check_trop,
     poly_gcd,
-    substitute_monomials,
 )
 from .mutation import (
     GCFData,

@@ -20,9 +20,10 @@ from .friezes import (
     hammock,
     k_from_trop_point,
 )
-from .laurent import IntLaurentPoly, RationalFunction
+from .laurent import IntLaurentPoly, RationalFunction, _product
 from .mutation import (
     _gauss_jordan,
+    _identity,
     _Registry,
     as_matrix,
     canonical_address,
@@ -31,8 +32,6 @@ from .mutation import (
     mat_neg,
     matrix_times_col,
     pp,
-    row_times_matrix,
-    transpose,
 )
 from .tropical import TropPoint, d_trop_point
 
@@ -155,7 +154,7 @@ def positive_roots(cartan: CartanMatrix):
     """Closure of the simple roots under reflections, in the root basis."""
     a = cartan.entries
     r = cartan.rank
-    simples = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
+    simples = _identity(r)
     seen = set(simples)
     frontier = list(simples)
     limit = 10_000
@@ -212,8 +211,7 @@ def coxeter_data(cartan: CartanMatrix) -> RootSystemData:
     roots = positive_roots(cartan)
     involution = [0] * r
     lengths = [0] * r
-    for i in range(r):
-        mu = tuple(1 if j == i else 0 for j in range(r))
+    for i, mu in enumerate(_identity(r)):
         for steps in range(1, len(roots) + 1):
             nxt = _coxeter_apply(a, mu)
             if _dominance_drop(cartan, mu, nxt) is None:
@@ -329,11 +327,9 @@ def _monomial_at(seed, coords):
     """Address, exponents and value of the monomial prod_i v_i^(-coords_i) in
     the cluster v of seed."""
     _check_exponent_budget(coords)
-    expr = RationalFunction.one(seed.rank)
-    for v, c in zip(seed.cluster, coords):
-        if c:
-            expr = expr * v ** (-c)
-    return seed.address, tuple(-c for c in coords), expr
+    exps = tuple(-c for c in coords)
+    expr = _product(zip(seed.cluster, exps), RationalFunction.one(seed.rank))
+    return seed.address, exps, expr
 
 
 def mono_from_gvector_A(cartan, rho: TropPoint):
@@ -356,7 +352,7 @@ def mono_from_gvector_Y(cartan, delta_sv: TropPoint):
         raise ValueError("expected a point of the A-space of B^T")
     for seed in ctx.y_graph().seeds.values():
         coords = delta_sv._walk.get(seed.vertex)
-        image = row_times_matrix(coords, transpose(seed.matrix))
+        image = matrix_times_col(seed.matrix, coords)
         if all(c <= 0 for c in image):
             return _monomial_at(seed, coords)
     raise NotFound("Y-side g-vector search failed (bug)")
@@ -383,9 +379,8 @@ def x_from_rho(cartan, rho: TropPoint):
     b = belts(cartan)
     exps = _hammock_parts(cartan, k_from_trop_point(rho, cartan))
     _check_exponent_budget(exps.values())
-    expr = RationalFunction.one(cartan.rank)
-    for (i, m), e in exps.items():
-        expr = expr * b.x_sv(i, m) ** e
+    powers = ((b.x_sv(i, m), e) for (i, m), e in exps.items())
+    expr = _product(powers, RationalFunction.one(cartan.rank))
     _, _, xmono = mono_from_gvector_A(cartan, rho)
     if expr != xmono:
         raise InternalDisagreement("x_from_rho disagrees with the graph search")
@@ -425,18 +420,19 @@ def fim_recursion(cartan, m_hi=None, m_lo=0):
         return tuple(c[j][i - 1] for j in range(r))
 
     terms = _terms(cartan)
-    table = {(i, 0): IntLaurentPoly.one(r) for i in range(1, r + 1)}
+    one = IntLaurentPoly.one(r)
+    table = {(i, 0): one for i in range(1, r + 1)}
 
     def rhs(i, m):
         col = c_col(i, m)
         later, earlier = terms[i - 1]
         term1 = IntLaurentPoly.monomial(tuple(pp(-x) for x in col))
-        term2 = IntLaurentPoly.monomial(tuple(pp(x) for x in col))
-        for j, c in later:
-            term2 = term2 * table[(j + 1, m)] ** c
-        for j, c in earlier:
-            term2 = term2 * table[(j + 1, m + 1)] ** c
-        return term1 + term2
+        term2 = _product(
+            [(table[(j + 1, m)], c) for j, c in later]
+            + [(table[(j + 1, m + 1)], c) for j, c in earlier],
+            one,
+        )
+        return term1 + term2.shift(tuple(pp(x) for x in col))
 
     for m in range(0, m_hi):
         for i in range(1, r + 1):
@@ -457,16 +453,15 @@ def y_from_delta(cartan, delta_sv: TropPoint) -> RationalFunction:
         raise ValueError("expected a point of the A-space of B^T")
     r = cartan.rank
     d0 = delta_sv.at_root()
-    neg_image = tuple(-x for x in row_times_matrix(d0, transpose(ctx.belts.b)))
+    neg_image = tuple(-x for x in matrix_times_col(ctx.belts.b, d0))
     at = cartan.transpose()
     minus_p = TropPoint("Y", belts(at).b, neg_image)
     k = k_from_trop_point(minus_p, at)
     ftable = ctx.fim_table()
-    expr = RationalFunction.monomial(tuple(-x for x in d0))
-    for i, m in ctx.roots.fundamental_domain():
-        coeff = pp(-k.value(i, m - 1))
-        if coeff:
-            expr = expr * RationalFunction.from_poly(ftable[(i, m)]) ** coeff
+    domain = ctx.roots.fundamental_domain()
+    powers = ((ftable[(i, m)], pp(-k.value(i, m - 1))) for i, m in domain)
+    fpart = _product(powers, IntLaurentPoly.one(r))
+    expr = RationalFunction.from_poly(fpart.shift(tuple(-x for x in d0)))
     _, _, ymono = mono_from_gvector_Y(cartan, delta_sv)
     if expr != ymono:
         raise InternalDisagreement("y_from_delta routes disagree")

@@ -28,6 +28,8 @@ the primitive PRS as the last fallback.
 Adding a Laurent polynomial to a reduced fraction needs no gcd at all, and
 neither do `inverse()`, powers, negation, nor y/(1 + y) = 1 - 1/(1 + y):
 with y = n/d, 1 + y = s/d for s = n + d, and s is coprime to n and to d.
+Nor does a product in which one side to be cancelled is a single term: a
+denominator has no monomial factor, so only integer contents can cancel.
 
 Tropical (max-plus) evaluation is provided for fractions whose stored
 coefficients are all positive.
@@ -444,6 +446,18 @@ class IntLaurentPoly:
 
     def __repr__(self):
         return f"IntLaurentPoly({self.to_str()})"
+
+
+def _product(pairs, one):
+    """Product of p**e over the (p, e) pairs, e == 0 skipped, started from
+    the first factor (so a lone (p, 1) gives p itself); one when no factor
+    is left."""
+    out = None
+    for p, e in pairs:
+        if e:
+            p = p**e
+            out = p if out is None else out * p
+    return one if out is None else out
 
 
 def _poly_exact_div(p, q):
@@ -912,8 +926,8 @@ def _poly_gcd_nonzero(p, q):
 class RationalFunction:
     """Reduced fraction of Laurent polynomials, canonical per module docstring."""
 
-    # _sort_key is left unset here; mutation._rf_sort_key fills it on first
-    # use, so construction pays nothing for it
+    # _sort_key is left unset here; sort_key() fills it on first use, so
+    # construction pays nothing for it
     __slots__ = ("num", "den", "_hash", "_sort_key")
 
     def __init__(self, num, den=None, _reduced=False):
@@ -979,6 +993,15 @@ class RationalFunction:
             raise ValueError("zero element has no denominator vector")
         return tuple(-m for m in num.min_exponents())
 
+    def sort_key(self):
+        """A total order on fractions over the same variables, computed on
+        first use and kept: cluster variables are shared by many seeds."""
+        try:
+            return self._sort_key
+        except AttributeError:
+            key = self._sort_key = (self.num.sort_key(), self.den.sort_key())
+            return key
+
     def subtraction_free(self):
         return (
             not self.num.is_zero()
@@ -1037,7 +1060,7 @@ class RationalFunction:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return RationalFunction(self.num * other, self.den)
+            other = RationalFunction.constant(other, self.nvars)
         self._check(other)
         if self.num.is_zero() or other.num.is_zero():
             # zero is canonical only over the denominator 1
@@ -1088,27 +1111,12 @@ class RationalFunction:
         """Replace variable i (1-based) by targets[i-1]; targets are fractions."""
         if len(targets) != self.nvars:
             raise DimensionMismatch("wrong number of substitution targets")
-        pow_cache = [dict() for _ in targets]
-
-        def target_pow(i, n):
-            cache = pow_cache[i]
-            if n not in cache:
-                cache[n] = targets[i] ** n
-            return cache[n]
-
-        def eval_poly(p):
-            nv = targets[0].nvars if targets else 0
-            total = RationalFunction.zero(nv)
-            for e, c in p.terms.items():
-                term = RationalFunction.constant(c, nv)
-                for i, x in enumerate(e):
-                    if x:
-                        term = term * target_pow(i, x)
-                total = total + term
-            return total
-
-        num = eval_poly(self.num)
-        den = eval_poly(self.den)
+        nv = targets[0].nvars if targets else 0
+        one, zero = RationalFunction.one(nv), RationalFunction.zero(nv)
+        num, den = (
+            sum((_product(zip(targets, e), one) * c for e, c in p.terms.items()), zero)
+            for p in (self.num, self.den)
+        )
         if den.is_zero():
             raise ZeroDenominator("substitution produced a zero denominator")
         return num / den
@@ -1142,6 +1150,11 @@ def _cancel(num, den):
     """Cancel the polynomial/integer gcd of num (Laurent) and den (poly)."""
     if den.is_one() or num.is_zero():
         return num, den
+    if num.is_monomial() or den.is_monomial():
+        # den has no monomial factor, so with a one-term side only integer
+        # content can cancel
+        g = int_gcd(num.int_content(), den.int_content())
+        return _div_monomial(num, g), _div_monomial(den, g)
     nmin = num.min_exponents()
     shifted = any(nmin)
     npoly = num.shift(tuple(-x for x in nmin)) if shifted else num
@@ -1169,25 +1182,3 @@ def _reduce(num, den):
     if den._leading_coeff() < 0:
         num, den = -num, -den
     return num, den
-
-
-def substitute_monomials(f, matrix, base):
-    """Substitute variable i of f by base^(column i of matrix).
-
-    `matrix` is a sequence of rows of length equal to f.nvars; its column i
-    gives the exponents of the tuple `base` used to replace variable i.
-    """
-    ncols = len(matrix[0]) if matrix else 0
-    if ncols != f.nvars:
-        raise DimensionMismatch("matrix column count must equal nvars of f")
-    if len(matrix) != len(base):
-        raise DimensionMismatch("matrix row count must equal number of base elements")
-    targets = []
-    for i in range(f.nvars):
-        col = [row[i] for row in matrix]
-        t = RationalFunction.one(base[0].nvars) if base else RationalFunction.one(0)
-        for b, e in zip(base, col):
-            if e:
-                t = t * b**e
-        targets.append(t)
-    return f.substitute(targets)

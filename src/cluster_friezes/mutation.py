@@ -17,7 +17,7 @@ from functools import partial
 from operator import itemgetter
 
 from .errors import BudgetExceeded, DimensionMismatch, InternalDisagreement
-from .laurent import IntLaurentPoly, RationalFunction
+from .laurent import IntLaurentPoly, RationalFunction, _product
 
 Matrix = tuple  # tuple of row tuples
 
@@ -37,6 +37,11 @@ def transpose(m: Matrix) -> Matrix:
 
 def mat_neg(m: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in m)
+
+
+def _identity(r) -> Matrix:
+    """The r x r identity matrix; its rows are the unit vectors e_1..e_r."""
+    return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
 
 
 def _neg_unit(i, r):
@@ -390,22 +395,12 @@ class Seed:
         if len(cluster) < 2:
             # no permutation to undo (itemgetter of one index is no tuple)
             return (cluster, matrix)
-        keys = [_rf_sort_key(x) for x in cluster]
+        keys = [x.sort_key() for x in cluster]
         order = sorted(range(len(cluster)), key=keys.__getitem__)
         permute = itemgetter(*order)
         rows = [permute(matrix[i]) for i in order]
         rows += [permute(row) for row in matrix[len(cluster) :]]
         return (permute(cluster), tuple(rows))
-
-
-def _rf_sort_key(f: RationalFunction):
-    """The sort key of f, computed on first use and kept on f: cluster
-    variables are shared by many seeds."""
-    try:
-        return f._sort_key
-    except AttributeError:
-        key = f._sort_key = (f.num.sort_key(), f.den.sort_key())
-        return key
 
 
 def root_seed(kind, b0, nfrozen=0) -> Seed:
@@ -428,22 +423,12 @@ def root_seed(kind, b0, nfrozen=0) -> Seed:
     return Seed(kind, b0, cluster, frozen, 0)
 
 
-def _product(factors, nvars):
-    """Product of the powers p**e of (p, e) pairs, started from the first
-    factor; 1 over nvars variables when there is none."""
-    out = None
-    for p, e in factors:
-        p = p**e
-        out = p if out is None else out * p
-    return IntLaurentPoly.one(nvars) if out is None else out
-
-
 def exchange_binomial(matrix: Matrix, variables, k):
     """The two-term exchange numerator at direction k (1-based)."""
     column = [(v, row[k - 1]) for v, row in zip(variables, matrix)]
-    nv = variables[0].nvars
-    plus = _product(((v.laurent(), b) for v, b in column if b > 0), nv)
-    minus = _product(((v.laurent(), -b) for v, b in column if b < 0), nv)
+    one = IntLaurentPoly.one(variables[0].nvars)
+    plus = _product(((v.laurent(), b) for v, b in column if b > 0), one)
+    minus = _product(((v.laurent(), -b) for v, b in column if b < 0), one)
     return plus + minus
 
 
@@ -597,9 +582,7 @@ def seed_at(kind, b0, addr) -> Seed:
 def principal_extension(b0: Matrix) -> Matrix:
     """Tall matrix (B \\ I) for principal coefficients at the root."""
     b0 = as_matrix(b0)
-    r = len(b0)
-    ident = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-    return b0 + ident
+    return b0 + _identity(len(b0))
 
 
 # -- g-vectors, c-vectors and F-polynomials ----------------------------------
@@ -626,7 +609,7 @@ class GCFPattern:
     def __init__(self, b0):
         b0 = as_matrix(b0)
         r = len(b0)
-        ident = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
+        ident = _identity(r)
         ones = tuple(IntLaurentPoly.one(r) for _ in range(r))
         self.b0 = b0
         self.rank = r
@@ -655,8 +638,9 @@ def _gcf_step(state, v, k, memo=None):
     key = (_exchange_key(f[kk], f, bcol), ccol)
     fk = memo.get(key)
     if fk is None:
-        pos = _product(((f[j], x) for j, x in enumerate(bcol) if x > 0), r)
-        neg = _product(((f[j], -x) for j, x in enumerate(bcol) if x < 0), r)
+        one = IntLaurentPoly.one(r)
+        pos = _product(((p, x) for p, x in zip(f, bcol) if x > 0), one)
+        neg = _product(((p, -x) for p, x in zip(f, bcol) if x < 0), one)
         up = tuple(pp(x) for x in ccol)
         down = tuple(pp(-x) for x in ccol)
         if any(up):
@@ -751,10 +735,11 @@ def separation_check(b0, addr) -> bool:
     r = len(b0)
     yseed = seed_at("Y", b0, addr)
     b, _, c, f = gcf_pattern(b0).at(addr)
+    one = IntLaurentPoly.one(r)
     for j in range(r):
         col = [row[j] for row in b]
-        pos = _product(((f[i], x) for i, x in enumerate(col) if x > 0), r)
-        neg = _product(((f[i], -x) for i, x in enumerate(col) if x < 0), r)
+        pos = _product(((p, x) for p, x in zip(f, col) if x > 0), one)
+        neg = _product(((p, -x) for p, x in zip(f, col) if x < 0), one)
         y = yseed.cluster[j]
         if y.num * neg != y.den * pos.shift(tuple(row[j] for row in c)):
             return False

@@ -185,9 +185,8 @@ def beta_map(delta_sv: TropPoint, b0) -> TropPoint:
         raise ValueError("beta_map expects an A-space point of the transpose")
     b, _, c, _ = gcf_pattern(b0).at(delta_sv.anchor)
     d = delta_sv.coords
-    left = row_times_matrix(d, transpose(b))
-    right = row_times_matrix(d, transpose(c))
-    return TropPoint("Yprin", principal_wide_root(b0), left + right, delta_sv.anchor)
+    coords = matrix_times_col(b, d) + matrix_times_col(c, d)
+    return TropPoint("Yprin", principal_wide_root(b0), coords, delta_sv.anchor)
 
 
 def g_vector_of_cluster_monomial(b0, addr, exponents) -> TropPoint:

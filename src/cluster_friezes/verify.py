@@ -30,8 +30,9 @@ from .friezes import (
     shift_trop,
     slice_step,
 )
-from .laurent import RationalFunction
+from .laurent import RationalFunction, _product
 from .mutation import (
+    _identity,
     canonical_address,
     enumerate_exchange_graph,
     extract_gcf,
@@ -116,8 +117,7 @@ def suite_remark_not_in(**_):
     globals_by_column = set()
     globals_by_expansion = set()
     for y, (addr, i) in variables.items():
-        exps = tuple(1 if j == i - 1 else 0 for j in range(2))
-        if is_global_Y_monomial(b, addr, exps):
+        if is_global_Y_monomial(b, addr, _identity(2)[i - 1]):
             globals_by_column.add(y)
         # independent route: expand in every chart and test Laurentness;
         # stored entries are written in root-chart coordinates
@@ -338,14 +338,11 @@ def suite_admissibility(types=("A2", "B2"), rng_seed=0, **_):
         depth = 2 * len(ctx.a_graph().seeds)
         ok = True
         checked = 0
+        # the unit vectors, all ones, and (2, 1, ..., 1)
+        exp_sets = _identity(r) + ((1,) * r, (2,) + (1,) * (r - 1))
         for seed in ctx.a_graph().seeds.values():
-            exp_sets = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-            exp_sets.append(tuple(1 for _ in range(r)))
-            exp_sets.append(tuple(2 if j == 0 else 1 for j in range(r)))
             for exps in exp_sets:
-                mono = RationalFunction.one(r)
-                for x, e in zip(seed.cluster, exps):
-                    mono = mono * x**e
+                mono = _product(zip(seed.cluster, exps), RationalFunction.one(r))
                 rho = TropPoint(
                     "Y", ctx.belts.b, tuple(-e for e in exps), seed.address
                 )

@@ -21,9 +21,10 @@ from cluster_friezes.laurent import (
     _heuristic_gcd,
     _heuristic_gcd_by_variable,
     _poly_gcd_prs,
+    _product,
     poly_gcd,
-    substitute_monomials,
 )
+from cluster_friezes.mutation import mutate_seed, root_seed, seed_pattern
 
 try:
     import sympy
@@ -128,6 +129,22 @@ class TestReduce:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
             RF(x(1), P.zero(2))
+
+    def test_one_term_side_cancels_contents_without_gcd(self, monkeypatch):
+        def no_gcd(p, q):
+            raise AssertionError("gcd called")
+
+        monkeypatch.setattr(laurent, "_gcd_cofactors", no_gcd)
+        one = P.one(2)
+        f = RF(P.monomial((1, -1), 6), 4 * one + 2 * x(2))
+        assert (f.num, f.den) == (P.monomial((1, -1), 3), 2 * one + x(2))
+        g = RF(6 * x(1) + 4 * one, -4 * one)
+        assert (g.num, g.den) == (-3 * x(1) - 2 * one, 2 * one)
+        a = RF(x(1), 2 * one + 4 * x(2))
+        assert ((a * 2).num, (a * 2).den) == (x(1), one + 2 * x(2))
+        assert ((a * 6).num, (a * 6).den) == (3 * x(1), one + 2 * x(2))
+        assert ((a * 3).num, (a * 3).den) == (3 * x(1), 2 * one + 4 * x(2))
+        assert (a * 0).is_zero() and (a * 0).den.is_one()
 
     def test_representation_independence(self):
         rng = random.Random(11)
@@ -458,25 +475,58 @@ class TestMonomialContent:
 class TestSubstitution:
     def test_identity(self):
         f = (rx(1) + 1) / rx(2)
-        m = ((1, 0), (0, 1))
-        assert substitute_monomials(f, m, (rx(1), rx(2))) == f
+        assert f.substitute((rx(1), rx(2))) == f
 
     def test_single_column(self):
-        f = rx(1, 2)
-        m = ((0,), (1,))
-        # one column: variable 1 of a univariate input goes to x2
+        # variable 1 of a univariate input goes to x2
         f1 = RF.variable(1, 1)
-        assert substitute_monomials(f1, m, (rx(1), rx(2))) == rx(2)
+        assert f1.substitute((rx(2),)) == rx(2)
 
     def test_exponent_arithmetic(self):
-        # columns of the matrix give the exponents: with rows ((0,1),(-1,0)),
-        # variable 1 maps to x2^-1 and variable 2 maps to x1, so y1*y2 goes
-        # to x1/x2; with the transposed rows it goes to x2/x1
+        # y1 -> x2^-1 and y2 -> x1 send y1*y2 to x1/x2; y1 -> x2 and
+        # y2 -> x1^-1 send it to x2/x1
         f = rx(1) * rx(2)
-        m = ((0, 1), (-1, 0))
-        assert substitute_monomials(f, m, (rx(1), rx(2))) == rx(1) / rx(2)
-        mt = ((0, -1), (1, 0))
-        assert substitute_monomials(f, mt, (rx(1), rx(2))) == rx(2) / rx(1)
+        assert f.substitute((rx(2) ** -1, rx(1))) == rx(1) / rx(2)
+        assert f.substitute((rx(2), rx(1) ** -1)) == rx(2) / rx(1)
+
+    def test_fraction_targets_with_negative_exponent(self):
+        f = (1 + rx(1) ** -2 * rx(2) + 3 * rx(1) * rx(2)) / (2 + rx(2))
+        targets = ((1 + rx(2)) / rx(1), rx(1) / (1 + rx(1) + rx(2)))
+        got = f.substitute(targets)
+        rng = random.Random(5)
+        checked = 0
+        while checked < 5:
+            point = tuple(rng.choice((-1, 1)) * rng.randint(1, 30) for _ in range(2))
+            if not all(evaluate(t.den, point) for t in targets + (got,)):
+                continue
+            inner = tuple(rf_value(t, point) for t in targets)
+            if not all(inner) or not evaluate(f.den, inner):
+                continue
+            assert rf_value(got, point) == rf_value(f, inner)
+            checked += 1
+
+    def test_reexpress_targets_ask_no_one_term_gcd(self, monkeypatch):
+        """Each term of a substitution starts from its first factor, and a
+        product with a one-term side cancels integer contents only, so the
+        Y targets of `tropical.reexpress` ask `_gcd_cofactors` about no
+        one-term operand."""
+        y1, y2, y3 = (RF.variable(i, 3) for i in (1, 2, 3))
+        f = (1 + y2 + y1 * y2 + y1 * y2 * y3) / (y1 * (1 + y3))
+        b = ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
+        pattern = seed_pattern("Y", b)
+        calls = []
+        real = laurent._gcd_cofactors
+
+        def recording(p, q):
+            calls.append((len(p.terms), len(q.terms)))
+            return real(p, q)
+
+        monkeypatch.setattr(laurent, "_gcd_cofactors", recording)
+        for addr in ((), (1,), (2, 1), (3, 2, 1)):
+            for k in (1, 2, 3):
+                s = pattern.seed_at(addr + (k,))
+                f.substitute(mutate_seed(root_seed("Y", s.matrix), k).cluster)
+        assert calls and all(min(n) > 1 for n in calls)
 
 
 class TestTropEval:
@@ -680,6 +730,40 @@ class TestFieldLaws:
         finally:
             laurent._gcd_cofactors = real
         assert parts == (RF.one(y.nvars) / y, RF(y.num + y.den, y.den), y / (y + 1))
+
+
+class TestProduct:
+    """`_product` is the one product of powers."""
+
+    def test_empty_product_is_one(self):
+        for one in (P.one(2), RF.one(2)):
+            assert _product([], one) is one
+            assert _product([(x(1), 0), (rx(2), 0)], one) is one
+
+    def test_lone_first_power_is_the_factor(self):
+        for p, one in ((x(1) - x(2), P.one(2)), ((rx(1) + 1) / rx(2), RF.one(2))):
+            assert _product([(p, 1)], one) is p
+            assert _product([(p, 0), (p, 1), (p, 0)], one) is p
+
+    def test_zero_exponents_skipped(self):
+        class NoPower:
+            def __pow__(self, e):
+                raise AssertionError("power taken with exponent 0")
+
+        p = x(1) - x(2)
+        assert _product([(NoPower(), 0), (p, 2), (NoPower(), 0)], P.one(2)) == p * p
+        assert _product([(NoPower(), 0)], P.one(2)).is_one()
+
+    @settings(max_examples=40, deadline=None)
+    @given(law_cases(fractions), st.tuples(*[st.integers(-3, 3)] * 3))
+    def test_mixed_sign_fraction_powers_evaluate(self, case, exps):
+        *factors, points = case
+        pairs = [(f, e) for f, e in zip(factors, exps) if not f.is_zero()]
+        got = _product(pairs, RF.one(factors[0].nvars))
+        for point in points:
+            if all(evaluate(f.num, point) * evaluate(f.den, point) for f, _ in pairs):
+                want = math.prod(rf_value(f, point) ** e for f, e in pairs)
+                assert rf_value(got, point) == want
 
 
 # -- packed monomials against tuple-keyed references ---------------------------

@@ -299,9 +299,12 @@ def verify_periodicity(cartan, m_lo, m_hi, friezes=()):
             violations.append(("x", i, m))
         if b.y(i, m) != b.y(j, n):
             violations.append(("y", i, m))
+    columns = sorted({m for _, m, _, _ in cells} | {n for _, _, _, n in cells})
     for tag, f in enumerate(friezes):
+        # each column read once, then every cell and its image looked up
+        read = {m: f.slice_at(m) for m in columns}
         for i, m, j, n in cells:
-            if f.value(i, m) != f.value(j, n):
+            if read[m][i - 1] != read[n][j - 1]:
                 violations.append((f"frieze{tag}", i, m))
     return violations
 

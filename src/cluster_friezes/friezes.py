@@ -14,17 +14,19 @@ backward from a seed slice; each relation is linear in its extreme unknown.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, NotAdmissible
+from functools import partial
+
+from .errors import DimensionMismatch, NotAdmissible, TropOverflow
 from .laurent import RationalFunction, check_trop
 from .mutation import (
     _belt_vertex,
     _diagonal_symmetrizer,
     _neg_unit,
+    _Ray,
     _Registry,
     as_matrix,
     canonical_address,
     mat_neg,
-    pp,
     seed_pattern,
     transpose,
 )
@@ -127,8 +129,8 @@ class FriezeFunction:
     Backed either by the defining recursion from a seed slice or by an
     arbitrary value provider (tropical readback, admissible elements); both
     expose the same interface and can be compared on windows.  Nothing is
-    cached per cell: the slice recursion caches its columns, and a tropical
-    readback reads the point's vertex walker.
+    cached per cell: the slice recursion caches its columns in two rays
+    from the slice, and a tropical readback reads the point's belt rays.
     """
 
     def __init__(self, kind, cartan, value_fn):
@@ -137,6 +139,7 @@ class FriezeFunction:
         self.kind = kind
         self.cartan = cartan
         self._value_fn = value_fn
+        self._column_fn = None
         self._rank = cartan.rank
         self._terms = _terms(cartan)
 
@@ -148,61 +151,22 @@ class FriezeFunction:
         if len(values) != cartan.rank:
             raise DimensionMismatch("slice length must equal the rank")
         self = cls(kind, cartan, None)
-        # columns by m, a run of consecutive m around m0
-        self._m0 = m0
-        self._columns = columns = _Registry()
-        cached = columns.items
-        cached[m0] = values
+        # columns m0, m0 + 1, ... and m0, m0 - 1, ...
+        terms = self._terms
+        self._rays = forward, backward = (
+            _Ray(values, partial(_knit, terms, kind, True)),
+            _Ray(values, partial(_knit, terms, kind, False)),
+        )
+
+        def column(m):
+            return forward.get(m - m0) if m >= m0 else backward.get(m0 - m)
 
         def value(i, m):
-            col = cached.get(m)
-            if col is None:
-                col = columns.get(m, self._column, m)
-            return col[i - 1]
+            return column(m)[i - 1]
 
+        self._column_fn = column
         self._value_fn = value
         return self
-
-    # -- recursion ---------------------------------------------------------
-
-    def _pair_sum(self, col_m, col_m1, i):
-        """S(i, m) of the function's kind, for 0-based i, from columns m and
-        m + 1."""
-        later, earlier = self._terms[i]
-        s = 0
-        if self.kind == "cluster-additive":
-            for j, c in later:
-                v = col_m[j]
-                if v > 0:
-                    s += c * v
-            for j, c in earlier:
-                v = col_m1[j]
-                if v > 0:
-                    s += c * v
-            return s
-        for j, c in later:
-            s += c * col_m[j]
-        for j, c in earlier:
-            s += c * col_m1[j]
-        return pp(s) if self.kind == "tropical-frieze" else s
-
-    def _column(self, m):
-        """Column m, on a miss of the column registry (under its lock): walk
-        from m toward m0 to the nearest cached column, then extend one column
-        at a time; each relation is linear in its unknown cur[i]."""
-        cols = self._columns.items
-        r = self._rank
-        step = 1 if m > self._m0 else -1
-        k = m
-        while k not in cols:
-            k -= step
-        for k in range(k + step, m + step, step):
-            col, cur = cols[k - step], [0] * r
-            pair = (col, cur) if step > 0 else (cur, col)
-            for i in range(r) if step > 0 else range(r - 1, -1, -1):
-                cur[i] = check_trop(self._pair_sum(*pair, i) - col[i])
-            cols[k] = tuple(cur)
-        return cols[m]
 
     # -- interface -----------------------------------------------------------
 
@@ -212,27 +176,72 @@ class FriezeFunction:
         return self._value_fn(i, m)
 
     def slice_at(self, m):
+        if self._column_fn is not None:
+            return self._column_fn(m)
         value = self._value_fn
         return tuple(value(i, m) for i in range(1, self._rank + 1))
 
     def table(self, m_lo, m_hi):
-        value = self._value_fn
-        rows = range(1, self._rank + 1)
-        return {(i, m): value(i, m) for m in range(m_lo, m_hi + 1) for i in rows}
+        out = {}
+        for m in range(m_lo, m_hi + 1):
+            for i, v in enumerate(self.slice_at(m), 1):
+                out[(i, m)] = v
+        return out
 
     def satisfies_recursion(self, m_lo, m_hi):
         """Exact check of the defining relation on all (i,m) with both columns
-        inside [m_lo, m_hi+1]."""
+        inside [m_lo, m_hi+1].  Each relation is linear in its unknown, so
+        column m + 1 satisfies the r relations at m exactly when it is the
+        column knitted from column m; a knitted value out of range
+        (TropOverflow) differs from every in-range value."""
+        terms, kind = self._terms, self.kind
+        col_m = self.slice_at(m_lo)
         for m in range(m_lo, m_hi + 1):
-            col_m = self.slice_at(m)
             col_m1 = self.slice_at(m + 1)
-            for i in range(self._rank):
-                if col_m[i] + col_m1[i] != self._pair_sum(col_m, col_m1, i):
+            try:
+                if _knit(terms, kind, True, col_m) != col_m1:
                     return False
+            except TropOverflow:
+                return False
+            col_m = col_m1
         return True
 
     def agrees_with(self, other, m_lo, m_hi):
         return self.table(m_lo, m_hi) == other.table(m_lo, m_hi)
+
+
+def _knit(terms, kind, forward, col, p=None):
+    """The column after col (forward) or before it, for a function of the
+    given kind with the knitting terms of its Cartan matrix: the relations
+    v(i,m) + v(i,m+1) = S(i,m) solved one unknown at a time, in the order
+    in which the other cells of S(i,m) are known (p, the position along a
+    ray, is not needed)."""
+    r = len(col)
+    cur = [0] * r
+    col_m, col_m1 = (col, cur) if forward else (cur, col)
+    clip = kind == "cluster-additive"
+    floor = kind == "tropical-frieze"
+    for i in range(r) if forward else range(r - 1, -1, -1):
+        later, earlier = terms[i]
+        s = 0
+        if clip:
+            for j, c in later:
+                v = col_m[j]
+                if v > 0:
+                    s += c * v
+            for j, c in earlier:
+                v = col_m1[j]
+                if v > 0:
+                    s += c * v
+        else:
+            for j, c in later:
+                s += c * col_m[j]
+            for j, c in earlier:
+                s += c * col_m1[j]
+            if floor and s < 0:
+                s = 0
+        cur[i] = check_trop(s - col[i])
+    return tuple(cur)
 
 
 # -- generic frieze patterns ---------------------------------------------------

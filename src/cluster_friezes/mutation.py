@@ -200,6 +200,32 @@ class _PrefixWalker:
             return value
 
 
+class _Ray:
+    """Memo of values along a fixed path, under the contract of _Registry:
+    entry 0 is first and entry p is step(entry p - 1, p).  A hit (p below
+    the length) reads the list without a lock; a miss re-checks, then
+    appends up to entry p under the ray's lock.  A step that raises appends
+    nothing, so the entries stay a prefix of the path."""
+
+    __slots__ = ("items", "lock", "step")
+
+    def __init__(self, first, step):
+        self.items = [first]
+        self.lock = threading.RLock()
+        self.step = step
+
+    def get(self, p):
+        """Entry p >= 0."""
+        items = self.items
+        if p < len(items):
+            return items[p]
+        with self.lock:
+            step = self.step
+            for q in range(len(items), p + 1):
+                items.append(step(items[-1], q))
+            return items[p]
+
+
 def mutate_matrix_raw(m: Matrix, k: int) -> Matrix:
     """Matrix mutation in direction k (1-based); works for square, tall and
     wide shapes as long as k indexes both a row and a column."""
@@ -329,10 +355,31 @@ def _make_belt_vertex(i, m, r):
     return _vertex(canonical_address(i, m, r))
 
 
+def _belt_position(i, m, r):
+    """(side, p): the belt vertex t(i, m) is p steps from the root along the
+    nonnegative belt (side 0) or the negative belt (side 1), the paths that
+    canonical_address reduces."""
+    if not 1 <= i <= r:
+        raise DimensionMismatch(f"index {i} out of range 1..{r}")
+    if m >= 0:
+        return 0, m * r + i - 1
+    return 1, (-m - 1) * r + r - i + 1
+
+
+def _belt_matrix_step(letters, m, p):
+    """The matrix after step p along a belt whose letters repeat with period
+    letters."""
+    return mutate_matrix_raw(m, letters[(p - 1) % len(letters)])
+
+
 class MatrixPattern:
     """Memoized assignment of matrices to tree vertices; square, or tall or
     wide with directions indexing the smaller side, and with a
-    skew-symmetrizable principal part."""
+    skew-symmetrizable principal part.
+
+    belts holds one (letters, ray) pair per side of the belt: the letters
+    of one period, (1, ..., r) and (r, ..., 1), and the ray of matrices
+    along that side, which every tropical point over the root reads."""
 
     def __init__(self, root: Matrix):
         self.root = as_matrix(root)
@@ -340,6 +387,10 @@ class MatrixPattern:
         if find_skew_symmetrizer(tuple(row[:r] for row in self.root[:r])) is None:
             raise ValueError("principal part is not skew-symmetrizable")
         self._walk = _PrefixWalker({0: self.root}, _matrix_step)
+        self.belts = tuple(
+            (letters, _Ray(self.root, partial(_belt_matrix_step, letters)))
+            for letters in (tuple(range(1, r + 1)), tuple(range(r, 0, -1)))
+        )
 
     def at(self, addr):
         return self._walk.get(_vertex(addr, self.rank))
@@ -353,8 +404,16 @@ _matrix_patterns = _Registry()
 
 
 def matrix_pattern(root) -> MatrixPattern:
-    root = as_matrix(root)
-    return _matrix_patterns.get(root, MatrixPattern, root)
+    """The pattern of root.  A hashable root is looked up as it is first: a
+    stored key it equals is what as_matrix would make of it."""
+    try:
+        pattern = _matrix_patterns.items.get(root)
+    except TypeError:  # rows given as lists
+        pattern = None
+    if pattern is None:
+        root = as_matrix(root)
+        pattern = _matrix_patterns.get(root, MatrixPattern, root)
+    return pattern
 
 
 # -- seeds -------------------------------------------------------------------

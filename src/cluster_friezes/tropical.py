@@ -2,7 +2,8 @@
 
 A tropical point is stored as one coordinate row vector anchored at a tree
 vertex; coordinates elsewhere are propagated on demand through the matrix
-pattern and cached.  The three supported spaces differ only in the mutation
+pattern and cached, per tree vertex and, for belt reads, along the two sides
+of the belt.  The three supported spaces differ only in the mutation
 rule and the width of the pattern matrix:
 
   * "A"      square pattern, rule with a max over the two column halves,
@@ -13,6 +14,7 @@ rule and the width of the pattern matrix:
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import product
 
 from .errors import DimensionMismatch, NegativeExponent
@@ -20,11 +22,12 @@ from .laurent import check_trop
 from .mutation import (
     _PARENT,
     _address,
-    _belt_vertex,
+    _belt_position,
     _gauss_jordan,
     _LETTER,
     _neg_unit,
     _PrefixWalker,
+    _Ray,
     _vertex,
     as_matrix,
     matrix_pattern,
@@ -83,16 +86,24 @@ def trop_mutate_Y(coords, b, k):
 _RULES = {"A": trop_mutate_A, "Y": trop_mutate_Y, "Yprin": trop_mutate_Y}
 
 
-class TropPoint:
-    """Tropical point anchored at one vertex; coordinates cached per vertex."""
+def _belt_coords_step(rule, letters, matrix_at, coords, p):
+    """Coordinates after step p along a belt whose letters repeat with period
+    letters; matrix_at(p - 1) is the pattern matrix before the step."""
+    return rule(coords, matrix_at(p - 1), letters[(p - 1) % len(letters)])
 
-    __slots__ = ("space", "b0", "coords", "vertex", "_walk")
+
+class TropPoint:
+    """Tropical point anchored at one vertex; coordinates cached per vertex,
+    and along the two sides of the belt in two rays from the root."""
+
+    __slots__ = ("space", "b0", "coords", "vertex", "_walk", "_belts")
 
     def __init__(self, space, b0, coords, anchor=()):
         if space not in _RULES:
             raise ValueError(f"unknown space {space!r}")
+        pattern = matrix_pattern(b0)
         self.space = space
-        self.b0 = as_matrix(b0)
+        self.b0 = pattern.root
         self.coords = tuple(int(c) for c in coords)
         width = len(self.b0[0])
         if space == "Yprin":
@@ -107,7 +118,7 @@ class TropPoint:
             check_trop(c)
         self.vertex = v = _vertex(anchor, len(self.b0))
         rule = _RULES[space]
-        matrix_at = matrix_pattern(self.b0)._walk.get
+        matrix_at = pattern._walk.get
 
         def step(coords, v, k):
             """Coordinates across edge k from vertex v."""
@@ -122,6 +133,12 @@ class TropPoint:
             v = _PARENT[v]
             memo[v] = coords
         self._walk = _PrefixWalker(memo, step)
+        # the belt rays step by the tropical rule on the pattern's belt
+        # matrices, never by the knitting recursion they are checked against
+        self._belts = tuple(
+            _Ray(coords, partial(_belt_coords_step, rule, letters, matrices.get))
+            for letters, matrices in pattern.belts
+        )
 
     @property
     def anchor(self):
@@ -138,8 +155,10 @@ class TropPoint:
         return self._walk.get(_vertex(addr, self.rank))
 
     def belt_value(self, i, m):
-        """The i-th coordinate at the belt vertex t(i, m)."""
-        return self._walk.get(_belt_vertex(i, m, len(self.b0)))[i - 1]
+        """The i-th coordinate at the belt vertex t(i, m), read off the belt
+        ray through it."""
+        side, p = _belt_position(i, m, len(self.b0))
+        return self._belts[side].get(p)[i - 1]
 
     def at_root(self):
         return self._walk.memo[0]

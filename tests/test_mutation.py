@@ -664,8 +664,9 @@ class _NoLock:
 
 
 class TestCacheContract:
-    """Every memo is a _Registry or a _PrefixWalker: a hit reads the dict
-    without a lock, and a miss creates the value once, under the lock."""
+    """Every memo is a _Registry, a _PrefixWalker or a _Ray: a hit reads the
+    dict or list without a lock, and a miss creates the value once, under
+    the lock."""
 
     def test_hit_takes_no_lock(self):
         registry = _Registry()
@@ -684,7 +685,8 @@ class TestCacheContract:
         pattern = SeedPattern("Y", B_A3)
         seeds = {a: pattern.seed_at(a) for a in _reduced_words(3, 3)}
         registry.lock = pattern._walk.lock = _NoLock()
-        slice_backed._columns.lock = _NoLock()
+        for ray in slice_backed._rays:
+            ray.lock = _NoLock()
         assert registry.get("key", object) is item
         assert [slice_backed.value(i, m) for i, m in cells] == table
         assert {a: pattern.seed_at(a) for a in seeds} == seeds

@@ -1,13 +1,15 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cluster_friezes import mutation
-from cluster_friezes.errors import NegativeExponent, TropOverflow
-from cluster_friezes.friezes import CartanMatrix, PLMap, belts
+from cluster_friezes.errors import DimensionMismatch, NegativeExponent, TropOverflow
+from cluster_friezes.friezes import CartanMatrix, FriezeFunction, PLMap, belts
 from cluster_friezes.finite import finite_context, named_cartan
 from cluster_friezes.laurent import RationalFunction as RF, check_trop
 from cluster_friezes.mutation import (
@@ -265,6 +267,108 @@ class TestCoordsAtOracle:
         for i, m in cells:
             i = min(i, r)
             assert p.belt_value(i, m) == q.coords_at(canonical_address(i, m, r))[i - 1]
+
+
+class TestBeltRays:
+    """Belt reads index a point's two rays of coordinate vectors."""
+
+    @pytest.mark.parametrize("space", ["A", "Y", "Yprin"])
+    def test_index_outside_the_rank_raises(self, space):
+        # position m * r + i - 1 of i = 0 or r + 1 is a cell of the next or
+        # previous column; the index is checked before the ray is read
+        b = named_cartan("B2").b_matrix()
+        root = principal_wide_root(b) if space == "Yprin" else b
+        p = TropPoint(space, root, (2, -1, 1, 0)[: len(root[0])])
+        for m in range(-2, 3):
+            for i in (0, 3):
+                with pytest.raises(DimensionMismatch):
+                    p.belt_value(i, m)
+
+    @pytest.mark.parametrize("space, kept", [("A", 1), ("Y", 3)])
+    def test_overflowing_step_appends_nothing(self, space, kept):
+        # the triple bond of G2 pushes near-limit coordinates past 2^63 on
+        # the negative belt: at its first step in A, at its third in Y
+        big = 2**62 + 2**61
+        b = named_cartan("G2").b_matrix()
+        root = transpose(b) if space == "A" else b
+        p = TropPoint(space, root, (big, big))
+        backward = p._belts[1]
+        with pytest.raises(TropOverflow):
+            p.belt_value(1, -3)
+        assert len(backward.items) == kept
+        entries = list(backward.items)
+        with pytest.raises(TropOverflow):
+            p.belt_value(1, -3)
+        assert backward.items == entries
+        # every cell, read later, is what the tree walker gives, overflow
+        # included
+        q = TropPoint(space, root, (big, big))
+        for m in range(-4, 5):
+            for i in (1, 2):
+                try:
+                    expected = q.coords_at(canonical_address(i, m, 2))[i - 1]
+                except TropOverflow:
+                    with pytest.raises(TropOverflow):
+                        p.belt_value(i, m)
+                else:
+                    assert p.belt_value(i, m) == expected
+        assert backward.items == entries
+
+    def test_threads_read_one_point_and_one_function(self):
+        cartan = named_cartan("E6")
+        b = belts(cartan).b
+        coords, values = (3, -2, 1, 0, -4, 2), (1, -1, 2, -3, 0, 2)
+        windows = [
+            [(i, m) for m in range(-12 + 4 * t, 1 + 4 * t) for i in range(1, 7)]
+            for t in range(6)
+        ]
+        cells = sorted({cell for window in windows for cell in window})
+        point = TropPoint("Y", b, coords)
+        function = FriezeFunction.from_slice("cluster-additive", cartan, values)
+        expected = {c: (point.belt_value(*c), function.value(*c)) for c in cells}
+        for trial in range(4):
+            point = TropPoint("Y", b, coords)
+            function = FriezeFunction.from_slice("cluster-additive", cartan, values)
+            rays = point._belts + function._rays
+            steps = [_count_steps(ray) for ray in rays]
+            results = [None] * 6
+            start = threading.Barrier(6)
+
+            def worker(t):
+                order = list(windows[t])
+                random.Random(6 * trial + t).shuffle(order)
+                start.wait(timeout=60)
+                results[t] = {c: (point.belt_value(*c), function.value(*c)) for c in order}
+
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            for window, result in zip(windows, results):
+                assert result == {c: expected[c] for c in window}
+            # each entry past the first was computed once, in order
+            for ray, positions in zip(rays, steps):
+                assert positions == list(range(1, len(ray.items)))
+
+
+def _count_steps(ray):
+    """Record the position of each step the ray takes."""
+    positions = []
+    step = ray.step
+
+    def counting(value, p):
+        positions.append(p)
+        return step(value, p)
+
+    ray.step = counting
+    return positions
 
 
 class TestReexpress:

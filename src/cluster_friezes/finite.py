@@ -22,6 +22,7 @@ from .friezes import (
 )
 from .laurent import IntLaurentPoly, RationalFunction, _product
 from .mutation import (
+    _belt_vertex,
     _gauss_jordan,
     _identity,
     _Registry,
@@ -29,7 +30,6 @@ from .mutation import (
     canonical_address,
     enumerate_exchange_graph,
     gcf_pattern,
-    mat_neg,
     matrix_times_col,
     pp,
 )
@@ -416,10 +416,10 @@ def fim_recursion(cartan, m_hi=None, m_lo=0):
     if m_hi is None:
         roots = finite_context(cartan).roots
         m_hi = max(roots.orbit_lengths) + 1
-    pattern = gcf_pattern(b0)
+    gcf_at = gcf_pattern(b0)._walk.get
 
     def c_col(i, m):
-        _, _, c, _ = pattern.at(canonical_address(i, m, r))
+        _, _, c, _ = gcf_at(_belt_vertex(i, m, r))
         return tuple(c[j][i - 1] for j in range(r))
 
     terms = _terms(cartan)
@@ -512,7 +512,7 @@ def d_duality_check(cartan):
     deltas = [b.delta_sv_im(j, n).at_root() for j, n in dom]
     bad = []
     for i, m in dom:
-        d_x = d_trop_point("A", mat_neg(b.b), canonical_address(i, m, r), i)
+        d_x = d_trop_point("A", b.neg_b, canonical_address(i, m, r), i)
         d_root = d_x.at_root()
         x_sv = b.x_sv(i, m)
         for (j, n), x, delta in zip(dom, xs, deltas):

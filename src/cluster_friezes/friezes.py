@@ -21,8 +21,8 @@ from .laurent import RationalFunction, check_trop
 from .mutation import (
     _belt_vertex,
     _diagonal_symmetrizer,
+    _Line,
     _neg_unit,
-    _Ray,
     _Registry,
     as_matrix,
     canonical_address,
@@ -129,8 +129,8 @@ class FriezeFunction:
     Backed either by the defining recursion from a seed slice or by an
     arbitrary value provider (tropical readback, admissible elements); both
     expose the same interface and can be compared on windows.  Nothing is
-    cached per cell: the slice recursion caches its columns in two rays
-    from the slice, and a tropical readback reads the point's belt rays.
+    cached per cell: the slice recursion caches its columns in one line
+    through the slice, and a tropical readback reads the point's belt line.
     """
 
     def __init__(self, kind, cartan, value_fn):
@@ -139,7 +139,7 @@ class FriezeFunction:
         self.kind = kind
         self.cartan = cartan
         self._value_fn = value_fn
-        self._column_fn = None
+        self._line = None  # the columns of a slice-backed function
         self._rank = cartan.rank
         self._terms = _terms(cartan)
 
@@ -151,20 +151,13 @@ class FriezeFunction:
         if len(values) != cartan.rank:
             raise DimensionMismatch("slice length must equal the rank")
         self = cls(kind, cartan, None)
-        # columns m0, m0 + 1, ... and m0, m0 - 1, ...
-        terms = self._terms
-        self._rays = forward, backward = (
-            _Ray(values, partial(_knit, terms, kind, True)),
-            _Ray(values, partial(_knit, terms, kind, False)),
-        )
-
-        def column(m):
-            return forward.get(m - m0) if m >= m0 else backward.get(m0 - m)
+        # column m is entry m - m0
+        line = self._line = _Line(values, partial(_knit, self._terms, kind))
+        self._m0 = m0
 
         def value(i, m):
-            return column(m)[i - 1]
+            return line.get(m - m0)[i - 1]
 
-        self._column_fn = column
         self._value_fn = value
         return self
 
@@ -176,8 +169,8 @@ class FriezeFunction:
         return self._value_fn(i, m)
 
     def slice_at(self, m):
-        if self._column_fn is not None:
-            return self._column_fn(m)
+        if self._line is not None:
+            return self._line.get(m - self._m0)
         value = self._value_fn
         return tuple(value(i, m) for i in range(1, self._rank + 1))
 
@@ -199,7 +192,7 @@ class FriezeFunction:
         for m in range(m_lo, m_hi + 1):
             col_m1 = self.slice_at(m + 1)
             try:
-                if _knit(terms, kind, True, col_m) != col_m1:
+                if _knit(terms, kind, col_m, 1) != col_m1:
                     return False
             except TropOverflow:
                 return False
@@ -210,12 +203,12 @@ class FriezeFunction:
         return self.table(m_lo, m_hi) == other.table(m_lo, m_hi)
 
 
-def _knit(terms, kind, forward, col, p=None):
-    """The column after col (forward) or before it, for a function of the
-    given kind with the knitting terms of its Cartan matrix: the relations
-    v(i,m) + v(i,m+1) = S(i,m) solved one unknown at a time, in the order
-    in which the other cells of S(i,m) are known (p, the position along a
-    ray, is not needed)."""
+def _knit(terms, kind, col, s):
+    """The column after col (s > 0) or before it (s < 0), for a function of
+    the given kind with the knitting terms of its Cartan matrix: the
+    relations v(i,m) + v(i,m+1) = S(i,m) solved one unknown at a time, in
+    the order in which the other cells of S(i,m) are known."""
+    forward = s > 0
     r = len(col)
     cur = [0] * r
     col_m, col_m1 = (col, cur) if forward else (cur, col)
@@ -255,26 +248,30 @@ class Belts:
         self.cartan = cartan
         self.b = cartan.b_matrix()
         self.bt = transpose(self.b)
+        self.neg_b = mat_neg(self.b)
+        self._x_sv = seed_pattern("A", self.bt)._walk.get
+        self._y = seed_pattern("Y", self.b)._walk.get
+        self._x = seed_pattern("A", self.neg_b)._walk.get
+        self._y_sv = seed_pattern("Y", mat_neg(self.bt))._walk.get
 
-    def _belt_variable(self, kind, root, i, m):
-        v = _belt_vertex(i, m, self.cartan.rank)
-        return seed_pattern(kind, root)._walk.get(v).cluster[i - 1]
+    def _belt_variable(self, seed_at, i, m):
+        return seed_at(_belt_vertex(i, m, self.cartan.rank)).cluster[i - 1]
 
     def x_sv(self, i, m):
         """Cluster variable x~(i,m) of the A-space of B^T."""
-        return self._belt_variable("A", self.bt, i, m)
+        return self._belt_variable(self._x_sv, i, m)
 
     def y(self, i, m):
         """Y-variable y(i,m) of the Y-space of B."""
-        return self._belt_variable("Y", self.b, i, m)
+        return self._belt_variable(self._y, i, m)
 
     def x(self, i, m):
         """Cluster variable x(i,m) of the A-space of -B."""
-        return self._belt_variable("A", mat_neg(self.b), i, m)
+        return self._belt_variable(self._x, i, m)
 
     def y_sv(self, i, m):
         """Y-variable of the Y-space of -B^T."""
-        return self._belt_variable("Y", mat_neg(self.bt), i, m)
+        return self._belt_variable(self._y_sv, i, m)
 
     def rho_im(self, i, m) -> TropPoint:
         """g-vector of x_sv(i,m): the point of the Y-space of B with
@@ -323,7 +320,7 @@ def k_from_trop_point(rho: TropPoint, cartan: CartanMatrix) -> FriezeFunction:
 def f_from_trop_point_neg(delta: TropPoint, cartan: CartanMatrix) -> FriezeFunction:
     """Tropical frieze for A itself, from an A-space point of -B (the pattern
     whose belt realizes the untransposed knitting relation)."""
-    if delta.space != "A" or delta.b0 != mat_neg(belts(cartan).b):
+    if delta.space != "A" or delta.b0 != belts(cartan).neg_b:
         raise ValueError("expected a point of the A-space of -B")
     return FriezeFunction("tropical-frieze", cartan, delta.belt_value)
 

@@ -200,30 +200,36 @@ class _PrefixWalker:
             return value
 
 
-class _Ray:
-    """Memo of values along a fixed path, under the contract of _Registry:
-    entry 0 is first and entry p is step(entry p - 1, p).  A hit (p below
-    the length) reads the list without a lock; a miss re-checks, then
-    appends up to entry p under the ray's lock.  A step that raises appends
-    nothing, so the entries stay a prefix of the path."""
+class _Line:
+    """Memo of values along a path through the integers, under the contract
+    of _Registry: entry 0 is first and entry s != 0 is step(entry of the
+    neighbour of s nearer 0, s).  Each side is a list grown outward from 0,
+    ahead[p] being entry p and behind[p] entry -p, so a hit reads a list
+    without a lock; a miss re-checks, then extends the side up to s under
+    the line's lock.  A step that raises stores nothing, so each side stays
+    a prefix of its path."""
 
-    __slots__ = ("items", "lock", "step")
+    __slots__ = ("ahead", "behind", "lock", "step")
 
     def __init__(self, first, step):
-        self.items = [first]
+        self.ahead = [first]
+        self.behind = [first]
         self.lock = threading.RLock()
         self.step = step
 
-    def get(self, p):
-        """Entry p >= 0."""
-        items = self.items
-        if p < len(items):
-            return items[p]
+    def get(self, s):
+        """Entry s."""
+        if s >= 0:
+            side, p = self.ahead, s
+        else:
+            side, p = self.behind, -s
+        if p < len(side):
+            return side[p]
         with self.lock:
             step = self.step
-            for q in range(len(items), p + 1):
-                items.append(step(items[-1], q))
-            return items[p]
+            for q in range(len(side), p + 1):
+                side.append(step(side[-1], q if s > 0 else -q))
+            return side[p]
 
 
 def mutate_matrix_raw(m: Matrix, k: int) -> Matrix:
@@ -328,48 +334,41 @@ def reduce_word(word):
     return tuple(out)
 
 
-def canonical_address(i: int, m: int, r: int):
-    """Reduced edge word of the belt vertex t(i, m) from the root.
-
-    Nonnegative columns follow the edge sequence (1, 2, ..., r, 1, 2, ...),
-    negative columns the mirrored sequence (r, r-1, ..., 1, r, ...).
-    """
+def _belt_place(i, m, r):
+    """The place s of the belt vertex t(i, m) of rank r on the belt, the
+    path through the integers whose edge (s, s + 1) carries the letter
+    s % r + 1: the Coxeter mutation sequence 1, ..., r, 1, ... from the root
+    at s = 0, and r, ..., 1, r, ... back from it."""
     if not 1 <= i <= r:
         raise DimensionMismatch(f"index {i} out of range 1..{r}")
-    if m >= 0:
-        word = list(range(1, r + 1)) * m + list(range(1, i))
-    else:
-        word = list(range(r, 0, -1)) * (-m - 1) + list(range(r, i - 1, -1))
-    return reduce_word(word)
+    return m * r + i - 1
 
 
-_belt_vertices = _Registry()
+def _belt_letter(s, r):
+    """The letter of the belt edge between place s != 0 and its neighbour
+    nearer 0."""
+    return (s - 1 if s > 0 else s) % r + 1
+
+
+def _belt_step(r, move, value, s):
+    """move(value, k) across the belt edge into place s."""
+    return move(value, _belt_letter(s, r))
+
+
+# One line of interned vertices per rank, stepped by _child, which reduces
+# the belt word as it goes.
+_belt_lines = _Registry()
 
 
 def _belt_vertex(i, m, r):
     """The interned vertex of the belt vertex t(i, m) of rank r."""
-    return _belt_vertices.get((i, m, r), _make_belt_vertex, i, m, r)
+    line = _belt_lines.get(r, _Line, 0, partial(_belt_step, r, _child))
+    return line.get(_belt_place(i, m, r))
 
 
-def _make_belt_vertex(i, m, r):
-    return _vertex(canonical_address(i, m, r))
-
-
-def _belt_position(i, m, r):
-    """(side, p): the belt vertex t(i, m) is p steps from the root along the
-    nonnegative belt (side 0) or the negative belt (side 1), the paths that
-    canonical_address reduces."""
-    if not 1 <= i <= r:
-        raise DimensionMismatch(f"index {i} out of range 1..{r}")
-    if m >= 0:
-        return 0, m * r + i - 1
-    return 1, (-m - 1) * r + r - i + 1
-
-
-def _belt_matrix_step(letters, m, p):
-    """The matrix after step p along a belt whose letters repeat with period
-    letters."""
-    return mutate_matrix_raw(m, letters[(p - 1) % len(letters)])
+def canonical_address(i: int, m: int, r: int):
+    """Reduced edge word of the belt vertex t(i, m) from the root."""
+    return _address(_belt_vertex(i, m, r))
 
 
 class MatrixPattern:
@@ -377,9 +376,8 @@ class MatrixPattern:
     wide with directions indexing the smaller side, and with a
     skew-symmetrizable principal part.
 
-    belts holds one (letters, ray) pair per side of the belt: the letters
-    of one period, (1, ..., r) and (r, ..., 1), and the ray of matrices
-    along that side, which every tropical point over the root reads."""
+    belt is the line of matrices along the belt, which every tropical point
+    over the root reads."""
 
     def __init__(self, root: Matrix):
         self.root = as_matrix(root)
@@ -387,10 +385,7 @@ class MatrixPattern:
         if find_skew_symmetrizer(tuple(row[:r] for row in self.root[:r])) is None:
             raise ValueError("principal part is not skew-symmetrizable")
         self._walk = _PrefixWalker({0: self.root}, _matrix_step)
-        self.belts = tuple(
-            (letters, _Ray(self.root, partial(_belt_matrix_step, letters)))
-            for letters in (tuple(range(1, r + 1)), tuple(range(r, 0, -1)))
-        )
+        self.belt = _Line(self.root, partial(_belt_step, r, mutate_matrix_raw))
 
     def at(self, addr):
         return self._walk.get(_vertex(addr, self.rank))
@@ -608,10 +603,13 @@ class SeedPattern:
     """Memoized seed assignment for one root seed; safe for concurrent use.
 
     Seeds are memoized by vertex and exchanges by value: the pattern's
-    exchange memo is written only by walker steps, under the walker's lock."""
+    exchange memo is written only by walker steps, under the walker's lock.
+    The root's principal part must be skew-symmetrizable (see
+    MatrixPattern)."""
 
     def __init__(self, kind, b0, nfrozen=0):
         self.root = root_seed(kind, b0, nfrozen)
+        matrix_pattern(self.root.principal_part())
         self._exchanges = {}
         self._walk = _PrefixWalker(
             {0: self.root}, partial(_seed_step, memo=self._exchanges)
@@ -663,10 +661,11 @@ class GCFData:
 
 class GCFPattern:
     """Walks the standard G/C/F mutation recurrences, memoized by address;
-    F-polynomial exchanges are memoized by value, as in SeedPattern."""
+    F-polynomial exchanges are memoized by value, and the root is checked,
+    as in SeedPattern."""
 
     def __init__(self, b0):
-        b0 = as_matrix(b0)
+        b0 = matrix_pattern(b0).root
         r = len(b0)
         ident = _identity(r)
         ones = tuple(IntLaurentPoly.one(r) for _ in range(r))

@@ -2,9 +2,9 @@
 
 A tropical point is stored as one coordinate row vector anchored at a tree
 vertex; coordinates elsewhere are propagated on demand through the matrix
-pattern and cached, per tree vertex and, for belt reads, along the two sides
-of the belt.  The three supported spaces differ only in the mutation
-rule and the width of the pattern matrix:
+pattern and cached, per tree vertex and, for belt reads, along the belt
+line.  The three supported spaces differ only in the mutation rule and the
+width of the pattern matrix:
 
   * "A"      square pattern, rule with a max over the two column halves,
   * "Y"      square pattern, rule linear in the sign of the moved coordinate,
@@ -22,12 +22,13 @@ from .laurent import check_trop
 from .mutation import (
     _PARENT,
     _address,
-    _belt_position,
+    _belt_letter,
+    _belt_place,
     _gauss_jordan,
     _LETTER,
+    _Line,
     _neg_unit,
     _PrefixWalker,
-    _Ray,
     _vertex,
     as_matrix,
     matrix_pattern,
@@ -86,17 +87,18 @@ def trop_mutate_Y(coords, b, k):
 _RULES = {"A": trop_mutate_A, "Y": trop_mutate_Y, "Yprin": trop_mutate_Y}
 
 
-def _belt_coords_step(rule, letters, matrix_at, coords, p):
-    """Coordinates after step p along a belt whose letters repeat with period
-    letters; matrix_at(p - 1) is the pattern matrix before the step."""
-    return rule(coords, matrix_at(p - 1), letters[(p - 1) % len(letters)])
+def _belt_coords_step(rule, r, matrix_at, coords, s):
+    """Coordinates at belt place s from those at its neighbour nearer 0;
+    matrix_at reads the pattern matrices along the belt."""
+    near = s - 1 if s > 0 else s + 1
+    return rule(coords, matrix_at(near), _belt_letter(s, r))
 
 
 class TropPoint:
     """Tropical point anchored at one vertex; coordinates cached per vertex,
-    and along the two sides of the belt in two rays from the root."""
+    and along the belt in one line through the root."""
 
-    __slots__ = ("space", "b0", "coords", "vertex", "_walk", "_belts")
+    __slots__ = ("space", "b0", "coords", "vertex", "_walk", "_belt")
 
     def __init__(self, space, b0, coords, anchor=()):
         if space not in _RULES:
@@ -133,11 +135,10 @@ class TropPoint:
             v = _PARENT[v]
             memo[v] = coords
         self._walk = _PrefixWalker(memo, step)
-        # the belt rays step by the tropical rule on the pattern's belt
-        # matrices, never by the knitting recursion they are checked against
-        self._belts = tuple(
-            _Ray(coords, partial(_belt_coords_step, rule, letters, matrices.get))
-            for letters, matrices in pattern.belts
+        # the belt line steps by the tropical rule on the pattern's belt
+        # matrices, never by the knitting recursion it is checked against
+        self._belt = _Line(
+            coords, partial(_belt_coords_step, rule, len(self.b0), pattern.belt.get)
         )
 
     @property
@@ -156,9 +157,8 @@ class TropPoint:
 
     def belt_value(self, i, m):
         """The i-th coordinate at the belt vertex t(i, m), read off the belt
-        ray through it."""
-        side, p = _belt_position(i, m, len(self.b0))
-        return self._belts[side].get(p)[i - 1]
+        line."""
+        return self._belt.get(_belt_place(i, m, len(self.b0)))[i - 1]
 
     def at_root(self):
         return self._walk.memo[0]

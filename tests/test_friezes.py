@@ -301,9 +301,9 @@ class TestKnittingTerms:
         cartan, vectors = case
         for kind in KINDS:
             f = FriezeFunction.from_slice(kind, cartan, vectors[0])
-            forward, backward = (ray.step for ray in f._rays)
+            step = f._line.step
             for col in vectors:
-                for col_m, col_m1 in ((col, forward(col, 1)), (backward(col, 1), col)):
+                for col_m, col_m1 in ((col, step(col, 1)), (step(col, -1), col)):
                     for i in range(cartan.rank):
                         assert col_m[i] + col_m1[i] == _pair_sum_by_formula(
                             kind, cartan, col_m, col_m1, i
@@ -520,7 +520,7 @@ class TestConcurrency:
             for window, result in zip(windows, results):
                 assert result == {m: expected[m] for m in window}
             # each of the 80 columns past the slice was computed once
-            assert sorted(computed) == [(s, p) for s in (0, 1) for p in range(1, 41)]
+            assert sorted(computed) == [s for s in range(-40, 41) if s]
 
     def test_far_columns_need_no_recursion(self):
         values = (2, -3)
@@ -538,14 +538,14 @@ class TestConcurrency:
 
 
 def _count_column_steps(f):
-    """Record each column f computes while extending its two column rays:
-    (side, position along the ray)."""
+    """Record the place, along f's column line, of each column f computes."""
     calls = []
-    for side, ray in enumerate(f._rays):
+    line = f._line
+    step = line.step
 
-        def counting(col, p, step=ray.step, side=side):
-            calls.append((side, p))
-            return step(col, p)
+    def counting(col, s):
+        calls.append(s)
+        return step(col, s)
 
-        ray.step = counting
+    line.step = counting
     return calls

@@ -33,6 +33,7 @@ from cluster_friezes.mutation import (
     extract_gcf,
     find_skew_symmetrizer,
     gcf_from_principal,
+    gcf_pattern,
     is_global_Y_monomial,
     mat_mul,
     matrix_pattern,
@@ -89,6 +90,24 @@ class TestMatrixMutation:
         with pytest.raises(DimensionMismatch):
             matrix_pattern(B_A2).at((3,))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda b: matrix_pattern(b),
+            lambda b: seed_at("A", b, (1, 2)),
+            lambda b: seed_at("Y", b, (1, 2)),
+            lambda b: seed_pattern("A", b + ((1, 0), (0, 1)), 2),
+            lambda b: gcf_pattern(b).at((1,)),
+            lambda b: extract_gcf(b, (1,)),
+        ],
+        ids=["matrix", "A-seed", "Y-seed", "tall-A-seed", "gcf", "extract-gcf"],
+    )
+    def test_root_not_skew_symmetrizable(self, make):
+        # b_12 b_21 > 0: no pattern over this root is made, tall roots are
+        # checked on their principal part
+        with pytest.raises(ValueError, match="skew-symmetrizable"):
+            make(((0, 1), (1, 0)))
+
     def test_skew_symmetrizability_preserved(self):
         rng = random.Random(9)
         for _ in range(20):
@@ -114,6 +133,23 @@ class TestAddresses:
     def test_rank_one_reduces(self):
         assert canonical_address(1, 2, 1) == ()
         assert canonical_address(1, 3, 1) == (1,)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_textbook_word(self, r):
+        # t(i, m) is reached by (1..r)^m (1..i-1) for m >= 0, and by the
+        # mirrored sequence (r..1)^(-m-1) (r..i) for m < 0
+        for m in range(-5, 6):
+            for i in range(1, r + 1):
+                if m >= 0:
+                    word = list(range(1, r + 1)) * m + list(range(1, i))
+                else:
+                    word = list(range(r, 0, -1)) * (-m - 1) + list(range(r, i - 1, -1))
+                assert canonical_address(i, m, r) == reduce_word(word)
+
+    def test_index_out_of_range(self):
+        for i in (0, 4):
+            with pytest.raises(DimensionMismatch):
+                canonical_address(i, 1, 3)
 
     def test_word_reduction(self):
         assert reduce_word((1, 1)) == ()
@@ -664,15 +700,17 @@ class _NoLock:
 
 
 class TestCacheContract:
-    """Every memo is a _Registry, a _PrefixWalker or a _Ray: a hit reads the
+    """Every memo is a _Registry, a _PrefixWalker or a _Line: a hit reads the
     dict or list without a lock, and a miss creates the value once, under
     the lock."""
 
-    def test_hit_takes_no_lock(self):
+    def test_hit_takes_no_lock(self, monkeypatch):
         registry = _Registry()
         item = registry.get("key", object)
         cartan = named_cartan("B2")
+        b = cartan.b_matrix()
         slice_backed = FriezeFunction.from_slice("cluster-additive", cartan, (1, -2))
+        point = TropPoint("Y", b, (2, -1))
         reads = []
 
         def provider(i, m):
@@ -682,13 +720,24 @@ class TestCacheContract:
         provider_backed = FriezeFunction("additive", cartan, provider)
         cells = [(i, m) for i in (1, 2) for m in range(-4, 5)]
         table = [slice_backed.value(i, m) for i, m in cells]
+        belt = [point.belt_value(i, m) for i, m in cells]
+        vertices = [mutation._belt_vertex(i, m, 2) for i, m in cells]
+        # the process-wide lines a point over b reads: its pattern's belt
+        # matrices, and the belt vertices of rank 2
+        matrices = matrix_pattern(b).belt
+        vertex_line = mutation._belt_lines.items[2]
+        belt_matrices = [matrices.get(s) for s in range(-8, 9)]
         pattern = SeedPattern("Y", B_A3)
         seeds = {a: pattern.seed_at(a) for a in _reduced_words(3, 3)}
         registry.lock = pattern._walk.lock = _NoLock()
-        for ray in slice_backed._rays:
-            ray.lock = _NoLock()
+        slice_backed._line.lock = point._belt.lock = _NoLock()
+        monkeypatch.setattr(matrices, "lock", _NoLock())
+        monkeypatch.setattr(vertex_line, "lock", _NoLock())
         assert registry.get("key", object) is item
         assert [slice_backed.value(i, m) for i, m in cells] == table
+        assert [point.belt_value(i, m) for i, m in cells] == belt
+        assert [mutation._belt_vertex(i, m, 2) for i, m in cells] == vertices
+        assert [matrices.get(s) for s in range(-8, 9)] == belt_matrices
         assert {a: pattern.seed_at(a) for a in seeds} == seeds
         # a provider-backed function caches nothing and owns no lock: every
         # read, a repeated one too, calls the provider
@@ -699,10 +748,17 @@ class TestCacheContract:
         assert reads == cells * 2
         lock_types = (type(threading.Lock()), type(threading.RLock()), _Registry)
         assert not any(isinstance(v, lock_types) for v in vars(provider_backed).values())
-        # the stand-ins are the locks a miss takes
+        # the stand-ins are the locks a miss takes, on either side of a line
         for miss in (
             lambda: registry.get("other", object),
             lambda: slice_backed.value(1, 9),
+            lambda: slice_backed.value(1, -9),
+            lambda: point.belt_value(1, 9),
+            lambda: point.belt_value(2, -9),
+            lambda: matrices.get(len(matrices.ahead)),
+            lambda: matrices.get(-len(matrices.behind)),
+            lambda: vertex_line.get(len(vertex_line.ahead)),
+            lambda: vertex_line.get(-len(vertex_line.behind)),
             lambda: pattern.seed_at((1, 2, 3, 1)),
         ):
             with pytest.raises(LockTaken):

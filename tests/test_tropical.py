@@ -232,7 +232,7 @@ def _memo_free_coords(space, root, coords, anchor, word):
     return coords
 
 
-TYPES = ["A3", "B3", "G2"]
+TYPES = ["A1", "A3", "B3", "G2"]
 
 
 @st.composite
@@ -270,12 +270,13 @@ class TestCoordsAtOracle:
 
 
 class TestBeltRays:
-    """Belt reads index a point's two rays of coordinate vectors."""
+    """Belt reads index a point's line of coordinate vectors at the belt
+    place m * r + i - 1."""
 
     @pytest.mark.parametrize("space", ["A", "Y", "Yprin"])
     def test_index_outside_the_rank_raises(self, space):
-        # position m * r + i - 1 of i = 0 or r + 1 is a cell of the next or
-        # previous column; the index is checked before the ray is read
+        # place m * r + i - 1 of i = 0 or r + 1 is a cell of the next or
+        # previous column; the index is checked before the line is read
         b = named_cartan("B2").b_matrix()
         root = principal_wide_root(b) if space == "Yprin" else b
         p = TropPoint(space, root, (2, -1, 1, 0)[: len(root[0])])
@@ -292,14 +293,14 @@ class TestBeltRays:
         b = named_cartan("G2").b_matrix()
         root = transpose(b) if space == "A" else b
         p = TropPoint(space, root, (big, big))
-        backward = p._belts[1]
+        backward = p._belt.behind
         with pytest.raises(TropOverflow):
             p.belt_value(1, -3)
-        assert len(backward.items) == kept
-        entries = list(backward.items)
+        assert len(backward) == kept
+        entries = list(backward)
         with pytest.raises(TropOverflow):
             p.belt_value(1, -3)
-        assert backward.items == entries
+        assert backward == entries
         # every cell, read later, is what the tree walker gives, overflow
         # included
         q = TropPoint(space, root, (big, big))
@@ -312,7 +313,7 @@ class TestBeltRays:
                         p.belt_value(i, m)
                 else:
                     assert p.belt_value(i, m) == expected
-        assert backward.items == entries
+        assert backward == entries
 
     def test_threads_read_one_point_and_one_function(self):
         cartan = named_cartan("E6")
@@ -329,8 +330,8 @@ class TestBeltRays:
         for trial in range(4):
             point = TropPoint("Y", b, coords)
             function = FriezeFunction.from_slice("cluster-additive", cartan, values)
-            rays = point._belts + function._rays
-            steps = [_count_steps(ray) for ray in rays]
+            lines = (point._belt, function._line)
+            steps = [_count_steps(line) for line in lines]
             results = [None] * 6
             start = threading.Barrier(6)
 
@@ -353,22 +354,26 @@ class TestBeltRays:
             assert not any(t.is_alive() for t in threads)
             for window, result in zip(windows, results):
                 assert result == {c: expected[c] for c in window}
-            # each entry past the first was computed once, in order
-            for ray, positions in zip(rays, steps):
-                assert positions == list(range(1, len(ray.items)))
+            # each entry but entry 0 was computed once, each side in order
+            # outward from 0
+            for line, places in zip(lines, steps):
+                assert [s for s in places if s > 0] == list(range(1, len(line.ahead)))
+                assert [s for s in places if s < 0] == list(
+                    range(-1, -len(line.behind), -1)
+                )
 
 
-def _count_steps(ray):
-    """Record the position of each step the ray takes."""
-    positions = []
-    step = ray.step
+def _count_steps(line):
+    """Record the place of each step the line takes."""
+    places = []
+    step = line.step
 
-    def counting(value, p):
-        positions.append(p)
-        return step(value, p)
+    def counting(value, s):
+        places.append(s)
+        return step(value, s)
 
-    ray.step = counting
-    return positions
+    line.step = counting
+    return places
 
 
 class TestReexpress:

@@ -364,12 +364,20 @@ def mono_from_gvector_Y(cartan, delta_sv: TropPoint):
 # -- pairing and explicit bijections --------------------------------------------
 
 
+def _domain_columns(domain, k: FriezeFunction, offset=0):
+    """Column m + offset of k for each column m of the domain, each read
+    once."""
+    return {m: k.slice_at(m + offset) for m in sorted({m for _, m in domain})}
+
+
 def _hammock_parts(cartan, k: FriezeFunction):
     """The positive parts of -k over the fundamental domain, keyed by (i, m),
     zeros left out: the hammock multiplicities of k."""
+    domain = finite_context(cartan).roots.fundamental_domain()
+    columns = _domain_columns(domain, k)
     parts = {}
-    for i, m in finite_context(cartan).roots.fundamental_domain():
-        e = pp(-k.value(i, m))
+    for i, m in domain:
+        e = pp(-columns[m][i - 1])
         if e:
             parts[(i, m)] = e
     return parts
@@ -462,7 +470,8 @@ def y_from_delta(cartan, delta_sv: TropPoint) -> RationalFunction:
     k = k_from_trop_point(minus_p, at)
     ftable = ctx.fim_table()
     domain = ctx.roots.fundamental_domain()
-    powers = ((ftable[(i, m)], pp(-k.value(i, m - 1))) for i, m in domain)
+    columns = _domain_columns(domain, k, -1)
+    powers = ((ftable[(i, m)], pp(-columns[m][i - 1])) for i, m in domain)
     fpart = _product(powers, IntLaurentPoly.one(r))
     expr = RationalFunction.from_poly(fpart.shift(tuple(-x for x in d0)))
     _, _, ymono = mono_from_gvector_Y(cartan, delta_sv)

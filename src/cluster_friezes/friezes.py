@@ -128,17 +128,20 @@ class FriezeFunction:
 
     Backed either by the defining recursion from a seed slice or by an
     arbitrary value provider (tropical readback, admissible elements); both
-    expose the same interface and can be compared on windows.  Nothing is
-    cached per cell: the slice recursion caches its columns in one line
-    through the slice, and a tropical readback reads the point's belt line.
+    expose the same interface and can be compared on windows.  A provider
+    that reads whole columns passes column_fn(m), which slice_at and every
+    window read use.  Nothing is cached per cell: the slice recursion caches
+    its columns in one line through the slice, and a tropical readback reads
+    the point's belt line.
     """
 
-    def __init__(self, kind, cartan, value_fn):
+    def __init__(self, kind, cartan, value_fn, column_fn=None):
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
         self.kind = kind
         self.cartan = cartan
         self._value_fn = value_fn
+        self._column_fn = column_fn
         self._line = None  # the columns of a slice-backed function
         self._rank = cartan.rank
         self._terms = _terms(cartan)
@@ -153,12 +156,14 @@ class FriezeFunction:
         self = cls(kind, cartan, None)
         # column m is entry m - m0
         line = self._line = _Line(values, partial(_knit, self._terms, kind))
-        self._m0 = m0
+
+        def column(m):
+            return line.get(m - m0)
 
         def value(i, m):
             return line.get(m - m0)[i - 1]
 
-        self._value_fn = value
+        self._value_fn, self._column_fn = value, column
         return self
 
     # -- interface -----------------------------------------------------------
@@ -169,8 +174,8 @@ class FriezeFunction:
         return self._value_fn(i, m)
 
     def slice_at(self, m):
-        if self._line is not None:
-            return self._line.get(m - self._m0)
+        if self._column_fn is not None:
+            return self._column_fn(m)
         value = self._value_fn
         return tuple(value(i, m) for i in range(1, self._rank + 1))
 
@@ -307,14 +312,16 @@ def f_from_trop_point(delta_sv: TropPoint, cartan: CartanMatrix) -> FriezeFuncti
     B^T along the belt."""
     if delta_sv.space != "A" or delta_sv.b0 != belts(cartan).bt:
         raise ValueError("expected a point of the A-space of B^T")
-    return FriezeFunction("tropical-frieze", cartan.transpose(), delta_sv.belt_value)
+    return FriezeFunction(
+        "tropical-frieze", cartan.transpose(), delta_sv.belt_value, delta_sv.belt_column
+    )
 
 
 def k_from_trop_point(rho: TropPoint, cartan: CartanMatrix) -> FriezeFunction:
     """Cluster-additive function for A read off a Y-space point of B."""
     if rho.space != "Y" or rho.b0 != belts(cartan).b:
         raise ValueError("expected a point of the Y-space of B")
-    return FriezeFunction("cluster-additive", cartan, rho.belt_value)
+    return FriezeFunction("cluster-additive", cartan, rho.belt_value, rho.belt_column)
 
 
 def f_from_trop_point_neg(delta: TropPoint, cartan: CartanMatrix) -> FriezeFunction:
@@ -322,7 +329,9 @@ def f_from_trop_point_neg(delta: TropPoint, cartan: CartanMatrix) -> FriezeFunct
     whose belt realizes the untransposed knitting relation)."""
     if delta.space != "A" or delta.b0 != belts(cartan).neg_b:
         raise ValueError("expected a point of the A-space of -B")
-    return FriezeFunction("tropical-frieze", cartan, delta.belt_value)
+    return FriezeFunction(
+        "tropical-frieze", cartan, delta.belt_value, delta.belt_column
+    )
 
 
 # -- piecewise-linear slice maps -----------------------------------------------

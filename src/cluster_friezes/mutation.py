@@ -231,6 +231,15 @@ class _Line:
                 side.append(step(side[-1], q if s > 0 else -q))
             return side[p]
 
+    def run(self, s, n):
+        """Entries s, s + 1, ..., s + n - 1, all >= 0 or all < 0: their side
+        is extended once, to the entry farthest from 0, then sliced."""
+        if s >= 0:
+            self.get(s + n - 1)
+            return self.ahead[s : s + n]
+        self.get(s)
+        return self.behind[-s : -s - n : -1]
+
 
 def mutate_matrix_raw(m: Matrix, k: int) -> Matrix:
     """Matrix mutation in direction k (1-based); works for square, tall and
@@ -829,32 +838,56 @@ def walk_exchange_graph(kind, b0, depth=None):
     indices.  Yields (level, vertex, key, seed): the root first, then each
     seed whose unordered key is new, down to level depth when depth is
     given.  Each yielded vertex but the root is a child of one yielded
-    before it."""
-    seed_at_vertex = seed_pattern(kind, b0)._walk.get
+    before it.  The rows of a tall b0 below its square part are frozen.
+
+    Each edge of the graph is mutated across once.  Mutation is an
+    involution and commutes with a simultaneous permutation of the indices,
+    so when the child of v across k is a twin of (has the unordered key of)
+    the yielded w, w mutated at the index j of the child's new variable is
+    a twin of v: the edge (w, j), like the edge (child, k) back from a new
+    child, leads to a seed already yielded, and is skipped."""
+    b0 = as_matrix(b0)
+    nfrozen = max(0, len(b0) - len(b0[0]))
+    seed_at_vertex = seed_pattern(kind, b0, nfrozen)._walk.get
     seed = seed_at_vertex(0)
     key = seed.unordered_key()
     yield 0, 0, key, seed
     r = seed.rank
-    seen = {key}
+    seen = {key: 0}
+    done = set()
     frontier = [0]
     level = 0
     while frontier and (depth is None or level < depth):
         level += 1
         next_frontier = []
         for v in frontier:
-            # the edge back to v's parent leads to a seed yielded before v
-            back = _LETTER[v]
             for k in range(1, r + 1):
-                if k == back:
+                if (v, k) in done:
                     continue
                 child = _child(v, k)
                 seed = seed_at_vertex(child)
                 key = seed.unordered_key()
-                if key not in seen:
-                    seen.add(key)
+                twin = seen.get(key)
+                if twin is None:
+                    seen[key] = child
+                    done.add((child, k))
                     next_frontier.append(child)
                     yield level, child, key, seed
+                else:
+                    done.add((twin, _twin_index(seed_at_vertex(twin), seed, k)))
         frontier = next_frontier
+
+
+def _twin_index(twin, seed, k):
+    """The index of seed's k-th cluster entry in the cluster of its twin,
+    which must hold it exactly once."""
+    new = seed.cluster[k - 1]
+    places = [j for j, x in enumerate(twin.cluster, 1) if x == new]
+    if len(places) != 1:
+        raise InternalDisagreement(
+            f"twin at vertex {twin.vertex} holds the new entry {len(places)} times"
+        )
+    return places[0]
 
 
 def enumerate_exchange_graph(kind, b0, max_seeds=10_000) -> ExchangeGraph:

@@ -160,6 +160,15 @@ class TropPoint:
         line."""
         return self._belt.get(_belt_place(i, m, len(self.b0)))[i - 1]
 
+    def belt_column(self, m):
+        """(belt_value(1, m), ..., belt_value(r, m)): the belt vertices of
+        column m are r consecutive places, so the belt line is extended once,
+        to the column's far end, and the i-th coordinate read at the i-th
+        place."""
+        r = len(self.b0)
+        entries = self._belt.run(_belt_place(1, m, r), r)
+        return tuple(coords[i] for i, coords in enumerate(entries))
+
     def at_root(self):
         return self._walk.memo[0]
 

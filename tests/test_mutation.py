@@ -464,10 +464,11 @@ class TestGlobalMonomials:
         assert not is_global_Y_monomial(B_A2, (), (0, 1))
 
 
-def _reference_walk(kind, b0):
-    """(level, vertex, key) of the breadth-first exchange-graph walk,
-    following every edge (the one back to the parent too) and sorting each
-    seed by keys recomputed from its polynomials, never read from a cache."""
+def _reference_walk(kind, b0, depth=None):
+    """(level, vertex, key) of the breadth-first exchange-graph walk down to
+    level depth, following every edge (the one back to the parent too) and
+    sorting each seed by keys recomputed from its polynomials, never read
+    from a cache.  The rows of a tall b0 below its square part are frozen."""
 
     def key(seed):
         r = seed.rank
@@ -479,13 +480,13 @@ def _reference_walk(kind, b0):
         rows += [tuple(row[j] for j in order) for row in seed.matrix[r:]]
         return (tuple(seed.cluster[i] for i in order), tuple(rows))
 
-    pattern = mutation.seed_pattern(kind, b0)
+    pattern = mutation.seed_pattern(kind, b0, max(0, len(b0) - len(b0[0])))
     root = pattern.seed_at(())
     walk = [(0, 0, key(root))]
     seen = {walk[0][2]}
     frontier = [()]
     level = 0
-    while frontier:
+    while frontier and (depth is None or level < depth):
         level += 1
         next_frontier = []
         for addr in frontier:
@@ -498,6 +499,11 @@ def _reference_walk(kind, b0):
                     walk.append((level, _vertex(child), child_key))
         frontier = next_frontier
     return walk
+
+
+def _counting(function, calls, *args, **kwargs):
+    calls.append(args)
+    return function(*args, **kwargs)
 
 
 class TestExchangeGraph:
@@ -535,6 +541,71 @@ class TestExchangeGraph:
         b0 = mutation.transpose(b) if kind == "A" else b
         walk = [(level, v, key) for level, v, key, _ in walk_exchange_graph(kind, b0)]
         assert walk == _reference_walk(kind, b0)
+
+    @pytest.mark.parametrize("name", ["E6", "D6"])
+    def test_large_walk_matches_reference_walk(self, name):
+        b0 = mutation.transpose(named_cartan(name).b_matrix())
+        walk = [(level, v, key) for level, v, key, _ in walk_exchange_graph("A", b0)]
+        assert walk == _reference_walk("A", b0)
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "D4"])
+    def test_principal_coefficient_walk_matches_reference_walk(self, name):
+        # a tall root: frozen rows keep their place in the key, and the
+        # graph is the coefficient-free one
+        b0 = principal_extension(named_cartan(name).b_matrix())
+        walk = [(level, v, key) for level, v, key, _ in walk_exchange_graph("A", b0)]
+        assert walk == _reference_walk("A", b0)
+        assert len(walk) == {"A3": 14, "B3": 20, "D4": 50}[name]
+
+    @pytest.mark.parametrize("depth", range(7))
+    @pytest.mark.parametrize("kind", ["A", "Y"])
+    def test_affine_walk_matches_reference_walk(self, kind, depth):
+        b0 = ((0, -2), (2, 0))
+        walk = [
+            (level, v, key) for level, v, key, _ in walk_exchange_graph(kind, b0, depth)
+        ]
+        assert walk == _reference_walk(kind, b0, depth)
+        assert len(walk) == 2 * depth + 1
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [("A", "E6"), ("A", "D6")]
+        + [(kind, name) for name in DEFAULT_TYPES for kind in ("A", "Y")],
+    )
+    def test_each_edge_mutated_once(self, kind, name, monkeypatch):
+        # a fresh pattern registry, so every child seed is computed here
+        monkeypatch.setattr(mutation, "_seed_patterns", _Registry())
+        calls = []
+        for f in ("mutate_A_seed", "mutate_Y_seed"):
+            monkeypatch.setattr(
+                mutation, f, partial(_counting, getattr(mutation, f), calls)
+            )
+        keys = []
+        unordered_key = mutation.Seed.unordered_key
+
+        def counted_key(seed):
+            keys.append(seed)
+            return unordered_key(seed)
+
+        monkeypatch.setattr(mutation.Seed, "unordered_key", counted_key)
+        b = named_cartan(name).b_matrix()
+        b0 = mutation.transpose(b) if kind == "A" else b
+        graph = enumerate_exchange_graph(kind, b0)
+        assert 2 * len(calls) == len(graph.seeds) * len(b0)
+        # one key for the root and one per child seed: no edge back to a
+        # parent is looked at
+        assert len(keys) == 1 + len(calls)
+        if name in ("E6", "D6"):
+            assert len(calls) == {"E6": 2499, "D6": 2016}[name]
+
+    @pytest.mark.parametrize("kind", ["A", "Y"])
+    def test_twin_without_the_new_entry_raises(self, kind, monkeypatch):
+        # one forged key for every seed but the root: the root's second
+        # child passes for a twin of its first, whose cluster lacks the
+        # second child's new entry
+        monkeypatch.setattr(mutation.Seed, "unordered_key", lambda s: s.vertex != 0)
+        with pytest.raises(InternalDisagreement, match="holds the new entry 0 times"):
+            list(walk_exchange_graph(kind, B_A3))
 
     def test_laurent_positivity(self):
         # every variable, re-expanded in every chart, is a nonnegative

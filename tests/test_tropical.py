@@ -362,6 +362,89 @@ class TestBeltRays:
                     range(-1, -len(line.behind), -1)
                 )
 
+    @pytest.mark.parametrize("name", ["A1", "G2", "F4", "E6"])
+    @pytest.mark.parametrize("space", ["A", "Y", "Yprin"])
+    def test_belt_column_reads_the_belt_values(self, space, name):
+        b = named_cartan(name).b_matrix()
+        root = principal_wide_root(b) if space == "Yprin" else b
+        rng = random.Random(len(root[0]))
+        coords = tuple(rng.randint(-3, 3) for _ in root[0])
+        # separate points, so that no read feeds the other
+        by_column = TropPoint(space, root, coords)
+        by_value = TropPoint(space, root, coords)
+        r = len(b)
+        for m in range(-5, 6):
+            expected = tuple(by_value.belt_value(i, m) for i in range(1, r + 1))
+            assert by_column.belt_column(m) == expected
+
+    @pytest.mark.parametrize("space, kept", [("A", 1), ("Y", 3)])
+    def test_overflowing_column_read_appends_nothing(self, space, kept):
+        # as test_overflowing_step_appends_nothing, a column at a time
+        big = 2**62 + 2**61
+        b = named_cartan("G2").b_matrix()
+        root = transpose(b) if space == "A" else b
+        p = TropPoint(space, root, (big, big))
+        forward, backward = p._belt.ahead, p._belt.behind
+        with pytest.raises(TropOverflow):
+            p.belt_column(-3)
+        assert len(backward) == kept and len(forward) == 1
+        entries = list(backward)
+        with pytest.raises(TropOverflow):
+            p.belt_column(-3)
+        assert backward == entries
+        # a column read raises exactly when one of its cells does, read by
+        # the tree walker, and else gives the walker's values
+        q = TropPoint(space, root, (big, big))
+        for m in range(-4, 5):
+            try:
+                expected = tuple(
+                    q.coords_at(canonical_address(i, m, 2))[i - 1] for i in (1, 2)
+                )
+            except TropOverflow:
+                with pytest.raises(TropOverflow):
+                    p.belt_column(m)
+            else:
+                assert p.belt_column(m) == expected
+        assert backward == entries
+
+    def test_threads_read_columns_of_one_point(self):
+        b = belts(named_cartan("E6")).b
+        coords = (3, -2, 1, 0, -4, 2)
+        windows = [list(range(-12 + 4 * t, 1 + 4 * t)) for t in range(6)]
+        reference = TropPoint("Y", b, coords)
+        expected = {m: reference.belt_column(m) for m in range(-12, 22)}
+        for trial in range(4):
+            point = TropPoint("Y", b, coords)
+            places = _count_steps(point._belt)
+            results = [None] * 6
+            start = threading.Barrier(6)
+
+            def worker(t):
+                order = list(windows[t])
+                random.Random(6 * trial + t).shuffle(order)
+                start.wait(timeout=60)
+                results[t] = {m: point.belt_column(m) for m in order}
+
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            for window, result in zip(windows, results):
+                assert result == {m: expected[m] for m in window}
+            # each place was stepped into once, each side outward from 0
+            line = point._belt
+            assert [s for s in places if s > 0] == list(range(1, len(line.ahead)))
+            assert [s for s in places if s < 0] == list(
+                range(-1, -len(line.behind), -1)
+            )
+
 
 def _count_steps(line):
     """Record the place of each step the line takes."""

@@ -25,15 +25,15 @@ from .mutation import (
     _belt_vertex,
     _gauss_jordan,
     _identity,
+    _neg_unit,
     _Registry,
     as_matrix,
-    canonical_address,
     enumerate_exchange_graph,
     gcf_pattern,
     matrix_times_col,
     pp,
 )
-from .tropical import TropPoint, d_trop_point
+from .tropical import TropPoint, _trop_point
 
 # -- registry of named finite types -------------------------------------------
 
@@ -521,7 +521,7 @@ def d_duality_check(cartan):
     deltas = [b.delta_sv_im(j, n).at_root() for j, n in dom]
     bad = []
     for i, m in dom:
-        d_x = d_trop_point("A", b.neg_b, canonical_address(i, m, r), i)
+        d_x = _trop_point("A", b.neg_b, _neg_unit(i, r), _belt_vertex(i, m, r))
         d_root = d_x.at_root()
         x_sv = b.x_sv(i, m)
         for (j, n), x, delta in zip(dom, xs, deltas):

@@ -25,12 +25,11 @@ from .mutation import (
     _neg_unit,
     _Registry,
     as_matrix,
-    canonical_address,
     mat_neg,
     seed_pattern,
     transpose,
 )
-from .tropical import TropPoint, check_admissible_A, check_admissible_Y, d_trop_point
+from .tropical import TropPoint, _trop_point, check_admissible_A, check_admissible_Y
 
 KINDS = ("additive", "cluster-additive", "tropical-frieze")
 
@@ -281,12 +280,14 @@ class Belts:
     def rho_im(self, i, m) -> TropPoint:
         """g-vector of x_sv(i,m): the point of the Y-space of B with
         coordinates -e^i at the belt vertex t(i,m)."""
-        return d_trop_point("Y", self.b, canonical_address(i, m, self.cartan.rank), i)
+        r = self.cartan.rank
+        return _trop_point("Y", self.b, _neg_unit(i, r), _belt_vertex(i, m, r))
 
     def delta_sv_im(self, i, m) -> TropPoint:
         """g-vector of y(i,m): the point of the A-space of B^T with
         coordinates -e^i at t(i,m)."""
-        return d_trop_point("A", self.bt, canonical_address(i, m, self.cartan.rank), i)
+        r = self.cartan.rank
+        return _trop_point("A", self.bt, _neg_unit(i, r), _belt_vertex(i, m, r))
 
 
 _belts = _Registry()
@@ -386,10 +387,8 @@ def slice_step(cartan, values):
 
 def hammock(cartan, i, m) -> FriezeFunction:
     """The cluster-additive function whose m-th slice is -e_i."""
-    r = cartan.rank
-    if not 1 <= i <= r:
-        raise DimensionMismatch(f"index {i} out of range 1..{r}")
-    return FriezeFunction.from_slice("cluster-additive", cartan, _neg_unit(i, r), m0=m)
+    unit = _neg_unit(i, cartan.rank)
+    return FriezeFunction.from_slice("cluster-additive", cartan, unit, m0=m)
 
 
 def f_from_admissible_y(y, cartan, depth=16) -> FriezeFunction:

@@ -2,8 +2,8 @@
 
 Matrices are immutable tuples of row tuples.  Mutation directions and matrix
 indices in the public API are 1-based, matching the usual conventions for
-exchange matrices; tree vertices are addressed by reduced edge words from the
-root.
+exchange matrices; the public API addresses tree vertices by reduced edge
+words from the root, interned as vertices where a caller hands them in.
 """
 
 from __future__ import annotations
@@ -45,7 +45,9 @@ def _identity(r) -> Matrix:
 
 
 def _neg_unit(i, r):
-    """The vector -e_i of length r (i is 1-based)."""
+    """The vector -e_i of length r; i is an int (not a bool) in 1..r."""
+    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= r:
+        raise DimensionMismatch(f"index {i!r} out of range 1..{r}")
     return tuple(-1 if j == i - 1 else 0 for j in range(r))
 
 
@@ -715,6 +717,8 @@ def _gcf_step(state, v, k, memo=None):
         if any(down):
             neg = neg.shift(down)
         fk = (pos + neg).exact_div(f[kk])
+        if fk.constant_coeff() != 1 or not fk.coefficients_nonnegative():
+            raise AssertionError("F-polynomial failed sign-coherence shape")
         reverse = (_reverse_key(key[0], fk), tuple(-x for x in ccol))
         _learn(memo, key, fk, reverse, f[kk])
     fnew = f[:kk] + (fk,) + f[kk + 1 :]
@@ -750,12 +754,7 @@ def gcf_pattern(b0) -> GCFPattern:
 def extract_gcf(b0, addr) -> GCFData:
     """G-matrix, C-matrix and F-polynomial data at addr for principal
     coefficients at the root."""
-    b, g, c, f = gcf_pattern(b0).at(addr)
-    data = GCFData(g, c, f)
-    for poly in f:
-        if poly.constant_coeff() != 1 or not poly.coefficients_nonnegative():
-            raise AssertionError("F-polynomial failed sign-coherence shape")
-    return data
+    return GCFData(*gcf_pattern(b0).at(addr)[1:])
 
 
 def gcf_from_principal(b0, addr) -> GCFData:
@@ -791,19 +790,24 @@ def gcf_from_principal(b0, addr) -> GCFData:
 def is_global_Y_monomial(b0, addr, exponents) -> bool:
     """y_t^m is universally Laurent iff B_t m >= 0 componentwise."""
     bt = matrix_pattern(b0).at(addr)
-    return all(v >= 0 for v in matrix_times_col(bt, tuple(exponents)))
+    exponents = tuple(exponents)
+    if len(exponents) != len(bt[0]):
+        raise DimensionMismatch("exponent vector has wrong length")
+    return all(v >= 0 for v in matrix_times_col(bt, exponents))
 
 
 def separation_check(b0, addr) -> bool:
     """Check y_t = y^{C_t} * F_t(y)^{B_t} exactly: with y_t = n/d, the j-th
     entry holds iff n * prod_{b_ij < 0} F_i^(-b_ij) equals
     d * y^(c_j) * prod_{b_ij > 0} F_i^(b_ij), which needs no gcd."""
-    b0 = as_matrix(b0)
-    r = len(b0)
-    yseed = seed_at("Y", b0, addr)
-    b, _, c, f = gcf_pattern(b0).at(addr)
-    one = IntLaurentPoly.one(r)
-    for j in range(r):
+    return _separation_at(as_matrix(b0), seed_at("Y", b0, addr))
+
+
+def _separation_at(b0, yseed):
+    """separation_check at the vertex of yseed, a Y-seed over b0."""
+    b, _, c, f = gcf_pattern(b0)._walk.get(yseed.vertex)
+    one = IntLaurentPoly.one(len(b0))
+    for j in range(len(b0)):
         col = [row[j] for row in b]
         pos = _product(((p, x) for p, x in zip(f, col) if x > 0), one)
         neg = _product(((p, -x) for p, x in zip(f, col) if x < 0), one)

@@ -21,7 +21,6 @@ from .errors import DimensionMismatch, NegativeExponent
 from .laurent import check_trop
 from .mutation import (
     _PARENT,
-    _address,
     _belt_letter,
     _belt_place,
     _gauss_jordan,
@@ -31,13 +30,13 @@ from .mutation import (
     _PrefixWalker,
     _vertex,
     as_matrix,
+    gcf_pattern,
     matrix_pattern,
     matrix_times_col,
     mutate_seed,
     principal_extension,
     root_seed,
     row_times_matrix,
-    seed_pattern,
     transpose,
     walk_exchange_graph,
 )
@@ -101,50 +100,9 @@ class TropPoint:
     __slots__ = ("space", "b0", "coords", "vertex", "_walk", "_belt")
 
     def __init__(self, space, b0, coords, anchor=()):
-        if space not in _RULES:
-            raise ValueError(f"unknown space {space!r}")
-        pattern = matrix_pattern(b0)
-        self.space = space
-        self.b0 = pattern.root
-        self.coords = tuple(int(c) for c in coords)
-        width = len(self.b0[0])
-        if space == "Yprin":
-            if width != 2 * len(self.b0):
-                raise DimensionMismatch("Yprin pattern matrix must be r x 2r")
-        elif width != len(self.b0):
-            raise DimensionMismatch("pattern matrix must be square")
-        if len(self.coords) != width:
-            raise DimensionMismatch("coordinate vector has wrong length")
-        # the mutation rules rely on in-range coordinates
-        for c in self.coords:
-            check_trop(c)
-        self.vertex = v = _vertex(anchor, len(self.b0))
-        rule = _RULES[space]
-        matrix_at = pattern._walk.get
-
-        def step(coords, v, k):
-            """Coordinates across edge k from vertex v."""
-            return rule(coords, matrix_at(v), k)
-
-        # walk the anchor up to the root once, so the memo starts closed
-        # under parents and every later miss walks down from an ancestor
-        memo = {v: self.coords}
-        coords = self.coords
-        while v:
-            coords = step(coords, v, _LETTER[v])
-            v = _PARENT[v]
-            memo[v] = coords
-        self._walk = _PrefixWalker(memo, step)
-        # the belt line steps by the tropical rule on the pattern's belt
-        # matrices, never by the knitting recursion it is checked against
-        self._belt = _Line(
-            coords, partial(_belt_coords_step, rule, len(self.b0), pattern.belt.get)
-        )
-
-    @property
-    def anchor(self):
-        """The reduced edge word of the anchor vertex."""
-        return _address(self.vertex)
+        root = matrix_pattern(b0).root
+        v = _vertex(anchor, len(root))
+        _trop_point(space, root, tuple(int(c) for c in coords), v, self)
 
     @property
     def rank(self):
@@ -188,14 +146,57 @@ class TropPoint:
         return f"TropPoint({self.space}, coords_at_root={self.at_root()})"
 
 
+def _trop_point(space, b0, coords, v, point=None):
+    """The TropPoint of space over b0 with the coordinates coords at vertex v."""
+    rule = _RULES.get(space)
+    if rule is None:
+        raise ValueError(f"unknown space {space!r}")
+    pattern = matrix_pattern(b0)
+    root = pattern.root
+    width = len(root[0])
+    if space == "Yprin":
+        if width != 2 * len(root):
+            raise DimensionMismatch("Yprin pattern matrix must be r x 2r")
+    elif width != len(root):
+        raise DimensionMismatch("pattern matrix must be square")
+    if len(coords) != width:
+        raise DimensionMismatch("coordinate vector has wrong length")
+    # the mutation rules rely on in-range coordinates
+    for c in coords:
+        check_trop(c)
+    if point is None:  # else TropPoint.__init__ passed itself
+        point = object.__new__(TropPoint)
+    point.space, point.b0, point.coords, point.vertex = space, root, coords, v
+    matrix_at = pattern._walk.get
+
+    def step(coords, v, k):
+        """Coordinates across edge k from vertex v."""
+        return rule(coords, matrix_at(v), k)
+
+    # walk the anchor up to the root once, so the memo starts closed under
+    # parents and every later miss walks down from an ancestor
+    memo = {v: coords}
+    while v:
+        coords = step(coords, v, _LETTER[v])
+        v = _PARENT[v]
+        memo[v] = coords
+    point._walk = _PrefixWalker(memo, step)
+    # the belt line steps by the tropical rule on the pattern's belt
+    # matrices, never by the knitting recursion it is checked against
+    point._belt = _Line(
+        coords, partial(_belt_coords_step, rule, pattern.rank, pattern.belt.get)
+    )
+    return point
+
+
 def p_map(delta: TropPoint) -> TropPoint:
     """Ensemble map: chart-linear, coords delta_t B_t in the Y-space of the
     same pattern."""
     if delta.space != "A":
         raise ValueError("p_map expects an A-space point")
-    bt = matrix_pattern(delta.b0).at(delta.anchor)
+    bt = matrix_pattern(delta.b0)._walk.get(delta.vertex)
     coords = row_times_matrix(delta.coords, bt)
-    return TropPoint("Y", delta.b0, coords, delta.anchor)
+    return _trop_point("Y", delta.b0, coords, delta.vertex)
 
 
 def principal_wide_root(b0):
@@ -206,15 +207,13 @@ def principal_wide_root(b0):
 def beta_map(delta_sv: TropPoint, b0) -> TropPoint:
     """Injective map from A-space points of B^T into the principal Y-space:
     coordinates (delta_t B_t^T, delta_t C_t^T)."""
-    from .mutation import gcf_pattern
-
     b0 = as_matrix(b0)
     if delta_sv.space != "A" or delta_sv.b0 != transpose(b0):
         raise ValueError("beta_map expects an A-space point of the transpose")
-    b, _, c, _ = gcf_pattern(b0).at(delta_sv.anchor)
+    b, _, c, _ = gcf_pattern(b0)._walk.get(delta_sv.vertex)
     d = delta_sv.coords
     coords = matrix_times_col(b, d) + matrix_times_col(c, d)
-    return TropPoint("Yprin", principal_wide_root(b0), coords, delta_sv.anchor)
+    return _trop_point("Yprin", principal_wide_root(b0), coords, delta_sv.vertex)
 
 
 def g_vector_of_cluster_monomial(b0, addr, exponents) -> TropPoint:
@@ -390,20 +389,22 @@ def reexpress(f, pattern, addr, k):
 
     The coordinate variables at addr are the mutation, in direction k, of the
     coordinate variables of the chart across the edge."""
-    s = pattern.seed_at(addr + (k,))
-    return f.substitute(mutate_seed(root_seed(s.kind, s.matrix), k).cluster)
+    return _reexpress(f, pattern.seed_at(addr + (k,)), k)
+
+
+def _reexpress(f, seed, k):
+    """f rewritten into the chart of seed from the chart across edge k."""
+    return f.substitute(mutate_seed(root_seed(seed.kind, seed.matrix), k).cluster)
 
 
 def _charts(element, kind, b0, depth=None):
     """Yields (level, vertex, seed, f) for each chart walk_exchange_graph
     reaches, with f the element, given in the root chart, rewritten into
-    that chart: it is carried from the chart's parent by reexpress."""
-    pattern = seed_pattern(kind, b0)
+    that chart: it is carried from the chart's parent by _reexpress."""
     exprs = {}
     for level, v, _, seed in walk_exchange_graph(kind, b0, depth):
         if v:
-            parent = _PARENT[v]
-            element = reexpress(exprs[parent], pattern, _address(parent), _LETTER[v])
+            element = _reexpress(exprs[_PARENT[v]], seed, _LETTER[v])
         exprs[v] = element
         yield level, v, seed, element
 

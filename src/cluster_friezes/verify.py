@@ -32,15 +32,15 @@ from .friezes import (
 )
 from .laurent import RationalFunction, _product
 from .mutation import (
+    _belt_vertex,
     _identity,
-    canonical_address,
+    _separation_at,
     enumerate_exchange_graph,
-    extract_gcf,
+    gcf_pattern,
     is_global_Y_monomial,
     seed_pattern,
-    separation_check,
 )
-from .tropical import TropPoint, _charts, check_admissible_A
+from .tropical import TropPoint, _charts, _trop_point, check_admissible_A
 
 DEFAULT_TYPES = ("A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2")
 SMALL_TYPES = ("A2", "A3", "B2", "G2")
@@ -278,14 +278,14 @@ def suite_fpoly_separation(types=DEFAULT_TYPES, **_):
     def check(name, cartan, ctx, rng):
         r = cartan.rank
         table = fim_recursion(cartan)
+        gcf_at = gcf_pattern(ctx.belts.b)._walk.get
         mismatches = 0
         for (i, m), poly in table.items():
-            gcf = extract_gcf(ctx.belts.b, canonical_address(i, m, r))
-            if gcf.fpolys[i - 1] != poly:
+            if gcf_at(_belt_vertex(i, m, r))[3][i - 1] != poly:
                 mismatches += 1
         sep_fail = 0
         for seed in ctx.y_graph().seeds.values():
-            if not separation_check(ctx.belts.b, seed.address):
+            if not _separation_at(ctx.belts.b, seed):
                 sep_fail += 1
         return mismatches == 0 and sep_fail == 0, {
             "fpoly_mismatches": mismatches, "separation_failures": sep_fail,
@@ -315,9 +315,7 @@ def suite_shift_laws(types=SMALL_TYPES, trials=1000, rng_seed=0, **_):
             k1 = k_from_trop_point(shifted, cartan)
             if any(k1.slice_at(m) != k0.slice_at(m - 1) for m in range(-3, 4)):
                 bad += 1
-            reanchored = TropPoint(
-                "Y", ctx.belts.b, rho.at_root(), canonical_address(1, 1, r)
-            )
+            reanchored = _trop_point("Y", rho.b0, rho.at_root(), _belt_vertex(1, 1, r))
             if shifted != reanchored:
                 bad += 1
         return bad == 0, {"failures": bad}
@@ -339,9 +337,8 @@ def suite_admissibility(types=("A2", "B2"), rng_seed=0, **_):
         for seed in ctx.a_graph().seeds.values():
             for exps in exp_sets:
                 mono = _product(zip(seed.cluster, exps), RationalFunction.one(r))
-                rho = TropPoint(
-                    "Y", ctx.belts.b, tuple(-e for e in exps), seed.address
-                )
+                coords = tuple(-e for e in exps)
+                rho = _trop_point("Y", ctx.belts.b, coords, seed.vertex)
                 if check_admissible_A(mono, rho, depth) is not True:
                     ok = False
                 checked += 1

@@ -40,8 +40,8 @@ def _constant(value):
 # breaker(owner.name) breaks one route that the suite reads, and the suite
 # must then fail, with counter (when given) nonzero in its A2 details
 BROKEN_ROUTES = {
-    "separation": ("fpoly-separation", verify, "separation_check",
-                   lambda orig: lambda b0, addr: False, {}, "separation_failures"),
+    "separation": ("fpoly-separation", verify, "_separation_at",
+                   lambda orig: lambda b0, yseed: False, {}, "separation_failures"),
     "fpoly": ("fpoly-separation", verify, "fim_recursion",
               lambda orig: lambda cartan: dict.fromkeys(
                   orig(cartan), IntLaurentPoly.one(cartan.rank)),
@@ -61,9 +61,9 @@ BROKEN_ROUTES = {
                    {"trials": 3}, "disagreements"),
     "f-readback": ("realization", verify, "f_from_trop_point", _off_by_one_at_3,
                    {"trials": 3}, "disagreements"),
-    "d-point": ("d-duality", finite, "d_trop_point",
-                lambda orig: lambda space, b0, addr, i: orig(space, b0, addr, 1),
-                {}, "violations"),
+    # the d-point of x(i, m) on the A-space of -B, as the one of x(1, m)
+    "d-point": ("d-duality", finite, "_neg_unit",
+                lambda orig: lambda i, r: orig(1, r), {}, "violations"),
     "glide": ("periodicity", finite.RootSystemData, "glide",
               lambda orig: lambda self, i, m: (i, m + 1), {"trials": 4},
               "generic_violations"),
@@ -515,7 +515,7 @@ class TestInternalLawExit4:
 
     def test_fpoly_shape_exit_4(self, capsys, monkeypatch):
         exc = AssertionError("F-polynomial failed sign-coherence shape")
-        monkeypatch.setattr(verify, "extract_gcf", _raise(exc))
+        monkeypatch.setattr(verify, "gcf_pattern", _raise(exc))
         code, out, err = run(
             capsys, "verify", "--suite", "fpoly-separation", "--types", "A2",
             "--trials", "2",

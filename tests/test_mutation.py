@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cluster_friezes import laurent, mutation, verify
+from cluster_friezes import cli, finite, friezes, laurent, mutation, tropical, verify
 from cluster_friezes.errors import BudgetExceeded, DimensionMismatch, InternalDisagreement
 from cluster_friezes.finite import named_cartan
 from cluster_friezes.friezes import FriezeFunction
@@ -23,6 +23,7 @@ from cluster_friezes.mutation import (
     _exchange_key,
     _gauss_jordan,
     _gcf_step,
+    _identity,
     _address,
     _child,
     _PARENT,
@@ -215,6 +216,32 @@ class TestVertexTable:
             assert _address(results[0][i]) == reduce_word(word)
 
 
+class TestWordsAtTheEdge:
+    """Inside the library a tree position is an interned vertex: a word is
+    interned where a caller hands one in and built where one goes out."""
+
+    @pytest.mark.parametrize(
+        "suite", ["d-duality", "fpoly-separation", "shift-laws", "admissibility"]
+    )
+    def test_suite_makes_no_word_and_interns_none(self, suite, monkeypatch):
+        calls = []
+        for name in ("canonical_address", "_address", "_vertex"):
+            orig = getattr(mutation, name)
+
+            def counted(*args, name=name, orig=orig):
+                # _vertex(()) is the root: no word to intern
+                if name != "_vertex" or args[0]:
+                    calls.append((name, args))
+                return orig(*args)
+
+            for module in (mutation, tropical, friezes, finite, verify, cli):
+                if getattr(module, name, None) is orig:
+                    monkeypatch.setattr(module, name, counted)
+        result = verify.run_suite(suite, types=("A2", "B2"))
+        assert result.passed
+        assert calls == []
+
+
 class TestStrictLetters:
     """A letter that is not an int >= 1 raises before any vertex is made."""
 
@@ -310,6 +337,20 @@ class TestSeedMutation:
 
 
 class TestPrincipalCoefficients:
+    def test_fpoly_shape_checked_where_made(self):
+        # F_1 = -1 at the root makes the new F_1 = -(1 + y_1)
+        minus_one, one = P.constant(-1, 2), P.one(2)
+        state = (B_A2, _identity(2), _identity(2), (minus_one, one))
+        with pytest.raises(AssertionError, match="sign-coherence shape"):
+            _gcf_step(state, 0, 1)
+
+    def test_separation_check_reads_checked_fpolys(self, monkeypatch):
+        # on a fresh G/C/F registry every F is made anew, and checked
+        monkeypatch.setattr(mutation, "_gcf_patterns", _Registry())
+        monkeypatch.setattr(P, "coefficients_nonnegative", lambda self: False)
+        with pytest.raises(AssertionError, match="sign-coherence shape"):
+            separation_check(B_A2, (1,))
+
     def test_root_identity(self):
         data = extract_gcf(B_A2, ())
         ident = ((1, 0), (0, 1))
@@ -389,11 +430,14 @@ class TestSeparation:
     ], ids=["f-times-1-plus-x1", "c-entry-off-by-one"])
     def test_catches_a_broken_gcf_state(self, break_state, monkeypatch):
         class Broken:
+            """A G/C/F pattern whose walker reads broken states."""
+
             def __init__(self, pattern):
                 self.pattern = pattern
+                self._walk = self
 
-            def at(self, addr):
-                return break_state(*self.pattern.at(addr))
+            def get(self, v):
+                return break_state(*self.pattern._walk.get(v))
 
         gcf_pattern = mutation.gcf_pattern
         monkeypatch.setattr(mutation, "gcf_pattern", lambda b0: Broken(gcf_pattern(b0)))
@@ -462,6 +506,13 @@ class TestGlobalMonomials:
         assert is_global_Y_monomial(B_A2, (), (0, 0))
         assert is_global_Y_monomial(B_A2, (), (1, 0))
         assert not is_global_Y_monomial(B_A2, (), (0, 1))
+
+    @pytest.mark.parametrize("exponents", [(), (1,), (0, 1, 5)])
+    def test_exponents_of_the_wrong_length_raise(self, exponents):
+        # B_t times the exponents zips rows with entries, so a short or long
+        # vector would be cut to the rank and answered
+        with pytest.raises(DimensionMismatch, match="wrong length"):
+            is_global_Y_monomial(B_A2, (1,), exponents)
 
 
 def _reference_walk(kind, b0, depth=None):

@@ -573,6 +573,12 @@ class TestDCompat:
                 d = d_trop_point("A", b.bt, seed.address, i + 1)
                 assert d_compat_degree(d, seed.cluster[j]) == 0
 
+    @pytest.mark.parametrize("i", [5, 3, 0, -1, True, 1.0])
+    def test_index_out_of_range(self, i):
+        # -e_i has no -1 entry for i outside 1..r, and True equals 1
+        with pytest.raises(DimensionMismatch, match="out of range"):
+            d_trop_point("A", BT_A2, (1,), i)
+
     def test_denominator_vector_entry(self):
         cartan = named_cartan("A2")
         b = belts(cartan)

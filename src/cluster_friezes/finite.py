@@ -489,10 +489,13 @@ def decompose_hammocks(cartan, k: FriezeFunction):
     is verified on the domain (hence everywhere, by periodicity)."""
     if k.kind != "cluster-additive":
         raise ValueError("expected a cluster-additive function")
+    if k.cartan != cartan:
+        raise ValueError("expected a function over the given Cartan matrix")
     parts = _hammock_parts(cartan, k)
     rebuilt = reconstruct_from_hammocks(cartan, parts)
+    # compared by columns: a cell of the hammock sum costs a whole column
     dom = finite_context(cartan).roots.fundamental_domain()
-    if any(rebuilt.value(i, m) != k.value(i, m) for i, m in dom):
+    if _domain_columns(dom, rebuilt) != _domain_columns(dom, k):
         raise InternalDisagreement("hammock reconstruction mismatch")
     return parts
 
@@ -501,27 +504,31 @@ def reconstruct_from_hammocks(cartan, parts):
     """Sum of hammocks with the given multiplicities, as a FriezeFunction."""
 
     pieces = [(hammock(cartan, i, m), mult) for (i, m), mult in parts.items()]
+    ranks = range(cartan.rank)
 
-    def value(i, m):
-        return sum(mult * h.value(i, m) for h, mult in pieces)
+    def column(m):
+        cols = [(h.slice_at(m), mult) for h, mult in pieces]
+        return tuple(sum(mult * col[j] for col, mult in cols) for j in ranks)
 
-    return FriezeFunction("cluster-additive", cartan, value)
+    return FriezeFunction("cluster-additive", cartan, column)
 
 
 def d_duality_check(cartan):
     """Exhaustively compare (x(i,m) || x(j,n))_d on the A-space of -B with
     (x~(j,n) || x~(i,m))_d on the A-space of B^T over the fundamental domain;
-    returns the list of disagreeing pairs (expected empty)."""
+    returns the list of disagreeing pairs (expected empty).  The A-space of
+    -B is the A-space of B(A^T)^T, read from the belts of A^T."""
     ctx = finite_context(cartan)
     b = ctx.belts
+    neg = belts(cartan.transpose())
     r = cartan.rank
     dom = ctx.roots.fundamental_domain()
     # each d-point and belt variable of the inner loop, built once
-    xs = [b.x(j, n) for j, n in dom]
+    xs = [neg.x_sv(j, n) for j, n in dom]
     deltas = [b.delta_sv_im(j, n).at_root() for j, n in dom]
     bad = []
     for i, m in dom:
-        d_x = _trop_point("A", b.neg_b, _neg_unit(i, r), _belt_vertex(i, m, r))
+        d_x = _trop_point("A", neg.bt, _neg_unit(i, r), _belt_vertex(i, m, r))
         d_root = d_x.at_root()
         x_sv = b.x_sv(i, m)
         for (j, n), x, delta in zip(dom, xs, deltas):

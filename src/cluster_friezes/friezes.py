@@ -21,11 +21,11 @@ from .laurent import RationalFunction, check_trop
 from .mutation import (
     _belt_vertex,
     _diagonal_symmetrizer,
+    _ints,
     _Line,
     _neg_unit,
     _Registry,
     as_matrix,
-    mat_neg,
     seed_pattern,
     transpose,
 )
@@ -123,23 +123,21 @@ def _make_terms(a):
 
 
 class FriezeFunction:
-    """Z-valued function on [1,r] x Z of one of the three kinds.
+    """Z-valued function on [1,r] x Z of one of the three kinds, given by its
+    column reader: column_fn(m) is the r-tuple (v(1,m), ..., v(r,m)).
 
-    Backed either by the defining recursion from a seed slice or by an
-    arbitrary value provider (tropical readback, admissible elements); both
-    expose the same interface and can be compared on windows.  A provider
-    that reads whole columns passes column_fn(m), which slice_at and every
-    window read use.  Nothing is cached per cell: the slice recursion caches
-    its columns in one line through the slice, and a tropical readback reads
-    the point's belt line.
+    Every constructor supplies columns (the slice recursion, a tropical
+    readback, admissible elements, shifts and sums), so a cell is read from
+    its column.  Nothing is cached per cell: the slice recursion caches its
+    columns in one line through the slice, and a tropical readback reads the
+    point's belt line.
     """
 
-    def __init__(self, kind, cartan, value_fn, column_fn=None):
+    def __init__(self, kind, cartan, column_fn):
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
         self.kind = kind
         self.cartan = cartan
-        self._value_fn = value_fn
         self._column_fn = column_fn
         self._line = None  # the columns of a slice-backed function
         self._rank = cartan.rank
@@ -149,20 +147,13 @@ class FriezeFunction:
 
     @classmethod
     def from_slice(cls, kind, cartan, values, m0=0):
-        values = tuple(int(v) for v in values)
+        values = _ints(values)
         if len(values) != cartan.rank:
             raise DimensionMismatch("slice length must equal the rank")
-        self = cls(kind, cartan, None)
-        # column m is entry m - m0
-        line = self._line = _Line(values, partial(_knit, self._terms, kind))
-
-        def column(m):
-            return line.get(m - m0)
-
-        def value(i, m):
-            return line.get(m - m0)[i - 1]
-
-        self._value_fn, self._column_fn = value, column
+        # column m is entry m - m0 of one line through the slice
+        line = _Line(values, partial(_knit, _terms(cartan), kind))
+        self = cls(kind, cartan, lambda m: line.get(m - m0))
+        self._line = line
         return self
 
     # -- interface -----------------------------------------------------------
@@ -170,13 +161,10 @@ class FriezeFunction:
     def value(self, i, m):
         if not 1 <= i <= self._rank:
             raise DimensionMismatch(f"index {i} out of range")
-        return self._value_fn(i, m)
+        return self._column_fn(m)[i - 1]
 
     def slice_at(self, m):
-        if self._column_fn is not None:
-            return self._column_fn(m)
-        value = self._value_fn
-        return tuple(value(i, m) for i in range(1, self._rank + 1))
+        return self._column_fn(m)
 
     def table(self, m_lo, m_hi):
         out = {}
@@ -245,18 +233,18 @@ def _knit(terms, kind, col, s):
 
 
 class Belts:
-    """The four generic frieze patterns attached to a Cartan matrix, read off
-    the seeds along the acyclic belt of the respective pattern."""
+    """The generic frieze patterns of one Fock-Goncharov dual pair attached to
+    a Cartan matrix, the A-space of B^T and the Y-space of B, read off the
+    seeds along the acyclic belt of each pattern.  The other pair, the
+    A-space of -B and the Y-space of -B^T, is the first pair of A^T, since
+    B(A^T) = -B^T: belts(cartan.transpose())."""
 
     def __init__(self, cartan: CartanMatrix):
         self.cartan = cartan
         self.b = cartan.b_matrix()
         self.bt = transpose(self.b)
-        self.neg_b = mat_neg(self.b)
         self._x_sv = seed_pattern("A", self.bt)._walk.get
         self._y = seed_pattern("Y", self.b)._walk.get
-        self._x = seed_pattern("A", self.neg_b)._walk.get
-        self._y_sv = seed_pattern("Y", mat_neg(self.bt))._walk.get
 
     def _belt_variable(self, seed_at, i, m):
         return seed_at(_belt_vertex(i, m, self.cartan.rank)).cluster[i - 1]
@@ -268,14 +256,6 @@ class Belts:
     def y(self, i, m):
         """Y-variable y(i,m) of the Y-space of B."""
         return self._belt_variable(self._y, i, m)
-
-    def x(self, i, m):
-        """Cluster variable x(i,m) of the A-space of -B."""
-        return self._belt_variable(self._x, i, m)
-
-    def y_sv(self, i, m):
-        """Y-variable of the Y-space of -B^T."""
-        return self._belt_variable(self._y_sv, i, m)
 
     def rho_im(self, i, m) -> TropPoint:
         """g-vector of x_sv(i,m): the point of the Y-space of B with
@@ -313,26 +293,14 @@ def f_from_trop_point(delta_sv: TropPoint, cartan: CartanMatrix) -> FriezeFuncti
     B^T along the belt."""
     if delta_sv.space != "A" or delta_sv.b0 != belts(cartan).bt:
         raise ValueError("expected a point of the A-space of B^T")
-    return FriezeFunction(
-        "tropical-frieze", cartan.transpose(), delta_sv.belt_value, delta_sv.belt_column
-    )
+    return FriezeFunction("tropical-frieze", cartan.transpose(), delta_sv.belt_column)
 
 
 def k_from_trop_point(rho: TropPoint, cartan: CartanMatrix) -> FriezeFunction:
     """Cluster-additive function for A read off a Y-space point of B."""
     if rho.space != "Y" or rho.b0 != belts(cartan).b:
         raise ValueError("expected a point of the Y-space of B")
-    return FriezeFunction("cluster-additive", cartan, rho.belt_value, rho.belt_column)
-
-
-def f_from_trop_point_neg(delta: TropPoint, cartan: CartanMatrix) -> FriezeFunction:
-    """Tropical frieze for A itself, from an A-space point of -B (the pattern
-    whose belt realizes the untransposed knitting relation)."""
-    if delta.space != "A" or delta.b0 != belts(cartan).neg_b:
-        raise ValueError("expected a point of the A-space of -B")
-    return FriezeFunction(
-        "tropical-frieze", cartan, delta.belt_value, delta.belt_column
-    )
+    return FriezeFunction("cluster-additive", cartan, rho.belt_column)
 
 
 # -- piecewise-linear slice maps -----------------------------------------------
@@ -351,8 +319,13 @@ class PLMap:
         part = 1 if sign == "+" else 0
         self._terms = tuple(t[part] for t in _terms(cartan))
 
+    def _check_length(self, v):
+        if len(v) != len(self._terms):
+            raise DimensionMismatch("vector length must equal the rank")
+
     def apply(self, d):
         """Column vector in, row vector out."""
+        self._check_length(d)
         out = []
         for i, terms in enumerate(self._terms):
             s = d[i]
@@ -365,6 +338,7 @@ class PLMap:
     def invert(self, v):
         """Row vector in, column vector out, by forward substitution; the
         strict triangularity of the matrix makes each step explicit."""
+        self._check_length(v)
         terms = self._terms
         d = list(v)
         order = range(len(d)) if self.sign == "+" else range(len(d) - 1, -1, -1)
@@ -399,10 +373,12 @@ def f_from_admissible_y(y, cartan, depth=16) -> FriezeFunction:
     if verdict is not True:
         raise NotAdmissible(f"element failed the Y-side check: {verdict}")
 
-    def value(i, m):
-        return y.trop_eval(b.rho_im(i, m).at_root())
+    ranks = range(1, cartan.rank + 1)
 
-    return FriezeFunction("tropical-frieze", cartan.transpose(), value)
+    def column(m):
+        return tuple(y.trop_eval(b.rho_im(i, m).at_root()) for i in ranks)
+
+    return FriezeFunction("tropical-frieze", cartan.transpose(), column)
 
 
 def k_from_admissible_x(x, cartan, depth=16) -> FriezeFunction:
@@ -415,15 +391,17 @@ def k_from_admissible_x(x, cartan, depth=16) -> FriezeFunction:
     if verdict is not True:
         raise NotAdmissible(f"element failed the A-side check: {verdict}")
 
-    def value(i, m):
-        return x.trop_eval(b.delta_sv_im(i, m).at_root())
+    ranks = range(1, cartan.rank + 1)
 
-    return FriezeFunction("cluster-additive", cartan, value)
+    def column(m):
+        return tuple(x.trop_eval(b.delta_sv_im(i, m).at_root()) for i in ranks)
+
+    return FriezeFunction("cluster-additive", cartan, column)
 
 
 def shift(f: FriezeFunction) -> FriezeFunction:
     """Shift by one column: (i, m) -> f(i, m-1)."""
-    return FriezeFunction(f.kind, f.cartan, lambda i, m: f.value(i, m - 1))
+    return FriezeFunction(f.kind, f.cartan, lambda m: f.slice_at(m - 1))
 
 
 def shift_trop(rho: TropPoint, cartan: CartanMatrix) -> TropPoint:
@@ -445,9 +423,11 @@ def ensemble_map_friezes(f: FriezeFunction) -> FriezeFunction:
         raise ValueError("expected a tropical frieze")
     terms = _terms(f.cartan)
 
-    def value(i, m):
-        later, earlier = terms[i - 1]
-        s = sum(c * f.value(j + 1, m) for j, c in later)
-        return s + sum(c * f.value(j + 1, m + 1) for j, c in earlier)
+    def column(m):
+        col_m, col_m1 = f.slice_at(m), f.slice_at(m + 1)
+        return tuple(
+            sum(c * col_m[j] for j, c in later) + sum(c * col_m1[j] for j, c in earlier)
+            for later, earlier in terms
+        )
 
-    return FriezeFunction("cluster-additive", f.cartan, value)
+    return FriezeFunction("cluster-additive", f.cartan, column)

@@ -27,8 +27,23 @@ def pp(x):
     return x if x > 0 else 0
 
 
+def _ints(values):
+    """values as a tuple of ints.  A float, a str or a bool is refused with
+    TypeError rather than truncated; an int subclass becomes an int."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            break
+    else:
+        return values
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise TypeError(f"entry {x!r} is not an int")
+    return tuple(map(int, values))
+
+
 def as_matrix(rows) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(map(_ints, rows))
 
 
 def transpose(m: Matrix) -> Matrix:

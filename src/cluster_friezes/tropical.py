@@ -24,6 +24,7 @@ from .mutation import (
     _belt_letter,
     _belt_place,
     _gauss_jordan,
+    _ints,
     _LETTER,
     _Line,
     _neg_unit,
@@ -102,7 +103,7 @@ class TropPoint:
     def __init__(self, space, b0, coords, anchor=()):
         root = matrix_pattern(b0).root
         v = _vertex(anchor, len(root))
-        _trop_point(space, root, tuple(int(c) for c in coords), v, self)
+        _trop_point(space, root, _ints(coords), v, self)
 
     @property
     def rank(self):

@@ -25,14 +25,16 @@ def _off_by_one_at_3(make):
 
     def broken(point, cartan):
         f = make(point, cartan)
-        return FriezeFunction(f.kind, f.cartan, lambda i, m: f.value(i, m) + (m == 3))
+        return FriezeFunction(
+            f.kind, f.cartan, lambda m: tuple(v + (m == 3) for v in f.slice_at(m))
+        )
 
     return broken
 
 
 def _constant(value):
     return lambda cartan, *_: FriezeFunction(
-        "cluster-additive", cartan, lambda i, m: value
+        "cluster-additive", cartan, lambda m: (value,) * cartan.rank
     )
 
 

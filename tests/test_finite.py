@@ -130,7 +130,7 @@ class TestPeriodicity:
 
     def test_violations_reported(self):
         # f(i, m) = m is not invariant under (i, m) -> (i*, m + 1 + h(i*; c))
-        f = FriezeFunction("cluster-additive", A2, lambda i, m: m)
+        f = FriezeFunction("cluster-additive", A2, lambda m: (m, m))
         cells = [(i, m) for i in (1, 2) for m in range(4)]
         assert verify_periodicity(A2, 0, 3, [f]) == [("frieze0",) + c for c in cells]
 
@@ -324,6 +324,14 @@ class TestDecomposition:
                 for m in range(-5, 8)
             )
 
+    @pytest.mark.parametrize("other", ["B2", "A3"])
+    def test_function_over_another_cartan_matrix_refused(self, other):
+        # C2 is B2 transposed: over B2 the domain reads a different function,
+        # and A3 has another rank
+        k = FriezeFunction.from_slice("cluster-additive", named_cartan("C2"), (1, -2))
+        with pytest.raises(ValueError, match="over the given Cartan matrix"):
+            decompose_hammocks(named_cartan(other), k)
+
 
 class TestDDuality:
     def test_small_types_exhaustive(self):
@@ -332,13 +340,14 @@ class TestDDuality:
 
     def test_self_pairs(self):
         ctx = finite_context(A2)
-        b = ctx.belts
+        # the A-space of -B is the A-space of B(A^T)^T
+        neg = belts(A2.transpose())
         from cluster_friezes.tropical import d_trop_point, d_compat_degree
         from cluster_friezes.mutation import mat_neg
 
         for i, m in ctx.roots.fundamental_domain():
-            d = d_trop_point("A", mat_neg(b.b), canonical_address(i, m, 2), i)
-            assert d_compat_degree(d, b.x(i, m)) == -1
+            d = d_trop_point("A", mat_neg(ctx.belts.b), canonical_address(i, m, 2), i)
+            assert d_compat_degree(d, neg.x_sv(i, m)) == -1
 
 
 class TestPhiShiftLaw:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cluster_friezes.errors import NotAdmissible
+from cluster_friezes.errors import DimensionMismatch, NotAdmissible
 from cluster_friezes.finite import finite_context, named_cartan
 from cluster_friezes.friezes import (
     KINDS,
@@ -17,7 +17,6 @@ from cluster_friezes.friezes import (
     ensemble_map_friezes,
     f_from_admissible_y,
     f_from_trop_point,
-    f_from_trop_point_neg,
     generic_A_frieze,
     generic_Y_frieze,
     hammock,
@@ -28,7 +27,7 @@ from cluster_friezes.friezes import (
     slice_step,
 )
 from cluster_friezes.laurent import RationalFunction as RF
-from cluster_friezes.mutation import canonical_address, mat_neg, pp
+from cluster_friezes.mutation import canonical_address, mat_neg, pp, transpose
 from cluster_friezes.tropical import TropPoint, p_map
 
 A2 = named_cartan("A2")
@@ -152,17 +151,14 @@ class TestGenericFriezes:
 
     def test_dual_belt_patterns(self):
         """-B(A)^T = B(A^T): the Y-space of -B^T is the Y-space of B(A^T),
-        and the A-space of -B is the A-space of B(A^T)^T.  Both sides read
-        the same memoized seed pattern, so this pins the matrix identity and
-        the pattern each accessor reads; it does not compare two
-        computations."""
+        and the A-space of -B is the A-space of B(A^T)^T, so the second dual
+        pair of A is the pair that belts(A^T) reads.  This pins the matrix
+        identity; it does not compare two computations."""
         for name in ("A2", "B2", "C3", "G2", "B3", "F4"):
             cartan = named_cartan(name)
             b, bt = belts(cartan), belts(cartan.transpose())
-            for i in range(1, cartan.rank + 1):
-                for m in range(-2, 3):
-                    assert b.y_sv(i, m) == bt.y(i, m)
-                    assert b.x(i, m) == bt.x_sv(i, m)
+            assert mat_neg(transpose(b.b)) == bt.b
+            assert mat_neg(b.b) == bt.bt
 
 
 class TestTropicalRealizations:
@@ -224,6 +220,21 @@ class TestPLMaps:
     def test_slice_step(self):
         assert slice_step(A2, (0, 0)) == (0, 0)
         assert slice_step(A2, (-1, 0)) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: slice_step(A2, (1, 2, 3)),
+            lambda: PLMap(A2, "+").apply((1, 2, 3)),
+            lambda: PLMap(A2, "-").apply((1,)),
+            lambda: PLMap(A2, "+").invert((5, 0, 0)),
+            lambda: PLMap(A2, "-").invert((5,)),
+        ],
+        ids=["slice-step", "apply-long", "apply-short", "invert-long", "invert-short"],
+    )
+    def test_wrong_length_refused(self, call):
+        with pytest.raises(DimensionMismatch, match="length"):
+            call()
 
     def test_slice_step_matches_recursion(self):
         rng = random.Random(11)
@@ -342,7 +353,7 @@ class TestHammocks:
 
     def test_is_tropical_frieze(self):
         h = hammock(A2, 1, 0)
-        as_frieze = FriezeFunction("tropical-frieze", A2, h.value)
+        as_frieze = FriezeFunction("tropical-frieze", A2, h.slice_at)
         assert as_frieze.satisfies_recursion(-5, 5)
 
 
@@ -451,7 +462,7 @@ class TestEnsembleMap:
         b = belts(A2)
         for _ in range(20):
             coords = tuple(rng.randint(-3, 3) for _ in range(2))
-            f = f_from_trop_point_neg(TropPoint("A", mat_neg(b.b), coords), A2)
+            f = f_from_trop_point(TropPoint("A", mat_neg(b.b), coords), A2.transpose())
             lhs = ensemble_map_friezes(f)
             rhs = k_from_trop_point(p_map(TropPoint("A", b.b, coords)), A2)
             assert lhs.agrees_with(rhs, -4, 4)
@@ -464,6 +475,148 @@ class TestEnsembleMap:
             for m in range(-2, 6):
                 j, n = ctx.roots.glide(i, m)
                 assert k.value(i, m) == k.value(j, n)
+
+
+# -- every constructor reads columns ------------------------------------------
+
+WINDOW = range(-3, 5)
+
+
+def _knitted_cells(kind, cartan, values, m0):
+    """The cells of the function of the given kind whose slice at m0 is
+    values, on a margin around WINDOW, one relation at a time: each
+    v(i, m) + v(i, m + 1) = S(i, m) solved for its unknown cell."""
+    a, r = cartan.entries, cartan.rank
+    bracket = pp if kind == "cluster-additive" else (lambda v: v)
+    cells = {(i, m0): v for i, v in enumerate(values, 1)}
+
+    def pair_sum(i, m):
+        s = sum(-a[j - 1][i - 1] * bracket(cells[(j, m)]) for j in range(i + 1, r + 1))
+        s += sum(-a[j - 1][i - 1] * bracket(cells[(j, m + 1)]) for j in range(1, i))
+        return pp(s) if kind == "tropical-frieze" else s
+
+    for m in range(m0, WINDOW.stop + 1):
+        for i in range(1, r + 1):
+            cells[(i, m + 1)] = pair_sum(i, m) - cells[(i, m)]
+    for m in range(m0 - 1, WINDOW.start - 2, -1):
+        for i in range(r, 0, -1):
+            cells[(i, m)] = pair_sum(i, m) - cells[(i, m + 1)]
+    return lambda i, m: cells[(i, m)]
+
+
+def _constructed(cartan):
+    """Each library constructor of a frieze function, over cartan or its
+    transpose, with a reference that computes one cell from its definition."""
+    from cluster_friezes.finite import reconstruct_from_hammocks
+
+    r, a, b = cartan.rank, cartan.entries, belts(cartan)
+    coords = tuple((-1) ** i * i for i in range(1, r + 1))
+
+    def unit(i):
+        return tuple(-int(j == i) for j in range(1, r + 1))
+
+    def belt_coordinate(point):
+        return lambda i, m: point.coords_at(canonical_address(i, m, r))[i - 1]
+
+    def at_g_vector(element, space, b0):
+        # tropical value at the point with coordinates -e_i at t(i, m)
+        return lambda i, m: element.trop_eval(
+            TropPoint(space, b0, unit(i), canonical_address(i, m, r)).at_root()
+        )
+
+    f = FriezeFunction.from_slice("tropical-frieze", cartan, coords)
+    f_cells = _knitted_cells("tropical-frieze", cartan, coords, 0)
+    h = hammock(cartan, r, 1)
+    h_cells = _knitted_cells("cluster-additive", cartan, unit(r), 1)
+    parts = {(1, 0): 2, (r, 1): 1}
+    part_cells = {
+        (i, m): _knitted_cells("cluster-additive", cartan, unit(i), m) for i, m in parts
+    }
+    delta = TropPoint("A", b.bt, coords)
+    rho = TropPoint("Y", b.b, coords)
+    y, x = b.y(1, 1), b.x_sv(r, 0)
+    return {
+        "from_slice": (f, f_cells),
+        "hammock": (h, h_cells),
+        "f_from_trop_point": (f_from_trop_point(delta, cartan), belt_coordinate(delta)),
+        "k_from_trop_point": (k_from_trop_point(rho, cartan), belt_coordinate(rho)),
+        "shift": (shift(f), lambda i, m: f_cells(i, m - 1)),
+        "ensemble_map_friezes": (
+            ensemble_map_friezes(f),
+            lambda i, m: sum(-a[j - 1][i - 1] * f_cells(j, m) for j in range(i + 1, r + 1))
+            + sum(-a[j - 1][i - 1] * f_cells(j, m + 1) for j in range(1, i)),
+        ),
+        "reconstruct_from_hammocks": (
+            reconstruct_from_hammocks(cartan, parts),
+            lambda i, m: sum(e * part_cells[p](i, m) for p, e in parts.items()),
+        ),
+        "f_from_admissible_y": (f_from_admissible_y(y, cartan), at_g_vector(y, "Y", b.b)),
+        "k_from_admissible_x": (k_from_admissible_x(x, cartan), at_g_vector(x, "A", b.bt)),
+        # the decomposition suite's view of a hammock as a tropical frieze
+        "hammock-as-frieze": (FriezeFunction("tropical-frieze", cartan, h.slice_at), h_cells),
+    }
+
+
+CONSTRUCTORS = tuple(_constructed(A2))
+
+
+class TestColumnReaders:
+    """A frieze function is its column reader: a cell is read from its
+    column, and every constructor's columns hold the cells its definition
+    gives."""
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+    @pytest.mark.parametrize("constructor", CONSTRUCTORS)
+    def test_cells_are_column_entries(self, constructor, name):
+        cartan = named_cartan(name)
+        f, reference = _constructed(cartan)[constructor]
+        r = f.cartan.rank
+        for m in WINDOW:
+            column = f.slice_at(m)
+            assert len(column) == r
+            for i in range(1, r + 1):
+                assert f.value(i, m) == column[i - 1] == reference(i, m)
+
+    def test_value_checks_the_index(self):
+        f = FriezeFunction("additive", A2, lambda m: (m, -m))
+        for i in (0, 3):
+            with pytest.raises(DimensionMismatch):
+                f.value(i, 0)
+
+
+class TestIntegerEntries:
+    """Entries are exact integers: a float, a str or a bool is refused, not
+    truncated to an int."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CartanMatrix([[2, -1.5], [-1, 2]]),
+            lambda: CartanMatrix([[2, "-1"], [-1, 2]]),
+            lambda: TropPoint("Y", A2.b_matrix(), (1.7, -2.2)),
+            lambda: TropPoint("Y", A2.b_matrix(), ("1", 0)),
+            lambda: TropPoint("Y", A2.b_matrix(), (0, True)),
+            lambda: FriezeFunction.from_slice("additive", A2, (0.5, 1.9)),
+            lambda: FriezeFunction.from_slice("additive", A2, (0, "1")),
+            lambda: FriezeFunction.from_slice("additive", A2, (False, 0)),
+        ],
+        ids=[
+            "cartan-float", "cartan-str", "point-float", "point-str", "point-bool",
+            "slice-float", "slice-str", "slice-bool",
+        ],
+    )
+    def test_refused(self, make):
+        with pytest.raises(TypeError, match="is not an int"):
+            make()
+
+    def test_int_subclass_becomes_int(self):
+        class Int(int):
+            pass
+
+        f = FriezeFunction.from_slice("additive", A2, (Int(2), 1))
+        assert f.slice_at(0) == (2, 1)
+        assert all(type(v) is int for v in f.slice_at(0))
+        assert CartanMatrix([[2, Int(-1)], [-1, 2]]) == A2
 
 
 class TestConcurrency:

@@ -327,17 +327,17 @@ def _check_exponent_budget(exponents):
 
 
 def _monomial_at(seed, coords):
-    """Address, exponents and value of the monomial prod_i v_i^(-coords_i) in
+    """Seed, exponents and value of the monomial prod_i v_i^(-coords_i) in
     the cluster v of seed."""
     _check_exponent_budget(coords)
     exps = tuple(-c for c in coords)
     expr = _product(zip(seed.cluster, exps), RationalFunction.one(seed.rank))
-    return seed.address, exps, expr
+    return seed, exps, expr
 
 
-def mono_from_gvector_A(cartan, rho: TropPoint):
-    """The cluster monomial on the A-space of B^T whose g-vector is rho:
-    search the exchange graph for a vertex where -rho_t is nonnegative."""
+def _monomial_A(cartan, rho: TropPoint):
+    """_monomial_at the seed of the A-graph where -rho_t is nonnegative: the
+    cluster monomial on the A-space of B^T whose g-vector is rho."""
     ctx = finite_context(cartan)
     if rho.space != "Y" or rho.b0 != ctx.belts.b:
         raise ValueError("expected a point of the Y-space of B")
@@ -348,8 +348,10 @@ def mono_from_gvector_A(cartan, rho: TropPoint):
     raise NotFound("g-vector fan completeness violated (bug)")
 
 
-def mono_from_gvector_Y(cartan, delta_sv: TropPoint):
-    """The global monomial on the Y-space of B whose g-vector is delta_sv."""
+def _monomial_Y(cartan, delta_sv: TropPoint):
+    """_monomial_at the seed of the Y-graph where -B_t delta_t is
+    nonnegative: the global monomial on the Y-space of B whose g-vector is
+    delta_sv."""
     ctx = finite_context(cartan)
     if delta_sv.space != "A" or delta_sv.b0 != ctx.belts.bt:
         raise ValueError("expected a point of the A-space of B^T")
@@ -359,6 +361,20 @@ def mono_from_gvector_Y(cartan, delta_sv: TropPoint):
         if all(c <= 0 for c in image):
             return _monomial_at(seed, coords)
     raise NotFound("Y-side g-vector search failed (bug)")
+
+
+def mono_from_gvector_A(cartan, rho: TropPoint):
+    """Address, exponents and value of the cluster monomial on the A-space of
+    B^T whose g-vector is rho, found by an exchange-graph search."""
+    seed, exps, expr = _monomial_A(cartan, rho)
+    return seed.address, exps, expr
+
+
+def mono_from_gvector_Y(cartan, delta_sv: TropPoint):
+    """Address, exponents and value of the global monomial on the Y-space of
+    B whose g-vector is delta_sv, found by an exchange-graph search."""
+    seed, exps, expr = _monomial_Y(cartan, delta_sv)
+    return seed.address, exps, expr
 
 
 # -- pairing and explicit bijections --------------------------------------------
@@ -392,7 +408,7 @@ def x_from_rho(cartan, rho: TropPoint):
     _check_exponent_budget(exps.values())
     powers = ((b.x_sv(i, m), e) for (i, m), e in exps.items())
     expr = _product(powers, RationalFunction.one(cartan.rank))
-    _, _, xmono = mono_from_gvector_A(cartan, rho)
+    _, _, xmono = _monomial_A(cartan, rho)
     if expr != xmono:
         raise InternalDisagreement("x_from_rho disagrees with the graph search")
     return exps, expr
@@ -402,9 +418,9 @@ def pairing(cartan, delta_sv: TropPoint, rho: TropPoint) -> int:
     """Duality pairing of tropical points, computed three ways and checked:
     tropical value of the monomial attached to rho, tropical value of the
     monomial attached to delta_sv, and the fundamental-domain sum."""
-    _, _, xmono = mono_from_gvector_A(cartan, rho)
+    _, _, xmono = _monomial_A(cartan, rho)
     via_x = xmono.trop_eval(delta_sv.at_root())
-    _, _, ymono = mono_from_gvector_Y(cartan, delta_sv)
+    _, _, ymono = _monomial_Y(cartan, delta_sv)
     via_y = ymono.trop_eval(rho.at_root())
     parts = _hammock_parts(cartan, k_from_trop_point(rho, cartan))
     total = sum(delta_sv.belt_value(i, m) * e for (i, m), e in parts.items())
@@ -474,7 +490,7 @@ def y_from_delta(cartan, delta_sv: TropPoint) -> RationalFunction:
     powers = ((ftable[(i, m)], pp(-columns[m][i - 1])) for i, m in domain)
     fpart = _product(powers, IntLaurentPoly.one(r))
     expr = RationalFunction.from_poly(fpart.shift(tuple(-x for x in d0)))
-    _, _, ymono = mono_from_gvector_Y(cartan, delta_sv)
+    _, _, ymono = _monomial_Y(cartan, delta_sv)
     if expr != ymono:
         raise InternalDisagreement("y_from_delta routes disagree")
     return expr

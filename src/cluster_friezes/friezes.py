@@ -21,6 +21,7 @@ from .laurent import RationalFunction, check_trop
 from .mutation import (
     _belt_vertex,
     _diagonal_symmetrizer,
+    _index,
     _ints,
     _Line,
     _neg_unit,
@@ -159,9 +160,7 @@ class FriezeFunction:
     # -- interface -----------------------------------------------------------
 
     def value(self, i, m):
-        if not 1 <= i <= self._rank:
-            raise DimensionMismatch(f"index {i} out of range")
-        return self._column_fn(m)[i - 1]
+        return self._column_fn(m)[_index(i, self._rank) - 1]
 
     def slice_at(self, m):
         return self._column_fn(m)

@@ -59,10 +59,16 @@ def _identity(r) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
 
 
-def _neg_unit(i, r):
-    """The vector -e_i of length r; i is an int (not a bool) in 1..r."""
+def _index(i, r):
+    """i, a 1-based index: an int (not a bool) in 1..r, else DimensionMismatch."""
     if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= r:
         raise DimensionMismatch(f"index {i!r} out of range 1..{r}")
+    return i
+
+
+def _neg_unit(i, r):
+    """The vector -e_i of length r."""
+    _index(i, r)
     return tuple(-1 if j == i - 1 else 0 for j in range(r))
 
 
@@ -82,42 +88,46 @@ def matrix_times_col(m: Matrix, col):
 
 
 def _gauss_jordan(m, rhs=None):
-    """Exact Gauss-Jordan elimination of the square integer system m*u = rhs
-    over Q (rhs defaults to zero).
+    """Exact Gauss-Jordan elimination of the integer system m*u = rhs over Q,
+    m with n rows and s columns (rhs defaults to zero).
 
-    Returns (det, u): det(m) as an int, and a solution u as Fractions with
-    every free unknown set to 0, or None when the system is inconsistent.
-    u is the unique solution exactly when det != 0.
+    Returns (det, u): a solution u as Fractions with every free unknown set
+    to 0, or None when the system is inconsistent, and det(m) when m is
+    square.  For any m, det is nonzero (a maximal minor, up to sign) exactly
+    when the columns of m are independent, so that u is unique.  The
+    elimination is fraction-free (Bareiss 1968): every entry stays a minor,
+    so each division by the previous pivot is exact.
     """
     n = len(m)
+    s = len(m[0]) if m else 0
     if rhs is None:
         rhs = (0,) * n
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(m, rhs)]
-    det = Fraction(1)
+    a = [[*row, b] for row, b in zip(m, rhs)]
+    sign = prev = 1
     pivots = []
-    for col in range(n):
+    for col in range(s):
         row = len(pivots)
-        piv = next((i for i in range(row, n) if a[i][col] != 0), None)
+        piv = next((i for i in range(row, n) if a[i][col]), None)
         if piv is None:
-            det = Fraction(0)
             continue
         if piv != row:
             a[row], a[piv] = a[piv], a[row]
-            det = -det
-        det *= a[row][col]
+            sign = -sign
+        top = a[row]
+        p = top[col]
         for i in range(n):
-            if i != row and a[i][col] != 0:
-                factor = a[i][col] / a[row][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[row])]
+            if i != row:
+                f = a[i][col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
         pivots.append(col)
-    if det.denominator != 1:
-        raise InternalDisagreement(f"determinant {det} of an integer matrix")
-    if any(a[i][n] != 0 for i in range(len(pivots), n)):
-        return int(det), None
-    u = [Fraction(0)] * n
+    det = sign * prev if len(pivots) == s else 0
+    if any(a[i][s] for i in range(len(pivots), n)):
+        return det, None
+    u = [Fraction(0)] * s
     for i, col in enumerate(pivots):
-        u[col] = a[i][n] / a[i][col]
-    return int(det), u
+        u[col] = Fraction(a[i][s], a[i][col])
+    return det, u
 
 
 def _diagonal_symmetrizer(m, sign):
@@ -365,9 +375,7 @@ def _belt_place(i, m, r):
     path through the integers whose edge (s, s + 1) carries the letter
     s % r + 1: the Coxeter mutation sequence 1, ..., r, 1, ... from the root
     at s = 0, and r, ..., 1, r, ... back from it."""
-    if not 1 <= i <= r:
-        raise DimensionMismatch(f"index {i} out of range 1..{r}")
-    return m * r + i - 1
+    return m * r + _index(i, r) - 1
 
 
 def _belt_letter(s, r):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import product
+from itertools import combinations
 
 from .errors import DimensionMismatch, NegativeExponent
 from .laurent import check_trop
@@ -242,131 +242,88 @@ def d_compat_degree(d_point: TropPoint, f) -> int:
 
 UNKNOWN = None
 
-# Box sizes of the bounded searches behind _in_cone and _kernel_ray, which
-# only run when the kernel has dimension 2 or more.
-_CONE_SEARCH_BOUND = 24
-_RAY_SEARCH_BOUND = 4
+
+def _positive_circuits(m):
+    """The positive circuits of the columns of m: pairs (support, w) of a
+    minimal set of dependent columns and the primitive integer w > 0 with
+    sum of w_j * column j = 0 over it.  When the columns of a support but
+    its last are independent, the one kernel vector with last entry 1 is
+    solved for, and the support is a circuit when no entry is zero."""
+    found = []
+    for size in range(1, len(m[0]) + 1):
+        for support in combinations(range(len(m[0])), size):
+            *rest, last = support
+            det, u = _gauss_jordan(_columns(m, rest), [-row[last] for row in m])
+            if det and u is not None and all(x > 0 for x in u):
+                # scaled by the lcm of the denominators, w is primitive
+                scale = math.lcm(*(x.denominator for x in u))
+                found.append((support, (*(int(x * scale) for x in u), scale)))
+    return found
 
 
-def _in_cone(bt_t, offset):
-    """Is offset = bt_t * u for some integer u >= 0?  Decided exactly when
-    bt_t is invertible or has a one-dimensional kernel; otherwise a bounded
-    search returns True, False, or UNKNOWN when it is exhausted without a
-    certificate."""
-    r = len(offset)
-    cols = list(zip(*bt_t))
-    # exact rational solve decides the full-rank case outright
-    det, sol = _gauss_jordan(bt_t, offset)
-    if det:
-        return all(x == int(x) and x >= 0 for x in sol)
-    if all(x == 0 for x in offset):
+def _columns(m, cols):
+    return tuple(tuple(row[j] for j in cols) for row in m)
+
+
+def _in_cone(m, offset, circuits, cols=None):
+    """Is offset = m u for some integer u >= 0 on the columns cols (all by
+    default)?  Decided exactly by a search that drops one column per level;
+    circuits are _positive_circuits(m)."""
+    if cols is None:
+        cols = tuple(range(len(m[0])))
+    det, u = _gauss_jordan(_columns(m, cols), offset)
+    if u is None:
+        return False
+    if all(x.denominator == 1 and x >= 0 for x in u):
         return True
-    if sol is None:
-        return False
-    line = _kernel_line(bt_t)
-    if line is not None:
-        return _on_line(sol, line)
-    limit = sum(abs(x) for x in offset) + 2
-    if limit > _CONE_SEARCH_BOUND or (limit + 1) ** r > 200_000:
-        return UNKNOWN
-    for u in product(range(limit + 1), repeat=r):
-        if not any(u):
-            continue
-        if all(
-            sum(cols[j][i] * u[j] for j in range(r)) == offset[i] for i in range(r)
-        ):
-            return True
-    # solutions exist over the rationals but none was found in the box
-    return UNKNOWN
-
-
-def _kernel_line(m):
-    """The primitive integer vector spanning the kernel of the square matrix
-    m when that kernel is one-dimensional, else None."""
-    r = len(m)
-    line = None
-    for j in range(r):
-        # free unknowns are set to 0, so m u = -m e_j puts u + e_j in the
-        # kernel, and u + e_j != 0 exactly when column j is free
-        _, u = _gauss_jordan(m, tuple(-row[j] for row in m))
-        u[j] += 1
-        if any(u):
-            if line is not None:
-                return None
-            line = u
-    if line is None:
-        return None
-    scale = math.lcm(*(x.denominator for x in line))
-    ints = [int(x * scale) for x in line]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
-
-
-def _on_line(u0, n):
-    """Is u0 + t*n integral and >= 0 for some rational t?  u0 is a rational
-    vector, n a primitive integer vector, so the t giving integral points
-    form one coset t0 + Z, if any."""
-    j = next(j for j, y in enumerate(n) if y)
-    t0 = None
-    for a in range(abs(n[j])):
-        t = (a - u0[j]) / n[j]
-        if all((x + t * y).denominator == 1 for x, y in zip(u0, n)):
-            t0 = t
-            break
-    if t0 is None:
-        return False
-    # the integral points are w + s*n, s in Z, with w = u0 + t0*n
-    lo, hi = -math.inf, math.inf
-    for x, y in zip(u0, n):
-        w = int(x + t0 * y)
-        if y > 0:
-            lo = max(lo, -(w // y))
-        elif y < 0:
-            hi = min(hi, w // -y)
-        elif w < 0:
-            return False
-    return lo <= hi
-
-
-def _kernel_ray(bt_t):
-    """Is bt_t * u = 0 for some nonzero integer u >= 0?  Decided exactly when
-    bt_t is invertible or has a one-dimensional kernel (spanned by a
-    primitive n, so u is a nonzero multiple of n); otherwise a bounded
-    search returns True, or UNKNOWN when it is exhausted."""
-    r = len(bt_t)
-    det, _ = _gauss_jordan(bt_t)
     if det:
         return False
-    line = _kernel_line(bt_t)
-    if line is not None:
-        return all(x >= 0 for x in line) or all(x <= 0 for x in line)
-    if (_RAY_SEARCH_BOUND + 1) ** r > 200_000:
-        return UNKNOWN
-    for u in product(range(_RAY_SEARCH_BOUND + 1), repeat=r):
-        if any(u) and not any(matrix_times_col(bt_t, u)):
-            return True
-    return UNKNOWN
+    circuit = next((c for c in circuits if set(c[0]).issubset(cols)), None)
+    if circuit is not None:
+        # a solution u of least sum has u_j < w_j for some j in the circuit,
+        # or u - w would be a smaller one
+        branches = [(j, v) for j, wj in zip(*circuit) for v in range(wj)]
+    else:
+        # no nonzero u >= 0 has m u = 0, so the solutions u >= 0 form a
+        # polytope, and u_j peaks at a vertex: a solution on independent
+        # columns
+        j = cols[0]
+        branches = [(j, v) for v in range(_vertex_max(m, cols, offset) + 1)]
+    return any(
+        _in_cone(
+            m,
+            [x - v * row[j] for x, row in zip(offset, m)],
+            circuits,
+            tuple(c for c in cols if c != j),
+        )
+        for j, v in branches
+    )
 
 
-def _pointed_form_ok(expansion, pointed, cone_matrix=None):
+def _vertex_max(m, cols, b):
+    """The floor of the largest u_j, j = cols[0], over the vertices of the
+    polytope of solutions u >= 0 of m u = b on the columns cols."""
+    top = 0
+    for size in range(len(cols)):
+        for rest in combinations(cols[1:], size):
+            det, u = _gauss_jordan(_columns(m, (cols[0],) + rest), b)
+            if det and u is not None and all(x >= 0 for x in u):
+                top = max(top, math.floor(u[0]))
+    return top
+
+
+def _pointed_form_ok(expansion, pointed, cone_matrix=None, circuits=()):
     """Check the pointed-expansion shape: coefficient 1 at `pointed`, all
     coefficients nonnegative, every offset nonnegative (and in the cone
-    spanned by cone_matrix columns when given).  When cone_matrix * u = 0
-    for some nonzero u >= 0, offsets can cancel back onto `pointed`, so any
-    coefficient >= 1 is accepted there.  Returns True/False/UNKNOWN."""
+    spanned by cone_matrix columns when given, with circuits its positive
+    circuits).  When cone_matrix has a positive circuit, offsets can cancel
+    back onto `pointed`, so any coefficient >= 1 is accepted there."""
     if not expansion.is_laurent():
         return False
     terms = expansion.laurent().terms
-    unknown = False
     lead = terms.get(pointed, 0)
-    if lead != 1:
-        if lead < 1 or cone_matrix is None:
-            return False
-        ray = _kernel_ray(cone_matrix)
-        if ray is False:
-            return False
-        if ray is UNKNOWN:
-            unknown = True
+    if lead != 1 and (lead < 1 or not circuits):
+        return False
     for e, c in terms.items():
         if c < 0:
             return False
@@ -376,13 +333,9 @@ def _pointed_form_ok(expansion, pointed, cone_matrix=None):
         if cone_matrix is None:
             if any(x < 0 for x in offset):
                 return False
-        else:
-            hit = _in_cone(cone_matrix, offset)
-            if hit is False:
-                return False
-            if hit is UNKNOWN:
-                unknown = True
-    return UNKNOWN if unknown else True
+        elif not _in_cone(cone_matrix, offset, circuits):
+            return False
+    return True
 
 
 def reexpress(f, pattern, addr, k):
@@ -416,15 +369,17 @@ def _check_admissible(element, point, root_matrix, with_cone, depth):
     as the exchange graph is then not known to have closed."""
     unknown = False
     kind = "A" if with_cone else "Y"
+    circuits = {}
     for level, v, seed, expr in _charts(element, kind, root_matrix, depth):
         pointed = tuple(-c for c in point._walk.get(v))
         # the A-pattern matrix at t equals B_t^T for the paired Y-pattern,
         # whose columns span the admissible offset cone
         cone = seed.principal_part() if with_cone else None
-        ok = _pointed_form_ok(expr, pointed, cone)
-        if ok is False:
+        if with_cone and cone not in circuits:
+            circuits[cone] = _positive_circuits(cone)
+        if not _pointed_form_ok(expr, pointed, cone, circuits.get(cone, ())):
             return False
-        if ok is UNKNOWN or level >= depth:
+        if level >= depth:
             unknown = True
     return UNKNOWN if unknown else True
 
@@ -433,7 +388,8 @@ def check_admissible_A(x, rho: TropPoint, depth=16):
     """Pointed-Laurent admissibility of x on the A-space dual to rho's
     Y-space; offsets must lie in the cone B_t^T Z_{>=0}^r at every vertex
     within the given mutation distance (all vertices when the exchange graph
-    closes earlier).  Returns True, False, or UNKNOWN."""
+    closes earlier).  Returns True, False, or UNKNOWN when a vertex at that
+    distance was reached; the cone test itself is exact."""
     if rho.space != "Y":
         raise ValueError("expected a Y-space tropical point")
     return _check_admissible(x, rho, transpose(rho.b0), True, depth)

@@ -433,8 +433,9 @@ class TestRouteDisagreement:
     def test_a_side_exit_4(self, capsys, monkeypatch):
         # x_from_rho's own graph search returns a wrong monomial, so its
         # check against the hammock-domain product fails
+        search = finite._monomial_A
         monkeypatch.setattr(
-            finite, "mono_from_gvector_A", lambda cartan, rho: ((), (), self.WRONG)
+            finite, "_monomial_A", lambda c, rho: (*search(c, rho)[:2], self.WRONG)
         )
         code, out, err = run(
             capsys, "monomial", "--cartan", "A2", "--space", "A", "--coords", "1,0",
@@ -445,8 +446,9 @@ class TestRouteDisagreement:
     def test_y_side_exit_4(self, capsys, monkeypatch):
         # y_from_delta's own graph search returns a wrong monomial, so its
         # check against the assembled expression fails
+        search = finite._monomial_Y
         monkeypatch.setattr(
-            finite, "mono_from_gvector_Y", lambda cartan, delta: ((), (), self.WRONG)
+            finite, "_monomial_Y", lambda c, delta: (*search(c, delta)[:2], self.WRONG)
         )
         code, out, err = run(
             capsys, "monomial", "--cartan", "B2", "--space", "Y", "--coords", "2,-1",
@@ -458,7 +460,8 @@ class TestRouteDisagreement:
         proc = _run_monomial_under_python_O(
             "from cluster_friezes import finite",
             "from cluster_friezes.laurent import RationalFunction",
-            "finite.mono_from_gvector_Y = lambda c, d: ((), (), RationalFunction.constant(7, 2))",
+            "search = finite._monomial_Y",
+            "finite._monomial_Y = lambda c, d: (*search(c, d)[:2], RationalFunction.constant(7, 2))",
         )
         assert proc.returncode == 4, proc.stderr
         assert proc.stdout == ""

@@ -584,6 +584,36 @@ class TestColumnReaders:
                 f.value(i, 0)
 
 
+class TestIndexRule:
+    """Every entry point that takes a 1-based index i refuses a bool, a
+    non-int and an int outside 1..r with DimensionMismatch, as -e_i does;
+    True is not read as 1, nor 1.0 as 1."""
+
+    ENTRY_POINTS = {
+        "FriezeFunction.value": lambda i: FriezeFunction(
+            "additive", A2, lambda m: (m, -m)
+        ).value(i, 0),
+        "TropPoint.belt_value": lambda i: TropPoint("Y", belts(A2).b, (1, 0)).belt_value(
+            i, 0
+        ),
+        "canonical_address": lambda i: canonical_address(i, 1, 2),
+        "generic_A_frieze": lambda i: generic_A_frieze(A2, i, 0),
+        "generic_Y_frieze": lambda i: generic_Y_frieze(A2, i, 0),
+        "Belts.rho_im": lambda i: belts(A2).rho_im(i, 0),
+    }
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, "1", 0, 3])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_bad_index_refused(self, entry, bad):
+        with pytest.raises(DimensionMismatch, match="out of range"):
+            self.ENTRY_POINTS[entry](bad)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_good_index_read(self, entry):
+        for i in (1, 2):
+            self.ENTRY_POINTS[entry](i)
+
+
 class TestIntegerEntries:
     """Entries are exact integers: a float, a str or a bool is refused, not
     truncated to an int."""

@@ -221,7 +221,15 @@ class TestWordsAtTheEdge:
     interned where a caller hands one in and built where one goes out."""
 
     @pytest.mark.parametrize(
-        "suite", ["d-duality", "fpoly-separation", "shift-laws", "admissibility"]
+        "suite",
+        [
+            "d-duality",
+            "fpoly-separation",
+            "shift-laws",
+            "admissibility",
+            "pairing",
+            "closure-counts",
+        ],
     )
     def test_suite_makes_no_word_and_interns_none(self, suite, monkeypatch):
         calls = []
@@ -687,6 +695,18 @@ def cofactor_det(m):
     )
 
 
+def minor_rank(m):
+    """The largest k with a nonzero k x k minor of m (test oracle)."""
+    rows, cols = range(len(m)), range(len(m[0]) if m else 0)
+    return max(
+        k
+        for k in range(min(len(rows), len(cols)) + 1)
+        for rs in itertools.combinations(rows, k)
+        for cs in itertools.combinations(cols, k)
+        if cofactor_det([[m[i][j] for j in cs] for i in rs])
+    )
+
+
 def mat_vec(m, u):
     return [sum(x * y for x, y in zip(row, u)) for row in m]
 
@@ -744,6 +764,25 @@ class TestGaussJordan:
                 assert mat_vec(m, u) == rhs
             elif u is not None:
                 assert mat_vec(m, u) == rhs
+
+    def test_non_square_systems(self):
+        """An n x s system: det is nonzero exactly when the s columns are
+        independent, and u is None exactly when rhs is not in their span
+        (ranks read from the nonzero minors)."""
+        rng = random.Random(29)
+        for _ in range(200):
+            n, s = rng.randint(1, 4), rng.randint(0, 4)
+            m = [[rng.randint(-2, 2) for _ in range(s)] for _ in range(n)]
+            if rng.random() < 0.5:
+                rhs = mat_vec(m, [rng.randint(-2, 2) for _ in range(s)])
+            else:
+                rhs = [rng.randint(-3, 3) for _ in range(n)]
+            det, u = _gauss_jordan(m, rhs)
+            assert (det != 0) == (minor_rank(m) == s)
+            augmented = [row + [b] for row, b in zip(m, rhs)]
+            assert (u is None) == (minor_rank(augmented) > minor_rank(m))
+            if u is not None:
+                assert len(u) == s and mat_vec(m, u) == rhs
 
 
 def _reduced_words(r, max_len):

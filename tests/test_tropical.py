@@ -4,7 +4,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cluster_friezes import mutation
@@ -26,9 +26,8 @@ from cluster_friezes.tropical import (
     UNKNOWN,
     TropPoint,
     _in_cone,
-    _kernel_line,
-    _kernel_ray,
     _pointed_form_ok,
+    _positive_circuits,
     beta_map,
     check_admissible_A,
     check_admissible_Y,
@@ -610,6 +609,22 @@ class TestDCompat:
                 assert got == expr.denominator_vector()[i - 1]
 
 
+def _cone_case(r):
+    """An r x r matrix with entries in -2..2, a u in 0..3 and an offset."""
+    row = st.tuples(*[st.integers(-2, 2)] * r)
+    return st.tuples(
+        st.tuples(*[row] * r),
+        st.tuples(*[st.integers(0, 3)] * r),
+        st.tuples(*[st.integers(-4, 4)] * r),
+    )
+
+
+def _assert_circuits_in_kernel(m, circuits):
+    for support, w in circuits:
+        assert all(x > 0 for x in w)
+        assert not any(sum(row[j] * x for j, x in zip(support, w)) for row in m)
+
+
 class TestAdmissibility:
     def test_cluster_variable_true(self):
         cartan = named_cartan("A2")
@@ -676,13 +691,14 @@ class TestAdmissibility:
         singular = ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
         mixed_kernel = ((0, 1, 0), (-1, 0, -1), (0, 1, 0))
         identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        assert _kernel_ray(singular) is True
-        assert _kernel_ray(identity) is False
-        assert _kernel_ray(mixed_kernel) is False
-        assert _pointed_form_ok(expansion, (-1, 2, -1), singular) is True
+        assert _positive_circuits(singular) == [((0, 2), (1, 1))]
+        assert _positive_circuits(identity) == []
+        assert _positive_circuits(mixed_kernel) == []
+        circuits = _positive_circuits(singular)
+        assert _pointed_form_ok(expansion, (-1, 2, -1), singular, circuits) is True
         assert _pointed_form_ok(expansion, (-1, 2, -1), identity) is False
         assert _pointed_form_ok(expansion, (-1, 2, -1)) is False
-        assert _pointed_form_ok(-expansion, (-1, 2, -1), singular) is False
+        assert _pointed_form_ok(-expansion, (-1, 2, -1), singular, circuits) is False
 
     @pytest.mark.parametrize("name", ["B3", "C3"])
     def test_in_cone_against_box_search(self, name):
@@ -697,16 +713,18 @@ class TestAdmissibility:
         decided = set()
         for cone in cones:
             images = {row_times_matrix(u, transpose(cone)) for u in box}
+            circuits = _positive_circuits(cone)
             for offset in offsets:
-                verdict = _in_cone(cone, offset)
+                verdict = _in_cone(cone, offset, circuits)
                 assert verdict == (offset in images)
                 decided.add(verdict)
         assert decided == {True, False}
 
     @pytest.mark.parametrize("name", ["B3", "C3"])
-    def test_kernel_ray_against_box_search(self, name):
-        """_kernel_ray decides the one-dimensional kernel of every B_t of B3
-        and C3 exactly, as a box enumeration of nonzero u >= 0 does."""
+    def test_positive_circuits_against_box_search(self, name):
+        """Every B_t of B3 and C3 has a positive circuit exactly when a box
+        enumeration finds a nonzero u >= 0 with B_t u = 0, and each circuit
+        vector lies in the kernel."""
         bt = transpose(named_cartan(name).b_matrix())
         graph = enumerate_exchange_graph("A", bt, 1000)
         cones = {seed.principal_part() for seed in graph.seeds.values()}
@@ -714,40 +732,56 @@ class TestAdmissibility:
         decided = set()
         for cone in cones:
             images = (row_times_matrix(u, transpose(cone)) for u in box)
-            verdict = _kernel_ray(cone)
-            assert verdict == any(not any(image) for image in images)
-            decided.add(verdict)
+            circuits = _positive_circuits(cone)
+            assert bool(circuits) == any(not any(image) for image in images)
+            _assert_circuits_in_kernel(cone, circuits)
+            decided.add(bool(circuits))
         assert decided == {True, False}
 
     def test_two_dimensional_kernels_against_box_search(self):
-        """Every B_t of D4 has rank 2, so _in_cone and _kernel_ray fall back
-        to their bounded searches, whose box for these offsets lies inside
-        0..6: a False verdict has no solution u >= 0 there, a True one has
-        one, and UNKNOWN is the only other answer (218 True, 2,468 False and
-        68 UNKNOWN over the 34 matrices)."""
+        """Every B_t of D4 has rank 2, a two-dimensional kernel.  _in_cone
+        decides every offset in -1..1 exactly: its verdict is membership in
+        the image of the box 0..6 (218 True and 2,536 False verdicts over
+        the 34 matrices), and a matrix has a positive circuit exactly when
+        the box holds a nonzero u >= 0 with B_t u = 0."""
         ctx = finite_context(named_cartan("D4"))
         cones = {seed.principal_part() for seed in ctx.a_graph().seeds.values()}
         assert len(cones) == 34
         box = list(itertools.product(range(7), repeat=4))
         offsets = list(itertools.product(range(-1, 2), repeat=4))
-        verdicts = set()
+        verdicts = []
         for cone in cones:
             assert mutation._gauss_jordan(cone)[0] == 0
-            assert _kernel_line(cone) is None
             images = {row_times_matrix(u, transpose(cone)) for u in box}
+            circuits = _positive_circuits(cone)
             for offset in offsets:
-                verdict = _in_cone(cone, offset)
-                if verdict is not UNKNOWN:
-                    assert verdict == (offset in images), (cone, offset)
-                verdicts.add(verdict)
-            ray = _kernel_ray(cone)
-            assert ray in (True, UNKNOWN)
-            if ray:
-                zero = (0, 0, 0, 0)
-                assert any(
-                    row_times_matrix(u, transpose(cone)) == zero for u in box if any(u)
-                )
-        assert verdicts == {True, False, UNKNOWN}
+                verdict = _in_cone(cone, offset, circuits)
+                assert verdict == (offset in images), (cone, offset)
+                verdicts.append(verdict)
+            zero = (0, 0, 0, 0)
+            assert bool(circuits) == any(
+                row_times_matrix(u, transpose(cone)) == zero for u in box if any(u)
+            )
+            _assert_circuits_in_kernel(cone, circuits)
+        assert (verdicts.count(True), verdicts.count(False)) == (218, 2536)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(_cone_case))
+    # the only preimage has u_1 = 1, the largest u_1 at a vertex
+    @example((((-2, 1, 2), (0, 2, 1), (2, -1, -2)), (0, 0, 1), (0, 0, 0)))
+    def test_in_cone_property(self, case):
+        """On random integer matrices, the image of every u in 0..3 is in the
+        cone, and a False verdict has no preimage u in 0..6."""
+        m, u, offset = case
+        r = len(m)
+        circuits = _positive_circuits(m)
+        _assert_circuits_in_kernel(m, circuits)
+        assert _in_cone(m, mutation.matrix_times_col(m, u), circuits) is True
+        if _in_cone(m, offset, circuits) is False:
+            assert all(
+                mutation.matrix_times_col(m, u) != offset
+                for u in itertools.product(range(7), repeat=r)
+            )
 
     def test_y_side_globals(self):
         cartan = named_cartan("A2")

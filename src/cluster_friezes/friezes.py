@@ -17,11 +17,11 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import DimensionMismatch, NotAdmissible, TropOverflow
-from .laurent import RationalFunction, check_trop
+from .laurent import RationalFunction, _index, check_trop
 from .mutation import (
     _belt_vertex,
     _diagonal_symmetrizer,
-    _index,
+    _int,
     _ints,
     _Line,
     _neg_unit,
@@ -148,7 +148,7 @@ class FriezeFunction:
 
     @classmethod
     def from_slice(cls, kind, cartan, values, m0=0):
-        values = _ints(values)
+        values, m0 = _ints(values), _int(m0)
         if len(values) != cartan.rank:
             raise DimensionMismatch("slice length must equal the rank")
         # column m is entry m - m0 of one line through the slice
@@ -160,10 +160,10 @@ class FriezeFunction:
     # -- interface -----------------------------------------------------------
 
     def value(self, i, m):
-        return self._column_fn(m)[_index(i, self._rank) - 1]
+        return self.slice_at(m)[_index(i, self._rank) - 1]
 
     def slice_at(self, m):
-        return self._column_fn(m)
+        return self._column_fn(_int(m))
 
     def table(self, m_lo, m_hi):
         out = {}

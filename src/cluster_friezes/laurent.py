@@ -40,7 +40,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import repeat
 from math import gcd as int_gcd
-from operator import mul, or_
+from operator import mul, or_, sub
 from struct import Struct
 
 from .errors import (
@@ -66,6 +66,13 @@ def check_trop(value: int) -> int:
     if not -TROP_LIMIT < value < TROP_LIMIT:
         raise TropOverflow(f"tropical value {value} out of checked range")
     return value
+
+
+def _index(i, r):
+    """i, a 1-based index: an int (not a bool) in 1..r, else DimensionMismatch."""
+    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= r:
+        raise DimensionMismatch(f"index {i!r} out of range 1..{r}")
+    return i
 
 
 class _Layout:
@@ -211,12 +218,11 @@ class IntLaurentPoly:
     @classmethod
     def variable(cls, i, nvars):
         """The variable x_i, 1-based."""
-        if not 1 <= i <= nvars:
-            raise DimensionMismatch(f"variable index {i} out of range 1..{nvars}")
+        i = _index(i, nvars) - 1
         lay = _layout(nvars)
         low = [0] * nvars
-        low[i - 1] = 1
-        return _make(lay, {lay.zero + lay.weights[i - 1]: 1}, tuple(low))
+        low[i] = 1
+        return _make(lay, {lay.zero + lay.weights[i]: 1}, tuple(low))
 
     @classmethod
     def monomial(cls, exp, coeff=1):
@@ -1037,8 +1043,6 @@ class RationalFunction:
             frac, poly = (other, self.num) if self.den.is_one() else (self, other.num)
             num = frac.num + (poly if frac.den.is_one() else poly * frac.den)
             return RationalFunction(num, frac.den, _reduced=True)
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -1108,18 +1112,22 @@ class RationalFunction:
     # -- substitution and tropical evaluation --------------------------------
 
     def substitute(self, targets):
-        """Replace variable i (1-based) by targets[i-1]; targets are fractions."""
+        """Replace x_i by targets[i-1] = n_i/d_i as a ring map: times
+        prod n_i^-lo_i d_i^hi_i (hi_i >= 0 >= lo_i bound the exponents of x_i),
+        c x^e is c prod n_i^(e_i - lo_i) d_i^(hi_i - e_i); then cancel once."""
         if len(targets) != self.nvars:
             raise DimensionMismatch("wrong number of substitution targets")
+        terms = self.num.terms, self.den.terms
+        hi, lo = ([f(0, *c) for c in zip(*terms[0], *terms[1])] for f in (max, min))
+        bases = [t.num for t in targets] + [t.den for t in targets]
         nv = targets[0].nvars if targets else 0
-        one, zero = RationalFunction.one(nv), RationalFunction.zero(nv)
-        num, den = (
-            sum((_product(zip(targets, e), one) * c for e, c in p.terms.items()), zero)
-            for p in (self.num, self.den)
-        )
-        if den.is_zero():
-            raise ZeroDenominator("substitution produced a zero denominator")
-        return num / den
+        one, zero = IntLaurentPoly.one(nv), IntLaurentPoly.zero(nv)
+
+        def image(e):
+            return _product(zip(bases, (*map(sub, e, lo), *map(sub, hi, e))), one)
+
+        num, den = (sum((image(e) * c for e, c in t.items()), zero) for t in terms)
+        return RationalFunction(num, den)
 
     def trop_eval(self, coords):
         """Max-plus evaluation of a subtraction-free fraction at integer coords."""
@@ -1168,11 +1176,10 @@ def _reduce(num, den):
     """Canonical reduced form; see module docstring."""
     if den.is_zero():
         raise ZeroDenominator("zero denominator")
-    n = num.nvars
     if num.nvars != den.nvars:
         raise DimensionMismatch("numerator and denominator variable counts differ")
     if num.is_zero():
-        return num, IntLaurentPoly.one(n)
+        return num, IntLaurentPoly.one(num.nvars)
     # move the denominator's monomial content into the numerator
     dmin = den.min_exponents()
     if any(dmin):

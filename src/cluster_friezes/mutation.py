@@ -17,7 +17,7 @@ from functools import partial
 from operator import itemgetter
 
 from .errors import BudgetExceeded, DimensionMismatch, InternalDisagreement
-from .laurent import IntLaurentPoly, RationalFunction, _product
+from .laurent import IntLaurentPoly, RationalFunction, _index, _product
 
 Matrix = tuple  # tuple of row tuples
 
@@ -27,19 +27,23 @@ def pp(x):
     return x if x > 0 else 0
 
 
+def _int(x):
+    """x as an int.  A float, a str or a bool is refused with TypeError
+    rather than truncated; an int subclass becomes an int."""
+    if type(x) is int:
+        return x
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"entry {x!r} is not an int")
+    return int(x)
+
+
 def _ints(values):
-    """values as a tuple of ints.  A float, a str or a bool is refused with
-    TypeError rather than truncated; an int subclass becomes an int."""
+    """values as a tuple of ints, each as `_int` reads it."""
     values = tuple(values)
     for x in values:
         if type(x) is not int:
-            break
-    else:
-        return values
-    for x in values:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise TypeError(f"entry {x!r} is not an int")
-    return tuple(map(int, values))
+            return tuple(map(_int, values))
+    return values
 
 
 def as_matrix(rows) -> Matrix:
@@ -57,13 +61,6 @@ def mat_neg(m: Matrix) -> Matrix:
 def _identity(r) -> Matrix:
     """The r x r identity matrix; its rows are the unit vectors e_1..e_r."""
     return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-
-
-def _index(i, r):
-    """i, a 1-based index: an int (not a bool) in 1..r, else DimensionMismatch."""
-    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= r:
-        raise DimensionMismatch(f"index {i!r} out of range 1..{r}")
-    return i
 
 
 def _neg_unit(i, r):
@@ -375,7 +372,7 @@ def _belt_place(i, m, r):
     path through the integers whose edge (s, s + 1) carries the letter
     s % r + 1: the Coxeter mutation sequence 1, ..., r, 1, ... from the root
     at s = 0, and r, ..., 1, r, ... back from it."""
-    return m * r + _index(i, r) - 1
+    return _int(m) * r + _index(i, r) - 1
 
 
 def _belt_letter(s, r):

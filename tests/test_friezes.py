@@ -26,7 +26,7 @@ from cluster_friezes.friezes import (
     shift_trop,
     slice_step,
 )
-from cluster_friezes.laurent import RationalFunction as RF
+from cluster_friezes.laurent import IntLaurentPoly, RationalFunction as RF
 from cluster_friezes.mutation import canonical_address, mat_neg, pp, transpose
 from cluster_friezes.tropical import TropPoint, p_map
 
@@ -600,6 +600,8 @@ class TestIndexRule:
         "generic_A_frieze": lambda i: generic_A_frieze(A2, i, 0),
         "generic_Y_frieze": lambda i: generic_Y_frieze(A2, i, 0),
         "Belts.rho_im": lambda i: belts(A2).rho_im(i, 0),
+        "RationalFunction.variable": lambda i: RF.variable(i, 2),
+        "IntLaurentPoly.variable": lambda i: IntLaurentPoly.variable(i, 2),
     }
 
     @pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, "1", 0, 3])
@@ -612,6 +614,36 @@ class TestIndexRule:
     def test_good_index_read(self, entry):
         for i in (1, 2):
             self.ENTRY_POINTS[entry](i)
+
+
+class TestColumnRule:
+    """Every entry point that takes a column m refuses a bool and a non-int
+    with a labeled TypeError, as integer entries are refused; True is not
+    read as column 1."""
+
+    ENTRY_POINTS = {
+        "FriezeFunction.value": lambda m: FriezeFunction.from_slice(
+            "additive", A2, (4, 5)
+        ).value(1, m),
+        "FriezeFunction.slice_at": lambda m: FriezeFunction.from_slice(
+            "additive", A2, (4, 5)
+        ).slice_at(m),
+        "from_slice m0": lambda m: FriezeFunction.from_slice(
+            "additive", A2, (4, 5), m0=m
+        ),
+        "canonical_address": lambda m: canonical_address(1, m, 2),
+        "generic_A_frieze": lambda m: generic_A_frieze(A2, 1, m),
+        "hammock": lambda m: hammock(A2, 1, m),
+        "TropPoint.belt_column": lambda m: TropPoint(
+            "Y", belts(A2).b, (1, 0)
+        ).belt_column(m),
+    }
+
+    @pytest.mark.parametrize("bad", [True, False, 1.5, 0.5, 1.0, "1", None])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_bad_column_refused(self, entry, bad):
+        with pytest.raises(TypeError, match="is not an int"):
+            self.ENTRY_POINTS[entry](bad)
 
 
 class TestIntegerEntries:

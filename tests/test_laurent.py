@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cluster_friezes import laurent
@@ -521,11 +521,17 @@ class TestSubstitution:
             calls.append((len(p.terms), len(q.terms)))
             return real(p, q)
 
+        charts = [
+            mutate_seed(root_seed("Y", pattern.seed_at(addr + (k,)).matrix), k).cluster
+            for addr in ((), (1,), (2, 1), (3, 2, 1))
+            for k in (1, 2, 3)
+        ]
         monkeypatch.setattr(laurent, "_gcd_cofactors", recording)
-        for addr in ((), (1,), (2, 1), (3, 2, 1)):
-            for k in (1, 2, 3):
-                s = pattern.seed_at(addr + (k,))
-                f.substitute(mutate_seed(root_seed("Y", s.matrix), k).cluster)
+        for targets in charts:
+            before = len(calls)
+            f.substitute(targets)
+            # one cancellation per substitution, not one per term or sum
+            assert len(calls) - before <= 1
         assert calls and all(min(n) > 1 for n in calls)
 
 
@@ -730,6 +736,107 @@ class TestFieldLaws:
         finally:
             laurent._gcd_cofactors = real
         assert parts == (RF.one(y.nvars) / y, RF(y.num + y.den, y.den), y / (y + 1))
+
+
+def per_term_substitute(f, targets):
+    """The per-term route: each term a product of fractions, the terms summed
+    as fractions, and numerator over denominator."""
+    nv = targets[0].nvars
+    one, zero = RF.one(nv), RF.zero(nv)
+    num, den = (
+        sum((_product(zip(targets, e), one) * c for e, c in p.terms.items()), zero)
+        for p in (f.num, f.den)
+    )
+    return num / den
+
+
+def y_chart(b, k):
+    """The cluster of the Y-seed of B mutated at k from the root:
+    y_k -> 1/y_k and y_i -> y_i y_k^[b_ki]_+ (1 + y_k)^-b_ki."""
+    return mutate_seed(root_seed("Y", b), k).cluster
+
+
+def y_charts(n):
+    """`y_chart` of a random skew-symmetric B over n variables, so the b_ki
+    in one row take either sign."""
+
+    def build(upper, k):
+        b = [[0] * n for _ in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for (i, j), v in zip(pairs, upper):
+            b[i][j], b[j][i] = v, -v
+        return y_chart(b, k)
+
+    size = n * (n - 1) // 2
+    upper = st.lists(st.integers(-2, 2), min_size=size, max_size=size)
+    return st.builds(build, upper, st.integers(1, n))
+
+
+def substitution_cases():
+    """(f, targets): a small fraction over n variables (1..3), and n small
+    fractions or a Y-mutation chart."""
+
+    def over(n):
+        element = fractions(polys(n, lo=-2, hi=2, max_terms=3))
+        targets = st.tuples(*[element] * n) | y_charts(n)
+        return st.tuples(element, targets)
+
+    return st.integers(1, 3).flatmap(over)
+
+
+def _outcome(route, f, targets):
+    try:
+        return route(f, targets)
+    except ZeroDenominator:
+        return ZeroDenominator
+
+
+# y2 + 1/y3 over the chart mutated at 1 with b_12 = 1 and b_13 = -1: y2 goes
+# to y1 y2/(1 + y1) and y3 to y3 (1 + y1), so the common denominator
+# y3 (1 + y1)^2 overshoots the true one, y3 (1 + y1), by a factor 1 + y1
+_Y3 = [RF.variable(i, 3) for i in (1, 2, 3)]
+OVERSHOOT = (_Y3[1] + _Y3[2] ** -1, y_chart(((0, 1, -1), (-1, 0, 0), (1, 0, 0)), 1))
+
+
+class TestSubstitutionRoute:
+    """`substitute` maps into the polynomials over one common denominator and
+    cancels once; it agrees with the per-term route over fractions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(substitution_cases())
+    @example(OVERSHOOT)
+    def test_agrees_with_per_term_route(self, case):
+        f, targets = case
+        real = laurent._gcd_cofactors
+        calls = []
+
+        def counting(p, q):
+            calls.append(1)
+            return real(p, q)
+
+        laurent._gcd_cofactors = counting
+        try:
+            got = _outcome(RF.substitute, f, targets)
+        finally:
+            laurent._gcd_cofactors = real
+        assert len(calls) <= 1
+        assert got == _outcome(per_term_substitute, f, targets)
+
+    def test_overshoot_is_cancelled(self, monkeypatch):
+        f, targets = OVERSHOOT
+        found = []
+        real = laurent._gcd_cofactors
+
+        def recording(p, q):
+            out = real(p, q)
+            found.append(out[0])
+            return out
+
+        monkeypatch.setattr(laurent, "_gcd_cofactors", recording)
+        got = f.substitute(targets)
+        y1, y2, y3 = _Y3
+        assert found == [x(1, 3) + P.one(3)]
+        assert got == (1 + y1 * y2 * y3) / (y3 * (1 + y1))
 
 
 class TestProduct:

@@ -37,7 +37,7 @@ coefficients are all positive.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import repeat
 from math import gcd as int_gcd
 from operator import mul, or_, sub
@@ -524,10 +524,11 @@ def _poly_exact_div(p, q):
 # Both draw their points from `_evaluation_points`: xi starts at
 # 2 min(|p|, |q|) + 29 and grows by the factor 73794/27011 of the paper, for
 # at most `_HEU_TRIES` points and while an image of degree `top` evaluated
-# at xi stays within about `_HEU_MAX_BITS` bits.
-
-# Evaluation points tried before falling back to the PRS, and the largest
-# evaluated integer, in bits, that a try may build.
+# at xi stays within about `max_bits`: `_HEU_MAX_BITS` for the Kronecker
+# heuristic, 8 times that one variable at a time, where each variable's
+# images multiply the bits of the next.  A 3-variable gcd of degree 19 needs
+# about 82,000 bits there (at 2^15 its PRS ran for minutes); more bits only
+# slow the Kronecker heuristic, which gives up on such operands anyway.
 _HEU_TRIES = 6
 _HEU_MAX_BITS = 1 << 15
 
@@ -615,7 +616,7 @@ def _heuristic_gcd(p, q):
     # candidate read from index 0 is G only if g = 0; the heuristic by
     # variable finds the other G.
     pk, qk = _kronecker(pt, weights), _kronecker(qt, weights)
-    for xi in _evaluation_points(p, q, max(pk[0][0], qk[0][0])):
+    for xi in _evaluation_points(p, q, max(pk[0][0], qk[0][0]), _HEU_MAX_BITS):
         gamma = int_gcd(_eval_descending(pk, xi), _eval_descending(qk, xi))
         if gamma <= xi // 2:
             # every nonconstant common divisor G' has |G'(xi)| > xi/2, and
@@ -642,7 +643,8 @@ def _heuristic_gcd_by_variable(p, q):
     the point, and a later point avoids it.
     """
     v = max(i for i in range(p.nvars) if p.degree_in(i) or q.degree_in(i))
-    for xi in _evaluation_points(p, q, max(p.degree_in(v), q.degree_in(v))):
+    top = max(p.degree_in(v), q.degree_in(v))
+    for xi in _evaluation_points(p, q, top, 8 * _HEU_MAX_BITS):
         pv, qv = _evaluate_at(p, v, xi), _evaluate_at(q, v, xi)
         if pv._packed and qv._packed:
             images = _by_parts(pv, qv, _heuristic_gcd_by_variable)
@@ -658,13 +660,13 @@ def _heuristic_gcd_by_variable(p, q):
     return None
 
 
-def _evaluation_points(p, q, top):
+def _evaluation_points(p, q, top, max_bits):
     """The points xi of both heuristics, for images of degree at most `top`."""
     # with xi > 2 min(|p|, |q|) + 2 a certified candidate is the gcd, given
     # that the images' gcd is (the theorem of Char, Geddes and Gonnet)
     xi = 2 * min(max(map(abs, f._packed.values())) for f in (p, q)) + 29
     for _ in range(_HEU_TRIES):
-        if (top + 1) * xi.bit_length() > _HEU_MAX_BITS:
+        if (top + 1) * xi.bit_length() > max_bits:
             return
         yield xi
         xi = xi * 73794 // 27011
@@ -1122,9 +1124,11 @@ class RationalFunction:
         bases = [t.num for t in targets] + [t.den for t in targets]
         nv = targets[0].nvars if targets else 0
         one, zero = IntLaurentPoly.one(nv), IntLaurentPoly.zero(nv)
+        power = cache(lambda j, x: bases[j] ** x)  # each raised once per call
 
         def image(e):
-            return _product(zip(bases, (*map(sub, e, lo), *map(sub, hi, e))), one)
+            xs = (*map(sub, e, lo), *map(sub, hi, e))
+            return reduce(mul, [power(j, x) for j, x in enumerate(xs) if x] or [one])
 
         num, den = (sum((image(e) * c for e, c in t.items()), zero) for t in terms)
         return RationalFunction(num, den)

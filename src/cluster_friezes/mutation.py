@@ -54,10 +54,6 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
 
-def mat_neg(m: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in m)
-
-
 def _identity(r) -> Matrix:
     """The r x r identity matrix; its rows are the unit vectors e_1..e_r."""
     return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
@@ -67,13 +63,6 @@ def _neg_unit(i, r):
     """The vector -e_i of length r."""
     _index(i, r)
     return tuple(-1 if j == i - 1 else 0 for j in range(r))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
 
 
 def row_times_matrix(row, m: Matrix):
@@ -809,7 +798,13 @@ def gcf_from_principal(b0, addr) -> GCFData:
 
 def is_global_Y_monomial(b0, addr, exponents) -> bool:
     """y_t^m is universally Laurent iff B_t m >= 0 componentwise."""
-    bt = matrix_pattern(b0).at(addr)
+    pattern = matrix_pattern(b0)
+    return _is_global_Y_at(pattern, _vertex(addr, pattern.rank), exponents)
+
+
+def _is_global_Y_at(pattern, v, exponents) -> bool:
+    """is_global_Y_monomial at the vertex v of pattern."""
+    bt = pattern._walk.get(v)
     exponents = tuple(exponents)
     if len(exponents) != len(bt[0]):
         raise DimensionMismatch("exponent vector has wrong length")

@@ -24,11 +24,13 @@ from .mutation import (
     _belt_letter,
     _belt_place,
     _gauss_jordan,
+    _identity,
     _ints,
     _LETTER,
     _Line,
     _neg_unit,
     _PrefixWalker,
+    _Registry,
     _vertex,
     as_matrix,
     gcf_pattern,
@@ -241,6 +243,7 @@ def d_compat_degree(d_point: TropPoint, f) -> int:
 # -- admissibility -----------------------------------------------------------
 
 UNKNOWN = None
+_circuits = _Registry()  # chart matrix -> its _positive_circuits
 
 
 def _positive_circuits(m):
@@ -312,12 +315,12 @@ def _vertex_max(m, cols, b):
     return top
 
 
-def _pointed_form_ok(expansion, pointed, cone_matrix=None, circuits=()):
+def _pointed_form_ok(expansion, pointed, cone_matrix, circuits):
     """Check the pointed-expansion shape: coefficient 1 at `pointed`, all
-    coefficients nonnegative, every offset nonnegative (and in the cone
-    spanned by cone_matrix columns when given, with circuits its positive
-    circuits).  When cone_matrix has a positive circuit, offsets can cancel
-    back onto `pointed`, so any coefficient >= 1 is accepted there."""
+    coefficients nonnegative, every offset in the cone spanned by the
+    columns of cone_matrix, with circuits its positive circuits.  When
+    cone_matrix has a positive circuit, offsets can cancel back onto
+    `pointed`, so any coefficient >= 1 is accepted there."""
     if not expansion.is_laurent():
         return False
     terms = expansion.laurent().terms
@@ -330,10 +333,7 @@ def _pointed_form_ok(expansion, pointed, cone_matrix=None, circuits=()):
         if e == pointed:
             continue
         offset = tuple(a - b for a, b in zip(e, pointed))
-        if cone_matrix is None:
-            if any(x < 0 for x in offset):
-                return False
-        elif not _in_cone(cone_matrix, offset, circuits):
+        if not _in_cone(cone_matrix, offset, circuits):
             return False
     return True
 
@@ -363,21 +363,18 @@ def _charts(element, kind, b0, depth=None):
         yield level, v, seed, element
 
 
-def _check_admissible(element, point, root_matrix, with_cone, depth):
+def _check_admissible(element, point, depth):
     """Admissibility in every chart within depth of the root; three-valued.
-    A chart at level >= depth (the root when depth < 0) leaves it UNKNOWN,
-    as the exchange graph is then not known to have closed."""
+    A Y-space point walks the A-charts over B^T (offsets in B_t^T Z_{>=0}^r),
+    an A-space point the Y-charts (offsets in Z_{>=0}^r, the identity's cone).
+    A chart at level >= depth (the root when depth < 0) leaves it UNKNOWN."""
     unknown = False
-    kind = "A" if with_cone else "Y"
-    circuits = {}
-    for level, v, seed, expr in _charts(element, kind, root_matrix, depth):
+    kind = "A" if point.space == "Y" else "Y"
+    for level, v, seed, expr in _charts(element, kind, transpose(point.b0), depth):
         pointed = tuple(-c for c in point._walk.get(v))
-        # the A-pattern matrix at t equals B_t^T for the paired Y-pattern,
-        # whose columns span the admissible offset cone
-        cone = seed.principal_part() if with_cone else None
-        if with_cone and cone not in circuits:
-            circuits[cone] = _positive_circuits(cone)
-        if not _pointed_form_ok(expr, pointed, cone, circuits.get(cone, ())):
+        cone = seed.principal_part() if kind == "A" else _identity(seed.rank)
+        circuits = _circuits.get(cone, _positive_circuits, cone)
+        if not _pointed_form_ok(expr, pointed, cone, circuits):
             return False
         if level >= depth:
             unknown = True
@@ -392,7 +389,7 @@ def check_admissible_A(x, rho: TropPoint, depth=16):
     distance was reached; the cone test itself is exact."""
     if rho.space != "Y":
         raise ValueError("expected a Y-space tropical point")
-    return _check_admissible(x, rho, transpose(rho.b0), True, depth)
+    return _check_admissible(x, rho, depth)
 
 
 def check_admissible_Y(y, delta_sv: TropPoint, depth=16):
@@ -400,4 +397,4 @@ def check_admissible_Y(y, delta_sv: TropPoint, depth=16):
     A-space; offsets need only be componentwise nonnegative."""
     if delta_sv.space != "A":
         raise ValueError("expected an A-space tropical point")
-    return _check_admissible(y, delta_sv, transpose(delta_sv.b0), False, depth)
+    return _check_admissible(y, delta_sv, depth)

@@ -34,11 +34,13 @@ from .friezes import (
 from .laurent import RationalFunction, _product
 from .mutation import (
     _belt_vertex,
+    _child,
     _identity,
+    _is_global_Y_at,
     _separation_at,
     enumerate_exchange_graph,
     gcf_pattern,
-    is_global_Y_monomial,
+    matrix_pattern,
     seed_pattern,
 )
 from .tropical import TropPoint, _charts, _trop_point, check_admissible_A
@@ -91,17 +93,18 @@ def suite_remark_not_in(**_):
     """Rank-2 reproduction: 10 Y-variables, the 5-step chain, 5 globals."""
     b = ((0, -1), (1, 0))
     graph = enumerate_exchange_graph("Y", b, 100)
-    variables = graph.cluster_variables()
+    seeds = graph.seeds.values()
+    variables = {y: (s.vertex, i) for s in seeds for i, y in enumerate(s.cluster)}
     details = {"y_variables": len(variables), "y_seeds": len(graph.seeds)}
     ok = len(variables) == 10 and len(graph.seeds) == 5
 
-    pattern = seed_pattern("Y", b)
-    word = []
+    seed_at_vertex = seed_pattern("Y", b)._walk.get
+    v = 0
     expected = _rank2_y_chain()
-    chain_ok = pattern.seed_at(()).cluster == expected[0]
+    chain_ok = seed_at_vertex(v).cluster == expected[0]
     for step, k in enumerate([1, 2, 1, 2, 1], start=1):
-        word.append(k)
-        chain_ok = chain_ok and pattern.seed_at(tuple(word)).cluster == expected[step]
+        v = _child(v, k)
+        chain_ok = chain_ok and seed_at_vertex(v).cluster == expected[step]
     details["chain_matches"] = chain_ok
     ok = ok and chain_ok
 
@@ -117,8 +120,8 @@ def suite_remark_not_in(**_):
     }
     globals_by_column = set()
     globals_by_expansion = set()
-    for y, (addr, i) in variables.items():
-        if is_global_Y_monomial(b, addr, _identity(2)[i - 1]):
+    for y, (v, i) in variables.items():
+        if _is_global_Y_at(matrix_pattern(b), v, _identity(2)[i]):
             globals_by_column.add(y)
         # independent route: expand in every chart and test Laurentness;
         # stored entries are written in root-chart coordinates

@@ -27,10 +27,14 @@ from cluster_friezes.friezes import (
     slice_step,
 )
 from cluster_friezes.laurent import IntLaurentPoly, RationalFunction as RF
-from cluster_friezes.mutation import canonical_address, mat_neg, pp, transpose
+from cluster_friezes.mutation import canonical_address, pp, transpose
 from cluster_friezes.tropical import TropPoint, p_map
 
 A2 = named_cartan("A2")
+
+
+def mat_neg(m):
+    return tuple(tuple(-x for x in row) for row in m)
 
 
 def rf(i, n=2):

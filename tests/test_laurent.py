@@ -395,6 +395,35 @@ class TestGcdByVariable:
         d, cff, cfg = _gcd_cofactors(p, q)
         assert d == g and d * cff == p and d * cfg == q
 
+    def test_substitution_of_three_variable_fractions(self, monkeypatch):
+        # a case TestSubstitutionRoute drew: the one gcd of the substitution,
+        # of operands of degree up to 19 with 1,472 and 1,046 terms, takes
+        # evaluated integers of about 82,000 bits one variable at a time;
+        # capped at 1 << 15 bits the heuristic gave up, and the PRS ran for
+        # minutes
+        x1, x2, x3 = (RF.variable(i, 3) for i in (1, 2, 3))
+        f = (-4 * x1**2 / x2 - 3 * x3**2 / (x1**2 * x2) - x1 / (x2**2 * x3)) / (
+            x1 * x3 + 1
+        )
+        targets = (
+            (-2 * x1**2 * x2 / x3 + x2**2 / (x1 * x3) - x3 / x1)
+            / (x1**2 + x1 * x3 + 2 * x1 + x3 + 1),
+            -5 * x1 * x2 * x3**2 / (x1 * x3 + 1),
+            (-(x1**2) * x2**2 * x3 - x1 * x3**2 / x2**2 - 5 / (x2 * x3**2))
+            / (x1 * x3 + x3**2 + x1 + 2 * x3 + 1),
+        )
+        monkeypatch.setattr(laurent, "_poly_gcd_prs", _no_prs)
+        got = f.substitute(targets)
+        rng = random.Random(3)
+        checked = 0
+        while checked < 5:
+            point = tuple(rng.choice((-1, 1)) * rng.randint(1, 30) for _ in range(3))
+            if all(evaluate(t.den, point) for t in targets):
+                values = tuple(rf_value(t, point) for t in targets)
+                if all(values) and evaluate(f.den, values) and evaluate(got.den, point):
+                    assert rf_value(got, point) == rf_value(f, values)
+                    checked += 1
+
     def test_shared_kronecker_factor(self, monkeypatch):
         p, q = TestGcdFallback.P_SHARED, TestGcdFallback.Q_SHARED
         monkeypatch.setattr(laurent, "_poly_gcd_prs", _no_prs)

@@ -5,6 +5,7 @@ import threading
 import time
 from fractions import Fraction
 from functools import partial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,6 @@ from cluster_friezes.mutation import (
     gcf_from_principal,
     gcf_pattern,
     is_global_Y_monomial,
-    mat_mul,
     matrix_pattern,
     mutate_A_seed,
     mutate_matrix_raw,
@@ -59,6 +59,10 @@ B_B2 = ((0, -1), (2, 0))
 
 def rf(i, n=2):
     return RF.variable(i, n)
+
+
+def mat_mul(a, b):
+    return tuple(tuple(sum(map(mul, row, col)) for col in zip(*b)) for row in a)
 
 
 def rand_mutation_matrix(rng, r=3):
@@ -229,6 +233,7 @@ class TestWordsAtTheEdge:
             "admissibility",
             "pairing",
             "closure-counts",
+            "remark-not-in",
         ],
     )
     def test_suite_makes_no_word_and_interns_none(self, suite, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cluster_friezes import mutation
+from cluster_friezes import mutation, tropical
 from cluster_friezes.errors import DimensionMismatch, NegativeExponent, TropOverflow
 from cluster_friezes.friezes import CartanMatrix, FriezeFunction, PLMap, belts
 from cluster_friezes.finite import finite_context, named_cartan
@@ -696,9 +696,39 @@ class TestAdmissibility:
         assert _positive_circuits(mixed_kernel) == []
         circuits = _positive_circuits(singular)
         assert _pointed_form_ok(expansion, (-1, 2, -1), singular, circuits) is True
-        assert _pointed_form_ok(expansion, (-1, 2, -1), identity) is False
-        assert _pointed_form_ok(expansion, (-1, 2, -1)) is False
+        # the identity's cone Z_{>=0}^3 (the Y side's) holds no offset -e2
+        no_circuits = _positive_circuits(identity)
+        assert _pointed_form_ok(expansion, (-1, 2, -1), identity, no_circuits) is False
         assert _pointed_form_ok(-expansion, (-1, 2, -1), singular, circuits) is False
+
+    def test_circuits_once_per_chart_matrix(self, monkeypatch):
+        """Positive circuits are kept per chart matrix for the process: two
+        checks over one pattern compute those of each distinct B_t^T once."""
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return _positive_circuits(m)
+
+        monkeypatch.setattr(tropical, "_circuits", mutation._Registry())
+        monkeypatch.setattr(tropical, "_positive_circuits", counted)
+        ctx = finite_context(named_cartan("A3"))
+        x = RF.variable(1, 3) * RF.variable(2, 3) * RF.variable(3, 3)
+        rho = TropPoint("Y", ctx.belts.b, (-1, -1, -1))
+        depth = 2 * len(ctx.a_graph().seeds)
+        assert check_admissible_A(x, rho, depth) is True
+        first = list(calls)
+        assert check_admissible_A(x, rho, depth) is True
+        assert calls == first
+        assert len(first) == len(set(first)) > 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    def test_identity_cone_is_the_nonnegative_orthant(self, offset):
+        """The Y side's cone is the identity's: an offset is in it exactly
+        when it is componentwise nonnegative."""
+        identity = mutation._identity(len(offset))
+        assert _in_cone(identity, offset, []) == all(x >= 0 for x in offset)
 
     @pytest.mark.parametrize("name", ["B3", "C3"])
     def test_in_cone_against_box_search(self, name):

@@ -418,7 +418,8 @@ def build_parser():
     p.add_argument("--types", help="comma-separated type names")
     p.add_argument("--trials", type=int)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=int, default=10_000, help="most seeds per graph in "
+                   "closure-counts, fpoly-separation, admissibility (pairing: 10,000)")
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -20,12 +20,12 @@ from .friezes import (
     hammock,
     k_from_trop_point,
 )
-from .laurent import IntLaurentPoly, RationalFunction, _product
+from .laurent import IntLaurentPoly, RationalFunction, _index, _product
 from .mutation import (
     _belt_vertex,
     _gauss_jordan,
     _identity,
-    _neg_unit,
+    _int,
     _Registry,
     as_matrix,
     enumerate_exchange_graph,
@@ -33,7 +33,7 @@ from .mutation import (
     matrix_times_col,
     pp,
 )
-from .tropical import TropPoint, _trop_point
+from .tropical import TropPoint
 
 # -- registry of named finite types -------------------------------------------
 
@@ -134,12 +134,13 @@ class RootSystemData:
 
     def glide(self, i, m):
         """The gliding symmetry (i, m) -> (i*, m + 1 + h(i*; c))."""
-        istar = self.involution[i - 1]
-        return (istar, m + 1 + self.orbit_lengths[istar - 1])
+        istar = self.involution[_index(i, self.rank) - 1]
+        return (istar, _int(m) + 1 + self.orbit_lengths[istar - 1])
 
     def reduce(self, i, m):
         """Representative of the orbit of (i, m) inside the fundamental domain."""
         h = self.orbit_lengths
+        i, m = _index(i, self.rank), _int(m)
         while m < 0:
             i, m = self.glide(i, m)
         while m > h[i - 1]:
@@ -537,15 +538,13 @@ def d_duality_check(cartan):
     ctx = finite_context(cartan)
     b = ctx.belts
     neg = belts(cartan.transpose())
-    r = cartan.rank
     dom = ctx.roots.fundamental_domain()
     # each d-point and belt variable of the inner loop, built once
     xs = [neg.x_sv(j, n) for j, n in dom]
     deltas = [b.delta_sv_im(j, n).at_root() for j, n in dom]
     bad = []
     for i, m in dom:
-        d_x = _trop_point("A", neg.bt, _neg_unit(i, r), _belt_vertex(i, m, r))
-        d_root = d_x.at_root()
+        d_root = neg.delta_sv_im(i, m).at_root()
         x_sv = b.x_sv(i, m)
         for (j, n), x, delta in zip(dom, xs, deltas):
             lhs = x.trop_eval(d_root)

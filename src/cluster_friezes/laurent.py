@@ -101,11 +101,10 @@ class _Layout:
         self._struct = Struct(f">4x{n}i")
 
     def pack(self, exps):
-        """(packed keys, componentwise minimum) of a list of exponent tuples,
-        the minimum None for no tuples; ExponentOverflow past the range."""
+        """The packed keys of exponent tuples; ExponentOverflow past the range."""
         keys = [self.zero + self.shift_key(e) for e in exps]
         self.check(keys)
-        return keys, (tuple(map(min, zip(*exps))) if exps else None)
+        return keys
 
     def shift_key(self, exp):
         """The packed key of x^exp minus that of x^0: adding it to a key
@@ -159,35 +158,24 @@ def _layout(n):
 _new = object.__new__
 
 
-def _make(lay, packed, low=None):
-    """IntLaurentPoly over lay.n variables from nonzero packed terms; `low`
-    is its `min_exponents()` when known."""
+def _make(lay, packed):
+    """IntLaurentPoly over lay.n variables from nonzero packed terms."""
     p = _new(IntLaurentPoly)
     p.nvars = lay.n
     p._lay = lay
     p._packed = packed
-    p._min = low
     p._hash = None
     return p
-
-
-def _add_exps(a, b):
-    return None if a is None or b is None else tuple(map(int.__add__, a, b))
-
-
-def _sub_exps(a, b):
-    return None if a is None or b is None else tuple(map(int.__sub__, a, b))
 
 
 class IntLaurentPoly:
     """Sparse Laurent polynomial with arbitrary-precision integer coefficients.
 
-    Terms are stored packed (see the module docstring); `_min` carries the
-    componentwise minimum exponent through products, shifts and exact
-    quotients, and is recomputed from the keys only after a sum.
+    Terms are stored packed (see the module docstring); the monomial content
+    x^min_exponents() is read off the keys when asked for.
     """
 
-    __slots__ = ("nvars", "_lay", "_packed", "_min", "_hash")
+    __slots__ = ("nvars", "_lay", "_packed", "_hash")
 
     def __init__(self, nvars: int, terms=None):
         lay = _layout(nvars)
@@ -195,7 +183,7 @@ class IntLaurentPoly:
         self._lay = lay
         self._hash = None
         items = [(e, c) for e, c in terms.items() if c] if terms else []
-        keys, self._min = lay.pack([e for e, _ in items])
+        keys = lay.pack([e for e, _ in items])
         self._packed = dict(zip(keys, (c for _, c in items)))
 
     # -- constructors ------------------------------------------------------
@@ -209,7 +197,7 @@ class IntLaurentPoly:
         lay = _layout(nvars)
         if c == 0:
             return _make(lay, {})
-        return _make(lay, {lay.zero: c}, (0,) * nvars)
+        return _make(lay, {lay.zero: c})
 
     @classmethod
     def one(cls, nvars):
@@ -218,11 +206,8 @@ class IntLaurentPoly:
     @classmethod
     def variable(cls, i, nvars):
         """The variable x_i, 1-based."""
-        i = _index(i, nvars) - 1
         lay = _layout(nvars)
-        low = [0] * nvars
-        low[i] = 1
-        return _make(lay, {lay.zero + lay.weights[i]: 1}, tuple(low))
+        return _make(lay, {lay.zero + lay.weights[_index(i, nvars) - 1]: 1})
 
     @classmethod
     def monomial(cls, exp, coeff=1):
@@ -268,11 +253,9 @@ class IntLaurentPoly:
 
     def min_exponents(self):
         """Componentwise minimum of exponents over all terms."""
-        if self._min is None:
-            if not self._packed:
-                raise ValueError("zero polynomial has no exponents")
-            self._min = tuple(map(min, zip(*self._lay.exps(self._packed))))
-        return self._min
+        if not self._packed:
+            raise ValueError("zero polynomial has no exponents")
+        return tuple(map(min, zip(*self._lay.exps(self._packed))))
 
     def degree_in(self, i):
         """Max exponent of variable i (0-based), -1 for the zero polynomial."""
@@ -316,9 +299,7 @@ class IntLaurentPoly:
         return _make(self._lay, out)
 
     def __neg__(self):
-        return _make(
-            self._lay, {k: -c for k, c in self._packed.items()}, self._min
-        )
+        return _make(self._lay, {k: -c for k, c in self._packed.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -327,9 +308,7 @@ class IntLaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return _make(self._lay, {})
-            return _make(
-                self._lay, {k: c * other for k, c in self._packed.items()}, self._min
-            )
+            return _make(self._lay, {k: c * other for k, c in self._packed.items()})
         self._check(other)
         small, large = self._packed, other._packed
         if len(small) > len(large):
@@ -349,7 +328,7 @@ class IntLaurentPoly:
                 else:
                     del out[k]
         lay.check(out)
-        return _make(lay, out, _add_exps(self._min, other._min))
+        return _make(lay, out)
 
     __rmul__ = __mul__
 
@@ -375,7 +354,7 @@ class IntLaurentPoly:
         d = lay.shift_key(exp)
         out = {k + d: c for k, c in self._packed.items()}
         lay.check(out)
-        return _make(lay, out, _add_exps(self._min, exp))
+        return _make(lay, out)
 
     def int_content(self):
         if not self._packed:
@@ -406,12 +385,8 @@ class IntLaurentPoly:
         # clear monomial content so both operands are true polynomials
         smin = self.min_exponents()
         omin = other.min_exponents()
-        p = self.shift(tuple(-x for x in smin)) if any(smin) else self
-        q = other.shift(tuple(-x for x in omin)) if any(omin) else other
-        quot = _poly_exact_div(p, q)
-        if smin == omin:
-            return quot
-        return quot.shift(tuple(a - b for a, b in zip(smin, omin)))
+        p, q = _div_monomial(self, 1, smin), _div_monomial(other, 1, omin)
+        return _times_monomial(_poly_exact_div(p, q), 1, tuple(map(sub, smin, omin)))
 
     # -- evaluation helpers --------------------------------------------------
 
@@ -500,7 +475,7 @@ def _poly_exact_div(p, q):
                 rem[k] = s
             else:
                 del rem[k]
-    return _make(lay, out, _sub_exps(p._min, q._min))
+    return _make(lay, out)
 
 
 # -- multivariate gcd ---------------------------------------------------------
@@ -785,12 +760,12 @@ def _div_monomial(p, c, exp=()):
     if not any(exp):
         if c == 1:
             return p
-        return _make(p._lay, {k: v // c for k, v in p._packed.items()}, p._min)
+        return _make(p._lay, {k: v // c for k, v in p._packed.items()})
     lay = p._lay
     d = lay.shift_key(exp)
     out = {k - d: v // c for k, v in p._packed.items()}
     lay.check(out)
-    return _make(lay, out, _sub_exps(p._min, exp))
+    return _make(lay, out)
 
 
 def _times_monomial(p, c, exp):
@@ -1095,8 +1070,8 @@ class RationalFunction:
         # numerator and denominator are coprime already; only the monomial
         # content and the leading sign need renormalizing
         shift = self.num.min_exponents()
-        den = self.num.shift(tuple(-x for x in shift))
-        num = self.den.shift(tuple(-x for x in shift))
+        den = _div_monomial(self.num, 1, shift)
+        num = _div_monomial(self.den, 1, shift)
         if den._leading_coeff() < 0:
             num, den = -num, -den
         return RationalFunction(num, den, _reduced=True)
@@ -1168,12 +1143,10 @@ def _cancel(num, den):
         g = int_gcd(num.int_content(), den.int_content())
         return _div_monomial(num, g), _div_monomial(den, g)
     nmin = num.min_exponents()
-    shifted = any(nmin)
-    npoly = num.shift(tuple(-x for x in nmin)) if shifted else num
-    g, npoly, den_cofactor = _gcd_cofactors(npoly, den)
+    g, npoly, den_cofactor = _gcd_cofactors(_div_monomial(num, 1, nmin), den)
     if g.is_one():
         return num, den
-    return (npoly.shift(nmin) if shifted else npoly), den_cofactor
+    return _times_monomial(npoly, 1, nmin), den_cofactor
 
 
 def _reduce(num, den):
@@ -1186,10 +1159,7 @@ def _reduce(num, den):
         return num, IntLaurentPoly.one(num.nvars)
     # move the denominator's monomial content into the numerator
     dmin = den.min_exponents()
-    if any(dmin):
-        den = den.shift(tuple(-x for x in dmin))
-        num = num.shift(tuple(-x for x in dmin))
-    num, den = _cancel(num, den)
+    num, den = _cancel(_div_monomial(num, 1, dmin), _div_monomial(den, 1, dmin))
     if den._leading_coeff() < 0:
         num, den = -num, -den
     return num, den

@@ -689,7 +689,6 @@ class GCFPattern:
         r = len(b0)
         ident = _identity(r)
         ones = tuple(IntLaurentPoly.one(r) for _ in range(r))
-        self.b0 = b0
         self.rank = r
         self._exchanges = {}
         self._walk = _PrefixWalker(

@@ -137,8 +137,8 @@ def _over_types(types, check, rng_seed=None):
     """(ok, details) of `check(name, cartan, ctx, rng) -> (ok, entry)` on each
     named type in turn, the entry filed under the name; all types draw from
     one random.Random(rng_seed), whose seed the details record if given.
-    An empty type list raises ValueError: it would pass with nothing
-    checked."""
+    A type whose check runs out of budget fails as "budget exceeded".  An
+    empty type list raises ValueError: it would pass with nothing checked."""
     if not types:
         raise ValueError("no types to check")
     rng = random.Random(rng_seed)
@@ -146,7 +146,10 @@ def _over_types(types, check, rng_seed=None):
     ok = True
     for name in types:
         cartan = named_cartan(name)
-        type_ok, details[name] = check(name, cartan, finite_context(cartan), rng)
+        try:
+            type_ok, details[name] = check(name, cartan, finite_context(cartan), rng)
+        except BudgetExceeded:
+            type_ok, details[name] = False, "budget exceeded"
         ok = ok and type_ok
     return ok, details
 
@@ -155,10 +158,7 @@ def suite_closure_counts(types=DEFAULT_TYPES, budget=10_000, **_):
     """Variable counts of the finite exchange graphs against the root count."""
 
     def check(name, cartan, ctx, rng):
-        try:
-            graph = ctx.graph("A", ctx.belts.bt, budget)
-        except BudgetExceeded:
-            return False, "budget exceeded"
+        graph = ctx.graph("A", ctx.belts.bt, budget)
         # distinct cluster entries, counted without the addresses
         # cluster_variables builds
         count = len({x for seed in graph.seeds.values() for x in seed.cluster})
@@ -277,7 +277,7 @@ def suite_d_duality(types=SMALL_TYPES, **_):
     return _over_types(types, check)
 
 
-def suite_fpoly_separation(types=DEFAULT_TYPES, **_):
+def suite_fpoly_separation(types=DEFAULT_TYPES, budget=10_000, **_):
     """Coefficient-polynomial recursion against the principal-coefficient
     pattern, and the separation identity at every enumerated vertex."""
 
@@ -290,7 +290,7 @@ def suite_fpoly_separation(types=DEFAULT_TYPES, **_):
             if gcf_at(_belt_vertex(i, m, r))[3][i - 1] != poly:
                 mismatches += 1
         sep_fail = 0
-        for seed in ctx.y_graph().seeds.values():
+        for seed in ctx.graph("Y", ctx.belts.b, budget).seeds.values():
             if not _separation_at(ctx.belts.b, seed):
                 sep_fail += 1
         return mismatches == 0 and sep_fail == 0, {
@@ -329,18 +329,19 @@ def suite_shift_laws(types=SMALL_TYPES, trials=1000, rng_seed=0, **_):
     return _over_types(types, check, rng_seed)
 
 
-def suite_admissibility(types=("A2", "B2"), rng_seed=0, **_):
+def suite_admissibility(types=("A2", "B2"), rng_seed=0, budget=10_000, **_):
     """Finite-type characterization: cluster monomials pass against their
     g-vectors at full depth, two-term sums fail against every sampled point."""
 
     def check(name, cartan, ctx, rng):
         r = cartan.rank
-        depth = 2 * len(ctx.a_graph().seeds)
+        seeds = ctx.graph("A", ctx.belts.bt, budget).seeds.values()
+        depth = 2 * len(seeds)
         ok = True
         checked = 0
         # the unit vectors, all ones, and (2, 1, ..., 1)
         exp_sets = _identity(r) + ((1,) * r, (2,) + (1,) * (r - 1))
-        for seed in ctx.a_graph().seeds.values():
+        for seed in seeds:
             for exps in exp_sets:
                 mono = _product(zip(seed.cluster, exps), RationalFunction.one(r))
                 coords = tuple(-e for e in exps)

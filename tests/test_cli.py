@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cluster_friezes
-from cluster_friezes import cli, finite, laurent, verify
+from cluster_friezes import cli, finite, friezes, laurent, verify
 from cluster_friezes.cli import main
 from cluster_friezes.errors import NotDivisible, NotFound, ZeroDenominator
 from cluster_friezes.friezes import FriezeFunction
@@ -64,7 +64,7 @@ BROKEN_ROUTES = {
     "f-readback": ("realization", verify, "f_from_trop_point", _off_by_one_at_3,
                    {"trials": 3}, "disagreements"),
     # the d-point of x(i, m) on the A-space of -B, as the one of x(1, m)
-    "d-point": ("d-duality", finite, "_neg_unit",
+    "d-point": ("d-duality", friezes, "_neg_unit",
                 lambda orig: lambda i, r: orig(1, r), {}, "violations"),
     "glide": ("periodicity", finite.RootSystemData, "glide",
               lambda orig: lambda self, i, m: (i, m + 1), {"trials": 4},
@@ -319,12 +319,19 @@ class TestVerifyAndErrors:
             assert capsys.readouterr().out.startswith("usage:")
 
     def test_budget_exit_3(self, capsys):
-        code, _, err = run(
-            capsys,
-            "verify", "--suite", "closure-counts", "--types", "A3", "--budget", "2",
+        # every suite that walks an exchange graph reads --budget and reports
+        # a graph past it in-band instead of crashing; A3 has 14 seeds
+        for suite in ("closure-counts", "fpoly-separation", "admissibility"):
+            code, out, _ = run(
+                capsys, "verify", "--suite", suite, "--types", "A3", "--budget", "5",
+            )
+            assert code == 1
+            assert json.loads(out)["suites"][0]["details"]["A3"] == "budget exceeded"
+        code, _, _ = run(
+            capsys, "verify", "--suite", "fpoly-separation", "--types", "A3",
+            "--budget", "14",
         )
-        # closure-counts reports budget failures in-band instead of crashing
-        assert code == 1
+        assert code == 0
 
     def test_bad_matrix_exit_2(self, capsys):
         code, _, err = run(capsys, "mutate", "--B", "[[0,1],[1,0]]", "--word", "1")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cluster_friezes import finite, verify
-from cluster_friezes.errors import NotFiniteType
+from cluster_friezes.errors import DimensionMismatch, NotFiniteType
 from cluster_friezes.finite import (
     classify,
     coxeter_data,
@@ -118,6 +118,21 @@ class TestCoxeterData:
         for i in range(1, 4):
             for m in range(-8, 9):
                 assert rd.reduce(i, m) in dom
+
+    def test_glide_and_reduce_check_their_arguments(self):
+        # an index outside 1..r once wrapped or raised a bare IndexError,
+        # and a float m was accepted
+        rd = coxeter_data(named_cartan("A3"))
+        for method in (rd.glide, rd.reduce):
+            for i in (0, -1, 4, True, 1.0):
+                with pytest.raises(DimensionMismatch):
+                    method(i, 0)
+            for m in (1.5, 2.0, "1", False):
+                with pytest.raises(TypeError):
+                    method(1, m)
+        with pytest.raises(DimensionMismatch):
+            rd.reduce(0, 9)
+        assert rd.glide(1, 0) == (3, 2) and rd.reduce(3, 2) == (1, 0)
 
 
 class TestPeriodicity:

@@ -992,6 +992,8 @@ class TestPacking:
 
     @settings(max_examples=150, deadline=None)
     @given(packed_cases)
+    # minima (-2, 1, -1) and (1, -1, 3): each variable moves differently
+    @example((3, {(-2, 1, 0): 1, (0, 3, -1): 2}, {(1, -1, 4): 1, (2, 0, 3): -1}, (1, -2, 3)))
     def test_products_shifts_quotients(self, case):
         n, s, t, exp = case
         p, q = P(n, s), P(n, t)
@@ -1009,8 +1011,17 @@ class TestPacking:
                 a, b = (f.shift(tuple(1 - m for m in f.min_exponents())) for f in (p, q))
                 h = laurent._poly_exact_div(a * b, b)
                 assert h == a and h.min_exponents() == ref_min(h.terms)
-        # the carried monomial content is the one the terms give
-        for r in (product, shifted, -p, p * 3, p**2, product.exact_div(q) if q else p):
+                # operands whose minima differ per variable: exact_div and
+                # inverse split off and restore a different power of each
+                u = product.shift(exp)
+                assert u.exact_div(q).terms == ref_exact_div(u.terms, q.terms)
+                f, g = RF(u, q), RF(u, q).inverse()
+                assert g == RF(q, u) and (f * g).is_one() and g.den.leading()[1] > 0
+                assert g.den.min_exponents() == (0,) * n
+        # the monomial content read off the keys is the one the terms give
+        others = [P.constant(3, n)] + [P.variable(i, n) for i in range(1, n + 1)]
+        quotient = product.exact_div(q) if q else p
+        for r in (product, shifted, p + q, -p, p * 3, p**2, quotient, *others):
             if not r.is_zero():
                 assert r.min_exponents() == ref_min(r.terms)
 

@@ -39,6 +39,7 @@ from .finite import (
 from .friezes import (
     CartanMatrix,
     FriezeFunction,
+    _check_window,
     belts,
     hammock,
 )
@@ -85,8 +86,7 @@ TRIALS_LIMIT = 10_000
 def _parse_window(text):
     lo, _, hi = text.partition("..")
     lo, hi = int(lo), int(hi)
-    if lo > hi:
-        raise ValueError(f"empty window {text!r}: lo must not exceed hi")
+    _check_window(lo, hi)
     if max(abs(lo), abs(hi)) > WINDOW_LIMIT:
         raise BudgetExceeded(f"window {text!r} reaches past |m| = {WINDOW_LIMIT}")
     return lo, hi
@@ -302,8 +302,11 @@ def cmd_verify(args):
         "trials": args.trials,
         "budget": args.budget,
     }
-    if args.types:
-        kwargs["types"] = tuple(args.types.split(","))
+    if args.types is not None:
+        # every name is read here, as remark-not-in reads no type list
+        kwargs["types"] = types = tuple(args.types.split(","))
+        for name in types:
+            named_cartan(name)
     if args.suite == "all":
         results = run_all(**kwargs)
     else:

@@ -15,17 +15,17 @@ from .friezes import (
     Belts,
     CartanMatrix,
     FriezeFunction,
+    _check_window,
     _terms,
     belts,
     hammock,
     k_from_trop_point,
 )
-from .laurent import IntLaurentPoly, RationalFunction, _index, _product
+from .laurent import IntLaurentPoly, RationalFunction, _index, _int, _product
 from .mutation import (
     _belt_vertex,
     _gauss_jordan,
     _identity,
-    _int,
     _Registry,
     as_matrix,
     enumerate_exchange_graph,
@@ -285,6 +285,7 @@ def verify_periodicity(cartan, m_lo, m_hi, friezes=()):
     """Check the gliding-symmetry invariance of the generic frieze patterns
     and of any supplied Z-valued functions on [m_lo, m_hi]; returns the list
     of violations (expected empty)."""
+    _check_window(m_lo, m_hi)
     ctx = finite_context(cartan)
     b = ctx.belts
     # each cell with its image under the gliding symmetry, read once for all

@@ -17,12 +17,10 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import DimensionMismatch, NotAdmissible, TropOverflow
-from .laurent import RationalFunction, _index, check_trop
+from .laurent import RationalFunction, _index, _int, _ints, check_trop
 from .mutation import (
     _belt_vertex,
     _diagonal_symmetrizer,
-    _int,
-    _ints,
     _Line,
     _neg_unit,
     _Registry,
@@ -33,6 +31,13 @@ from .mutation import (
 from .tropical import TropPoint, _trop_point, check_admissible_A, check_admissible_Y
 
 KINDS = ("additive", "cluster-additive", "tropical-frieze")
+
+
+def _check_window(m_lo, m_hi):
+    """Refuse an empty window m_lo > m_hi with ValueError: a check over no
+    column would pass having checked nothing."""
+    if m_lo > m_hi:
+        raise ValueError(f"empty window {m_lo}..{m_hi}: m_lo must not exceed m_hi")
 
 
 def find_symmetrizer(a):
@@ -178,6 +183,7 @@ class FriezeFunction:
         column m + 1 satisfies the r relations at m exactly when it is the
         column knitted from column m; a knitted value out of range
         (TropOverflow) differs from every in-range value."""
+        _check_window(m_lo, m_hi)
         terms, kind = self._terms, self.kind
         col_m = self.slice_at(m_lo)
         for m in range(m_lo, m_hi + 1):
@@ -191,6 +197,7 @@ class FriezeFunction:
         return True
 
     def agrees_with(self, other, m_lo, m_hi):
+        _check_window(m_lo, m_hi)
         return self.table(m_lo, m_hi) == other.table(m_lo, m_hi)
 
 
@@ -318,13 +325,16 @@ class PLMap:
         part = 1 if sign == "+" else 0
         self._terms = tuple(t[part] for t in _terms(cartan))
 
-    def _check_length(self, v):
+    def _check(self, v):
+        """v as a tuple of ints of the rank's length."""
+        v = _ints(v)
         if len(v) != len(self._terms):
             raise DimensionMismatch("vector length must equal the rank")
+        return v
 
     def apply(self, d):
         """Column vector in, row vector out."""
-        self._check_length(d)
+        d = self._check(d)
         out = []
         for i, terms in enumerate(self._terms):
             s = d[i]
@@ -337,9 +347,8 @@ class PLMap:
     def invert(self, v):
         """Row vector in, column vector out, by forward substitution; the
         strict triangularity of the matrix makes each step explicit."""
-        self._check_length(v)
         terms = self._terms
-        d = list(v)
+        d = list(self._check(v))
         order = range(len(d)) if self.sign == "+" else range(len(d) - 1, -1, -1)
         for i in order:
             for j, c in terms[i]:
@@ -352,7 +361,7 @@ def slice_step(cartan, values):
     """Next slice of a cluster-additive function: (E^+)^{-1}(-E^-(current))."""
     eplus = PLMap(cartan, "+")
     eminus = PLMap(cartan, "-")
-    return eplus.invert(tuple(-x for x in eminus.apply(tuple(values))))
+    return eplus.invert(tuple(-x for x in eminus.apply(values)))
 
 
 # -- hammocks, admissible elements, shifts -------------------------------------

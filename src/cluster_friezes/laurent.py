@@ -68,11 +68,33 @@ def check_trop(value: int) -> int:
     return value
 
 
-def _index(i, r):
-    """i, a 1-based index: an int (not a bool) in 1..r, else DimensionMismatch."""
-    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= r:
-        raise DimensionMismatch(f"index {i!r} out of range 1..{r}")
+def _index(i, r=None):
+    """i, a 1-based index or direction, as an int in 1..r (at least 1 when r
+    is None), else DimensionMismatch, bools included; an int subclass becomes an int."""
+    if type(i) is not int and isinstance(i, int) and not isinstance(i, bool):
+        i = int(i)
+    if type(i) is not int or i < 1 or (r is not None and i > r):
+        raise DimensionMismatch(f"index {i!r} out of range 1..{'' if r is None else r}")
     return i
+
+
+def _int(x):
+    """x as an int.  A float, a str or a bool is refused with TypeError
+    rather than truncated; an int subclass becomes an int."""
+    if type(x) is int:
+        return x
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"entry {x!r} is not an int")
+    return int(x)
+
+
+def _ints(values):
+    """values as a tuple of ints, each as `_int` reads it."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            return tuple(map(_int, values))
+    return values
 
 
 class _Layout:
@@ -182,9 +204,9 @@ class IntLaurentPoly:
         self.nvars = nvars
         self._lay = lay
         self._hash = None
-        items = [(e, c) for e, c in terms.items() if c] if terms else []
-        keys = lay.pack([e for e, _ in items])
-        self._packed = dict(zip(keys, (c for _, c in items)))
+        items = [(_ints(e), _int(c)) for e, c in terms.items()] if terms else []
+        keys = lay.pack([e for e, c in items if c])
+        self._packed = dict(zip(keys, (c for _, c in items if c)))
 
     # -- constructors ------------------------------------------------------
 
@@ -195,9 +217,8 @@ class IntLaurentPoly:
     @classmethod
     def constant(cls, c, nvars):
         lay = _layout(nvars)
-        if c == 0:
-            return _make(lay, {})
-        return _make(lay, {lay.zero: c})
+        c = _int(c)
+        return _make(lay, {lay.zero: c} if c else {})
 
     @classmethod
     def one(cls, nvars):
@@ -1110,6 +1131,7 @@ class RationalFunction:
 
     def trop_eval(self, coords):
         """Max-plus evaluation of a subtraction-free fraction at integer coords."""
+        coords = _ints(coords)
         if len(coords) != self.nvars:
             raise DimensionMismatch("coordinate vector has wrong length")
         if not self.subtraction_free():

@@ -17,7 +17,7 @@ from functools import partial
 from operator import itemgetter
 
 from .errors import BudgetExceeded, DimensionMismatch, InternalDisagreement
-from .laurent import IntLaurentPoly, RationalFunction, _index, _product
+from .laurent import IntLaurentPoly, RationalFunction, _index, _int, _ints, _product
 
 Matrix = tuple  # tuple of row tuples
 
@@ -25,25 +25,6 @@ Matrix = tuple  # tuple of row tuples
 def pp(x):
     """Positive part [x]_+ = max(x, 0)."""
     return x if x > 0 else 0
-
-
-def _int(x):
-    """x as an int.  A float, a str or a bool is refused with TypeError
-    rather than truncated; an int subclass becomes an int."""
-    if type(x) is int:
-        return x
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"entry {x!r} is not an int")
-    return int(x)
-
-
-def _ints(values):
-    """values as a tuple of ints, each as `_int` reads it."""
-    values = tuple(values)
-    for x in values:
-        if type(x) is not int:
-            return tuple(map(_int, values))
-    return values
 
 
 def as_matrix(rows) -> Matrix:
@@ -295,19 +276,6 @@ _CHILD = {}
 _VERTEX_LOCK = threading.Lock()
 
 
-def _letter(k, r=None):
-    """The direction k as an int, checked to be an int in 1..r (at least 1
-    when r is None)."""
-    if type(k) is not int:
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise TypeError(f"direction {k!r} is not an int")
-        k = int(k)
-    if k < 1 or (r is not None and k > r):
-        bound = "" if r is None else f"..{r}"
-        raise DimensionMismatch(f"direction {k} out of range 1{bound}")
-    return k
-
-
 def _child(v, k):
     """The vertex across edge k from vertex v: its parent when k is the
     letter of v's own edge, else its (possibly new) child."""
@@ -327,8 +295,8 @@ def _child(v, k):
 
 def _vertex(word, r=None):
     """The interned vertex reached from the root along word.  Every letter
-    is checked (see _letter) before any vertex is made."""
-    letters = [_letter(k, r) for k in word]
+    is checked (see _index) before any vertex is made."""
+    letters = [_index(k, r) for k in word]
     v = 0
     for k in letters:
         v = _child(v, k)
@@ -348,7 +316,7 @@ def reduce_word(word):
     """Cancel adjacent equal letters; mutation in the same direction twice
     returns to the original seed.  Letters must be ints >= 1."""
     out = []
-    for k in map(_letter, word):
+    for k in map(_index, word):
         if out and out[-1] == k:
             out.pop()
         else:
@@ -477,20 +445,19 @@ class Seed:
         return (permute(cluster), tuple(rows))
 
 
-def root_seed(kind, b0, nfrozen=0) -> Seed:
+def root_seed(kind, b0) -> Seed:
     """Initial seed whose cluster is the coordinate variables.
 
-    For A-seeds, b0 may be a tall (r+nfrozen) x r extended matrix; the frozen
-    variables are the trailing coordinates.
+    For A-seeds, b0 may be tall: its rows below the square part are frozen,
+    and the frozen variables are the trailing coordinates.
     """
     b0 = as_matrix(b0)
-    r = len(b0[0])
-    total = r + nfrozen
-    if len(b0) != total:
-        raise DimensionMismatch("matrix shape does not match frozen count")
+    total, r = len(b0), len(b0[0])
+    if total < r:
+        raise DimensionMismatch("a wide root matrix has no seed")
     if kind not in ("A", "Y"):
         raise ValueError(f"unknown seed kind {kind!r}")
-    if kind == "Y" and nfrozen:
+    if kind == "Y" and total > r:
         raise DimensionMismatch("Y-seeds carry no frozen variables here")
     cluster = tuple(RationalFunction.variable(i + 1, total) for i in range(r))
     frozen = tuple(RationalFunction.variable(i + 1, total) for i in range(r, total))
@@ -544,7 +511,7 @@ def mutate_A_seed(seed: Seed, k: int, memo=None) -> Seed:
     old x_k."""
     if seed.kind != "A":
         raise ValueError("A-mutation applied to a non-A seed")
-    k = _letter(k, seed.rank)
+    k = _index(k, seed.rank)
     if memo is None:
         memo = {}
     variables = seed.variables()
@@ -581,7 +548,7 @@ def mutate_Y_seed(seed: Seed, k: int, memo=None) -> Seed:
     if seed.kind != "Y":
         raise ValueError("Y-mutation applied to a non-Y seed")
     r = seed.rank
-    k = _letter(k, r)
+    k = _index(k, r)
     if memo is None:
         memo = {}
     yk = seed.cluster[k - 1]
@@ -627,8 +594,8 @@ class SeedPattern:
     The root's principal part must be skew-symmetrizable (see
     MatrixPattern)."""
 
-    def __init__(self, kind, b0, nfrozen=0):
-        self.root = root_seed(kind, b0, nfrozen)
+    def __init__(self, kind, b0):
+        self.root = root_seed(kind, b0)
         matrix_pattern(self.root.principal_part())
         self._exchanges = {}
         self._walk = _PrefixWalker(
@@ -646,14 +613,14 @@ def _seed_step(seed, v, k, memo):
 _seed_patterns = _Registry()
 
 
-def seed_pattern(kind, b0, nfrozen=0) -> SeedPattern:
-    key = (kind, as_matrix(b0), nfrozen)
-    return _seed_patterns.get(key, SeedPattern, kind, b0, nfrozen)
+def seed_pattern(kind, b0) -> SeedPattern:
+    b0 = as_matrix(b0)
+    return _seed_patterns.get((kind, b0), SeedPattern, kind, b0)
 
 
 def seed_at(kind, b0, addr) -> Seed:
     """Seed reached from the root seed of b0 by walking addr."""
-    return seed_pattern(kind, as_matrix(b0)).seed_at(addr)
+    return seed_pattern(kind, b0).seed_at(addr)
 
 
 def principal_extension(b0: Matrix) -> Matrix:
@@ -770,7 +737,7 @@ def gcf_from_principal(b0, addr) -> GCFData:
     b0 = as_matrix(b0)
     r = len(b0)
     # r mutable variables plus r frozen coefficient variables
-    seed = seed_pattern("A", principal_extension(b0), r).seed_at(addr)
+    seed = seed_at("A", principal_extension(b0), addr)
     gcols = []
     fpolys = []
     for i in range(r):
@@ -804,7 +771,7 @@ def is_global_Y_monomial(b0, addr, exponents) -> bool:
 def _is_global_Y_at(pattern, v, exponents) -> bool:
     """is_global_Y_monomial at the vertex v of pattern."""
     bt = pattern._walk.get(v)
-    exponents = tuple(exponents)
+    exponents = _ints(exponents)
     if len(exponents) != len(bt[0]):
         raise DimensionMismatch("exponent vector has wrong length")
     return all(v >= 0 for v in matrix_times_col(bt, exponents))
@@ -864,9 +831,7 @@ def walk_exchange_graph(kind, b0, depth=None):
     the yielded w, w mutated at the index j of the child's new variable is
     a twin of v: the edge (w, j), like the edge (child, k) back from a new
     child, leads to a seed already yielded, and is skipped."""
-    b0 = as_matrix(b0)
-    nfrozen = max(0, len(b0) - len(b0[0]))
-    seed_at_vertex = seed_pattern(kind, b0, nfrozen)._walk.get
+    seed_at_vertex = seed_pattern(kind, b0)._walk.get
     seed = seed_at_vertex(0)
     key = seed.unordered_key()
     yield 0, 0, key, seed

@@ -18,14 +18,13 @@ from functools import partial
 from itertools import combinations
 
 from .errors import DimensionMismatch, NegativeExponent
-from .laurent import check_trop
+from .laurent import _ints, check_trop
 from .mutation import (
     _PARENT,
     _belt_letter,
     _belt_place,
     _gauss_jordan,
     _identity,
-    _ints,
     _LETTER,
     _Line,
     _neg_unit,

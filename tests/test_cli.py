@@ -272,6 +272,11 @@ class TestVerifyAndErrors:
               "--budget", "-5"), "ValueError"),
             (("frieze", "--cartan", "A2", "--kind", "trop", "--slice", "1,0",
               "--window", "5..1"), "ValueError"),
+            # a type list that names no type: the empty one once fell back
+            # to the default types and passed
+            (("verify", "--suite", "closure-counts", "--types", ""), "ValueError"),
+            (("verify", "--suite", "closure-counts", "--types", " , "), "ValueError"),
+            (("verify", "--suite", "remark-not-in", "--types", ""), "ValueError"),
             # exact integers only: no float or boolean is truncated to an int
             (("mutate", "--B", "[[0,1.5],[-1,0]]"), "ValueError"),
             (("mutate", "--B", "[[0,true],[-1,0]]"), "ValueError"),

@@ -1,6 +1,6 @@
 """Fuzz the CLI over a small argv grammar: every subcommand, types of rank at
-most 3, and malformed integers, windows, JSON documents, floats, booleans and
-missing or unknown flags.
+most 3, and malformed integers, windows, JSON documents, floats, booleans,
+empty or blank type lists and missing or unknown flags.
 
 Every run must end in a documented exit code.  A verification failure
 (exit 1) reports on stdout, as the JSON report of `verify`; every other
@@ -149,7 +149,7 @@ def argv(draw):
         options = {
             "suite": st.sampled_from(SUITES),
             "types": mostly(st.sampled_from(["A2", "B2", "A2,G2"]),
-                            st.sampled_from([",", "Z9", "A", "a2"])),
+                            st.sampled_from([",", "", " , ", "Z9", "A", "a2"])),
             "trials": mostly(st.integers(0, 3).map(str), st.sampled_from(["-1", "x"])),
             "budget": mostly(st.sampled_from(["1", "100"]), st.just("x")),
         }
@@ -193,6 +193,11 @@ def run_cli(args, stdin):
 def test_cli_exits_are_documented(args, stdin):
     code, out, err = run_cli(args, stdin)
     assert code in (0, 1, 2, 3, 4), (args, code)
+    if args[:1] == ["verify"] and "--types" in args:
+        names = args[args.index("--types") + 1].split(",")
+        if not any(name.strip() for name in names):
+            # nothing to check is never a pass
+            assert code != 0, args
     if code == 1:
         assert args[0] == "verify"
         assert json.loads(out)["failed"] >= 1

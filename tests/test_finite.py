@@ -150,6 +150,13 @@ class TestPeriodicity:
         cells = [(i, m) for i in (1, 2) for m in range(4)]
         assert verify_periodicity(A2, 0, 3, [f]) == [("frieze0",) + c for c in cells]
 
+    def test_empty_window_refused(self):
+        # over 3..1 the same f once gave no violations
+        f = FriezeFunction("additive", A2, lambda m: (m, m))
+        with pytest.raises(ValueError, match="empty window"):
+            verify_periodicity(A2, 3, 1, [f])
+        assert len(verify_periodicity(A2, 0, 2, [f])) == 6
+
     def test_frieze_values_across_gliding(self):
         ctx = finite_context(A2)
         f = FriezeFunction.from_slice("tropical-frieze", A2, (1, 0))

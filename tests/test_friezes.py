@@ -240,6 +240,22 @@ class TestPLMaps:
         with pytest.raises(DimensionMismatch, match="length"):
             call()
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: PLMap(A2, "+").apply((0.5, 1)),
+            lambda: PLMap(A2, "-").apply((0, True)),
+            lambda: PLMap(A2, "+").invert((1.0, 0)),
+            lambda: PLMap(A2, "-").invert(("1", 0)),
+            lambda: slice_step(A2, (-1, 0.5)),
+        ],
+        ids=["apply-float", "apply-bool", "invert-float", "invert-str", "slice-step"],
+    )
+    def test_non_int_entries_refused(self, call):
+        # (0.5, 1) once came back as (0.5, 0.5)
+        with pytest.raises(TypeError, match="is not an int"):
+            call()
+
     def test_slice_step_matches_recursion(self):
         rng = random.Random(11)
         for _ in range(30):
@@ -562,6 +578,22 @@ def _constructed(cartan):
 
 
 CONSTRUCTORS = tuple(_constructed(A2))
+
+
+class TestWindows:
+    """A check over a window refuses m_lo > m_hi: over no column it would
+    pass having checked nothing."""
+
+    def test_empty_window_refused(self):
+        f = FriezeFunction("additive", A2, lambda m: (m, m))  # not additive
+        with pytest.raises(ValueError, match="empty window"):
+            f.satisfies_recursion(3, 1)
+        with pytest.raises(ValueError, match="empty window"):
+            f.agrees_with(hammock(A2, 1, 0), 3, 1)
+        assert f.table(3, 1) == {}
+        # one column is a window: its relations are checked
+        assert not f.satisfies_recursion(0, 0)
+        assert not f.agrees_with(hammock(A2, 1, 0), 0, 0)
 
 
 class TestColumnReaders:

@@ -81,6 +81,47 @@ class TestPolyArithmetic:
             assert a * b == b * a
 
 
+class TestIntegerInputs:
+    """Coefficients, exponents and tropical coordinates are exact integers: a
+    float, a str or a bool raises TypeError rather than being computed with;
+    an int subclass becomes an int."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: P(1, {(1,): 1.5}),
+            lambda: P(1, {(1,): 0.0}),
+            lambda: P(1, {(1.5,): 1}),
+            lambda: P(2, {(1, True): 1}),
+            lambda: P.monomial((1,), 0.5),
+            lambda: P.constant(0.5, 2),
+            lambda: P.constant(True, 2),
+            lambda: RF.constant(2.0, 2),
+            lambda: (rx(1) + rx(2)).trop_eval((0.5, 1)),
+            lambda: (rx(1) + rx(2)).trop_eval((0, "1")),
+            lambda: rx(1).trop_eval((True, 0)),
+        ],
+        ids=[
+            "coeff-float", "coeff-zero-float", "exp-float", "exp-bool",
+            "monomial-coeff", "constant-float", "constant-bool", "rf-constant",
+            "trop-float", "trop-str", "trop-bool",
+        ],
+    )
+    def test_refused(self, make):
+        with pytest.raises(TypeError, match="is not an int"):
+            make()
+
+    def test_int_subclass_becomes_int(self):
+        class Int(int):
+            pass
+
+        p = P(1, {(Int(1),): Int(3)})
+        assert p == P(1, {(1,): 3})
+        assert all(type(c) is int for c in p.terms.values())
+        assert P.constant(Int(2), 1) == P(1, {(0,): 2})
+        assert (rx(1) + rx(2)).trop_eval((Int(2), 1)) == 2
+
+
 class TestExactDiv:
     def test_square_root_of_square(self):
         sq = P(2, {(0, 0): 1, (1, 0): 2, (2, 0): 1})

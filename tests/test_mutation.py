@@ -101,7 +101,7 @@ class TestMatrixMutation:
             lambda b: matrix_pattern(b),
             lambda b: seed_at("A", b, (1, 2)),
             lambda b: seed_at("Y", b, (1, 2)),
-            lambda b: seed_pattern("A", b + ((1, 0), (0, 1)), 2),
+            lambda b: seed_pattern("A", b + ((1, 0), (0, 1))),
             lambda b: gcf_pattern(b).at((1,)),
             lambda b: extract_gcf(b, (1,)),
         ],
@@ -256,13 +256,16 @@ class TestWordsAtTheEdge:
 
 
 class TestStrictLetters:
-    """A letter that is not an int >= 1 raises before any vertex is made."""
+    """A letter that is not an int >= 1 raises DimensionMismatch, as an index
+    does, before any vertex is made."""
 
-    @pytest.mark.parametrize("word", [(True, 1), (1, False), (1.0,), (2, 1.9), ("1",)])
+    @pytest.mark.parametrize(
+        "word", [(True,), (True, 1), (1, False), (1.0,), (1.5,), (2, 1.9), ("1",)]
+    )
     def test_non_int_letters(self, word):
-        with pytest.raises(TypeError):
+        with pytest.raises(DimensionMismatch):
             reduce_word(word)
-        with pytest.raises(TypeError):
+        with pytest.raises(DimensionMismatch):
             seed_at("A", B_A2, word)
 
     @pytest.mark.parametrize("word", [(0,), (1, -1), (2, 1, 0)])
@@ -274,10 +277,23 @@ class TestStrictLetters:
 
     def test_seed_at_float_does_not_truncate(self):
         # 1.9 used to be read as direction 1
-        with pytest.raises(TypeError):
+        with pytest.raises(DimensionMismatch):
             seed_at("A", B_A2, (1.9,))
-        with pytest.raises(TypeError):
+        with pytest.raises(DimensionMismatch):
             mutate_A_seed(root_seed("A", B_A2), True)
+        # a direction is refused as a row or belt index is
+        with pytest.raises(DimensionMismatch, match="out of range"):
+            mutate_A_seed(root_seed("A", B_A2), 1.5)
+        with pytest.raises(DimensionMismatch, match="out of range"):
+            mutate_Y_seed(root_seed("Y", B_A2), 2.0)
+
+    def test_int_subclass_letters_become_ints(self):
+        class Int(int):
+            pass
+
+        word = reduce_word((Int(1), 2))
+        assert word == (1, 2) and all(type(k) is int for k in word)
+        assert mutate_A_seed(root_seed("A", B_A2), Int(1)).address == (1,)
 
     def test_out_of_range_letters(self):
         for word in [(3,), (1, 2, 3)]:
@@ -293,9 +309,9 @@ class TestStrictLetters:
     )
     def test_no_vertex_before_the_check(self, word):
         before = len(mutation._PARENT)
-        with pytest.raises((TypeError, DimensionMismatch)):
+        with pytest.raises(DimensionMismatch):
             SeedPattern("A", B_A2).seed_at(word)
-        with pytest.raises((TypeError, DimensionMismatch)):
+        with pytest.raises(DimensionMismatch):
             TropPoint("Y", B_A2, (0, 1), word)
         assert len(mutation._PARENT) == before
 
@@ -416,8 +432,32 @@ class TestPrincipalCoefficients:
                 assert f.coefficients_nonnegative()
 
     def test_principal_seed_frozen_variables(self):
-        seed = seed_pattern("A", principal_extension(B_A2), 2).seed_at((1, 2, 1))
+        seed = seed_pattern("A", principal_extension(B_A2)).seed_at((1, 2, 1))
         assert seed.frozen == (RF.variable(3, 4), RF.variable(4, 4))
+
+
+class TestFrozenRowsFromShape:
+    """A root's frozen rows are its rows below the square part: no frozen
+    count is passed beside the matrix."""
+
+    def test_principal_seed_at_is_the_walked_seed(self):
+        # seed_at once refused the principal extension for want of a count
+        tall = principal_extension(B_A2)
+        seed = seed_at("A", tall, (1, 2))
+        assert seed.frozen == (RF.variable(3, 4), RF.variable(4, 4))
+        graph = enumerate_exchange_graph("A", tall)
+        assert any(s is seed for s in graph.seeds.values())
+
+    @pytest.mark.parametrize(
+        "kind, b0",
+        [("A", ((0, 1, 1), (-1, 0, 0))), ("Y", principal_extension(B_A2))],
+        ids=["wide", "tall-Y"],
+    )
+    def test_wide_root_and_tall_y_root_raise(self, kind, b0):
+        with pytest.raises(DimensionMismatch):
+            root_seed(kind, b0)
+        with pytest.raises(DimensionMismatch):
+            seed_at(kind, b0, ())
 
 
 class TestSeparation:
@@ -520,6 +560,11 @@ class TestGlobalMonomials:
         assert is_global_Y_monomial(B_A2, (), (1, 0))
         assert not is_global_Y_monomial(B_A2, (), (0, 1))
 
+    @pytest.mark.parametrize("exponents", [(0.5, 0), (1.0, 0), (True, 0), ("1", 0)])
+    def test_non_int_exponents_raise(self, exponents):
+        with pytest.raises(TypeError, match="is not an int"):
+            is_global_Y_monomial(B_A2, (), exponents)
+
     @pytest.mark.parametrize("exponents", [(), (1,), (0, 1, 5)])
     def test_exponents_of_the_wrong_length_raise(self, exponents):
         # B_t times the exponents zips rows with entries, so a short or long
@@ -544,7 +589,7 @@ def _reference_walk(kind, b0, depth=None):
         rows += [tuple(row[j] for j in order) for row in seed.matrix[r:]]
         return (tuple(seed.cluster[i] for i in order), tuple(rows))
 
-    pattern = mutation.seed_pattern(kind, b0, max(0, len(b0) - len(b0[0])))
+    pattern = mutation.seed_pattern(kind, b0)
     root = pattern.seed_at(())
     walk = [(0, 0, key(root))]
     seen = {walk[0][2]}
@@ -999,7 +1044,7 @@ class TestExchangeMemo:
     def test_walker_equals_memo_free_chain(self, name):
         b = named_cartan(name).b_matrix()
         r = len(b)
-        kinds = [("A", b, 0), ("Y", b, 0), ("A", principal_extension(b), r)]
+        kinds = [("A", b), ("Y", b), ("A", principal_extension(b))]
         roots = [root_seed(*kind) for kind in kinds]
         patterns = [SeedPattern(*kind) for kind in kinds]
         gcf = GCFPattern(b)
@@ -1026,8 +1071,8 @@ class TestExchangeMemo:
         mats += [tuple(tuple(-x for x in row) for row in b) for b in mats]
         roots = [root_seed(kind, b) for kind in "AY" for b in mats]
         for b in mats:
-            roots.append(root_seed("A", b + ((0, 0), (0, 0)), 2))
-            roots.append(root_seed("A", principal_extension(b), 2))
+            roots.append(root_seed("A", b + ((0, 0), (0, 0))))
+            roots.append(root_seed("A", principal_extension(b)))
         words = _reduced_words(2, 6)
         memo = {}
         for root in roots:
@@ -1079,7 +1124,7 @@ class TestExchangeMemo:
         r = len(b)
         rng = random.Random(name)
         words = [_random_reduced_word(rng, r, 8) for _ in range(20)]
-        patterns = [SeedPattern("A", b), SeedPattern("A", principal_extension(b), r),
+        patterns = [SeedPattern("A", b), SeedPattern("A", principal_extension(b)),
                     SeedPattern("Y", b), GCFPattern(b)]
         for pattern in patterns:
             walk = pattern._walk
@@ -1107,7 +1152,7 @@ class TestExchangeMemo:
         # other way, across edges that the first walk crossed the other way
         pattern = {
             "A": lambda: SeedPattern("A", B_A2),
-            "A-frozen": lambda: SeedPattern("A", principal_extension(B_A2), 2),
+            "A-frozen": lambda: SeedPattern("A", principal_extension(B_A2)),
             "Y": lambda: SeedPattern("Y", B_A2),
             "GCF": lambda: GCFPattern(B_A2),
         }[kind]()
@@ -1131,7 +1176,7 @@ class TestExchangeMemo:
         if kind == "GCF":
             step = partial(_gcf_step, GCFPattern(b).at(()), 0, k)
         elif kind == "A-frozen":
-            step = partial(mutate_seed, root_seed("A", principal_extension(b), 3), k)
+            step = partial(mutate_seed, root_seed("A", principal_extension(b)), k)
         else:
             step = partial(mutate_seed, root_seed(kind, b), k)
         new = step()

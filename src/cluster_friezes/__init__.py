@@ -23,6 +23,7 @@ from .laurent import (
     poly_gcd,
 )
 from .mutation import (
+    SEED_BUDGET,
     GCFData,
     Seed,
     canonical_address,

@@ -43,7 +43,7 @@ from .friezes import (
     belts,
     hammock,
 )
-from .mutation import matrix_pattern, reduce_word, seed_at
+from .mutation import SEED_BUDGET, matrix_pattern, reduce_word, seed_at
 from .tropical import TropPoint, principal_wide_root
 from .verify import SUITES, run_all, run_suite
 
@@ -421,8 +421,9 @@ def build_parser():
     p.add_argument("--types", help="comma-separated type names")
     p.add_argument("--trials", type=int)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10_000, help="most seeds per graph in "
-                   "closure-counts, fpoly-separation, admissibility (pairing: 10,000)")
+    p.add_argument("--budget", type=int, default=SEED_BUDGET,
+                   help="most seeds per graph in closure-counts, fpoly-separation, "
+                   f"admissibility (pairing: {SEED_BUDGET:,})")
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -16,7 +16,6 @@ from .friezes import (
     CartanMatrix,
     FriezeFunction,
     _check_window,
-    _terms,
     belts,
     hammock,
     k_from_trop_point,
@@ -26,6 +25,7 @@ from .mutation import (
     _belt_vertex,
     _gauss_jordan,
     _identity,
+    SEED_BUDGET,
     _Registry,
     as_matrix,
     enumerate_exchange_graph,
@@ -247,7 +247,7 @@ class FiniteContext:
         self.roots = coxeter_data(cartan)
         self._lazy = _Registry()
 
-    def graph(self, kind, root_matrix, budget=10_000):
+    def graph(self, kind, root_matrix, budget=SEED_BUDGET):
         key = (kind, as_matrix(root_matrix))
         result = self._lazy.get(
             key, enumerate_exchange_graph, kind, root_matrix, budget
@@ -448,7 +448,7 @@ def fim_recursion(cartan, m_hi=None, m_lo=0):
         _, _, c, _ = gcf_at(_belt_vertex(i, m, r))
         return tuple(c[j][i - 1] for j in range(r))
 
-    terms = _terms(cartan)
+    terms = cartan._knitting
     one = IntLaurentPoly.one(r)
     table = {(i, 0): one for i in range(1, r + 1)}
 

@@ -48,7 +48,7 @@ def find_symmetrizer(a):
 class CartanMatrix:
     """Symmetrizable generalized Cartan matrix."""
 
-    __slots__ = ("entries", "symmetrizer", "_transpose")
+    __slots__ = ("entries", "symmetrizer", "_transpose", "_knitting")
 
     def __init__(self, rows):
         self.entries = as_matrix(rows)
@@ -66,6 +66,7 @@ class CartanMatrix:
             raise ValueError("matrix is not symmetrizable")
         self.symmetrizer = d
         self._transpose = None
+        self._knitting = _knitting_terms(self.entries)
 
     @property
     def rank(self):
@@ -103,21 +104,15 @@ class CartanMatrix:
 
 # -- the knitting relation ---------------------------------------------------
 
-# The nonzero terms of S(i, m), one table per Cartan matrix, shared by every
-# function and PL map over it (shift-laws alone builds thousands of
-# functions).  Entry i (0-based) is a pair (later, earlier) of tuples of
-# (j, -a_ji) with a_ji != 0: later holds the j > i, read in column m, and
-# earlier the j < i, read in column m + 1.  A column of a finite-type Cartan
-# matrix has at most three nonzero off-diagonal entries, so a relation reads
-# a few cells, not r.
-_knitting_terms = _Registry()
 
-
-def _terms(cartan):
-    return _knitting_terms.get(cartan.entries, _make_terms, cartan.entries)
-
-
-def _make_terms(a):
+def _knitting_terms(a):
+    """The nonzero terms of S(i, m), kept on the Cartan matrix and shared by
+    every function and PL map over it (shift-laws alone builds thousands of
+    functions).  Entry i (0-based) is a pair (later, earlier) of tuples of
+    (j, -a_ji) with a_ji != 0: later holds the j > i, read in column m, and
+    earlier the j < i, read in column m + 1.  A column of a finite-type
+    Cartan matrix has at most three nonzero off-diagonal entries, so a
+    relation reads a few cells, not r."""
     r = len(a)
     return tuple(
         (
@@ -147,7 +142,7 @@ class FriezeFunction:
         self._column_fn = column_fn
         self._line = None  # the columns of a slice-backed function
         self._rank = cartan.rank
-        self._terms = _terms(cartan)
+        self._terms = cartan._knitting
 
     # -- constructors ------------------------------------------------------
 
@@ -157,7 +152,7 @@ class FriezeFunction:
         if len(values) != cartan.rank:
             raise DimensionMismatch("slice length must equal the rank")
         # column m is entry m - m0 of one line through the slice
-        line = _Line(values, partial(_knit, _terms(cartan), kind))
+        line = _Line(values, partial(_knit, cartan._knitting, kind))
         self = cls(kind, cartan, lambda m: line.get(m - m0))
         self._line = line
         return self
@@ -323,7 +318,7 @@ class PLMap:
         # column i of U holds the a_ji with j < i, of L those with j > i:
         # the earlier, resp. later, knitting terms of i
         part = 1 if sign == "+" else 0
-        self._terms = tuple(t[part] for t in _terms(cartan))
+        self._terms = tuple(t[part] for t in cartan._knitting)
 
     def _check(self, v):
         """v as a tuple of ints of the rank's length."""
@@ -429,7 +424,7 @@ def ensemble_map_friezes(f: FriezeFunction) -> FriezeFunction:
     cluster-additive function for A."""
     if f.kind != "tropical-frieze":
         raise ValueError("expected a tropical frieze")
-    terms = _terms(f.cartan)
+    terms = f.cartan._knitting
 
     def column(m):
         col_m, col_m1 = f.slice_at(m), f.slice_at(m + 1)

@@ -97,6 +97,16 @@ def _ints(values):
     return values
 
 
+def _same_ring(cls, a, b):
+    """Refuse operands a and b unless both are of class cls (else TypeError)
+    over one number of variables (else DimensionMismatch)."""
+    if type(a) is not cls or type(b) is not cls:
+        names = type(a).__name__, type(b).__name__
+        raise TypeError(f"operands of {' and '.join(names)}, not {cls.__name__}")
+    if a.nvars != b.nvars:
+        raise DimensionMismatch(f"operands over {a.nvars} and {b.nvars} variables")
+
+
 class _Layout:
     """Packing constants for monomials over n variables.
 
@@ -278,7 +288,7 @@ class IntLaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return tuple(map(min, zip(*self._lay.exps(self._packed))))
 
-    def degree_in(self, i):
+    def _degree_in(self, i):
         """Max exponent of variable i (0-based), -1 for the zero polynomial."""
         if not self._packed:
             return -1
@@ -292,12 +302,6 @@ class IntLaurentPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise DimensionMismatch(
-                f"operands over {self.nvars} and {other.nvars} variables"
-            )
-
     def __eq__(self, other):
         if not isinstance(other, IntLaurentPoly):
             return NotImplemented
@@ -309,7 +313,7 @@ class IntLaurentPoly:
         return self._hash
 
     def __add__(self, other):
-        self._check(other)
+        _same_ring(IntLaurentPoly, self, other)
         out = dict(self._packed)
         for k, c in other._packed.items():
             s = out.get(k, 0) + c
@@ -326,11 +330,12 @@ class IntLaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is not IntLaurentPoly:
+            other = _int(other)  # a scalar
             if other == 0:
                 return _make(self._lay, {})
             return _make(self._lay, {k: c * other for k, c in self._packed.items()})
-        self._check(other)
+        _same_ring(IntLaurentPoly, self, other)
         small, large = self._packed, other._packed
         if len(small) > len(large):
             # iterate over the smaller operand in the outer loop
@@ -354,6 +359,7 @@ class IntLaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        n = _int(n)
         if n < 0:
             raise ValueError("negative power of a polynomial; use RationalFunction")
         if n == 0:
@@ -391,7 +397,7 @@ class IntLaurentPoly:
 
     def exact_div(self, other):
         """Exact quotient self/other in the Laurent ring; NotDivisible otherwise."""
-        self._check(other)
+        _same_ring(IntLaurentPoly, self, other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
@@ -413,6 +419,9 @@ class IntLaurentPoly:
 
     def trop_max(self, coords):
         """max over terms of <coords, exponent>; the poly must be nonzero."""
+        coords = _ints(coords)
+        if len(coords) != self.nvars:
+            raise DimensionMismatch("coordinate vector has wrong length")
         if not self._packed:
             raise SubtractionFreeViolation("tropical evaluation of zero")
         return check_trop(
@@ -531,6 +540,7 @@ _HEU_MAX_BITS = 1 << 15
 
 def poly_gcd(p, q):
     """gcd of true polynomials over Z, positive graded-lex leading coefficient."""
+    _same_ring(IntLaurentPoly, p, q)
     return _gcd_cofactors(p, q)[0]
 
 
@@ -638,8 +648,8 @@ def _heuristic_gcd_by_variable(p, q):
     variables apart; a spurious common factor of the images then depends on
     the point, and a later point avoids it.
     """
-    v = max(i for i in range(p.nvars) if p.degree_in(i) or q.degree_in(i))
-    top = max(p.degree_in(v), q.degree_in(v))
+    v = max(i for i in range(p.nvars) if p._degree_in(i) or q._degree_in(i))
+    top = max(p._degree_in(v), q._degree_in(v))
     for xi in _evaluation_points(p, q, top, 8 * _HEU_MAX_BITS):
         pv, qv = _evaluate_at(p, v, xi), _evaluate_at(q, v, xi)
         if pv._packed and qv._packed:
@@ -891,12 +901,10 @@ def _poly_gcd_nonzero(p, q):
         exp = tuple(min(a, b) for a, b in zip(pmin, qmin))
         return IntLaurentPoly.monomial(exp, c)
 
-    var = max(
-        i for i in range(n) if p.degree_in(i) > 0 or q.degree_in(i) > 0
-    )
-    if p.degree_in(var) == 0 or q.degree_in(var) == 0:
+    var = max(i for i in range(n) if p._degree_in(i) > 0 or q._degree_in(i) > 0)
+    if p._degree_in(var) == 0 or q._degree_in(var) == 0:
         # one operand is free of the chosen variable: gcd divides its content
-        if p.degree_in(var) > 0:
+        if p._degree_in(var) > 0:
             p, q = q, p
         qc = _uni_content(_to_univariate(q, var))
         return _poly_gcd_prs(p, qc)
@@ -937,10 +945,7 @@ class RationalFunction:
     def __init__(self, num, den=None, _reduced=False):
         if den is None:
             den = IntLaurentPoly.one(num.nvars)
-        if _reduced:
-            self.num, self.den = num, den
-        else:
-            self.num, self.den = _reduce(num, den)
+        self.num, self.den = (num, den) if _reduced else _reduce(num, den)
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -1015,11 +1020,13 @@ class RationalFunction:
 
     # -- field operations ----------------------------------------------------
 
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise DimensionMismatch(
-                f"operands over {self.nvars} and {other.nvars} variables"
-            )
+    def _operand(self, other):
+        """other as a fraction over self's variables: an int becomes a
+        constant, and `_int` refuses any other non-fraction."""
+        if type(other) is not RationalFunction:
+            other = RationalFunction.constant(other, self.nvars)
+        _same_ring(RationalFunction, self, other)
+        return other
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -1032,9 +1039,7 @@ class RationalFunction:
         return self._hash
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction.constant(other, self.nvars)
-        self._check(other)
+        other = self._operand(other)
         if self.den.is_one() or other.den.is_one():
             # gcd(n + L*d, d) = gcd(n, d): adding a Laurent polynomial L to a
             # reduced n/d leaves it reduced (and the sum is 0 only if d = 1)
@@ -1051,19 +1056,13 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den, _reduced=True)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction.constant(other, self.nvars)
-        return self + (-other)
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
-        if not isinstance(other, int):
-            return NotImplemented
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction.constant(other, self.nvars)
-        self._check(other)
+        other = self._operand(other)
         if self.num.is_zero() or other.num.is_zero():
             # zero is canonical only over the denominator 1
             return RationalFunction.zero(self.nvars)
@@ -1076,13 +1075,9 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction.constant(other, self.nvars)
-        return self * other.inverse()
+        return self * self._operand(other).inverse()
 
     def __rtruediv__(self, other):
-        if not isinstance(other, int):
-            return NotImplemented
         return self.inverse() * other
 
     def inverse(self):
@@ -1098,6 +1093,7 @@ class RationalFunction:
         return RationalFunction(num, den, _reduced=True)
 
     def __pow__(self, n):
+        n = _int(n)
         if n == 0:
             return RationalFunction.one(self.nvars)
         if n == 1:
@@ -1115,6 +1111,8 @@ class RationalFunction:
         c x^e is c prod n_i^(e_i - lo_i) d_i^(hi_i - e_i); then cancel once."""
         if len(targets) != self.nvars:
             raise DimensionMismatch("wrong number of substitution targets")
+        for t in targets:  # against each other: the map may change the ring
+            _same_ring(RationalFunction, targets[0], t)
         terms = self.num.terms, self.den.terms
         hi, lo = ([f(0, *c) for c in zip(*terms[0], *terms[1])] for f in (max, min))
         bases = [t.num for t in targets] + [t.den for t in targets]
@@ -1131,9 +1129,7 @@ class RationalFunction:
 
     def trop_eval(self, coords):
         """Max-plus evaluation of a subtraction-free fraction at integer coords."""
-        coords = _ints(coords)
-        if len(coords) != self.nvars:
-            raise DimensionMismatch("coordinate vector has wrong length")
+        coords = tuple(coords)  # an iterator is read by both trop_max calls
         if not self.subtraction_free():
             raise SubtractionFreeViolation(
                 "element is not presented subtraction-free"
@@ -1173,10 +1169,9 @@ def _cancel(num, den):
 
 def _reduce(num, den):
     """Canonical reduced form; see module docstring."""
+    _same_ring(IntLaurentPoly, num, den)
     if den.is_zero():
         raise ZeroDenominator("zero denominator")
-    if num.nvars != den.nvars:
-        raise DimensionMismatch("numerator and denominator variable counts differ")
     if num.is_zero():
         return num, IntLaurentPoly.one(num.nvars)
     # move the denominator's monomial content into the numerator

@@ -21,6 +21,9 @@ from .laurent import IntLaurentPoly, RationalFunction, _index, _int, _ints, _pro
 
 Matrix = tuple  # tuple of row tuples
 
+# Most seeds of an exchange graph, by default, before BudgetExceeded.
+SEED_BUDGET = 10_000
+
 
 def pp(x):
     """Positive part [x]_+ = max(x, 0)."""
@@ -873,7 +876,7 @@ def _twin_index(twin, seed, k):
     return places[0]
 
 
-def enumerate_exchange_graph(kind, b0, max_seeds=10_000) -> ExchangeGraph:
+def enumerate_exchange_graph(kind, b0, max_seeds=SEED_BUDGET) -> ExchangeGraph:
     """The whole exchange graph, as walk_exchange_graph reaches it.  Raises
     BudgetExceeded when the graph fails to close within max_seeds (likely
     infinite type)."""

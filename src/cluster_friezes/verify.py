@@ -33,6 +33,7 @@ from .friezes import (
 )
 from .laurent import RationalFunction, _product
 from .mutation import (
+    SEED_BUDGET,
     _belt_vertex,
     _child,
     _identity,
@@ -154,7 +155,7 @@ def _over_types(types, check, rng_seed=None):
     return ok, details
 
 
-def suite_closure_counts(types=DEFAULT_TYPES, budget=10_000, **_):
+def suite_closure_counts(types=DEFAULT_TYPES, budget=SEED_BUDGET, **_):
     """Variable counts of the finite exchange graphs against the root count."""
 
     def check(name, cartan, ctx, rng):
@@ -277,7 +278,7 @@ def suite_d_duality(types=SMALL_TYPES, **_):
     return _over_types(types, check)
 
 
-def suite_fpoly_separation(types=DEFAULT_TYPES, budget=10_000, **_):
+def suite_fpoly_separation(types=DEFAULT_TYPES, budget=SEED_BUDGET, **_):
     """Coefficient-polynomial recursion against the principal-coefficient
     pattern, and the separation identity at every enumerated vertex."""
 
@@ -329,7 +330,7 @@ def suite_shift_laws(types=SMALL_TYPES, trials=1000, rng_seed=0, **_):
     return _over_types(types, check, rng_seed)
 
 
-def suite_admissibility(types=("A2", "B2"), rng_seed=0, budget=10_000, **_):
+def suite_admissibility(types=("A2", "B2"), rng_seed=0, budget=SEED_BUDGET, **_):
     """Finite-type characterization: cluster monomials pass against their
     g-vectors at full depth, two-term sums fail against every sampled point."""
 

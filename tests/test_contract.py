@@ -1,7 +1,7 @@
 """Behaviour contract: the README's CLI examples and `verify --suite all`
 print what they printed before the code behind them was refactored, every
-named Cartan type keeps its matrix and root data, and every annotation of
-the public API resolves.
+named Cartan type keeps its matrix and root data, every annotation of the
+public API resolves, and the library holds no assert statement.
 
 `tests/data/readme_cli.txt` holds, for every `cluster-friezes` line of the
 README's `sh` blocks, the command, its stdout and its exit code, as written
@@ -13,6 +13,7 @@ reference; to regenerate it from such a checkout, run
 with this file and the README of that checkout.
 """
 
+import ast
 import contextlib
 import functools
 import hashlib
@@ -34,6 +35,7 @@ from cluster_friezes.verify import DEFAULT_TYPES
 
 HERE = Path(__file__).resolve().parent
 README = HERE.parent / "README.md"
+PACKAGE = HERE.parent / "src" / "cluster_friezes"
 EXPECTED = HERE / "data" / "readme_cli.txt"
 VERIFY_ALL = "cluster-friezes verify --suite all"
 VERIFY_ALL_SHA256 = "c03017aad88b92643ebfeef03de9432a907a4043ae7bf0690a6365223ef59951"
@@ -166,6 +168,18 @@ def test_rejected_type_names(name):
         code = main(["fpoly", "--cartan", name])
     assert code == 2
     assert json.loads(err.getvalue())["error"] == "ValueError"
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so every internal check of the
+    # library raises explicitly and survives it
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def exported_annotated():

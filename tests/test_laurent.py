@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cluster_friezes import laurent
 from cluster_friezes.errors import (
+    DimensionMismatch,
     ExponentOverflow,
     NotDivisible,
     SubtractionFreeViolation,
@@ -100,11 +101,30 @@ class TestIntegerInputs:
             lambda: (rx(1) + rx(2)).trop_eval((0.5, 1)),
             lambda: (rx(1) + rx(2)).trop_eval((0, "1")),
             lambda: rx(1).trop_eval((True, 0)),
+            lambda: x(1) * True,
+            lambda: True * x(1),
+            lambda: x(1) * 1.5,
+            lambda: x(1) * "2",
+            lambda: x(1) ** True,
+            lambda: x(1) ** 2.0,
+            lambda: rx(1) * True,
+            lambda: rx(1) * 1.5,
+            lambda: rx(1) + "1",
+            lambda: rx(1) - 0.5,
+            lambda: 1.5 - rx(1),
+            lambda: rx(1) / True,
+            lambda: "2" / rx(1),
+            lambda: rx(1) ** True,
+            lambda: rx(1) ** -1.0,
         ],
         ids=[
             "coeff-float", "coeff-zero-float", "exp-float", "exp-bool",
             "monomial-coeff", "constant-float", "constant-bool", "rf-constant",
             "trop-float", "trop-str", "trop-bool",
+            "poly-times-bool", "bool-times-poly", "poly-times-float", "poly-times-str",
+            "poly-pow-bool", "poly-pow-float", "rf-times-bool", "rf-times-float",
+            "rf-plus-str", "rf-minus-float", "float-minus-rf", "rf-over-bool",
+            "str-over-rf", "rf-pow-bool", "rf-pow-float",
         ],
     )
     def test_refused(self, make):
@@ -120,6 +140,82 @@ class TestIntegerInputs:
         assert all(type(c) is int for c in p.terms.values())
         assert P.constant(Int(2), 1) == P(1, {(0,): 2})
         assert (rx(1) + rx(2)).trop_eval((Int(2), 1)) == 2
+
+
+class TestOperands:
+    """Every public operation on polynomials and fractions reads its operands
+    by one rule: another class raises TypeError, another number of variables
+    DimensionMismatch.  Ints are the only scalars, on either side."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: (x(1) + x(2)).trop_max((5,)),
+            lambda: (x(1) + x(2)).trop_max((5, 1, 9)),
+            lambda: poly_gcd(P.variable(1, 1), P.variable(1, 2)),
+            lambda: rx(1).substitute([RF.variable(1, 1), RF.variable(1, 2)]),
+            lambda: x(1) + P.variable(1, 3),
+            lambda: x(1) * P.variable(1, 3),
+            lambda: x(1).exact_div(P.variable(1, 3)),
+            lambda: RF(x(1), P.one(3)),
+            lambda: rx(1) + RF.variable(1, 3),
+            lambda: rx(1) * RF.variable(1, 3),
+            lambda: rx(1) / RF.variable(1, 3),
+            lambda: (rx(1) + rx(2)).trop_eval((0,)),
+        ],
+        ids=[
+            "trop-max-short", "trop-max-long", "gcd", "substitute-targets",
+            "poly-add", "poly-mul", "poly-exact-div", "rf-constructor",
+            "rf-add", "rf-mul", "rf-div", "trop-eval-short",
+        ],
+    )
+    def test_other_nvars(self, call):
+        with pytest.raises(DimensionMismatch):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: P.variable(1, 1) * True,
+            lambda: RF.variable(1, 1) ** True,
+            lambda: P.variable(1, 1).trop_max((0.5,)),
+            lambda: P.variable(1, 1) * 1.5,
+            lambda: RF.variable(1, 1) * 1.5,
+            lambda: P.variable(1, 1) + 1,
+            lambda: P.variable(1, 1) - 1,
+            lambda: P.variable(1, 1).exact_div(2),
+            lambda: poly_gcd(x(1) + x(2), 2),
+            lambda: poly_gcd(2, x(1) + x(2)),
+            lambda: rx(1).substitute([1, 2]),
+            lambda: RF(x(1) + x(2), 2),
+            lambda: rx(1) * x(1),
+            lambda: x(1) * rx(1),
+            lambda: rx(1) + x(1),
+        ],
+        ids=[
+            "poly-times-bool", "rf-pow-bool", "trop-max-float", "poly-times-float",
+            "rf-times-float", "poly-plus-int", "poly-minus-int", "exact-div-int",
+            "gcd-int-right", "gcd-int-left", "substitute-ints", "rf-int-den",
+            "rf-times-poly", "poly-times-rf", "rf-plus-poly",
+        ],
+    )
+    def test_other_class(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_ints_on_both_sides(self):
+        f, p = rx(1) / (rx(2) + 1), x(1) + x(2)
+        c = RF.constant
+        assert 1 - f == c(1, 2) - f
+        assert f - 1 == f - c(1, 2)
+        assert 2 + f == f + 2 == c(2, 2) + f
+        assert 2 / f == c(2, 2) / f
+        assert f / 2 == f / c(2, 2)
+        assert 3 * f == f * 3 == c(3, 2) * f
+        assert 3 * p == p * 3 == P.constant(3, 2) * p
+        assert f**2 == f * f
+        assert f**-1 == c(1, 2) / f == f.inverse()
+        assert p**2 == p * p
 
 
 class TestExactDiv:
@@ -612,6 +708,11 @@ class TestTropEval:
 
     def test_monomial(self):
         assert rx(1).trop_eval((5, -2)) == 5
+
+    def test_coords_read_once(self):
+        # numerator and denominator are evaluated at the same coordinates
+        f = (RF.one(2) + rx(2)) / rx(1)
+        assert f.trop_eval(iter((1, 0))) == f.trop_eval([1, 0]) == -1
 
     def test_subtraction_free_violation(self):
         f = rx(1) - rx(2)

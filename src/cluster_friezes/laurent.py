@@ -107,6 +107,13 @@ def _same_ring(cls, a, b):
         raise DimensionMismatch(f"operands over {a.nvars} and {b.nvars} variables")
 
 
+def _poly(p):
+    """p, refused with TypeError unless it is an IntLaurentPoly."""
+    if type(p) is not IntLaurentPoly:
+        raise TypeError(f"operand of {type(p).__name__}, not IntLaurentPoly")
+    return p
+
+
 class _Layout:
     """Packing constants for monomials over n variables.
 
@@ -376,12 +383,8 @@ class IntLaurentPoly:
             base = base * base
 
     def shift(self, exp):
-        """Multiply by the monomial x^exp."""
-        lay = self._lay
-        d = lay.shift_key(exp)
-        out = {k + d: c for k, c in self._packed.items()}
-        lay.check(out)
-        return _make(lay, out)
+        """Multiply by the monomial x^exp; exp is read as _ints reads it."""
+        return _shift(self, _ints(exp))
 
     def int_content(self):
         if not self._packed:
@@ -799,10 +802,19 @@ def _div_monomial(p, c, exp=()):
     return _make(lay, out)
 
 
+def _shift(p, exp):
+    """p times x^exp, exp unchecked: the body of IntLaurentPoly.shift."""
+    lay = p._lay
+    d = lay.shift_key(exp)
+    out = {k + d: c for k, c in p._packed.items()}
+    lay.check(out)
+    return _make(lay, out)
+
+
 def _times_monomial(p, c, exp):
     """p times the monomial c*x^exp."""
     if any(exp):
-        p = p.shift(exp)
+        p = _shift(p, exp)
     return p if c == 1 else p * c
 
 
@@ -944,7 +956,7 @@ class RationalFunction:
 
     def __init__(self, num, den=None, _reduced=False):
         if den is None:
-            den = IntLaurentPoly.one(num.nvars)
+            den = IntLaurentPoly.one(_poly(num).nvars)
         self.num, self.den = (num, den) if _reduced else _reduce(num, den)
         self._hash = None
 
@@ -952,7 +964,7 @@ class RationalFunction:
 
     @classmethod
     def from_poly(cls, p):
-        return cls(p, IntLaurentPoly.one(p.nvars), _reduced=True)
+        return cls(p, IntLaurentPoly.one(_poly(p).nvars), _reduced=True)
 
     @classmethod
     def constant(cls, c, nvars):

@@ -228,15 +228,6 @@ class _Line:
                 side.append(step(side[-1], q if s > 0 else -q))
             return side[p]
 
-    def run(self, s, n):
-        """Entries s, s + 1, ..., s + n - 1, all >= 0 or all < 0: their side
-        is extended once, to the entry farthest from 0, then sliced."""
-        if s >= 0:
-            self.get(s + n - 1)
-            return self.ahead[s : s + n]
-        self.get(s)
-        return self.behind[-s : -s - n : -1]
-
 
 def mutate_matrix_raw(m: Matrix, k: int) -> Matrix:
     """Matrix mutation in direction k (1-based); works for square, tall and

@@ -2,13 +2,19 @@
 
 A tropical point is stored as one coordinate row vector anchored at a tree
 vertex; coordinates elsewhere are propagated on demand through the matrix
-pattern and cached, per tree vertex and, for belt reads, along the belt
-line.  The three supported spaces differ only in the mutation rule and the
-width of the pattern matrix:
+pattern and cached, per tree vertex and, for belt reads, per belt column
+along one line of columns.  The three supported spaces differ only in the
+mutation rule and the width of the pattern matrix:
 
   * "A"      square pattern, rule with a max over the two column halves,
   * "Y"      square pattern, rule linear in the sign of the moved coordinate,
   * "Yprin"  wide r x 2r pattern, same rule as "Y".
+
+Each rule has one implementation, an applier that mutates a coordinate list
+in place from a plan: the nonzero entries of b the rule reads, split by
+sign (`_moves`).  Plans depend on the pattern only, so they are cached per
+rule kind and pattern root (`_plans`): along the belt a column at a time,
+and on the tree per (vertex, direction).
 """
 
 from __future__ import annotations
@@ -17,12 +23,11 @@ import math
 from functools import partial
 from itertools import combinations
 
-from .errors import DimensionMismatch, NegativeExponent
-from .laurent import _ints, check_trop
+from .errors import DimensionMismatch, NegativeExponent, TropOverflow
+from .laurent import TROP_LIMIT, _index, _int, _ints, check_trop
 from .mutation import (
     _PARENT,
     _belt_letter,
-    _belt_place,
     _gauss_jordan,
     _identity,
     _LETTER,
@@ -44,60 +49,151 @@ from .mutation import (
 )
 
 
+def _moves(kind, b, k):
+    """The plan of the tropical rule of kind across edge k (1-based) of b:
+    (k - 1, plus, minus), the nonzero entries the rule reads as (index,
+    |entry|) pairs, split by sign.  "A" reads column k of b, "Y" and "Yprin"
+    row k without b_kk."""
+    kk = k - 1
+    if kind == "A":
+        entries = [(j, row[kk]) for j, row in enumerate(b)]
+    else:
+        entries = [(i, x) for i, x in enumerate(b[kk]) if i != kk]
+    plus = tuple((j, x) for j, x in entries if x > 0)
+    minus = tuple((j, -x) for j, x in entries if x < 0)
+    return kk, plus, minus
+
+
+def _apply_A(c, plan):
+    """Cluster-variable rule, in place: x_k becomes max(sum of [b_jk]_+ x_j,
+    sum of [-b_jk]_+ x_j) - x_k.  Only the new x_k is checked."""
+    kk, plus, minus = plan
+    p = q = 0
+    for j, x in plus:
+        p += x * c[j]
+    for j, x in minus:
+        q += x * c[j]
+    new = max(p, q) - c[kk]
+    c[kk] = new if -TROP_LIMIT < new < TROP_LIMIT else check_trop(new)
+
+
+def _apply_Y(c, plan):
+    """Y-variable rule, in place: y_i becomes y_i + [b_ki]_+ y_k - b_ki [y_k]_+
+    (Fomin and Zelevinsky, "Cluster algebras IV"), split on the sign of y_k:
+    for y_k > 0 only the entries with b_ki < 0 move, by -y_k b_ki; for
+    y_k < 0 only those with b_ki > 0, by y_k b_ki.  y_k becomes -y_k,
+    whatever b_kk is.  The coordinates are in range (TropPoint checks them),
+    so only the moved ones are checked."""
+    kk, plus, minus = plan
+    ck = c[kk]
+    if ck > 0:
+        moved = minus
+    elif ck < 0:
+        moved = plus
+    else:
+        return
+    for i, x in moved:
+        new = c[i] + ck * x
+        c[i] = new if -TROP_LIMIT < new < TROP_LIMIT else check_trop(new)
+    c[kk] = -ck
+
+
 def trop_mutate_A(coords, b, k):
     """Tropicalized cluster-variable mutation in direction k (1-based):
     x_k becomes max(sum of [b_jk]_+ x_j, sum of [-b_jk]_+ x_j) - x_k."""
-    kk = k - 1
-    plus = minus = 0
-    for c, row in zip(coords, b):
-        bjk = row[kk]
-        if bjk > 0:
-            plus += bjk * c
-        elif bjk < 0:
-            minus -= bjk * c
-    new = check_trop(max(plus, minus) - coords[kk])
-    return coords[:kk] + (new,) + coords[kk + 1 :]
+    c = list(coords)
+    _apply_A(c, _moves("A", b, k))
+    return tuple(c)
 
 
 def trop_mutate_Y(coords, b, k):
-    """Tropicalized Y-variable mutation; b may be square or wide.
-
-    y_i becomes y_i + [b_ki]_+ y_k - b_ki [y_k]_+ (Fomin and Zelevinsky,
-    "Cluster algebras IV"), split on the sign of y_k: for y_k > 0 only the
-    entries with b_ki < 0 move, by -y_k b_ki; for y_k < 0 only those with
-    b_ki > 0, by y_k b_ki.  y_k becomes -y_k, whatever b_kk is.  The
-    coordinates are in range (TropPoint checks them), so only the moved ones
-    are checked."""
-    kk = k - 1
-    ck = coords[kk]
-    if not ck:
-        return tuple(coords)
-    out = list(coords)
-    if ck > 0:
-        for i, bki in enumerate(b[kk]):
-            if bki < 0 and i != kk:
-                out[i] = check_trop(out[i] - ck * bki)
-    else:
-        for i, bki in enumerate(b[kk]):
-            if bki > 0 and i != kk:
-                out[i] = check_trop(out[i] + ck * bki)
-    out[kk] = -ck
-    return tuple(out)
+    """Tropicalized Y-variable mutation; b may be square or wide (see
+    _apply_Y)."""
+    c = list(coords)
+    _apply_Y(c, _moves("Y", b, k))
+    return tuple(c)
 
 
+# The public rule of each space, and so the spaces a point may have; points
+# step through the applier their _Plans hold.
 _RULES = {"A": trop_mutate_A, "Y": trop_mutate_Y, "Yprin": trop_mutate_Y}
 
 
-def _belt_coords_step(rule, r, matrix_at, coords, s):
-    """Coordinates at belt place s from those at its neighbour nearer 0;
-    matrix_at reads the pattern matrices along the belt."""
-    near = s - 1 if s > 0 else s + 1
-    return rule(coords, matrix_at(near), _belt_letter(s, r))
+def _column_plans(kind, pattern, _, m):
+    """The plans of the belt steps into the places of column m but the root,
+    in the order they are taken outward from the root: places m*r, ...,
+    m*r + r - 1 for m >= 0 (1, ..., r - 1 for m = 0), places m*r + r - 1,
+    ..., m*r for m < 0.  Each reads the belt matrix at the place it steps
+    from.  The unused argument is the neighbour's entry, which _Line
+    passes."""
+    r = pattern.rank
+    matrix_at = pattern.belt.get
+    if m >= 0:
+        places = range(max(m * r, 1), m * r + r)
+    else:
+        places = range(m * r + r - 1, m * r - 1, -1)
+    return tuple(
+        _moves(kind, matrix_at(s - 1 if s > 0 else s + 1), _belt_letter(s, r))
+        for s in places
+    )
+
+
+class _Plans:
+    """The plans of one rule kind over one pattern, and the rule's applier.
+    belt is the line whose entry m holds the plans of belt column m (see
+    _column_plans); edges holds the plan of the tree-walk step across edge k
+    from vertex v under (v, k)."""
+
+    __slots__ = ("kind", "apply", "matrix_at", "belt", "edges")
+
+    def __init__(self, kind, pattern):
+        self.kind, self.matrix_at = kind, pattern._walk.get
+        self.apply = _apply_A if kind == "A" else _apply_Y
+        column = partial(_column_plans, kind, pattern)
+        self.belt = _Line(column(None, 0), column)
+        self.edges = _Registry()
+
+    def edge_moves(self, v, k):
+        return _moves(self.kind, self.matrix_at(v), k)
+
+
+_plans = _Registry()  # (space, pattern root) -> its _Plans
+
+
+def _belt_column_step(apply, columns, r, near, j):
+    """The entry (values, coordinates at the column's first place, at its
+    last place) of the column at index j of a point's column line, stepped
+    outward in one call from near, the entry of its neighbour nearer the
+    root sentinel at index 0.  Column m >= 0 is at index m + 1 and steps on
+    from near's last place (column 0 starts at the root, near's coordinates);
+    column m < 0 is at index m and steps back from near's first place."""
+    if j > 0:
+        plans = columns.get(j - 1)
+        c = list(near[2])
+        if len(plans) == r:  # else column 0, whose first place is the root
+            apply(c, plans[0])
+            plans = plans[1:]
+        first = tuple(c)
+        values = [c[0]]
+        for i, plan in enumerate(plans, 1):
+            apply(c, plan)
+            values.append(c[i])
+        return tuple(values), first, tuple(c)
+    plans = columns.get(j)
+    c = list(near[1])
+    apply(c, plans[0])
+    last = tuple(c)
+    values = [c[r - 1]]
+    for i, plan in zip(range(r - 2, -1, -1), plans[1:]):
+        apply(c, plan)
+        values.append(c[i])
+    values.reverse()
+    return tuple(values), tuple(c), last
 
 
 class TropPoint:
     """Tropical point anchored at one vertex; coordinates cached per vertex,
-    and along the belt in one line through the root."""
+    and along the belt in one line of columns through the root."""
 
     __slots__ = ("space", "b0", "coords", "vertex", "_walk", "_belt")
 
@@ -116,18 +212,37 @@ class TropPoint:
         return self._walk.get(_vertex(addr, self.rank))
 
     def belt_value(self, i, m):
-        """The i-th coordinate at the belt vertex t(i, m), read off the belt
-        line."""
-        return self._belt.get(_belt_place(i, m, len(self.b0)))[i - 1]
+        """The i-th coordinate at the belt vertex t(i, m), read off column m
+        of the belt line."""
+        m = _int(m)
+        i = _index(i, len(self.b0))
+        try:
+            return self._belt.get(m + 1 if m >= 0 else m)[0][i - 1]
+        except TropOverflow:
+            return self._belt_value_by_place(i, m)
+
+    def _belt_value_by_place(self, i, m):
+        """belt_value(i, m) when column m overflows: from its neighbour
+        (which raises if it overflows too), the column's places are stepped
+        one at a time, only as far as t(i, m), and nothing is stored."""
+        r = len(self.b0)
+        rule = _plans.items[self.space, self.b0]
+        plans = rule.belt.get(m)
+        if m >= 0:
+            c = list(self._belt.get(m)[2])
+            plans = plans[: i - r + len(plans)]
+        else:
+            c = list(self._belt.get(m + 1)[1])
+            plans = plans[: r - i + 1]
+        for plan in plans:
+            rule.apply(c, plan)
+        return c[i - 1]
 
     def belt_column(self, m):
-        """(belt_value(1, m), ..., belt_value(r, m)): the belt vertices of
-        column m are r consecutive places, so the belt line is extended once,
-        to the column's far end, and the i-th coordinate read at the i-th
-        place."""
-        r = len(self.b0)
-        entries = self._belt.run(_belt_place(1, m, r), r)
-        return tuple(coords[i] for i, coords in enumerate(entries))
+        """(belt_value(1, m), ..., belt_value(r, m)), one entry of the belt
+        line."""
+        m = _int(m)
+        return self._belt.get(m + 1 if m >= 0 else m)[0]
 
     def at_root(self):
         return self._walk.memo[0]
@@ -150,8 +265,7 @@ class TropPoint:
 
 def _trop_point(space, b0, coords, v, point=None):
     """The TropPoint of space over b0 with the coordinates coords at vertex v."""
-    rule = _RULES.get(space)
-    if rule is None:
+    if space not in _RULES:
         raise ValueError(f"unknown space {space!r}")
     pattern = matrix_pattern(b0)
     root = pattern.root
@@ -169,11 +283,14 @@ def _trop_point(space, b0, coords, v, point=None):
     if point is None:  # else TropPoint.__init__ passed itself
         point = object.__new__(TropPoint)
     point.space, point.b0, point.coords, point.vertex = space, root, coords, v
-    matrix_at = pattern._walk.get
+    plans = _plans.get((space, root), _Plans, space, pattern)
+    apply, edge, edge_moves = plans.apply, plans.edges.get, plans.edge_moves
 
     def step(coords, v, k):
         """Coordinates across edge k from vertex v."""
-        return rule(coords, matrix_at(v), k)
+        c = list(coords)
+        apply(c, edge((v, k), edge_moves, v, k))
+        return tuple(c)
 
     # walk the anchor up to the root once, so the memo starts closed under
     # parents and every later miss walks down from an ancestor
@@ -183,10 +300,12 @@ def _trop_point(space, b0, coords, v, point=None):
         v = _PARENT[v]
         memo[v] = coords
     point._walk = _PrefixWalker(memo, step)
-    # the belt line steps by the tropical rule on the pattern's belt
-    # matrices, never by the knitting recursion it is checked against
+    # the belt steps by the tropical rule on the pattern's belt matrices,
+    # never by the knitting recursion it is checked against; entry 0 is the
+    # root, a sentinel that building the point steps nothing for
     point._belt = _Line(
-        coords, partial(_belt_coords_step, rule, pattern.rank, pattern.belt.get)
+        ((), coords, coords),
+        partial(_belt_column_step, apply, plans.belt, pattern.rank),
     )
     return point
 

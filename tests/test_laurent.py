@@ -116,6 +116,8 @@ class TestIntegerInputs:
             lambda: "2" / rx(1),
             lambda: rx(1) ** True,
             lambda: rx(1) ** -1.0,
+            lambda: P.variable(1, 2).shift((True, 0)),
+            lambda: P.variable(1, 2).shift((0.5, 0)),
         ],
         ids=[
             "coeff-float", "coeff-zero-float", "exp-float", "exp-bool",
@@ -124,7 +126,7 @@ class TestIntegerInputs:
             "poly-times-bool", "bool-times-poly", "poly-times-float", "poly-times-str",
             "poly-pow-bool", "poly-pow-float", "rf-times-bool", "rf-times-float",
             "rf-plus-str", "rf-minus-float", "float-minus-rf", "rf-over-bool",
-            "str-over-rf", "rf-pow-bool", "rf-pow-float",
+            "str-over-rf", "rf-pow-bool", "rf-pow-float", "shift-bool", "shift-float",
         ],
     )
     def test_refused(self, make):
@@ -191,12 +193,16 @@ class TestOperands:
             lambda: rx(1) * x(1),
             lambda: x(1) * rx(1),
             lambda: rx(1) + x(1),
+            lambda: RF(2),
+            lambda: RF.from_poly(2),
+            lambda: RF.from_poly(RF.variable(1, 1)),
         ],
         ids=[
             "poly-times-bool", "rf-pow-bool", "trop-max-float", "poly-times-float",
             "rf-times-float", "poly-plus-int", "poly-minus-int", "exact-div-int",
             "gcd-int-right", "gcd-int-left", "substitute-ints", "rf-int-den",
-            "rf-times-poly", "poly-times-rf", "rf-plus-poly",
+            "rf-times-poly", "poly-times-rf", "rf-plus-poly", "rf-int-num",
+            "rf-from-int", "rf-from-rf",
         ],
     )
     def test_other_class(self, call):

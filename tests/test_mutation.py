@@ -938,15 +938,30 @@ class TestCacheContract:
         matrices = matrix_pattern(b).belt
         vertex_line = mutation._belt_lines.items[2]
         belt_matrices = [matrices.get(s) for s in range(-8, 9)]
+        # the process-wide plans of the Y-rule over b: the belt plans a
+        # point's column steps read, and the tree-walk plans per edge
+        words = _reduced_words(2, 4)
+        at_words = [point.coords_at(a) for a in words]
+        plans = tropical._plans.items[("Y", b)]
+        column_plans = [plans.belt.get(m) for m in range(-4, 5)]
         pattern = SeedPattern("Y", B_A3)
         seeds = {a: pattern.seed_at(a) for a in _reduced_words(3, 3)}
         registry.lock = pattern._walk.lock = _NoLock()
         slice_backed._line.lock = point._belt.lock = _NoLock()
         monkeypatch.setattr(matrices, "lock", _NoLock())
         monkeypatch.setattr(vertex_line, "lock", _NoLock())
+        for plan_cache in (tropical._plans, plans.belt, plans.edges):
+            monkeypatch.setattr(plan_cache, "lock", _NoLock())
         assert registry.get("key", object) is item
         assert [slice_backed.value(i, m) for i, m in cells] == table
         assert [point.belt_value(i, m) for i, m in cells] == belt
+        # a new point over b reads the plan caches only: its belt columns
+        # step from the cached belt plans and its tree walk from the cached
+        # edge plans (its own line and walker take their own locks)
+        fresh = TropPoint("Y", b, (2, -1))
+        assert [fresh.belt_value(i, m) for i, m in cells] == belt
+        assert [fresh.coords_at(a) for a in words] == at_words
+        assert [plans.belt.get(m) for m in range(-4, 5)] == column_plans
         assert [mutation._belt_vertex(i, m, 2) for i, m in cells] == vertices
         assert [matrices.get(s) for s in range(-8, 9)] == belt_matrices
         assert {a: pattern.seed_at(a) for a in seeds} == seeds
@@ -971,6 +986,11 @@ class TestCacheContract:
             lambda: vertex_line.get(len(vertex_line.ahead)),
             lambda: vertex_line.get(-len(vertex_line.behind)),
             lambda: pattern.seed_at((1, 2, 3, 1)),
+            lambda: tropical._plans.get(("Y", object()), object),
+            lambda: plans.belt.get(len(plans.belt.ahead)),
+            lambda: plans.belt.get(-len(plans.belt.behind)),
+            # a walk with more edges than the plans cached: one is new
+            lambda: fresh.coords_at((2, 1) * (len(plans.edges.items) + 1)),
         ):
             with pytest.raises(LockTaken):
                 miss()

@@ -269,8 +269,8 @@ class TestCoordsAtOracle:
 
 
 class TestBeltRays:
-    """Belt reads index a point's line of coordinate vectors at the belt
-    place m * r + i - 1."""
+    """Belt reads index a point's line of belt columns: column m >= 0 is
+    entry m + 1, column m < 0 entry m, and entry 0 is the root."""
 
     @pytest.mark.parametrize("space", ["A", "Y", "Yprin"])
     def test_index_outside_the_rank_raises(self, space):
@@ -284,10 +284,11 @@ class TestBeltRays:
                 with pytest.raises(DimensionMismatch):
                     p.belt_value(i, m)
 
-    @pytest.mark.parametrize("space, kept", [("A", 1), ("Y", 3)])
+    @pytest.mark.parametrize("space, kept", [("A", 1), ("Y", 2)])
     def test_overflowing_step_appends_nothing(self, space, kept):
         # the triple bond of G2 pushes near-limit coordinates past 2^63 on
-        # the negative belt: at its first step in A, at its third in Y
+        # the negative belt: at its first step in A, at its third in Y, so
+        # the line keeps its root entry, and in Y column -1 as well
         big = 2**62 + 2**61
         b = named_cartan("G2").b_matrix()
         root = transpose(b) if space == "A" else b
@@ -368,15 +369,42 @@ class TestBeltRays:
         root = principal_wide_root(b) if space == "Yprin" else b
         rng = random.Random(len(root[0]))
         coords = tuple(rng.randint(-3, 3) for _ in root[0])
-        # separate points, so that no read feeds the other
+        # separate points, so that no read feeds another: both belt reads
+        # against the tree walker at the belt vertices
         by_column = TropPoint(space, root, coords)
         by_value = TropPoint(space, root, coords)
+        by_walk = TropPoint(space, root, coords)
         r = len(b)
         for m in range(-5, 6):
-            expected = tuple(by_value.belt_value(i, m) for i in range(1, r + 1))
+            expected = tuple(
+                by_walk.coords_at(canonical_address(i, m, r))[i - 1]
+                for i in range(1, r + 1)
+            )
             assert by_column.belt_column(m) == expected
+            assert tuple(by_value.belt_value(i, m) for i in range(1, r + 1)) == expected
 
-    @pytest.mark.parametrize("space, kept", [("A", 1), ("Y", 3)])
+    def test_near_limit_point_reads_up_to_its_overflow(self):
+        # building steps nothing along the belt; the first step of column 0
+        # overflows, so of column 0 only its root cell reads, while column
+        # -1 steps the other way and stays in range
+        big = 2**62 + 2**61
+        b = named_cartan("G2").b_matrix()
+        p = TropPoint("Y", b, (big, big))
+        q = TropPoint("Y", b, (big, big))
+        assert len(p._belt.ahead) == len(p._belt.behind) == 1
+        assert p.belt_value(1, 0) == big
+        assert p.belt_column(-1) == (-big, -big) == tuple(
+            q.coords_at(canonical_address(i, -1, 2))[i - 1] for i in (1, 2)
+        )
+        with pytest.raises(TropOverflow):
+            p.belt_column(0)
+        with pytest.raises(TropOverflow):
+            p.belt_value(2, 0)
+        with pytest.raises(TropOverflow):
+            q.coords_at(canonical_address(2, 0, 2))
+        assert len(p._belt.ahead) == 1
+
+    @pytest.mark.parametrize("space, kept", [("A", 1), ("Y", 2)])
     def test_overflowing_column_read_appends_nothing(self, space, kept):
         # as test_overflowing_step_appends_nothing, a column at a time
         big = 2**62 + 2**61
@@ -437,7 +465,7 @@ class TestBeltRays:
             assert not any(t.is_alive() for t in threads)
             for window, result in zip(windows, results):
                 assert result == {m: expected[m] for m in window}
-            # each place was stepped into once, each side outward from 0
+            # each column was stepped once, each side outward from 0
             line = point._belt
             assert [s for s in places if s > 0] == list(range(1, len(line.ahead)))
             assert [s for s in places if s < 0] == list(
@@ -446,7 +474,7 @@ class TestBeltRays:
 
 
 def _count_steps(line):
-    """Record the place of each step the line takes."""
+    """Record the index of each step the line takes."""
     places = []
     step = line.step
 

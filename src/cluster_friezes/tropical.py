@@ -119,23 +119,25 @@ def trop_mutate_Y(coords, b, k):
 _RULES = {"A": trop_mutate_A, "Y": trop_mutate_Y, "Yprin": trop_mutate_Y}
 
 
-def _column_plans(kind, pattern, _, m):
+def _column_plans(kind, pattern, near, m):
     """The plans of the belt steps into the places of column m but the root,
     in the order they are taken outward from the root: places m*r, ...,
     m*r + r - 1 for m >= 0 (1, ..., r - 1 for m = 0), places m*r + r - 1,
     ..., m*r for m < 0.  Each reads the belt matrix at the place it steps
-    from.  The unused argument is the neighbour's entry, which _Line
-    passes."""
+    from.  When they equal near, the plans of the neighbour column nearer 0,
+    near is returned: the belt of an acyclic pattern repeats its matrices
+    from column to column, so the columns share one tuple."""
     r = pattern.rank
     matrix_at = pattern.belt.get
     if m >= 0:
         places = range(max(m * r, 1), m * r + r)
     else:
         places = range(m * r + r - 1, m * r - 1, -1)
-    return tuple(
+    plans = tuple(
         _moves(kind, matrix_at(s - 1 if s > 0 else s + 1), _belt_letter(s, r))
         for s in places
     )
+    return near if plans == near else plans
 
 
 class _Plans:

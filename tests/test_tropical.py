@@ -383,6 +383,21 @@ class TestBeltRays:
             assert by_column.belt_column(m) == expected
             assert tuple(by_value.belt_value(i, m) for i in range(1, r + 1)) == expected
 
+    @pytest.mark.parametrize("name", ["A1", "G2", "F4", "E6"])
+    @pytest.mark.parametrize("space", ["A", "Y"])
+    def test_belt_columns_share_their_plans(self, space, name):
+        # the square belt matrices repeat from column to column, so every
+        # column past 1 and past -1 holds its neighbour's plans; column 0
+        # has no plan for the root
+        b = named_cartan(name).b_matrix()
+        r = len(b)
+        TropPoint(space, b, (1,) * r).belt_column(4)
+        line = tropical._plans.items[space, b].belt
+        assert len(line.get(0)) == r - 1
+        for m in (2, 3, -2, -3):
+            near = line.get(m - 1 if m > 0 else m + 1)
+            assert line.get(m) is near and len(near) == r
+
     def test_near_limit_point_reads_up_to_its_overflow(self):
         # building steps nothing along the belt; the first step of column 0
         # overflows, so of column 0 only its root cell reads, while column

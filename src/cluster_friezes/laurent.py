@@ -107,13 +107,6 @@ def _same_ring(cls, a, b):
         raise DimensionMismatch(f"operands over {a.nvars} and {b.nvars} variables")
 
 
-def _poly(p):
-    """p, refused with TypeError unless it is an IntLaurentPoly."""
-    if type(p) is not IntLaurentPoly:
-        raise TypeError(f"operand of {type(p).__name__}, not IntLaurentPoly")
-    return p
-
-
 class _Layout:
     """Packing constants for monomials over n variables.
 
@@ -956,7 +949,8 @@ class RationalFunction:
 
     def __init__(self, num, den=None, _reduced=False):
         if den is None:
-            den = IntLaurentPoly.one(_poly(num).nvars)
+            _same_ring(IntLaurentPoly, num, num)
+            den = IntLaurentPoly.one(num.nvars)
         self.num, self.den = (num, den) if _reduced else _reduce(num, den)
         self._hash = None
 
@@ -964,7 +958,8 @@ class RationalFunction:
 
     @classmethod
     def from_poly(cls, p):
-        return cls(p, IntLaurentPoly.one(_poly(p).nvars), _reduced=True)
+        _same_ring(IntLaurentPoly, p, p)
+        return cls(p, IntLaurentPoly.one(p.nvars), _reduced=True)
 
     @classmethod
     def constant(cls, c, nvars):

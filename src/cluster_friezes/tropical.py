@@ -125,8 +125,8 @@ def _column_plans(kind, pattern, near, m):
     m*r + r - 1 for m >= 0 (1, ..., r - 1 for m = 0), places m*r + r - 1,
     ..., m*r for m < 0.  Each reads the belt matrix at the place it steps
     from.  When they equal near, the plans of the neighbour column nearer 0,
-    near is returned: the belt of an acyclic pattern repeats its matrices
-    from column to column, so the columns share one tuple."""
+    near is returned, so columns whose belt matrices repeat (the square
+    ones of a Cartan matrix's B do) share one tuple."""
     r = pattern.rank
     matrix_at = pattern.belt.get
     if m >= 0:
@@ -163,34 +163,20 @@ _plans = _Registry()  # (space, pattern root) -> its _Plans
 
 
 def _belt_column_step(apply, columns, r, near, j):
-    """The entry (values, coordinates at the column's first place, at its
-    last place) of the column at index j of a point's column line, stepped
-    outward in one call from near, the entry of its neighbour nearer the
-    root sentinel at index 0.  Column m >= 0 is at index m + 1 and steps on
-    from near's last place (column 0 starts at the root, near's coordinates);
-    column m < 0 is at index m and steps back from near's first place."""
-    if j > 0:
-        plans = columns.get(j - 1)
-        c = list(near[2])
-        if len(plans) == r:  # else column 0, whose first place is the root
-            apply(c, plans[0])
-            plans = plans[1:]
-        first = tuple(c)
-        values = [c[0]]
-        for i, plan in enumerate(plans, 1):
-            apply(c, plan)
-            values.append(c[i])
-        return tuple(values), first, tuple(c)
-    plans = columns.get(j)
+    """The entry (values, coordinates at its outer place) of the column at
+    index j of a point's column line, stepped in one call from the outer
+    coordinates of near, the entry of its neighbour nearer the root entry
+    at index 0.  Column m >= 0 is at index m + 1 and steps its places in the
+    order m*r, ..., m*r + r - 1 (column 0 starts at the root); column m < 0
+    is at index m and steps them from m*r + r - 1 down to m*r."""
+    plans = columns.get(j - 1 if j > 0 else j)
     c = list(near[1])
-    apply(c, plans[0])
-    last = tuple(c)
-    values = [c[r - 1]]
-    for i, plan in zip(range(r - 2, -1, -1), plans[1:]):
+    values = c[:r]  # of column 0, the root's first coordinate stays
+    cells = range(r - len(plans), r) if j > 0 else range(r - 1, -1, -1)
+    for i, plan in zip(cells, plans):
         apply(c, plan)
-        values.append(c[i])
-    values.reverse()
-    return tuple(values), tuple(c), last
+        values[i] = c[i]
+    return tuple(values), tuple(c)
 
 
 class TropPoint:
@@ -230,13 +216,8 @@ class TropPoint:
         r = len(self.b0)
         rule = _plans.items[self.space, self.b0]
         plans = rule.belt.get(m)
-        if m >= 0:
-            c = list(self._belt.get(m)[2])
-            plans = plans[: i - r + len(plans)]
-        else:
-            c = list(self._belt.get(m + 1)[1])
-            plans = plans[: r - i + 1]
-        for plan in plans:
+        c = list(self._belt.get(m if m >= 0 else m + 1)[1])
+        for plan in plans[: i - r + len(plans) if m >= 0 else r - i + 1]:
             rule.apply(c, plan)
         return c[i - 1]
 
@@ -306,7 +287,7 @@ def _trop_point(space, b0, coords, v, point=None):
     # never by the knitting recursion it is checked against; entry 0 is the
     # root, a sentinel that building the point steps nothing for
     point._belt = _Line(
-        ((), coords, coords),
+        ((), coords),
         partial(_belt_column_step, apply, plans.belt, pattern.rank),
     )
     return point

@@ -262,10 +262,6 @@ class FiniteContext:
         """Exchange graph of the A-space of B^T."""
         return self.graph("A", self.belts.bt)
 
-    def y_graph(self):
-        """Exchange graph of the Y-space of B."""
-        return self.graph("Y", self.belts.b)
-
     def fim_table(self):
         """fim_recursion on its default window, built once; read only."""
         return self._lazy.get("fim", fim_recursion, self.cartan)
@@ -314,8 +310,8 @@ def verify_periodicity(cartan, m_lo, m_hi, friezes=()):
 # -- global monomials from tropical points --------------------------------------
 
 # Largest total |exponent| of a monomial in cluster variables that
-# `_monomial_at` and `x_from_rho` expand; a tropical coordinate can be near
-# 2^62, and that power of a cluster variable would never finish.
+# `_chamber_monomial` and `x_from_rho` expand; a tropical coordinate can be
+# near 2^62, and that power of a cluster variable would never finish.
 MONOMIAL_EXPONENT_BUDGET = 64
 
 
@@ -328,54 +324,49 @@ def _check_exponent_budget(exponents):
         )
 
 
-def _monomial_at(seed, coords):
-    """Seed, exponents and value of the monomial prod_i v_i^(-coords_i) in
-    the cluster v of seed."""
-    _check_exponent_budget(coords)
-    exps = tuple(-c for c in coords)
-    expr = _product(zip(seed.cluster, exps), RationalFunction.one(seed.rank))
-    return seed, exps, expr
-
-
-def _monomial_A(cartan, rho: TropPoint):
-    """_monomial_at the seed of the A-graph where -rho_t is nonnegative: the
-    cluster monomial on the A-space of B^T whose g-vector is rho."""
+def _chamber_monomial(cartan, point: TropPoint, space):
+    """Seed, exponents and value of the monomial prod_i v_i^(-point_i) in the
+    cluster v of the first seed, in graph order, whose chamber holds point,
+    a point of the given space.  For rho on the Y-space of B: the seed of
+    the A-graph of B^T where rho_t <= 0, and the cluster monomial whose
+    g-vector is rho.  For delta on the A-space of B^T: the seed of the
+    Y-graph of B where B_t delta_t <= 0, and the global monomial whose
+    g-vector is delta.  The exponent budget is checked before the product
+    is expanded."""
     ctx = finite_context(cartan)
-    if rho.space != "Y" or rho.b0 != ctx.belts.b:
-        raise ValueError("expected a point of the Y-space of B")
-    for seed in ctx.a_graph().seeds.values():
-        coords = rho._walk.get(seed.vertex)
-        if all(c <= 0 for c in coords):
-            return _monomial_at(seed, coords)
-    raise NotFound("g-vector fan completeness violated (bug)")
-
-
-def _monomial_Y(cartan, delta_sv: TropPoint):
-    """_monomial_at the seed of the Y-graph where -B_t delta_t is
-    nonnegative: the global monomial on the Y-space of B whose g-vector is
-    delta_sv."""
-    ctx = finite_context(cartan)
-    if delta_sv.space != "A" or delta_sv.b0 != ctx.belts.bt:
-        raise ValueError("expected a point of the A-space of B^T")
-    for seed in ctx.y_graph().seeds.values():
-        coords = delta_sv._walk.get(seed.vertex)
-        image = matrix_times_col(seed.matrix, coords)
+    b = ctx.belts
+    if space == "Y":
+        if point.space != "Y" or point.b0 != b.b:
+            raise ValueError("expected a point of the Y-space of B")
+        seeds = ctx.a_graph().seeds.values()
+    else:
+        if point.space != "A" or point.b0 != b.bt:
+            raise ValueError("expected a point of the A-space of B^T")
+        seeds = ctx.graph("Y", b.b).seeds.values()
+    for seed in seeds:
+        coords = point._walk.get(seed.vertex)
+        image = coords if space == "Y" else matrix_times_col(seed.matrix, coords)
         if all(c <= 0 for c in image):
-            return _monomial_at(seed, coords)
-    raise NotFound("Y-side g-vector search failed (bug)")
+            _check_exponent_budget(coords)
+            exps = tuple(-c for c in coords)
+            expr = _product(zip(seed.cluster, exps), RationalFunction.one(seed.rank))
+            return seed, exps, expr
+    raise NotFound("g-vector fan completeness violated (bug)")
 
 
 def mono_from_gvector_A(cartan, rho: TropPoint):
     """Address, exponents and value of the cluster monomial on the A-space of
-    B^T whose g-vector is rho, found by an exchange-graph search."""
-    seed, exps, expr = _monomial_A(cartan, rho)
+    B^T whose g-vector is rho, found by the chamber search; ValueError
+    unless rho is a point of the Y-space of B."""
+    seed, exps, expr = _chamber_monomial(cartan, rho, "Y")
     return seed.address, exps, expr
 
 
 def mono_from_gvector_Y(cartan, delta_sv: TropPoint):
     """Address, exponents and value of the global monomial on the Y-space of
-    B whose g-vector is delta_sv, found by an exchange-graph search."""
-    seed, exps, expr = _monomial_Y(cartan, delta_sv)
+    B whose g-vector is delta_sv, found by the chamber search; ValueError
+    unless delta_sv is a point of the A-space of B^T."""
+    seed, exps, expr = _chamber_monomial(cartan, delta_sv, "A")
     return seed.address, exps, expr
 
 
@@ -404,27 +395,29 @@ def _hammock_parts(cartan, k: FriezeFunction):
 def x_from_rho(cartan, rho: TropPoint):
     """Exponents over the fundamental domain of the cluster monomial with
     g-vector rho, the positive parts of -k_rho, and the monomial they give;
-    checked against the exchange-graph search."""
+    checked against the chamber search, which runs first."""
+    _, _, xmono = _chamber_monomial(cartan, rho, "Y")
     b = belts(cartan)
     exps = _hammock_parts(cartan, k_from_trop_point(rho, cartan))
     _check_exponent_budget(exps.values())
     powers = ((b.x_sv(i, m), e) for (i, m), e in exps.items())
     expr = _product(powers, RationalFunction.one(cartan.rank))
-    _, _, xmono = _monomial_A(cartan, rho)
     if expr != xmono:
         raise InternalDisagreement("x_from_rho disagrees with the graph search")
     return exps, expr
 
 
 def pairing(cartan, delta_sv: TropPoint, rho: TropPoint) -> int:
-    """Duality pairing of tropical points, computed three ways and checked:
-    tropical value of the monomial attached to rho, tropical value of the
-    monomial attached to delta_sv, and the fundamental-domain sum."""
-    _, _, xmono = _monomial_A(cartan, rho)
+    """Duality pairing of tropical points, built on the two monomial
+    bijections (`x_from_rho`, `y_from_delta`, each checked against the
+    chamber search) and computed three ways: tropical value of the monomial
+    attached to rho at delta_sv, tropical value of the monomial attached to
+    delta_sv at rho, and the fundamental-domain sum of delta_sv's belt
+    values over the multiplicities of rho."""
+    parts, xmono = x_from_rho(cartan, rho)
+    ymono = y_from_delta(cartan, delta_sv)
     via_x = xmono.trop_eval(delta_sv.at_root())
-    _, _, ymono = _monomial_Y(cartan, delta_sv)
     via_y = ymono.trop_eval(rho.at_root())
-    parts = _hammock_parts(cartan, k_from_trop_point(rho, cartan))
     total = sum(delta_sv.belt_value(i, m) * e for (i, m), e in parts.items())
     if not via_x == via_y == total:
         raise InternalDisagreement(
@@ -475,11 +468,11 @@ def fim_recursion(cartan, m_hi=None, m_lo=0):
 def y_from_delta(cartan, delta_sv: TropPoint) -> RationalFunction:
     """The global Y-monomial with g-vector delta_sv, assembled from the root
     coordinates, the belt coefficient polynomials, and the cluster-additive
-    function of the negated ensemble image; checked against the
-    exchange-graph search."""
+    function of the negated ensemble image; checked against the chamber
+    search.  The search runs first: it refuses a point of another space and
+    checks the exponent budget before any F-polynomial is expanded."""
+    _, _, ymono = _chamber_monomial(cartan, delta_sv, "A")
     ctx = finite_context(cartan)
-    if delta_sv.space != "A" or delta_sv.b0 != ctx.belts.bt:
-        raise ValueError("expected a point of the A-space of B^T")
     r = cartan.rank
     d0 = delta_sv.at_root()
     neg_image = tuple(-x for x in matrix_times_col(ctx.belts.b, d0))
@@ -492,7 +485,6 @@ def y_from_delta(cartan, delta_sv: TropPoint) -> RationalFunction:
     powers = ((ftable[(i, m)], pp(-columns[m][i - 1])) for i, m in domain)
     fpart = _product(powers, IntLaurentPoly.one(r))
     expr = RationalFunction.from_poly(fpart.shift(tuple(-x for x in d0)))
-    _, _, ymono = _monomial_Y(cartan, delta_sv)
     if expr != ymono:
         raise InternalDisagreement("y_from_delta routes disagree")
     return expr

@@ -100,17 +100,18 @@ def _apply_Y(c, plan):
 
 def trop_mutate_A(coords, b, k):
     """Tropicalized cluster-variable mutation in direction k (1-based):
-    x_k becomes max(sum of [b_jk]_+ x_j, sum of [-b_jk]_+ x_j) - x_k."""
+    x_k becomes max(sum of [b_jk]_+ x_j, sum of [-b_jk]_+ x_j) - x_k.
+    DimensionMismatch unless k indexes a column of b."""
     c = list(coords)
-    _apply_A(c, _moves("A", b, k))
+    _apply_A(c, _moves("A", b, _index(k, len(b[0]))))
     return tuple(c)
 
 
 def trop_mutate_Y(coords, b, k):
     """Tropicalized Y-variable mutation; b may be square or wide (see
-    _apply_Y)."""
+    _apply_Y).  DimensionMismatch unless k indexes a row of b."""
     c = list(coords)
-    _apply_Y(c, _moves("Y", b, k))
+    _apply_Y(c, _moves("Y", b, _index(k, len(b))))
     return tuple(c)
 
 

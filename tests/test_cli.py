@@ -48,7 +48,7 @@ BROKEN_ROUTES = {
               lambda orig: lambda cartan: dict.fromkeys(
                   orig(cartan), IntLaurentPoly.one(cartan.rank)),
               {}, "fpoly_mismatches"),
-    "reconstruction": ("decomposition", verify, "reconstruct_from_hammocks",
+    "reconstruction": ("decomposition", finite, "reconstruct_from_hammocks",
                        lambda orig: _constant(0), {"trials": 5}, "failures"),
     "hammock": ("decomposition", verify, "hammock",
                 lambda orig: _constant(1), {"trials": 5}, None),
@@ -166,6 +166,25 @@ class TestPairing:
             capsys, "pairing", "--cartan", "A2", "--delta", "0,0", "--rho", "2,-1",
         )
         assert json.loads(out)["pairing"] == 0
+
+    def test_corrupt_fim_table_exit_4(self, capsys, monkeypatch):
+        # pairing is built on y_from_delta, so a wrong belt coefficient
+        # polynomial reaches the check against the chamber search
+        table = finite.FiniteContext.fim_table
+        monkeypatch.setattr(
+            finite.FiniteContext, "fim_table",
+            lambda self: {
+                (i, m): f * 2 if m >= 1 else f
+                for (i, m), f in table(self).items()
+            },
+        )
+        code, out, err = run(
+            capsys, "pairing", "--cartan", "A2", "--delta", "1,0", "--rho", "-1,0",
+        )
+        assert code == 4 and out == ""
+        assert json.loads(err) == {
+            "error": "InternalDisagreement", "message": "y_from_delta routes disagree",
+        }
 
     def test_deterministic_output(self, capsys):
         argv = ["pairing", "--cartan", "B2", "--delta", "2,-1", "--rho", "1,1"]
@@ -418,18 +437,41 @@ class TestVerifyAndErrors:
         # rho becomes the exponent of 2/x1; the budget must stop it before
         # the power is expanded.  A subprocess, so that a regression is
         # killed by the timeout rather than growing the test's memory
-        script = "\n".join([
-            "import sys, time",
-            "from cluster_friezes import cli",
-            "t0 = time.perf_counter()",
+        proc = _timed_call(
+            ["from cluster_friezes import cli"],
             "code = cli.main(['pairing', '--cartan', 'A1', '--delta', '-2',"
             " '--rho', '6917529027641081856'])",
-            "print(time.perf_counter() - t0)",
-            "sys.exit(code)",
-        ])
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=_package_env(), timeout=30,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert float(proc.stdout) < 1.0
+        assert json.loads(proc.stderr)["error"] == "BudgetExceeded"
+
+    def test_y_from_delta_searches_before_expanding(self):
+        # the chamber search checks the budget; expanding the F-part of
+        # delta = (100000, 0) first ran for minutes
+        proc = _timed_call(
+            [
+                "from cluster_friezes.errors import BudgetExceeded",
+                "from cluster_friezes.finite import named_cartan, y_from_delta",
+                "from cluster_friezes.friezes import belts",
+                "from cluster_friezes.tropical import TropPoint",
+                "A2 = named_cartan('A2')",
+            ],
+            "try:",
+            "    y_from_delta(A2, TropPoint('A', belts(A2).bt, (100000, 0)))",
+            "    code = 0",
+            "except BudgetExceeded:",
+            "    code = 3",
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert float(proc.stdout) < 1.0
+
+    def test_pairing_searches_before_expanding(self):
+        # pairing is built on y_from_delta, so it stops as early
+        proc = _timed_call(
+            ["from cluster_friezes import cli"],
+            "code = cli.main(['pairing', '--cartan', 'A2', '--delta', '100000,0',"
+            " '--rho', '-1,0'])",
         )
         assert proc.returncode == 3, proc.stderr
         assert float(proc.stdout) < 1.0
@@ -443,11 +485,12 @@ class TestRouteDisagreement:
     WRONG = RationalFunction.constant(7, 2)
 
     def test_a_side_exit_4(self, capsys, monkeypatch):
-        # x_from_rho's own graph search returns a wrong monomial, so its
-        # check against the hammock-domain product fails
-        search = finite._monomial_A
+        # the chamber search returns a wrong monomial, so x_from_rho's check
+        # against the hammock-domain product fails
+        search = finite._chamber_monomial
         monkeypatch.setattr(
-            finite, "_monomial_A", lambda c, rho: (*search(c, rho)[:2], self.WRONG)
+            finite, "_chamber_monomial",
+            lambda c, p, s: (*search(c, p, s)[:2], self.WRONG),
         )
         code, out, err = run(
             capsys, "monomial", "--cartan", "A2", "--space", "A", "--coords", "1,0",
@@ -456,11 +499,12 @@ class TestRouteDisagreement:
         assert json.loads(err)["error"] == "InternalDisagreement"
 
     def test_y_side_exit_4(self, capsys, monkeypatch):
-        # y_from_delta's own graph search returns a wrong monomial, so its
+        # the chamber search returns a wrong monomial, so y_from_delta's
         # check against the assembled expression fails
-        search = finite._monomial_Y
+        search = finite._chamber_monomial
         monkeypatch.setattr(
-            finite, "_monomial_Y", lambda c, delta: (*search(c, delta)[:2], self.WRONG)
+            finite, "_chamber_monomial",
+            lambda c, p, s: (*search(c, p, s)[:2], self.WRONG),
         )
         code, out, err = run(
             capsys, "monomial", "--cartan", "B2", "--space", "Y", "--coords", "2,-1",
@@ -472,12 +516,30 @@ class TestRouteDisagreement:
         proc = _run_monomial_under_python_O(
             "from cluster_friezes import finite",
             "from cluster_friezes.laurent import RationalFunction",
-            "search = finite._monomial_Y",
-            "finite._monomial_Y = lambda c, d: (*search(c, d)[:2], RationalFunction.constant(7, 2))",
+            "search = finite._chamber_monomial",
+            "finite._chamber_monomial = lambda c, p, s: (*search(c, p, s)[:2], RationalFunction.constant(7, 2))",
         )
         assert proc.returncode == 4, proc.stderr
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "InternalDisagreement"
+
+
+def _timed_call(setup, *lines):
+    """Run the statements `setup`, then the timed statements `lines`, which
+    set `code`, in a subprocess with a 30 s timeout; it prints the time of
+    `lines` and exits with `code`."""
+    script = "\n".join([
+        "import sys, time",
+        *setup,
+        "t0 = time.perf_counter()",
+        *lines,
+        "print(time.perf_counter() - t0)",
+        "sys.exit(code)",
+    ])
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=_package_env(), timeout=30,
+    )
 
 
 def _run_monomial_under_python_O(*patch):

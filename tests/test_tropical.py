@@ -56,6 +56,20 @@ class TestMutationRules:
     def test_y_rule_example(self):
         assert trop_mutate_Y((1, -2), B_A2, 1) == (-1, -1)
 
+    def test_direction_checked(self):
+        # k must be an int naming a column of b for "A" and a row of b for
+        # "Y": 0 must not be read as the last index, nor True as 1
+        for k in (0, True, 3):
+            with pytest.raises(DimensionMismatch):
+                trop_mutate_A((1, -2), BT_A2, k)
+            with pytest.raises(DimensionMismatch):
+                trop_mutate_Y((1, -2), B_A2, k)
+        # a wide r x 2r b has r rows
+        wide = ((0, -1, 1, 0), (1, 0, 0, 1))
+        assert trop_mutate_Y((1, -2, 0, 0), wide, 2) == (-1, 2, 0, -2)
+        with pytest.raises(DimensionMismatch):
+            trop_mutate_Y((1, -2, 0, 0), wide, 3)
+
     def test_involutions_random(self):
         rng = random.Random(6)
         for _ in range(100):
@@ -872,7 +886,7 @@ class TestVariableCorrespondence:
         cartan = named_cartan("A2")
         ctx = finite_context(cartan)
         b = ctx.belts
-        for seed in ctx.y_graph().seeds.values():
+        for seed in ctx.graph("Y", b.b).seeds.values():
             for i in range(1, 3):
                 d_y = d_trop_point("Y", b.b, seed.address, i)
                 g_of_x = g_vector_of_cluster_monomial(

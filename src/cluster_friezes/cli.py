@@ -26,15 +26,13 @@ from .errors import (
     ZeroDenominator,
 )
 from .finite import (
+    _x_from_rho,
+    _y_from_delta,
     decompose_hammocks,
     fim_recursion,
     finite_context,
-    mono_from_gvector_A,
-    mono_from_gvector_Y,
     named_cartan,
     pairing,
-    x_from_rho,
-    y_from_delta,
 )
 from .friezes import (
     CartanMatrix,
@@ -223,26 +221,24 @@ def cmd_monomial(args):
     r = cartan.rank
     b = belts(cartan)
     coords = _parse_ints(args.coords)
+    # one chamber search: the bijection returns the seed it found, and
+    # raises unless its own monomial agrees with that seed's
     if args.space == "A":
         rho = TropPoint("Y", b.b, coords)
-        addr, exps, expr = mono_from_gvector_A(cartan, rho)
-        # x_from_rho raises unless it agrees with the graph search
-        dom_exps, _ = x_from_rho(cartan, rho)
+        seed, exps, dom_exps, expr = _x_from_rho(cartan, rho)
         out = {
             "space": "A",
-            "address": list(addr),
+            "address": list(seed.address),
             "exponents": list(exps),
             "expression": expr.to_str([f"x{i}" for i in range(1, r + 1)]),
             "domain_exponents": {f"{i},{m}": e for (i, m), e in sorted(dom_exps.items())},
         }
     else:
         delta = TropPoint("A", b.bt, coords)
-        addr, exps, expr = mono_from_gvector_Y(cartan, delta)
-        # y_from_delta raises unless it agrees with the graph search
-        y_from_delta(cartan, delta)
+        seed, exps, expr = _y_from_delta(cartan, delta)
         out = {
             "space": "Y",
-            "address": list(addr),
+            "address": list(seed.address),
             "exponents": list(exps),
             "expression": expr.to_str([f"y{i}" for i in range(1, r + 1)]),
         }

@@ -27,7 +27,6 @@ from .mutation import (
     _identity,
     SEED_BUDGET,
     _Registry,
-    as_matrix,
     enumerate_exchange_graph,
     gcf_pattern,
     matrix_times_col,
@@ -248,15 +247,9 @@ class FiniteContext:
         self._lazy = _Registry()
 
     def graph(self, kind, root_matrix, budget=SEED_BUDGET):
-        key = (kind, as_matrix(root_matrix))
-        result = self._lazy.get(
-            key, enumerate_exchange_graph, kind, root_matrix, budget
-        )
-        if len(result.seeds) > budget:
-            raise BudgetExceeded(
-                f"exchange graph needs {len(result.seeds)} seeds, budget {budget}"
-            )
-        return result
+        """The exchange graph of root_matrix, replayed from its seed
+        pattern's kept walk (see enumerate_exchange_graph)."""
+        return enumerate_exchange_graph(kind, root_matrix, budget)
 
     def a_graph(self):
         """Exchange graph of the A-space of B^T."""
@@ -396,7 +389,12 @@ def x_from_rho(cartan, rho: TropPoint):
     """Exponents over the fundamental domain of the cluster monomial with
     g-vector rho, the positive parts of -k_rho, and the monomial they give;
     checked against the chamber search, which runs first."""
-    _, _, xmono = _chamber_monomial(cartan, rho, "Y")
+    return _x_from_rho(cartan, rho)[2:]
+
+
+def _x_from_rho(cartan, rho):
+    """The chamber search's seed and exponents, then x_from_rho's result."""
+    seed, search_exps, xmono = _chamber_monomial(cartan, rho, "Y")
     b = belts(cartan)
     exps = _hammock_parts(cartan, k_from_trop_point(rho, cartan))
     _check_exponent_budget(exps.values())
@@ -404,7 +402,7 @@ def x_from_rho(cartan, rho: TropPoint):
     expr = _product(powers, RationalFunction.one(cartan.rank))
     if expr != xmono:
         raise InternalDisagreement("x_from_rho disagrees with the graph search")
-    return exps, expr
+    return seed, search_exps, exps, expr
 
 
 def pairing(cartan, delta_sv: TropPoint, rho: TropPoint) -> int:
@@ -471,7 +469,13 @@ def y_from_delta(cartan, delta_sv: TropPoint) -> RationalFunction:
     function of the negated ensemble image; checked against the chamber
     search.  The search runs first: it refuses a point of another space and
     checks the exponent budget before any F-polynomial is expanded."""
-    _, _, ymono = _chamber_monomial(cartan, delta_sv, "A")
+    return _y_from_delta(cartan, delta_sv)[2]
+
+
+def _y_from_delta(cartan, delta_sv):
+    """The chamber search's seed and exponents, then y_from_delta's
+    result."""
+    seed, search_exps, ymono = _chamber_monomial(cartan, delta_sv, "A")
     ctx = finite_context(cartan)
     r = cartan.rank
     d0 = delta_sv.at_root()
@@ -487,7 +491,7 @@ def y_from_delta(cartan, delta_sv: TropPoint) -> RationalFunction:
     expr = RationalFunction.from_poly(fpart.shift(tuple(-x for x in d0)))
     if expr != ymono:
         raise InternalDisagreement("y_from_delta routes disagree")
-    return expr
+    return seed, search_exps, expr
 
 
 # -- decomposition and duality ---------------------------------------------------

@@ -427,16 +427,21 @@ class Seed:
     def unordered_key(self):
         """Canonical form under simultaneous permutation of cluster entries
         and matrix rows/columns; frozen rows keep their place."""
-        cluster, matrix = self.cluster, self.matrix
-        if len(cluster) < 2:
-            # no permutation to undo (itemgetter of one index is no tuple)
-            return (cluster, matrix)
-        keys = [x.sort_key() for x in cluster]
-        order = sorted(range(len(cluster)), key=keys.__getitem__)
-        permute = itemgetter(*order)
-        rows = [permute(matrix[i]) for i in order]
-        rows += [permute(row) for row in matrix[len(cluster) :]]
-        return (permute(cluster), tuple(rows))
+        return _sorted_by([x.sort_key() for x in self.cluster], self.cluster, self.matrix)
+
+
+def _sorted_by(keys, cluster, matrix):
+    """cluster and matrix under the permutation that sorts keys (one per
+    cluster entry), applied to the entries and to the matrix's rows and
+    columns at once; frozen rows keep their place."""
+    if len(cluster) < 2:
+        # no permutation to undo (itemgetter of one index is no tuple)
+        return (cluster, matrix)
+    order = sorted(range(len(cluster)), key=keys.__getitem__)
+    permute = itemgetter(*order)
+    rows = [permute(matrix[i]) for i in order]
+    rows += [permute(row) for row in matrix[len(cluster) :]]
+    return (permute(cluster), tuple(rows))
 
 
 def root_seed(kind, b0) -> Seed:
@@ -468,9 +473,9 @@ def exchange_binomial(matrix: Matrix, variables, k):
 
 
 def _exchange_key(old, entries, column):
-    """Memo key of one exchange by value: the outgoing entry and the multiset
-    of (entry, b_jk) pairs with b_jk != 0, so seeds that list the same
-    entries in another order share it."""
+    """Memo key of one F-polynomial exchange by value: the outgoing entry and
+    the multiset of (entry, b_jk) pairs with b_jk != 0, so states that list
+    the same entries in another order share it."""
     pairs = Counter((v, b) for v, b in zip(entries, column) if b)
     return (old, frozenset(pairs.items()))
 
@@ -497,81 +502,126 @@ def _learn(memo, key, new, reverse, old):
     memo[key] = new
 
 
-def mutate_A_seed(seed: Seed, k: int, memo=None) -> Seed:
-    """A-seed mutation in direction k.  memo maps exchange keys to new
-    cluster variables; a pattern passes its own, other callers a fresh one.
-    A miss writes both directions: the exchange, and the one back from the
-    new seed (new x_k out, every b_jk negated, frozen rows included) to the
-    old x_k."""
-    if seed.kind != "A":
-        raise ValueError("A-mutation applied to a non-A seed")
-    k = _index(k, seed.rank)
-    if memo is None:
-        memo = {}
-    variables = seed.variables()
-    old = seed.cluster[k - 1]
-    key = _exchange_key(old, variables, (row[k - 1] for row in seed.matrix))
-    new = memo.get(key)
+class _Exchanges:
+    """Interned seed entries and the exchange memo keyed by them.  values[i]
+    is the entry with id i and ids maps it back; ids are handed out in
+    first-seen order, so two seeds hold equal entries exactly when they hold
+    equal ids.  memo maps exchange keys made of ids to the id of the new
+    entry (see _exchange_A and _exchange_Y)."""
+
+    __slots__ = ("values", "ids", "memo")
+
+    def __init__(self):
+        self.values = []
+        self.ids = {}
+        self.memo = {}
+
+    def intern(self, x):
+        """The id of entry x, a new one if x is new."""
+        i = self.ids.get(x)
+        if i is None:
+            i = self.ids[x] = len(self.values)
+            self.values.append(x)
+        return i
+
+
+def _exchange_A(table, matrix, ids, k):
+    """The entry ids of the A-seed across edge k (1-based) from the seed with
+    entry ids (frozen ones last) and matrix.  The memo key is the outgoing
+    id and the sorted (id, b_jk) pairs with b_jk != 0, frozen rows included;
+    a miss divides the exchange binomial by the outgoing entry and also
+    learns the way back: the new id out, every b_jk negated, gives the old
+    id."""
+    kk = k - 1
+    old = ids[kk]
+    pairs = tuple(sorted((i, row[kk]) for i, row in zip(ids, matrix) if row[kk]))
+    memo = table.memo
+    new = memo.get((old, pairs))
     if new is None:
-        num = exchange_binomial(seed.matrix, variables, k)
+        values = table.values
+        num = exchange_binomial(matrix, [values[i] for i in ids], k)
         # the exchange relation divides exactly by the Laurent phenomenon
-        new = RationalFunction.from_poly(num.exact_div(old.laurent()))
-        _learn(memo, key, new, _reverse_key(key, new), old)
-    cluster = seed.cluster[: k - 1] + (new,) + seed.cluster[k:]
-    return Seed(
-        "A",
-        mutate_matrix_raw(seed.matrix, k),
-        cluster,
-        seed.frozen,
-        _child(seed.vertex, k),
-    )
+        x = RationalFunction.from_poly(num.exact_div(values[old].laurent()))
+        new = table.intern(x)
+        back = tuple((i, -b) for i, b in pairs)
+        _learn(memo, (old, pairs), new, (new, back), old)
+    return ids[:kk] + (new,) + ids[k:]
 
 
-def mutate_Y_seed(seed: Seed, k: int, memo=None) -> Seed:
-    """Y-seed mutation in direction k (Fomin and Zelevinsky, "Cluster
-    algebras IV"): y_i' = y_i y_k^[b_ki]+ (1 + y_k)^(-b_ki).
+def _exchange_Y(table, matrix, ids, k):
+    """The entry ids of the Y-seed across edge k (1-based) from the seed
+    with entry ids and matrix (Fomin and Zelevinsky, "Cluster algebras
+    IV"): y_i' = y_i y_k^[b_ki]+ (1 + y_k)^(-b_ki).
 
     With y_k = n/d and s = n + d, s is coprime to n and to d, so 1/y_k,
     1 + y_k = s/d and y_k/(1 + y_k) = 1 - 1/(1 + y_k) = n/s come out reduced
     with no gcd; each new y_i is then one cancelling product, y_i (n/s)^b for
-    b > 0 and y_i (s/d)^(-b) for b < 0.  memo maps y_k to those three
-    fractions and (y_i, y_k, b_ki) to the new y_i; a pattern passes its own,
-    other callers a fresh one.  A miss writes both directions: also
-    (y_i', 1/y_k, -b_ki) to y_i, with the memo's own 1/y_k, which is the
-    entry the new seed holds."""
-    if seed.kind != "Y":
-        raise ValueError("Y-mutation applied to a non-Y seed")
-    r = seed.rank
-    k = _index(k, r)
-    if memo is None:
-        memo = {}
-    yk = seed.cluster[k - 1]
+    b > 0 and y_i (s/d)^(-b) for b < 0.  The memo maps the id of y_k to
+    those three parts (1/y_k as its id), and (id of y_i, id of y_k, b_ki) to
+    the id of the new y_i.  A miss also learns the way back: (new id, id of
+    1/y_k, -b_ki) gives the id of y_i."""
+    memo, values = table.memo, table.values
+    kk = k - 1
+    yk = ids[kk]
     parts = memo.get(yk)
     if parts is None:
-        one_plus = yk + 1
-        parts = memo[yk] = (yk.inverse(), one_plus, 1 - one_plus.inverse())
+        one_plus = values[yk] + 1
+        inverse = table.intern(values[yk].inverse())
+        parts = memo[yk] = (inverse, one_plus, 1 - one_plus.inverse())
     inverse, one_plus, ratio = parts
-    cluster = []
-    for i in range(1, r + 1):
-        yi = seed.cluster[i - 1]
-        b = seed.matrix[k - 1][i - 1]
-        if i == k:
-            yi = inverse
+    out = list(ids)
+    for i, b in enumerate(matrix[kk]):
+        if i == kk:
+            out[i] = inverse
         elif b:
+            yi = ids[i]
             key = (yi, yk, b)
             new = memo.get(key)
             if new is None:
-                new = yi * (ratio**b if b > 0 else one_plus ** (-b))
+                new = table.intern(values[yi] * (ratio**b if b > 0 else one_plus ** (-b)))
                 _learn(memo, key, new, (new, inverse, -b), yi)
-            yi = new
-        cluster.append(yi)
-    return Seed(
-        "Y",
-        mutate_matrix_raw(seed.matrix, k),
-        tuple(cluster),
-        (),
-        _child(seed.vertex, k),
-    )
+            out[i] = new
+    return tuple(out)
+
+
+_EXCHANGES = {"A": _exchange_A, "Y": _exchange_Y}
+
+
+def _seed_from(table, like, matrix, ids, vertex):
+    """The seed of like's kind and frozen variables with the given matrix,
+    the entries of table with the given ids, and vertex."""
+    values = table.values
+    cluster = tuple(values[i] for i in ids[: like.rank])
+    return Seed(like.kind, matrix, cluster, like.frozen, vertex)
+
+
+def _mutate(seed, k, memo):
+    """seed mutated in direction k by the exchange of its kind, on the table
+    memo (a throwaway one when None)."""
+    table = _Exchanges() if memo is None else memo
+    ids = tuple(map(table.intern, seed.variables()))
+    new = _EXCHANGES[seed.kind](table, seed.matrix, ids, k)
+    matrix = mutate_matrix_raw(seed.matrix, k)
+    return _seed_from(table, seed, matrix, new, _child(seed.vertex, k))
+
+
+def mutate_A_seed(seed: Seed, k: int, memo=None) -> Seed:
+    """A-seed mutation in direction k: the one exchange that seed patterns
+    and their exchange-graph walks step by (see _exchange_A).  memo is an
+    exchange table (a pattern's own); by default a throwaway one, so the
+    call computes the exchange afresh."""
+    if seed.kind != "A":
+        raise ValueError("A-mutation applied to a non-A seed")
+    return _mutate(seed, _index(k, seed.rank), memo)
+
+
+def mutate_Y_seed(seed: Seed, k: int, memo=None) -> Seed:
+    """Y-seed mutation in direction k, y_i' = y_i y_k^[b_ki]+ (1 + y_k)^(-b_ki):
+    the one exchange that seed patterns and their exchange-graph walks step
+    by (see _exchange_Y).  memo is as for mutate_A_seed."""
+    if seed.kind != "Y":
+        raise ValueError("Y-mutation applied to a non-Y seed")
+    return _mutate(seed, _index(k, seed.rank), memo)
 
 
 def mutate_seed(seed: Seed, k: int, memo=None) -> Seed:
@@ -581,27 +631,139 @@ def mutate_seed(seed: Seed, k: int, memo=None) -> Seed:
 
 
 class SeedPattern:
-    """Memoized seed assignment for one root seed; safe for concurrent use.
+    """Memoized seeds of one root seed and the one walk of its exchange
+    graph; safe for concurrent use.
 
-    Seeds are memoized by vertex and exchanges by value: the pattern's
-    exchange memo is written only by walker steps, under the walker's lock.
-    The root's principal part must be skew-symmetrizable (see
-    MatrixPattern)."""
+    The pattern numbers its seed entries (frozen ones included) in
+    first-seen order and memoizes exchanges by those ids in one table (see
+    _Exchanges), which every step reads: the walker's steps to tree
+    vertices (seed_at) and the exchange-graph walk's steps to children.  It
+    keeps seeds and their entry ids by vertex, as a _PrefixWalker.  The walk
+    (see walk_exchange_graph) is taken once and replayed: its yielded
+    entries are kept level by level, with its frontier, seen and done
+    state, and a caller asking for a level not reached yet extends them to
+    that level.  The table, the ids, the walker's memo and the walk are
+    written only under the walker's lock.  The root's principal part must
+    be skew-symmetrizable (see MatrixPattern)."""
 
     def __init__(self, kind, b0):
-        self.root = root_seed(kind, b0)
-        matrix_pattern(self.root.principal_part())
-        self._exchanges = {}
-        self._walk = _PrefixWalker(
-            {0: self.root}, partial(_seed_step, memo=self._exchanges)
-        )
+        self.root = root = root_seed(kind, b0)
+        matrix_pattern(root.principal_part())
+        self._exchanges = _Exchanges()
+        self._exchange = _EXCHANGES[kind]
+        self._ids = {0: tuple(map(self._exchanges.intern, root.variables()))}
+        self._walk = _PrefixWalker({0: root}, self._step)
+        self._restart()
 
     def seed_at(self, addr) -> Seed:
         return self._walk.get(_vertex(addr, self.root.rank))
 
+    def _step(self, seed, v, k):
+        """The walker's step across edge k from the seed at vertex v."""
+        child = _child(v, k)
+        table = self._exchanges
+        ids = self._ids[child] = self._exchange(table, seed.matrix, self._ids[v], k)
+        return _seed_from(table, seed, mutate_matrix_raw(seed.matrix, k), ids, child)
 
-def _seed_step(seed, v, k, memo):
-    return mutate_seed(seed, k, memo)
+    def _replay(self, depth=None):
+        """The entries of walk_exchange_graph down to level depth (every
+        level when depth is None), replayed from the kept walk."""
+        level = 0
+        while True:
+            entries = self._level(level)
+            if entries is None:
+                return
+            yield from entries
+            if depth is not None and level >= depth:
+                return
+            level += 1
+
+    def _level(self, level):
+        """The walk's entries at level, or None when the graph closed
+        before it."""
+        levels = self._levels
+        if level < len(levels):
+            return levels[level]
+        with self._walk.lock:
+            while len(self._levels) <= level:
+                if not self._frontier:
+                    return None
+                try:
+                    self._grow()
+                except BaseException:
+                    # a level cut short would leave its children seen but
+                    # never yielded
+                    self._restart()
+                    raise
+            return self._levels[level]
+
+    def _restart(self):
+        """The walk's state at its start: the root yielded."""
+        root, ids = self.root, self._ids[0]
+        self._levels = [((0, 0, root.unordered_key(), root),)]
+        self._frontier = [(0, ids, root.matrix)]
+        self._seen = {_twin_key(ids, root.matrix, root.rank): 0}
+        self._done = set()
+
+    def _grow(self):
+        """Walk one level further from the frontier.
+
+        A child is its parent's ids with one replaced, and the mutated
+        matrix; one whose twin key (see _twin_key) is new becomes a Seed at
+        its tree vertex, is stored in the walker (its parent is there, so
+        the memo stays closed under parents) and is yielded under its
+        unordered key.  A twin child is dropped: it gets no Seed and no
+        vertex.  Mutation is an involution and commutes with a simultaneous
+        permutation of the indices, so when the child of v across k is a
+        twin of the yielded w, w mutated at the index j of the child's new
+        entry is a twin of v: the edge (w, j), like the edge (child, k)
+        back from a new child, leads to a seed already yielded, and is
+        marked done."""
+        table, exchange, r = self._exchanges, self._exchange, self.root.rank
+        seeds, ids_at = self._walk.memo, self._ids
+        seen, done = self._seen, self._done
+        level = len(self._levels)
+        entries, frontier = [], []
+        for v, ids, matrix in self._frontier:
+            for k in range(1, r + 1):
+                if (v, k) in done:
+                    continue
+                child_ids = exchange(table, matrix, ids, k)
+                child_matrix = mutate_matrix_raw(matrix, k)
+                key = _twin_key(child_ids, child_matrix, r)
+                twin = seen.get(key)
+                if twin is not None:
+                    places = ids_at[twin][:r]
+                    n = places.count(child_ids[k - 1])
+                    if n != 1:
+                        raise InternalDisagreement(
+                            f"twin at vertex {twin} holds the new entry {n} times"
+                        )
+                    done.add((twin, places.index(child_ids[k - 1]) + 1))
+                    continue
+                child = _child(v, k)
+                seen[key] = child
+                done.add((child, k))
+                frontier.append((child, child_ids, child_matrix))
+                seed = seeds.get(child)
+                if seed is None:
+                    ids_at[child] = child_ids
+                    seed = _seed_from(table, self.root, child_matrix, child_ids, child)
+                    seeds[child] = seed
+                entries.append((level, child, seed.unordered_key(), seed))
+        self._levels.append(tuple(entries))
+        self._frontier = frontier
+        if not frontier:
+            # the graph closed: nothing reads seen and done again
+            self._seen = self._done = None
+
+
+def _twin_key(ids, matrix, r):
+    """The key of the seed with entry ids and matrix up to a simultaneous
+    permutation of its cluster entries and matrix indices (see
+    _sorted_by); its frozen entries are those of every seed of the
+    pattern."""
+    return _sorted_by(ids, ids[:r], matrix)
 
 
 _seed_patterns = _Registry()
@@ -819,58 +981,18 @@ def walk_exchange_graph(kind, b0, depth=None):
     given.  Each yielded vertex but the root is a child of one yielded
     before it.  The rows of a tall b0 below its square part are frozen.
 
-    Each edge of the graph is mutated across once.  Mutation is an
-    involution and commutes with a simultaneous permutation of the indices,
-    so when the child of v across k is a twin of (has the unordered key of)
-    the yielded w, w mutated at the index j of the child's new variable is
-    a twin of v: the edge (w, j), like the edge (child, k) back from a new
-    child, leads to a seed already yielded, and is skipped."""
-    seed_at_vertex = seed_pattern(kind, b0)._walk.get
-    seed = seed_at_vertex(0)
-    key = seed.unordered_key()
-    yield 0, 0, key, seed
-    r = seed.rank
-    seen = {key: 0}
-    done = set()
-    frontier = [0]
-    level = 0
-    while frontier and (depth is None or level < depth):
-        level += 1
-        next_frontier = []
-        for v in frontier:
-            for k in range(1, r + 1):
-                if (v, k) in done:
-                    continue
-                child = _child(v, k)
-                seed = seed_at_vertex(child)
-                key = seed.unordered_key()
-                twin = seen.get(key)
-                if twin is None:
-                    seen[key] = child
-                    done.add((child, k))
-                    next_frontier.append(child)
-                    yield level, child, key, seed
-                else:
-                    done.add((twin, _twin_index(seed_at_vertex(twin), seed, k)))
-        frontier = next_frontier
-
-
-def _twin_index(twin, seed, k):
-    """The index of seed's k-th cluster entry in the cluster of its twin,
-    which must hold it exactly once."""
-    new = seed.cluster[k - 1]
-    places = [j for j, x in enumerate(twin.cluster, 1) if x == new]
-    if len(places) != 1:
-        raise InternalDisagreement(
-            f"twin at vertex {twin.vertex} holds the new entry {len(places)} times"
-        )
-    return places[0]
+    The walk runs on the interned entry ids of the pattern of b0 and is
+    taken once per pattern, then replayed (see SeedPattern): each edge of
+    the graph is mutated across once overall, and a child that is a twin
+    of a seed already yielded is never built as a seed."""
+    yield from seed_pattern(kind, b0)._replay(depth)
 
 
 def enumerate_exchange_graph(kind, b0, max_seeds=SEED_BUDGET) -> ExchangeGraph:
-    """The whole exchange graph, as walk_exchange_graph reaches it.  Raises
-    BudgetExceeded when the graph fails to close within max_seeds (likely
-    infinite type)."""
+    """The whole exchange graph, as walk_exchange_graph reaches it: the
+    pattern's kept walk, replayed and extended only as far as max_seeds
+    needs.  Raises BudgetExceeded when the graph fails to close within
+    max_seeds (likely infinite type)."""
     seeds = {}
     for _, _, key, seed in walk_exchange_graph(kind, b0):
         if len(seeds) >= max_seeds:

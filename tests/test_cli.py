@@ -201,6 +201,24 @@ class TestOtherCommands:
         data = json.loads(out)
         assert data["expression"] == "x1"
 
+    @pytest.mark.parametrize("space, coords", [("A", "1,0"), ("Y", "2,-1")])
+    def test_monomial_searches_once(self, capsys, monkeypatch, space, coords):
+        # the bijection returns the seed its chamber search found, so the
+        # address and the check share one search
+        calls = []
+        search = finite._chamber_monomial
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(finite, "_chamber_monomial", counted)
+        code, out, _ = run(
+            capsys, "monomial", "--cartan", "B2", "--space", space, "--coords", coords,
+        )
+        assert code == 0 and json.loads(out)["space"] == space
+        assert len(calls) == 1
+
     def test_decompose(self, capsys):
         code, out, _ = run(
             capsys, "decompose", "--cartan", "A2", "--slice", "-2,1",
@@ -585,7 +603,7 @@ class TestInternalLawExit4:
         AssertionError("pseudo-division failed to reduce degree"),
     ], ids=lambda exc: type(exc).__name__)
     def test_monomial_exit_4(self, capsys, monkeypatch, exc):
-        monkeypatch.setattr(cli, "y_from_delta", _raise(exc))
+        monkeypatch.setattr(cli, "_y_from_delta", _raise(exc))
         code, out, err = run(
             capsys, "monomial", "--cartan", "B2", "--space", "Y", "--coords", "2,-1",
         )
@@ -605,7 +623,7 @@ class TestInternalLawExit4:
     def test_pseudo_rem_exit_4_under_python_O(self):
         proc = _run_monomial_under_python_O(
             "def fail(c, d): raise AssertionError('pseudo-division failed to reduce degree')",
-            "cli.y_from_delta = fail",
+            "cli._y_from_delta = fail",
         )
         assert proc.returncode == 4, proc.stderr
         assert proc.stdout == ""

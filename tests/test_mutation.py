@@ -21,6 +21,7 @@ from cluster_friezes.mutation import (
     GCFPattern,
     MatrixPattern,
     SeedPattern,
+    _Exchanges,
     _exchange_key,
     _gauss_jordan,
     _gcf_step,
@@ -532,19 +533,22 @@ class TestYStep:
     @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
     def test_every_vertex_of_the_graph(self, name):
         b = named_cartan(name).b_matrix()
-        memo = {}
+        memo = _Exchanges()
         for _, _, _, seed in walk_exchange_graph("Y", b):
             for k in range(1, len(b) + 1):
                 expected = _textbook_y_step(seed, k)
                 assert mutate_Y_seed(seed, k).cluster == expected
                 assert mutate_Y_seed(seed, k, memo).cluster == expected
                 yk = seed.cluster[k - 1]
-                assert memo[yk] == (yk**-1, yk + 1, yk / (yk + 1))
+                inverse, one_plus, ratio = memo.memo[memo.ids[yk]]
+                assert (memo.values[inverse], one_plus, ratio) == (
+                    yk**-1, yk + 1, yk / (yk + 1)
+                )
 
     def test_random_words_a4(self):
         b = named_cartan("A4").b_matrix()
         rng = random.Random("A4")
-        memo = {}
+        memo = _Exchanges()
         for _ in range(30):
             seed = root_seed("Y", b)
             for k in _random_reduced_word(rng, 4, 10):
@@ -613,6 +617,27 @@ def _reference_walk(kind, b0, depth=None):
 def _counting(function, calls, *args, **kwargs):
     calls.append(args)
     return function(*args, **kwargs)
+
+
+def _count_walk_steps(monkeypatch):
+    """Lists that record, from now on, each exchange step (A or Y), each
+    unordered key, each tree vertex looked up or made, and each seed built
+    from entry ids; patterns made later step by the counted exchanges."""
+    calls, keys, vertices, seeds = [], [], [], []
+    for kind, f in mutation._EXCHANGES.items():
+        monkeypatch.setitem(mutation._EXCHANGES, kind, partial(_counting, f, calls))
+    monkeypatch.setattr(mutation, "_child", partial(_counting, _child, vertices))
+    monkeypatch.setattr(
+        mutation, "_seed_from", partial(_counting, mutation._seed_from, seeds)
+    )
+    unordered_key = mutation.Seed.unordered_key
+
+    def counted_key(seed):
+        keys.append(seed)
+        return unordered_key(seed)
+
+    monkeypatch.setattr(mutation.Seed, "unordered_key", counted_key)
+    return calls, keys, vertices, seeds
 
 
 class TestExchangeGraph:
@@ -684,37 +709,83 @@ class TestExchangeGraph:
     def test_each_edge_mutated_once(self, kind, name, monkeypatch):
         # a fresh pattern registry, so every child seed is computed here
         monkeypatch.setattr(mutation, "_seed_patterns", _Registry())
-        calls = []
-        for f in ("mutate_A_seed", "mutate_Y_seed"):
-            monkeypatch.setattr(
-                mutation, f, partial(_counting, getattr(mutation, f), calls)
-            )
-        keys = []
-        unordered_key = mutation.Seed.unordered_key
-
-        def counted_key(seed):
-            keys.append(seed)
-            return unordered_key(seed)
-
-        monkeypatch.setattr(mutation.Seed, "unordered_key", counted_key)
+        calls, keys, vertices, seeds = _count_walk_steps(monkeypatch)
         b = named_cartan(name).b_matrix()
         b0 = mutation.transpose(b) if kind == "A" else b
         graph = enumerate_exchange_graph(kind, b0)
         assert 2 * len(calls) == len(graph.seeds) * len(b0)
-        # one key for the root and one per child seed: no edge back to a
-        # parent is looked at
-        assert len(keys) == 1 + len(calls)
+        # no edge back to a parent is looked at, and only a yielded seed is
+        # built, given a tree vertex and keyed: a twin child is none of these
+        assert len(keys) == len(graph.seeds)
+        assert len(vertices) == len(seeds) == len(graph.seeds) - 1
         if name in ("E6", "D6"):
             assert len(calls) == {"E6": 2499, "D6": 2016}[name]
 
     @pytest.mark.parametrize("kind", ["A", "Y"])
     def test_twin_without_the_new_entry_raises(self, kind, monkeypatch):
-        # one forged key for every seed but the root: the root's second
-        # child passes for a twin of its first, whose cluster lacks the
-        # second child's new entry
-        monkeypatch.setattr(mutation.Seed, "unordered_key", lambda s: s.vertex != 0)
+        # one forged twin key for every seed but the root (whose entry ids
+        # are 0, 1, 2): the root's second child passes for a twin of its
+        # first, whose cluster lacks the second child's new entry
+        monkeypatch.setattr(mutation, "_seed_patterns", _Registry())
+        monkeypatch.setattr(
+            mutation, "_twin_key", lambda ids, matrix, r: ids != (0, 1, 2)
+        )
         with pytest.raises(InternalDisagreement, match="holds the new entry 0 times"):
             list(walk_exchange_graph(kind, B_A3))
+
+    @pytest.mark.parametrize("kind", ["A", "Y"])
+    def test_second_walk_replays_the_first(self, kind, monkeypatch):
+        monkeypatch.setattr(mutation, "_seed_patterns", _Registry())
+        calls = _count_walk_steps(monkeypatch)[0]
+        b0 = named_cartan("B3").b_matrix()
+        shallow = list(walk_exchange_graph(kind, b0, 2))
+        first = len(calls)
+        assert first
+        # a second walk as deep replays the kept one: no exchange at all
+        assert list(walk_exchange_graph(kind, b0, 2)) == shallow
+        assert len(calls) == first
+        # a deeper one extends it from where it stopped
+        deep = list(walk_exchange_graph(kind, b0))
+        assert deep[: len(shallow)] == shallow
+        assert len(deep) > len(shallow) and len(calls) > first
+        assert 2 * len(calls) == len(deep) * len(b0)
+        total = len(calls)
+        assert list(walk_exchange_graph(kind, b0)) == deep
+        assert list(walk_exchange_graph(kind, b0, 3)) == [e for e in deep if e[0] <= 3]
+        assert len(calls) == total
+        # the kept walk is what a pattern of its own walks
+        assert list(SeedPattern(kind, b0)._replay()) == deep
+
+    def test_threads_share_one_walk(self, monkeypatch):
+        # six threads walk one fresh pattern at mixed depths, switching as
+        # often as the interpreter allows
+        monkeypatch.setattr(mutation, "_seed_patterns", _Registry())
+        calls = _count_walk_steps(monkeypatch)[0]
+        b0 = mutation.transpose(named_cartan("D4").b_matrix())
+        depths = [None, 2, 5, None, 1, 4]
+        results = [None] * len(depths)
+
+        def worker(t):
+            results[t] = list(walk_exchange_graph("A", b0, depths[t]))
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(len(depths))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        shared = len(calls)
+        full = list(SeedPattern("A", b0)._replay())
+        assert len(full) == 50
+        for depth, result in zip(depths, results):
+            assert result == [e for e in full if depth is None or e[0] <= depth]
+        # each edge was mutated across once, by one thread or another
+        assert 2 * shared == len(full) * len(b0)
 
     def test_laurent_positivity(self):
         # every variable, re-expanded in every chart, is a nonnegative
@@ -1028,24 +1099,50 @@ class TestCacheContract:
         assert registry.items == results[0]
 
 
-def _memo_free_entries(state, k):
+def _memo_free_entries(state, k, table=None):
     """The exchange-memo entries that a step in direction k from state (a
-    seed or a (B, G, C, F) state) reads, each computed with memo=None."""
+    (B, G, C, F) state, or a seed whose entries table numbers) reads, each
+    computed with memo=None.  A seed's keys are made of the ids in table,
+    and a key that names an entry table lacks is left out; each value is an
+    entry, not its id (and for a Y-seed's y_k, 1/y_k, 1 + y_k and
+    y_k/(1 + y_k))."""
     if isinstance(state, tuple):
         b, _, c, f = state
         key = (_exchange_key(f[k - 1], f, [row[k - 1] for row in b]),
                tuple(row[k - 1] for row in c))
         return {key: _gcf_step(state, 0, k)[3][k - 1]}
     new = mutate_seed(state, k)
-    out = state.cluster[k - 1]
+    ids = [table.ids.get(x) for x in state.variables()]
+    out = ids[k - 1]
+    column = [row[k - 1] for row in state.matrix]
     if state.kind == "A":
-        key = _exchange_key(out, state.variables(), [row[k - 1] for row in state.matrix])
-        return {key: new.cluster[k - 1]}
-    entries = {out: (new.cluster[k - 1], out + 1, out / (out + 1))}
-    for i, (yi, bki) in enumerate(zip(state.cluster, state.matrix[k - 1])):
+        if None in ids:
+            return {}
+        pairs = tuple(sorted((i, b) for i, b in zip(ids, column) if b))
+        return {(out, pairs): new.cluster[k - 1]}
+    y = state.cluster[k - 1]
+    entries = {out: (new.cluster[k - 1], y + 1, y / (y + 1))}
+    for i, (yi, bki) in enumerate(zip(ids, state.matrix[k - 1])):
         if i != k - 1 and bki:
             entries[(yi, out, bki)] = new.cluster[i]
-    return entries
+    return {key: value for key, value in entries.items()
+            if None not in (key if isinstance(key, tuple) else (key,))}
+
+
+def _memo_entries(pattern):
+    """A pattern's exchange memo with seed entry ids read as entries."""
+    if isinstance(pattern, GCFPattern):
+        return dict(pattern._exchanges)
+    values = pattern._exchanges.values
+    return {
+        key: (values[v[0]], *v[1:]) if isinstance(v, tuple) else values[v]
+        for key, v in pattern._exchanges.memo.items()
+    }
+
+
+def _memo(pattern):
+    """A pattern's exchange memo as stored."""
+    return pattern._exchanges if isinstance(pattern, GCFPattern) else pattern._exchanges.memo
 
 
 def _random_reduced_word(rng, r, length):
@@ -1057,8 +1154,9 @@ def _random_reduced_word(rng, r, length):
 
 
 class TestExchangeMemo:
-    """Seed and G/C/F patterns memoize exchanges by value; the memo changes
-    no value, saves every repeated division, and is never shared."""
+    """Seed patterns memoize exchanges by interned entry ids and G/C/F
+    patterns by value; the memo changes no value, saves every repeated
+    division, and is never shared."""
 
     @pytest.mark.parametrize("name", ["A4", "B3", "G2"])
     def test_walker_equals_memo_free_chain(self, name):
@@ -1094,7 +1192,7 @@ class TestExchangeMemo:
             roots.append(root_seed("A", b + ((0, 0), (0, 0))))
             roots.append(root_seed("A", principal_extension(b)))
         words = _reduced_words(2, 6)
-        memo = {}
+        memo = _Exchanges()
         for root in roots:
             for word in words:
                 shared = free = root
@@ -1128,15 +1226,15 @@ class TestExchangeMemo:
         monkeypatch.setattr(P, "exact_div", counted)
         # a fresh registry, so the pattern starts with an empty memo
         monkeypatch.setattr(mutation, "_seed_patterns", _Registry())
+        steps = _count_walk_steps(monkeypatch)[0]
         b = named_cartan("D4").b_matrix()
         graph = enumerate_exchange_graph("A", b)
         (pattern,) = mutation._seed_patterns.items.values()
-        steps = len(pattern._walk.memo) - 1
         assert len(graph.seeds) == 50
         # no exchange is divided for twice; each division writes its key and
         # the reverse one, and the reverse entries save divisions outright
-        assert len(set(calls)) == len(calls) < steps
-        assert len(calls) < len(pattern._exchanges) <= 2 * len(calls)
+        assert len(set(calls)) == len(calls) < len(steps)
+        assert len(calls) < len(pattern._exchanges.memo) <= 2 * len(calls)
 
     @pytest.mark.parametrize("name", ["A4", "B3", "G2"])
     def test_reverse_entries_match_memo_free(self, name):
@@ -1150,20 +1248,22 @@ class TestExchangeMemo:
             walk = pattern._walk
             for word in words:
                 walk.get(mutation._vertex(word))
-            memo = pattern._exchanges
+            memo = _memo_entries(pattern)
+            table = None if isinstance(pattern, GCFPattern) else pattern._exchanges
             # every entry, forward or reverse, is an exchange that a walked
             # seed reads, and equals that exchange recomputed with memo=None
             expected = {}
             for state in walk.memo.values():
                 for k in range(1, r + 1):
-                    expected.update(_memo_free_entries(state, k))
+                    expected.update(_memo_free_entries(state, k, table))
             assert memo.keys() <= expected.keys()
             assert all(memo[key] == expected[key] for key in memo)
             # each step the walker took wrote the way back too (exchanges
-            # have tuple keys; a Y memo also keys the parts of y_k by y_k)
+            # have tuple keys; a Y memo also keys the parts of y_k by the
+            # id of y_k)
             for v, state in walk.memo.items():
                 if v:
-                    back = _memo_free_entries(state, mutation._LETTER[v])
+                    back = _memo_free_entries(state, mutation._LETTER[v], table)
                     assert {key for key in back if isinstance(key, tuple)} <= memo.keys()
 
     @pytest.mark.parametrize("kind", ["A", "A-frozen", "Y", "GCF"])
@@ -1200,14 +1300,31 @@ class TestExchangeMemo:
         else:
             step = partial(mutate_seed, root_seed(kind, b), k)
         new = step()
+
+        def table(key=None, value=None):
+            # the ids a step from the root hands out: the root's entries
+            # first, then the new ones, with key planted to give value
+            table = _Exchanges()
+            if kind != "GCF":
+                for x in step.args[0].variables() + new.variables():
+                    table.intern(x)
+            if key is not None:
+                table.memo[key] = table.intern(value)
+            return table
+
         # the exchanges that the step back from the new seed reads
-        back = {key: value for key, value in _memo_free_entries(new, k).items()
+        back = {key: value for key, value in _memo_free_entries(new, k, table()).items()
                 if isinstance(key, tuple)}
         assert back
         for key, value in back.items():
-            assert step(memo={key: value}) == new
-            with pytest.raises(InternalDisagreement):
-                step(memo={key: value * 2})
+            if kind == "GCF":
+                assert step(memo={key: value}) == new
+                with pytest.raises(InternalDisagreement):
+                    step(memo={key: value * 2})
+            else:
+                assert step(memo=table(key, value)) == new
+                with pytest.raises(InternalDisagreement):
+                    step(memo=table(key, value * 2))
 
     def test_patterns_never_share_a_memo(self):
         patterns = [
@@ -1215,17 +1332,17 @@ class TestExchangeMemo:
             GCFPattern(B_A3),
         ]
         patterns[0].seed_at((1, 2, 3, 1))
-        assert patterns[0]._exchanges
-        assert not any(p._exchanges for p in patterns[1:])
+        assert _memo(patterns[0])
+        assert not any(_memo(p) for p in patterns[1:])
         for p in patterns[1:3]:
             p.seed_at((1, 2, 3, 1))
         patterns[3].at((1, 2, 3, 1))
-        memos = [p._exchanges for p in patterns]
+        memos = [_memo(p) for p in patterns]
         assert all(memos)
         assert len({id(m) for m in memos}) == len(memos)
         # the registered patterns of one matrix keep separate memos too, so
         # separation_check compares two independently computed values
-        yseed = mutation.seed_pattern("Y", B_A3)
-        assert yseed._exchanges is not mutation.gcf_pattern(B_A3)._exchanges
-        assert yseed._exchanges is not mutation.seed_pattern("A", B_A3)._exchanges
+        yseed = _memo(mutation.seed_pattern("Y", B_A3))
+        assert yseed is not _memo(mutation.gcf_pattern(B_A3))
+        assert yseed is not _memo(mutation.seed_pattern("A", B_A3))
         assert separation_check(B_A3, (1, 2, 3, 1))

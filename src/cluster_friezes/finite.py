@@ -25,7 +25,6 @@ from .mutation import (
     _belt_vertex,
     _gauss_jordan,
     _identity,
-    SEED_BUDGET,
     _Registry,
     enumerate_exchange_graph,
     gcf_pattern,
@@ -246,14 +245,9 @@ class FiniteContext:
         self.roots = coxeter_data(cartan)
         self._lazy = _Registry()
 
-    def graph(self, kind, root_matrix, budget=SEED_BUDGET):
-        """The exchange graph of root_matrix, replayed from its seed
-        pattern's kept walk (see enumerate_exchange_graph)."""
-        return enumerate_exchange_graph(kind, root_matrix, budget)
-
     def a_graph(self):
         """Exchange graph of the A-space of B^T."""
-        return self.graph("A", self.belts.bt)
+        return enumerate_exchange_graph("A", self.belts.bt)
 
     def fim_table(self):
         """fim_recursion on its default window, built once; read only."""
@@ -335,7 +329,7 @@ def _chamber_monomial(cartan, point: TropPoint, space):
     else:
         if point.space != "A" or point.b0 != b.bt:
             raise ValueError("expected a point of the A-space of B^T")
-        seeds = ctx.graph("Y", b.b).seeds.values()
+        seeds = enumerate_exchange_graph("Y", b.b).seeds.values()
     for seed in seeds:
         coords = point._walk.get(seed.vertex)
         image = coords if space == "Y" else matrix_times_col(seed.matrix, coords)

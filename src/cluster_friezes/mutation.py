@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
@@ -472,22 +471,6 @@ def exchange_binomial(matrix: Matrix, variables, k):
     return plus + minus
 
 
-def _exchange_key(old, entries, column):
-    """Memo key of one F-polynomial exchange by value: the outgoing entry and
-    the multiset of (entry, b_jk) pairs with b_jk != 0, so states that list
-    the same entries in another order share it."""
-    pairs = Counter((v, b) for v, b in zip(entries, column) if b)
-    return (old, frozenset(pairs.items()))
-
-
-def _reverse_key(key, new):
-    """The exchange key of the mutation back across the same edge: new goes
-    out, and column k changes sign while the other entries stay (b_kk = 0,
-    so the entry at k is in no pair)."""
-    _, pairs = key
-    return (new, frozenset(((v, -b), n) for (v, b), n in pairs))
-
-
 def _learn(memo, key, new, reverse, old):
     """Store the exchange key -> new computed on a miss and, mutation in one
     direction being an involution, its reverse -> old.  A reverse entry
@@ -595,45 +578,42 @@ def _seed_from(table, like, matrix, ids, vertex):
     return Seed(like.kind, matrix, cluster, like.frozen, vertex)
 
 
-def _mutate(seed, k, memo):
-    """seed mutated in direction k by the exchange of its kind, on the table
-    memo (a throwaway one when None)."""
-    table = _Exchanges() if memo is None else memo
+def _mutate(seed, k, table):
+    """seed mutated in direction k by the exchange of its kind, on table."""
     ids = tuple(map(table.intern, seed.variables()))
     new = _EXCHANGES[seed.kind](table, seed.matrix, ids, k)
     matrix = mutate_matrix_raw(seed.matrix, k)
     return _seed_from(table, seed, matrix, new, _child(seed.vertex, k))
 
 
-def mutate_A_seed(seed: Seed, k: int, memo=None) -> Seed:
+def mutate_A_seed(seed: Seed, k: int) -> Seed:
     """A-seed mutation in direction k: the one exchange that seed patterns
-    and their exchange-graph walks step by (see _exchange_A).  memo is an
-    exchange table (a pattern's own); by default a throwaway one, so the
-    call computes the exchange afresh."""
+    and their exchange-graph walks step by (see _exchange_A), computed
+    afresh on a throwaway table."""
     if seed.kind != "A":
         raise ValueError("A-mutation applied to a non-A seed")
-    return _mutate(seed, _index(k, seed.rank), memo)
+    return _mutate(seed, _index(k, seed.rank), _Exchanges())
 
 
-def mutate_Y_seed(seed: Seed, k: int, memo=None) -> Seed:
+def mutate_Y_seed(seed: Seed, k: int) -> Seed:
     """Y-seed mutation in direction k, y_i' = y_i y_k^[b_ki]+ (1 + y_k)^(-b_ki):
     the one exchange that seed patterns and their exchange-graph walks step
-    by (see _exchange_Y).  memo is as for mutate_A_seed."""
+    by (see _exchange_Y), computed afresh on a throwaway table."""
     if seed.kind != "Y":
         raise ValueError("Y-mutation applied to a non-Y seed")
-    return _mutate(seed, _index(k, seed.rank), memo)
+    return _mutate(seed, _index(k, seed.rank), _Exchanges())
 
 
-def mutate_seed(seed: Seed, k: int, memo=None) -> Seed:
-    if seed.kind == "A":
-        return mutate_A_seed(seed, k, memo)
-    return mutate_Y_seed(seed, k, memo)
+def mutate_seed(seed: Seed, k: int) -> Seed:
+    return (mutate_A_seed if seed.kind == "A" else mutate_Y_seed)(seed, k)
 
 
 class SeedPattern:
     """Memoized seeds of one root seed and the one walk of its exchange
     graph; safe for concurrent use.
 
+    A seed's matrix is read from the root's matrix pattern (which checks
+    the root), so it is the object that pattern holds at the seed's vertex.
     The pattern numbers its seed entries (frozen ones included) in
     first-seen order and memoizes exchanges by those ids in one table (see
     _Exchanges), which every step reads: the walker's steps to tree
@@ -643,12 +623,12 @@ class SeedPattern:
     entries are kept level by level, with its frontier, seen and done
     state, and a caller asking for a level not reached yet extends them to
     that level.  The table, the ids, the walker's memo and the walk are
-    written only under the walker's lock.  The root's principal part must
-    be skew-symmetrizable (see MatrixPattern)."""
+    written only under the walker's lock."""
 
     def __init__(self, kind, b0):
-        self.root = root = root_seed(kind, b0)
-        matrix_pattern(root.principal_part())
+        root = root_seed(kind, b0)
+        self._matrices = matrix_pattern(b0)
+        self.root = root = replace(root, matrix=self._matrices.root)
         self._exchanges = _Exchanges()
         self._exchange = _EXCHANGES[kind]
         self._ids = {0: tuple(map(self._exchanges.intern, root.variables()))}
@@ -663,7 +643,7 @@ class SeedPattern:
         child = _child(v, k)
         table = self._exchanges
         ids = self._ids[child] = self._exchange(table, seed.matrix, self._ids[v], k)
-        return _seed_from(table, seed, mutate_matrix_raw(seed.matrix, k), ids, child)
+        return _seed_from(table, seed, self._matrices._walk.get(child), ids, child)
 
     def _replay(self, depth=None):
         """The entries of walk_exchange_graph down to level depth (every
@@ -710,17 +690,18 @@ class SeedPattern:
 
         A child is its parent's ids with one replaced, and the mutated
         matrix; one whose twin key (see _twin_key) is new becomes a Seed at
-        its tree vertex, is stored in the walker (its parent is there, so
-        the memo stays closed under parents) and is yielded under its
-        unordered key.  A twin child is dropped: it gets no Seed and no
-        vertex.  Mutation is an involution and commutes with a simultaneous
+        its tree vertex, with the matrix pattern's matrix there, is stored
+        in the walker (its parent is there, so the memo stays closed under
+        parents) and is yielded under its unordered key.  A twin child is
+        dropped: it gets no Seed and no vertex, so its matrix is mutated
+        here.  Mutation is an involution and commutes with a simultaneous
         permutation of the indices, so when the child of v across k is a
         twin of the yielded w, w mutated at the index j of the child's new
         entry is a twin of v: the edge (w, j), like the edge (child, k)
         back from a new child, leads to a seed already yielded, and is
         marked done."""
         table, exchange, r = self._exchanges, self._exchange, self.root.rank
-        seeds, ids_at = self._walk.memo, self._ids
+        seeds, ids_at, matrices = self._walk.memo, self._ids, self._matrices._walk
         seen, done = self._seen, self._done
         level = len(self._levels)
         entries, frontier = [], []
@@ -744,12 +725,13 @@ class SeedPattern:
                 child = _child(v, k)
                 seen[key] = child
                 done.add((child, k))
-                frontier.append((child, child_ids, child_matrix))
                 seed = seeds.get(child)
                 if seed is None:
                     ids_at[child] = child_ids
-                    seed = _seed_from(table, self.root, child_matrix, child_ids, child)
-                    seeds[child] = seed
+                    seeds[child] = seed = _seed_from(
+                        table, self.root, matrices.get(child), child_ids, child
+                    )
+                frontier.append((child, child_ids, seed.matrix))
                 entries.append((level, child, seed.unordered_key(), seed))
         self._levels.append(tuple(entries))
         self._frontier = frontier
@@ -803,41 +785,53 @@ class GCFData:
 
 
 class GCFPattern:
-    """Walks the standard G/C/F mutation recurrences, memoized by address;
-    F-polynomial exchanges are memoized by value, and the root is checked,
-    as in SeedPattern."""
+    """Walks the G/C/F mutation recurrences from a square root, memoized by
+    address; as in SeedPattern, B_t is the matrix pattern's, and the
+    F-polynomials' ids and id-keyed exchanges are the pattern's own."""
 
     def __init__(self, b0):
-        b0 = matrix_pattern(b0).root
+        b0 = as_matrix(b0)
         r = len(b0)
+        if any(len(row) != r for row in b0):
+            raise DimensionMismatch("G/C/F data needs a square root matrix")
+        self._matrices = matrix_pattern(b0)
         ident = _identity(r)
-        ones = tuple(IntLaurentPoly.one(r) for _ in range(r))
+        one = IntLaurentPoly.one(r)
         self.rank = r
-        self._exchanges = {}
-        self._walk = _PrefixWalker(
-            {0: (b0, ident, ident, ones)}, partial(_gcf_step, memo=self._exchanges)
-        )
+        self._exchanges = _Exchanges()
+        self._ids = {0: (self._exchanges.intern(one),) * r}
+        root = (self._matrices.root, ident, ident, (one,) * r)
+        self._walk = _PrefixWalker({0: root}, self._step)
 
     def at(self, addr):
         return self._walk.get(_vertex(addr, self.rank))
 
+    def _step(self, state, v, k):
+        """The walker's step across edge k from the state at vertex v."""
+        child = _child(v, k)
+        table = self._exchanges
+        g, c, ids = _gcf_step(table, state, self._ids[v], k)
+        self._ids[child] = ids
+        fpolys = tuple(map(table.values.__getitem__, ids))
+        return (self._matrices._walk.get(child), g, c, fpolys)
 
-def _gcf_step(state, v, k, memo=None):
-    """One mutation of the (B, G, C, F) state in direction k.  memo maps
-    (F_k, (F_j, b_jk) pairs, k-th c-column) to the new F_k.  A miss writes
-    both directions: also (F_k', the new seed's (F_j, -b_jk) pairs, minus
-    the k-th c-column) to F_k.  G moves in column k only and C only in the
-    rows with c_ik != 0, so only those entries are computed."""
+
+def _gcf_step(table, state, ids, k):
+    """G, C and the F ids in table across edge k from the (B, G, C, F) state
+    whose F's have the given ids.  The memo key is the id of F_k, the
+    sorted (id of F_j, b_jk) pairs with b_jk != 0 (ids repeat as F's do)
+    and the k-th c-column; a miss also learns the way back, all negated.  G
+    moves in column k only and C only in the rows with c_ik != 0."""
     b, g, c, f = state
     r = len(b)
     kk = k - 1
-    if memo is None:
-        memo = {}
     ccol = tuple(row[kk] for row in c)
     bcol = tuple(row[kk] for row in b)
-    key = (_exchange_key(f[kk], f, bcol), ccol)
-    fk = memo.get(key)
-    if fk is None:
+    old = ids[kk]
+    pairs = tuple(sorted((i, x) for i, x in zip(ids, bcol) if x))
+    memo = table.memo
+    new = memo.get((old, pairs, ccol))
+    if new is None:
         one = IntLaurentPoly.one(r)
         pos = _product(((p, x) for p, x in zip(f, bcol) if x > 0), one)
         neg = _product(((p, -x) for p, x in zip(f, bcol) if x < 0), one)
@@ -850,9 +844,9 @@ def _gcf_step(state, v, k, memo=None):
         fk = (pos + neg).exact_div(f[kk])
         if fk.constant_coeff() != 1 or not fk.coefficients_nonnegative():
             raise AssertionError("F-polynomial failed sign-coherence shape")
-        reverse = (_reverse_key(key[0], fk), tuple(-x for x in ccol))
-        _learn(memo, key, fk, reverse, f[kk])
-    fnew = f[:kk] + (fk,) + f[kk + 1 :]
+        new = table.intern(fk)
+        back = (new, tuple(sorted((i, -x) for i, x in pairs)), tuple(-x for x in ccol))
+        _learn(memo, (old, pairs, ccol), new, back, old)
     # sign-coherence of the k-th c-vector selects the tropical sign
     eps = 1 if any(x > 0 for x in ccol) else -1
     gsum = [(l, -eps * x) for l, x in enumerate(bcol) if eps * x < 0]
@@ -871,7 +865,7 @@ def _gcf_step(state, v, k, memo=None):
             row[kk] = -cik
             row = tuple(row)
         cnew.append(row)
-    return (mutate_matrix_raw(b, k), gnew, tuple(cnew), fnew)
+    return gnew, tuple(cnew), ids[:kk] + (new,) + ids[k:]
 
 
 _gcf_patterns = _Registry()
@@ -892,6 +886,8 @@ def gcf_from_principal(b0, addr) -> GCFData:
     """G/C/F read off the symbolic principal-coefficients seed (slow oracle)."""
     b0 = as_matrix(b0)
     r = len(b0)
+    if any(len(row) != r for row in b0):
+        raise DimensionMismatch("G/C/F data needs a square root matrix")
     # r mutable variables plus r frozen coefficient variables
     seed = seed_at("A", principal_extension(b0), addr)
     gcols = []

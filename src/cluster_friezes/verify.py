@@ -155,7 +155,7 @@ def suite_closure_counts(types=DEFAULT_TYPES, budget=SEED_BUDGET, **_):
     """Variable counts of the finite exchange graphs against the root count."""
 
     def check(name, cartan, ctx, rng):
-        graph = ctx.graph("A", ctx.belts.bt, budget)
+        graph = enumerate_exchange_graph("A", ctx.belts.bt, budget)
         # distinct cluster entries, counted without the addresses
         # cluster_variables builds
         count = len({x for seed in graph.seeds.values() for x in seed.cluster})
@@ -286,7 +286,7 @@ def suite_fpoly_separation(types=DEFAULT_TYPES, budget=SEED_BUDGET, **_):
             if gcf_at(_belt_vertex(i, m, r))[3][i - 1] != poly:
                 mismatches += 1
         sep_fail = 0
-        for seed in ctx.graph("Y", ctx.belts.b, budget).seeds.values():
+        for seed in enumerate_exchange_graph("Y", ctx.belts.b, budget).seeds.values():
             if not _separation_at(ctx.belts.b, seed):
                 sep_fail += 1
         return mismatches == 0 and sep_fail == 0, {
@@ -331,7 +331,7 @@ def suite_admissibility(types=("A2", "B2"), rng_seed=0, budget=SEED_BUDGET, **_)
 
     def check(name, cartan, ctx, rng):
         r = cartan.rank
-        seeds = ctx.graph("A", ctx.belts.bt, budget).seeds.values()
+        seeds = enumerate_exchange_graph("A", ctx.belts.bt, budget).seeds.values()
         depth = 2 * len(seeds)
         ok = True
         checked = 0

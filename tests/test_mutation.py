@@ -5,7 +5,7 @@ import threading
 import time
 from fractions import Fraction
 from functools import partial
-from operator import mul
+from operator import itemgetter, mul
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +22,6 @@ from cluster_friezes.mutation import (
     MatrixPattern,
     SeedPattern,
     _Exchanges,
-    _exchange_key,
     _gauss_jordan,
     _gcf_step,
     _identity,
@@ -78,6 +77,23 @@ def rand_mutation_matrix(rng, r=3):
             return tuple(map(tuple, rows))
 
 
+@st.composite
+def _skew_symmetrizable_roots(draw):
+    """D S for a positive diagonal D and a skew-symmetric S: rank 2 with
+    |b_ij| <= 3, or rank 3 with d_i in {1, 2}, s_ij in {-1, 0, 1} and
+    d_i d_j <= 2 wherever s_ij != 0."""
+    if draw(st.booleans()):
+        s = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        d = draw(st.tuples(*[st.integers(1, 3 // abs(s))] * 2))
+        return ((0, d[0] * s), (-d[1] * s, 0))
+    d = draw(st.tuples(*[st.integers(1, 2)] * 3))
+    rows = [[0] * 3 for _ in range(3)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        s = draw(st.integers(-1, 1)) if d[i] * d[j] <= 2 else 0
+        rows[i][j], rows[j][i] = d[i] * s, -d[j] * s
+    return tuple(map(tuple, rows))
+
+
 class TestMatrixMutation:
     def test_rank2_sign_flip(self):
         assert matrix_pattern(B_A2).at((1,)) == ((0, 1), (-1, 0))
@@ -113,6 +129,22 @@ class TestMatrixMutation:
         # checked on their principal part
         with pytest.raises(ValueError, match="skew-symmetrizable"):
             make(((0, 1), (1, 0)))
+
+    def test_one_matrix_object_per_vertex(self):
+        # seed and G/C/F patterns read B_t from their root's matrix pattern,
+        # at vertices reached by seed_at and by the exchange-graph walk
+        b = named_cartan("B3").b_matrix()
+        tall = principal_extension(b)
+        matrices, tall_matrices = matrix_pattern(b), matrix_pattern(tall)
+        for word in _reduced_words(3, 4):
+            bt = matrices.at(word)
+            assert seed_pattern("Y", b).seed_at(word).matrix is bt
+            assert seed_pattern("A", b).seed_at(word).matrix is bt
+            assert gcf_pattern(b).at(word)[0] is bt
+            assert seed_pattern("A", tall).seed_at(word).matrix is tall_matrices.at(word)
+        for kind, root, pattern in (("Y", b, matrices), ("A", tall, tall_matrices)):
+            for seed in enumerate_exchange_graph(kind, root).seeds.values():
+                assert seed.matrix is pattern._walk.get(seed.vertex)
 
     def test_skew_symmetrizability_preserved(self):
         rng = random.Random(9)
@@ -372,7 +404,7 @@ class TestPrincipalCoefficients:
         minus_one, one = P.constant(-1, 2), P.one(2)
         state = (B_A2, _identity(2), _identity(2), (minus_one, one))
         with pytest.raises(AssertionError, match="sign-coherence shape"):
-            _gcf_step(state, 0, 1)
+            _gcf_step_on(_Exchanges(), state, 1)
 
     def test_separation_check_reads_checked_fpolys(self, monkeypatch):
         # on a fresh G/C/F registry every F is made anew, and checked
@@ -411,6 +443,28 @@ class TestPrincipalCoefficients:
                 assert fast.gmatrix == slow.gmatrix
                 assert fast.cmatrix == slow.cmatrix
                 assert fast.fpolys == slow.fpolys
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_recurrence_matches_principal_seed_beyond_finite_type(self, data):
+        # affine, wild and mutation-cyclic roots, and random D S with S
+        # skew-symmetric: rank 2 with bonds up to 3, and rank 3 with entries
+        # up to 2 and no bond between two rows that D doubles.  On rank 3,
+        # words stop at length 4: at length 5 a double bond in a cycle takes
+        # the oracle past 10 s
+        markov = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
+        b0 = data.draw(st.one_of(
+            st.sampled_from([((0, 2), (-2, 0)), ((0, 3), (-3, 0)), markov]),
+            _skew_symmetrizable_roots(),
+        ))
+        r = len(b0)
+        longest = 4 if r == 3 and b0 != markov else 5
+        addr = reduce_word(data.draw(st.lists(st.integers(1, r), max_size=longest)))
+        fast = extract_gcf(b0, addr)
+        slow = gcf_from_principal(b0, addr)
+        assert fast.gmatrix == slow.gmatrix
+        assert fast.cmatrix == slow.cmatrix
+        assert fast.fpolys == slow.fpolys
 
     def test_g_b_equals_b_c(self):
         rng = random.Random(8)
@@ -459,6 +513,21 @@ class TestFrozenRowsFromShape:
             root_seed(kind, b0)
         with pytest.raises(DimensionMismatch):
             seed_at(kind, b0, ())
+
+    @pytest.mark.parametrize(
+        "b0", [principal_extension(B_A2), ((0, 1, 0), (-1, 0, 1))], ids=["tall", "wide"]
+    )
+    def test_non_square_gcf_root_raises(self, b0):
+        # a tall root gave 4 x 4 "G" and "C" matrices, and a wide one the
+        # data of its principal part
+        for make in (
+            GCFPattern,
+            gcf_pattern,
+            lambda b: extract_gcf(b, (1,)),
+            lambda b: gcf_from_principal(b, (1,)),
+        ):
+            with pytest.raises(DimensionMismatch):
+                make(b0)
 
 
 class TestSeparation:
@@ -528,32 +597,33 @@ def _textbook_y_step(seed, k):
 
 
 class TestYStep:
-    """mutate_Y_seed against the textbook product, with and without a memo."""
+    """The Y-seed exchange against the textbook product, on a throwaway
+    table (mutate_Y_seed) and on one table kept across steps."""
 
     @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
     def test_every_vertex_of_the_graph(self, name):
         b = named_cartan(name).b_matrix()
-        memo = _Exchanges()
+        table = _Exchanges()
         for _, _, _, seed in walk_exchange_graph("Y", b):
             for k in range(1, len(b) + 1):
                 expected = _textbook_y_step(seed, k)
                 assert mutate_Y_seed(seed, k).cluster == expected
-                assert mutate_Y_seed(seed, k, memo).cluster == expected
+                assert mutation._mutate(seed, k, table).cluster == expected
                 yk = seed.cluster[k - 1]
-                inverse, one_plus, ratio = memo.memo[memo.ids[yk]]
-                assert (memo.values[inverse], one_plus, ratio) == (
+                inverse, one_plus, ratio = table.memo[table.ids[yk]]
+                assert (table.values[inverse], one_plus, ratio) == (
                     yk**-1, yk + 1, yk / (yk + 1)
                 )
 
     def test_random_words_a4(self):
         b = named_cartan("A4").b_matrix()
         rng = random.Random("A4")
-        memo = _Exchanges()
+        table = _Exchanges()
         for _ in range(30):
             seed = root_seed("Y", b)
             for k in _random_reduced_word(rng, 4, 10):
                 expected = _textbook_y_step(seed, k)
-                assert mutate_Y_seed(seed, k, memo).cluster == expected
+                assert mutation._mutate(seed, k, table).cluster == expected
                 seed = mutate_Y_seed(seed, k)
                 assert seed.cluster == expected
 
@@ -967,6 +1037,51 @@ class TestPrefixWalkers:
         assert all(result == expected for result in results)
 
 
+    def test_seed_and_gcf_walkers_of_a_fresh_root_between_threads(self, monkeypatch):
+        # Y-seed and G/C/F walkers of one root, made on first use, step
+        # from the one matrix walker: each takes it while holding its own
+        # lock, and it takes no other
+        for name in ("_matrix_patterns", "_seed_patterns", "_gcf_patterns"):
+            monkeypatch.setattr(mutation, name, _Registry())
+        b = named_cartan("B3").b_matrix()
+        words = _reduced_words(3, 4)
+        expected = {}
+        for word in words:
+            seed, state = root_seed("Y", b), GCFPattern(b).at(())
+            for k in word:
+                seed, state = mutate_seed(seed, k), _gcf_step_on(_Exchanges(), state, k)
+            expected[word] = (seed.cluster, state)
+        results = [None] * 6
+
+        def worker(t):
+            order = list(words)
+            random.Random(t).shuffle(order)
+            out = {}
+            for i, word in enumerate(order):
+                if (i + t) % 2:
+                    seed = seed_pattern("Y", b).seed_at(word)
+                    state = gcf_pattern(b).at(word)
+                else:
+                    state = gcf_pattern(b).at(word)
+                    seed = seed_pattern("Y", b).seed_at(word)
+                assert seed.matrix is state[0]
+                out[word] = (seed.cluster, state)
+            results[t] = out
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(result == expected for result in results)
+
+
 class LockTaken(Exception):
     pass
 
@@ -1099,18 +1214,28 @@ class TestCacheContract:
         assert registry.items == results[0]
 
 
-def _memo_free_entries(state, k, table=None):
+def _gcf_step_on(table, state, k):
+    """The (B, G, C, F) state across edge k from state: the F exchange on
+    table, and B mutated directly."""
+    g, c, ids = _gcf_step(table, state, tuple(map(table.intern, state[3])), k)
+    return (mutate_matrix_raw(state[0], k), g, c, tuple(table.values[i] for i in ids))
+
+
+def _memo_free_entries(state, k, table):
     """The exchange-memo entries that a step in direction k from state (a
-    (B, G, C, F) state, or a seed whose entries table numbers) reads, each
-    computed with memo=None.  A seed's keys are made of the ids in table,
-    and a key that names an entry table lacks is left out; each value is an
-    entry, not its id (and for a Y-seed's y_k, 1/y_k, 1 + y_k and
-    y_k/(1 + y_k))."""
+    (B, G, C, F) state, or a seed) reads, each computed on a throwaway
+    table.  Keys are made of the ids in table, whose entries are the
+    state's F-polynomials or the seed's entries, and a key that names an
+    entry table lacks is left out; each value is an entry, not its id (and
+    for a Y-seed's y_k, 1/y_k, 1 + y_k and y_k/(1 + y_k))."""
     if isinstance(state, tuple):
         b, _, c, f = state
-        key = (_exchange_key(f[k - 1], f, [row[k - 1] for row in b]),
-               tuple(row[k - 1] for row in c))
-        return {key: _gcf_step(state, 0, k)[3][k - 1]}
+        ids = [table.ids.get(x) for x in f]
+        if None in ids:
+            return {}
+        pairs = tuple(sorted((i, row[k - 1]) for i, row in zip(ids, b) if row[k - 1]))
+        key = (ids[k - 1], pairs, tuple(row[k - 1] for row in c))
+        return {key: _gcf_step_on(_Exchanges(), state, k)[3][k - 1]}
     new = mutate_seed(state, k)
     ids = [table.ids.get(x) for x in state.variables()]
     out = ids[k - 1]
@@ -1130,9 +1255,7 @@ def _memo_free_entries(state, k, table=None):
 
 
 def _memo_entries(pattern):
-    """A pattern's exchange memo with seed entry ids read as entries."""
-    if isinstance(pattern, GCFPattern):
-        return dict(pattern._exchanges)
+    """A pattern's exchange memo with entry ids read as entries."""
     values = pattern._exchanges.values
     return {
         key: (values[v[0]], *v[1:]) if isinstance(v, tuple) else values[v]
@@ -1142,7 +1265,7 @@ def _memo_entries(pattern):
 
 def _memo(pattern):
     """A pattern's exchange memo as stored."""
-    return pattern._exchanges if isinstance(pattern, GCFPattern) else pattern._exchanges.memo
+    return pattern._exchanges.memo
 
 
 def _random_reduced_word(rng, r, length):
@@ -1154,9 +1277,9 @@ def _random_reduced_word(rng, r, length):
 
 
 class TestExchangeMemo:
-    """Seed patterns memoize exchanges by interned entry ids and G/C/F
-    patterns by value; the memo changes no value, saves every repeated
-    division, and is never shared."""
+    """Seed and G/C/F patterns memoize exchanges by interned entry ids; the
+    memo changes no value, saves every repeated division, and is never
+    shared."""
 
     @pytest.mark.parametrize("name", ["A4", "B3", "G2"])
     def test_walker_equals_memo_free_chain(self, name):
@@ -1176,15 +1299,15 @@ class TestExchangeMemo:
                     seed = mutate_seed(seed, k)
                 assert pattern.seed_at(word) == seed
             state = gcf_root
-            for i, k in enumerate(word):
-                state = _gcf_step(state, word[:i], k)
+            for k in word:
+                state = _gcf_step_on(_Exchanges(), state, k)
             assert gcf.at(word) == state
 
     def test_one_memo_across_matrices(self):
-        # one memo shared by rank-2 patterns whose seeds meet the same entries
-        # with other b_jk (bonds 1, 2 and 3, both signs, with and without
-        # frozen rows) still gives the memo-free values: every key carries
-        # all that its exchange depends on
+        # one table shared by rank-2 roots whose seeds and states meet the
+        # same entries with other b_jk (bonds 1, 2 and 3, both signs, with
+        # and without frozen rows) still gives the values of throwaway
+        # tables: every key carries all that its exchange depends on
         mats = [B_A2, B_B2, ((0, 2), (-1, 0)), ((0, -3), (1, 0)), ((0, 3), (-1, 0))]
         mats += [tuple(tuple(-x for x in row) for row in b) for b in mats]
         roots = [root_seed(kind, b) for kind in "AY" for b in mats]
@@ -1192,28 +1315,39 @@ class TestExchangeMemo:
             roots.append(root_seed("A", b + ((0, 0), (0, 0))))
             roots.append(root_seed("A", principal_extension(b)))
         words = _reduced_words(2, 6)
-        memo = _Exchanges()
+        table = _Exchanges()
         for root in roots:
             for word in words:
                 shared = free = root
                 for k in word:
-                    shared = mutate_seed(shared, k, memo)
+                    shared = mutation._mutate(shared, k, table)
                     free = mutate_seed(free, k)
                 assert shared == free
-        memo = {}
+        table = _Exchanges()
         for b in mats:
             for word in words:
                 shared = free = GCFPattern(b).at(())
-                for i, k in enumerate(word):
-                    shared = _gcf_step(shared, word[:i], k, memo)
-                    free = _gcf_step(free, word[:i], k)
+                for k in word:
+                    shared = _gcf_step_on(table, shared, k)
+                    free = _gcf_step_on(_Exchanges(), free, k)
                 assert shared == free
 
     def test_key_counts_repeated_entries(self):
-        # F-polynomials can repeat within a seed (every initial one is 1)
-        y = RF.variable(1, 2)
-        assert _exchange_key(y, (y, y), (1, 1)) != _exchange_key(y, (y,), (1,))
-        assert _exchange_key(y, (y, 1), (2, 0)) == _exchange_key(y, (y,), (2,))
+        # F-polynomials repeat within a state (every root F is 1): a key
+        # holds an id once per F_j with b_jk != 0, and none for b_jk = 0
+        root = GCFPattern(B_A3).at(())
+        table = _Exchanges()
+        one = table.intern(root[3][0])
+        assert _gcf_step(table, root, (one,) * 3, 2)[2] == (one, 1, one)
+        assert _gcf_step(table, root, (one,) * 3, 1)[2] == (2, one, one)
+        assert table.memo == {
+            # column 2 of B_A3 is (-1, 0, 1): F_1 and F_3 are both 1
+            (one, ((one, -1), (one, 1)), (0, 1, 0)): 1,
+            (1, ((one, -1), (one, 1)), (0, -1, 0)): one,
+            # column 1 is (0, 1, 0): only F_2 counts
+            (one, ((one, 1),), (1, 0, 0)): 2,
+            (2, ((one, -1),), (-1, 0, 0)): one,
+        }
 
     def test_one_division_per_exchange_key(self, monkeypatch):
         calls = []
@@ -1249,9 +1383,10 @@ class TestExchangeMemo:
             for word in words:
                 walk.get(mutation._vertex(word))
             memo = _memo_entries(pattern)
-            table = None if isinstance(pattern, GCFPattern) else pattern._exchanges
+            table = pattern._exchanges
             # every entry, forward or reverse, is an exchange that a walked
-            # seed reads, and equals that exchange recomputed with memo=None
+            # seed reads, and equals that exchange recomputed on a throwaway
+            # table
             expected = {}
             for state in walk.memo.values():
                 for k in range(1, r + 1):
@@ -1294,37 +1429,31 @@ class TestExchangeMemo:
         b = named_cartan("A3").b_matrix()
         k = 2
         if kind == "GCF":
-            step = partial(_gcf_step, GCFPattern(b).at(()), 0, k)
-        elif kind == "A-frozen":
-            step = partial(mutate_seed, root_seed("A", principal_extension(b)), k)
+            root = GCFPattern(b).at(())
+            step, entries = partial(_gcf_step_on, state=root, k=k), itemgetter(3)
         else:
-            step = partial(mutate_seed, root_seed(kind, b), k)
-        new = step()
+            root = root_seed(kind[0], principal_extension(b) if kind == "A-frozen" else b)
+            step, entries = partial(mutation._mutate, root, k), mutation.Seed.variables
+        new = step(_Exchanges())
 
         def table(key=None, value=None):
             # the ids a step from the root hands out: the root's entries
             # first, then the new ones, with key planted to give value
             table = _Exchanges()
-            if kind != "GCF":
-                for x in step.args[0].variables() + new.variables():
-                    table.intern(x)
+            for x in entries(root) + entries(new):
+                table.intern(x)
             if key is not None:
                 table.memo[key] = table.intern(value)
             return table
 
-        # the exchanges that the step back from the new seed reads
+        # the exchanges that the step back from the new seed or state reads
         back = {key: value for key, value in _memo_free_entries(new, k, table()).items()
                 if isinstance(key, tuple)}
         assert back
         for key, value in back.items():
-            if kind == "GCF":
-                assert step(memo={key: value}) == new
-                with pytest.raises(InternalDisagreement):
-                    step(memo={key: value * 2})
-            else:
-                assert step(memo=table(key, value)) == new
-                with pytest.raises(InternalDisagreement):
-                    step(memo=table(key, value * 2))
+            assert step(table(key, value)) == new
+            with pytest.raises(InternalDisagreement):
+                step(table(key, value * 2))
 
     def test_patterns_never_share_a_memo(self):
         patterns = [

@@ -886,7 +886,7 @@ class TestVariableCorrespondence:
         cartan = named_cartan("A2")
         ctx = finite_context(cartan)
         b = ctx.belts
-        for seed in ctx.graph("Y", b.b).seeds.values():
+        for seed in enumerate_exchange_graph("Y", b.b).seeds.values():
             for i in range(1, 3):
                 d_y = d_trop_point("Y", b.b, seed.address, i)
                 g_of_x = g_vector_of_cluster_monomial(

@@ -195,6 +195,12 @@ class _PrefixWalker:
                 v = child
             return value
 
+    def put(self, v, value):
+        """Value at vertex v, stored as value if v has none; v's parent must
+        be cached, and value must be what step gives at v."""
+        with self.lock:
+            return self.memo.setdefault(v, value)
+
 
 class _Line:
     """Memo of values along a path through the integers, under the contract
@@ -692,9 +698,10 @@ class SeedPattern:
         matrix; one whose twin key (see _twin_key) is new becomes a Seed at
         its tree vertex, with the matrix pattern's matrix there, is stored
         in the walker (its parent is there, so the memo stays closed under
-        parents) and is yielded under its unordered key.  A twin child is
-        dropped: it gets no Seed and no vertex, so its matrix is mutated
-        here.  Mutation is an involution and commutes with a simultaneous
+        parents) and is yielded under its unordered key.  The child's matrix
+        is mutated here, for the twin key, and handed to the matrix pattern,
+        which keeps it unless it holds one at that vertex already.  A twin
+        child is dropped: it gets no Seed and no vertex.  Mutation is an involution and commutes with a simultaneous
         permutation of the indices, so when the child of v across k is a
         twin of the yielded w, w mutated at the index j of the child's new
         entry is a twin of v: the edge (w, j), like the edge (child, k)
@@ -728,8 +735,9 @@ class SeedPattern:
                 seed = seeds.get(child)
                 if seed is None:
                     ids_at[child] = child_ids
+                    matrix_at = matrices.put(child, child_matrix)
                     seeds[child] = seed = _seed_from(
-                        table, self.root, matrices.get(child), child_ids, child
+                        table, self.root, matrix_at, child_ids, child
                     )
                 frontier.append((child, child_ids, seed.matrix))
                 entries.append((level, child, seed.unordered_key(), seed))

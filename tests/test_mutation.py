@@ -146,6 +146,24 @@ class TestMatrixMutation:
             for seed in enumerate_exchange_graph(kind, root).seeds.values():
                 assert seed.matrix is pattern._walk.get(seed.vertex)
 
+    def test_walk_hands_its_matrices_to_the_matrix_pattern(self, monkeypatch):
+        # the walk stores the matrices it mutates in the root's matrix
+        # pattern, unless the G/C/F pattern read them there first; either
+        # way every reader gets one object per vertex
+        for name in ("_matrix_patterns", "_seed_patterns", "_gcf_patterns"):
+            monkeypatch.setattr(mutation, name, _Registry())
+        b = named_cartan("D4").b_matrix()
+        early = {w: gcf_pattern(b).at(w)[0] for w in _reduced_words(4, 2)}
+        seeds = enumerate_exchange_graph("Y", b).seeds.values()
+        matrices = matrix_pattern(b)
+        for seed in seeds:
+            assert matrices.at(seed.address) is seed.matrix
+            assert early.get(seed.address, seed.matrix) is seed.matrix
+            bt = b
+            for k in seed.address:
+                bt = mutate_matrix_raw(bt, k)
+            assert seed.matrix == bt
+
     def test_skew_symmetrizability_preserved(self):
         rng = random.Random(9)
         for _ in range(20):
@@ -1040,9 +1058,9 @@ class TestPrefixWalkers:
     def test_seed_and_gcf_walkers_of_a_fresh_root_between_threads(self, monkeypatch):
         # Y-seed and G/C/F walkers of one root, made on first use, step
         # from the one matrix walker: each takes it while holding its own
-        # lock, and it takes no other
-        for name in ("_matrix_patterns", "_seed_patterns", "_gcf_patterns"):
-            monkeypatch.setattr(mutation, name, _Registry())
+        # lock, and it takes no other; the expected values are computed
+        # before the registries are emptied, so the threads make all three
+        # patterns
         b = named_cartan("B3").b_matrix()
         words = _reduced_words(3, 4)
         expected = {}
@@ -1051,6 +1069,8 @@ class TestPrefixWalkers:
             for k in word:
                 seed, state = mutate_seed(seed, k), _gcf_step_on(_Exchanges(), state, k)
             expected[word] = (seed.cluster, state)
+        for name in ("_matrix_patterns", "_seed_patterns", "_gcf_patterns"):
+            monkeypatch.setattr(mutation, name, _Registry())
         results = [None] * 6
 
         def worker(t):
@@ -1347,6 +1367,23 @@ class TestExchangeMemo:
             # column 1 is (0, 1, 0): only F_2 counts
             (one, ((one, 1),), (1, 0, 0)): 2,
             (2, ((one, -1),), (-1, 0, 0)): one,
+        }
+        # at a sink of A3, column 2 is (1, 0, 1): the key holds (one, 1)
+        # twice, and differs from the key at a root whose column 2 holds it
+        # once, though both exchanges give F_2 = 1 + y_2
+        sink = ((0, 1, 0), (-1, 0, -1), (0, 1, 0))
+        once = ((0, 1, 0), (-1, 0, 0), (0, 0, 0))
+        table = _Exchanges()
+        one = table.intern(root[3][0])
+        for b in (sink, once):
+            state = GCFPattern(b).at(())
+            assert _gcf_step(table, state, (one,) * 3, 2)[2] == (one, 1, one)
+        assert table.values[1] == P.one(3) + P.variable(2, 3)
+        assert table.memo == {
+            (one, ((one, 1), (one, 1)), (0, 1, 0)): 1,
+            (1, ((one, -1), (one, -1)), (0, -1, 0)): one,
+            (one, ((one, 1),), (0, 1, 0)): 1,
+            (1, ((one, -1),), (0, -1, 0)): one,
         }
 
     def test_one_division_per_exchange_key(self, monkeypatch):

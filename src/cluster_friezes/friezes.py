@@ -25,6 +25,7 @@ from .mutation import (
     _neg_unit,
     _Registry,
     as_matrix,
+    matrix_pattern,
     seed_pattern,
     transpose,
 )
@@ -262,13 +263,15 @@ class Belts:
         """g-vector of x_sv(i,m): the point of the Y-space of B with
         coordinates -e^i at the belt vertex t(i,m)."""
         r = self.cartan.rank
-        return _trop_point("Y", self.b, _neg_unit(i, r), _belt_vertex(i, m, r))
+        pattern = matrix_pattern(self.b)
+        return _trop_point("Y", pattern, _neg_unit(i, r), _belt_vertex(i, m, r))
 
     def delta_sv_im(self, i, m) -> TropPoint:
         """g-vector of y(i,m): the point of the A-space of B^T with
         coordinates -e^i at t(i,m)."""
         r = self.cartan.rank
-        return _trop_point("A", self.bt, _neg_unit(i, r), _belt_vertex(i, m, r))
+        pattern = matrix_pattern(self.bt)
+        return _trop_point("A", pattern, _neg_unit(i, r), _belt_vertex(i, m, r))
 
 
 _belts = _Registry()

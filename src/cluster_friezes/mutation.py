@@ -337,9 +337,9 @@ def _belt_letter(s, r):
     return (s - 1 if s > 0 else s) % r + 1
 
 
-def _belt_step(r, move, value, s):
-    """move(value, k) across the belt edge into place s."""
-    return move(value, _belt_letter(s, r))
+def _belt_step(r, v, s):
+    """The vertex across the belt edge into place s from vertex v."""
+    return _child(v, _belt_letter(s, r))
 
 
 # One line of interned vertices per rank, stepped by _child, which reduces
@@ -347,10 +347,15 @@ def _belt_step(r, move, value, s):
 _belt_lines = _Registry()
 
 
+def _belt_line(r):
+    """The line whose entry s is the interned vertex at place s of the belt
+    of rank r."""
+    return _belt_lines.get(r, _Line, 0, partial(_belt_step, r))
+
+
 def _belt_vertex(i, m, r):
     """The interned vertex of the belt vertex t(i, m) of rank r."""
-    line = _belt_lines.get(r, _Line, 0, partial(_belt_step, r, _child))
-    return line.get(_belt_place(i, m, r))
+    return _belt_line(r).get(_belt_place(i, m, r))
 
 
 def canonical_address(i: int, m: int, r: int):
@@ -361,10 +366,8 @@ def canonical_address(i: int, m: int, r: int):
 class MatrixPattern:
     """Memoized assignment of matrices to tree vertices; square, or tall or
     wide with directions indexing the smaller side, and with a
-    skew-symmetrizable principal part.
-
-    belt is the line of matrices along the belt, which every tropical point
-    over the root reads."""
+    skew-symmetrizable principal part.  Its walker holds the one B_t of
+    each vertex it reached, belt vertices included."""
 
     def __init__(self, root: Matrix):
         self.root = as_matrix(root)
@@ -372,7 +375,6 @@ class MatrixPattern:
         if find_skew_symmetrizer(tuple(row[:r] for row in self.root[:r])) is None:
             raise ValueError("principal part is not skew-symmetrizable")
         self._walk = _PrefixWalker({0: self.root}, _matrix_step)
-        self.belt = _Line(self.root, partial(_belt_step, r, mutate_matrix_raw))
 
     def at(self, addr):
         return self._walk.get(_vertex(addr, self.rank))
@@ -386,16 +388,10 @@ _matrix_patterns = _Registry()
 
 
 def matrix_pattern(root) -> MatrixPattern:
-    """The pattern of root.  A hashable root is looked up as it is first: a
-    stored key it equals is what as_matrix would make of it."""
-    try:
-        pattern = _matrix_patterns.items.get(root)
-    except TypeError:  # rows given as lists
-        pattern = None
-    if pattern is None:
-        root = as_matrix(root)
-        pattern = _matrix_patterns.get(root, MatrixPattern, root)
-    return pattern
+    """The pattern of root, looked up by as_matrix(root): every root's
+    entries are checked, whatever patterns the process built before."""
+    root = as_matrix(root)
+    return _matrix_patterns.get(root, MatrixPattern, root)
 
 
 # -- seeds -------------------------------------------------------------------

@@ -3,8 +3,10 @@
 A tropical point is stored as one coordinate row vector anchored at a tree
 vertex; coordinates elsewhere are propagated on demand through the matrix
 pattern and cached, per tree vertex and, for belt reads, per belt column
-along one line of columns.  The three supported spaces differ only in the
-mutation rule and the width of the pattern matrix:
+along one line of columns.  A belt cell whose column overflows is read off
+the tree walker instead, which raises only where that walk does.  The three
+supported spaces differ only in the mutation rule and the width of the
+pattern matrix:
 
   * "A"      square pattern, rule with a max over the two column halves,
   * "Y"      square pattern, rule linear in the sign of the moved coordinate,
@@ -12,8 +14,9 @@ mutation rule and the width of the pattern matrix:
 
 Each rule has one implementation, an applier that mutates a coordinate list
 in place from a plan: the nonzero entries of b the rule reads, split by
-sign (`_moves`).  Plans depend on the pattern only, so they are cached per
-rule kind and pattern root (`_plans`): along the belt a column at a time,
+sign (`_moves`).  Plans depend on the pattern only (they read b off its
+walker), so they are cached per rule kind and pattern root (`_plans`):
+along the belt a column at a time, from b at the interned belt vertices,
 and on the tree per (vertex, direction).
 """
 
@@ -28,6 +31,8 @@ from .laurent import TROP_LIMIT, _index, _int, _ints, check_trop
 from .mutation import (
     _PARENT,
     _belt_letter,
+    _belt_line,
+    _belt_vertex,
     _gauss_jordan,
     _identity,
     _LETTER,
@@ -124,18 +129,19 @@ def _column_plans(kind, pattern, near, m):
     """The plans of the belt steps into the places of column m but the root,
     in the order they are taken outward from the root: places m*r, ...,
     m*r + r - 1 for m >= 0 (1, ..., r - 1 for m = 0), places m*r + r - 1,
-    ..., m*r for m < 0.  Each reads the belt matrix at the place it steps
-    from.  When they equal near, the plans of the neighbour column nearer 0,
-    near is returned, so columns whose belt matrices repeat (the square
-    ones of a Cartan matrix's B do) share one tuple."""
+    ..., m*r for m < 0.  Each reads B_t off the pattern's walker at the belt
+    vertex of the place it steps from.  When they equal near, the plans of
+    the neighbour column nearer 0, near is returned, so columns whose belt
+    matrices repeat (the square ones of a Cartan matrix's B do) share one
+    tuple."""
     r = pattern.rank
-    matrix_at = pattern.belt.get
+    vertex, matrix = _belt_line(r).get, pattern._walk.get
     if m >= 0:
         places = range(max(m * r, 1), m * r + r)
     else:
         places = range(m * r + r - 1, m * r - 1, -1)
     plans = tuple(
-        _moves(kind, matrix_at(s - 1 if s > 0 else s + 1), _belt_letter(s, r))
+        _moves(kind, matrix(vertex(s - 1 if s > 0 else s + 1)), _belt_letter(s, r))
         for s in places
     )
     return near if plans == near else plans
@@ -187,9 +193,9 @@ class TropPoint:
     __slots__ = ("space", "b0", "coords", "vertex", "_walk", "_belt")
 
     def __init__(self, space, b0, coords, anchor=()):
-        root = matrix_pattern(b0).root
-        v = _vertex(anchor, len(root))
-        _trop_point(space, root, _ints(coords), v, self)
+        pattern = matrix_pattern(b0)
+        v = _vertex(anchor, len(pattern.root))
+        _trop_point(space, pattern, _ints(coords), v, self)
 
     @property
     def rank(self):
@@ -202,25 +208,15 @@ class TropPoint:
 
     def belt_value(self, i, m):
         """The i-th coordinate at the belt vertex t(i, m), read off column m
-        of the belt line."""
+        of the belt line.  When column m overflows, it is read off the tree
+        walker at t(i, m), so it raises TropOverflow exactly when
+        coords_at(canonical_address(i, m, r)) does."""
         m = _int(m)
         i = _index(i, len(self.b0))
         try:
             return self._belt.get(m + 1 if m >= 0 else m)[0][i - 1]
         except TropOverflow:
-            return self._belt_value_by_place(i, m)
-
-    def _belt_value_by_place(self, i, m):
-        """belt_value(i, m) when column m overflows: from its neighbour
-        (which raises if it overflows too), the column's places are stepped
-        one at a time, only as far as t(i, m), and nothing is stored."""
-        r = len(self.b0)
-        rule = _plans.items[self.space, self.b0]
-        plans = rule.belt.get(m)
-        c = list(self._belt.get(m if m >= 0 else m + 1)[1])
-        for plan in plans[: i - r + len(plans) if m >= 0 else r - i + 1]:
-            rule.apply(c, plan)
-        return c[i - 1]
+            return self._walk.get(_belt_vertex(i, m, len(self.b0)))[i - 1]
 
     def belt_column(self, m):
         """(belt_value(1, m), ..., belt_value(r, m)), one entry of the belt
@@ -247,11 +243,11 @@ class TropPoint:
         return f"TropPoint({self.space}, coords_at_root={self.at_root()})"
 
 
-def _trop_point(space, b0, coords, v, point=None):
-    """The TropPoint of space over b0 with the coordinates coords at vertex v."""
+def _trop_point(space, pattern, coords, v, point=None):
+    """The TropPoint of space over the root of pattern with the coordinates
+    coords at vertex v."""
     if space not in _RULES:
         raise ValueError(f"unknown space {space!r}")
-    pattern = matrix_pattern(b0)
     root = pattern.root
     width = len(root[0])
     if space == "Yprin":
@@ -284,7 +280,7 @@ def _trop_point(space, b0, coords, v, point=None):
         v = _PARENT[v]
         memo[v] = coords
     point._walk = _PrefixWalker(memo, step)
-    # the belt steps by the tropical rule on the pattern's belt matrices,
+    # the belt steps by the tropical rule on B_t at the belt vertices,
     # never by the knitting recursion it is checked against; entry 0 is the
     # root, a sentinel that building the point steps nothing for
     point._belt = _Line(
@@ -299,9 +295,9 @@ def p_map(delta: TropPoint) -> TropPoint:
     same pattern."""
     if delta.space != "A":
         raise ValueError("p_map expects an A-space point")
-    bt = matrix_pattern(delta.b0)._walk.get(delta.vertex)
-    coords = row_times_matrix(delta.coords, bt)
-    return _trop_point("Y", delta.b0, coords, delta.vertex)
+    pattern = matrix_pattern(delta.b0)
+    coords = row_times_matrix(delta.coords, pattern._walk.get(delta.vertex))
+    return _trop_point("Y", pattern, coords, delta.vertex)
 
 
 def principal_wide_root(b0):
@@ -318,7 +314,8 @@ def beta_map(delta_sv: TropPoint, b0) -> TropPoint:
     b, _, c, _ = gcf_pattern(b0)._walk.get(delta_sv.vertex)
     d = delta_sv.coords
     coords = matrix_times_col(b, d) + matrix_times_col(c, d)
-    return _trop_point("Yprin", principal_wide_root(b0), coords, delta_sv.vertex)
+    pattern = matrix_pattern(principal_wide_root(b0))
+    return _trop_point("Yprin", pattern, coords, delta_sv.vertex)
 
 
 def g_vector_of_cluster_monomial(b0, addr, exponents) -> TropPoint:

@@ -303,6 +303,7 @@ def suite_shift_laws(types=SMALL_TYPES, trials=1000, rng_seed=0, **_):
         r = cartan.rank
         per_type = max(1, trials // len(types))
         eplus, eminus = PLMap(cartan, "+"), PLMap(cartan, "-")
+        pattern = matrix_pattern(ctx.belts.b)
         bad = 0
         for _ in range(per_type):
             v = _rand_coords(rng, r, -6, 6)
@@ -317,7 +318,7 @@ def suite_shift_laws(types=SMALL_TYPES, trials=1000, rng_seed=0, **_):
             k1 = k_from_trop_point(shifted, cartan)
             if any(k1.slice_at(m) != k0.slice_at(m - 1) for m in range(-3, 4)):
                 bad += 1
-            reanchored = _trop_point("Y", rho.b0, rho.at_root(), _belt_vertex(1, 1, r))
+            reanchored = _trop_point("Y", pattern, rho.at_root(), _belt_vertex(1, 1, r))
             if shifted != reanchored:
                 bad += 1
         return bad == 0, {"failures": bad}
@@ -332,6 +333,7 @@ def suite_admissibility(types=("A2", "B2"), rng_seed=0, budget=SEED_BUDGET, **_)
     def check(name, cartan, ctx, rng):
         r = cartan.rank
         seeds = enumerate_exchange_graph("A", ctx.belts.bt, budget).seeds.values()
+        pattern = matrix_pattern(ctx.belts.b)
         depth = 2 * len(seeds)
         ok = True
         checked = 0
@@ -341,7 +343,7 @@ def suite_admissibility(types=("A2", "B2"), rng_seed=0, budget=SEED_BUDGET, **_)
             for exps in exp_sets:
                 mono = _product(zip(seed.cluster, exps), RationalFunction.one(r))
                 coords = tuple(-e for e in exps)
-                rho = _trop_point("Y", ctx.belts.b, coords, seed.vertex)
+                rho = _trop_point("Y", pattern, coords, seed.vertex)
                 if check_admissible_A(mono, rho, depth) is not True:
                     ok = False
                 checked += 1

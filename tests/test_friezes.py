@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from cluster_friezes.friezes import (
     ensemble_map_friezes,
     f_from_admissible_y,
     f_from_trop_point,
+    find_symmetrizer,
     generic_A_frieze,
     generic_Y_frieze,
     hammock,
@@ -27,7 +29,13 @@ from cluster_friezes.friezes import (
     slice_step,
 )
 from cluster_friezes.laurent import IntLaurentPoly, RationalFunction as RF
-from cluster_friezes.mutation import canonical_address, pp, transpose
+from cluster_friezes.mutation import (
+    canonical_address,
+    is_global_Y_monomial,
+    matrix_pattern,
+    pp,
+    transpose,
+)
 from cluster_friezes.tropical import TropPoint, p_map
 
 A2 = named_cartan("A2")
@@ -682,9 +690,35 @@ class TestColumnRule:
             self.ENTRY_POINTS[entry](bad)
 
 
+def _after_int_pattern(make, *args):
+    """make(*args) once the pattern of ((0, 1), (-1, 0)) exists: the root
+    among args equals it and hashes like it, but is not of ints."""
+    matrix_pattern(((0, 1), (-1, 0)))
+    return make(*args)
+
+
+class TestCartanRefusals:
+    @pytest.mark.parametrize(
+        "rows, error, match",
+        [
+            ([[2, -1], [-1, 2], [0, 0]], DimensionMismatch, "must be square"),
+            ([[3]], ValueError, "diagonal"),
+            ([[2, 1], [1, 2]], ValueError, "nonpositive"),
+            ([[2, -1], [0, 2]], ValueError, "not symmetrizable"),
+            ([[2, -1, -1], [-1, 2, -1], [-2, -1, 2]], ValueError, "not symmetrizable"),
+        ],
+        ids=["not-square", "diagonal", "positive", "zero-pattern", "inconsistent-cycle"],
+    )
+    def test_refused(self, rows, error, match):
+        with pytest.raises(error, match=match):
+            CartanMatrix(rows)
+        if match == "not symmetrizable":
+            assert find_symmetrizer(rows) is None
+
+
 class TestIntegerEntries:
     """Entries are exact integers: a float, a str or a bool is refused, not
-    truncated to an int."""
+    truncated to an int, whatever patterns the process built before."""
 
     @pytest.mark.parametrize(
         "make",
@@ -697,10 +731,16 @@ class TestIntegerEntries:
             lambda: FriezeFunction.from_slice("additive", A2, (0.5, 1.9)),
             lambda: FriezeFunction.from_slice("additive", A2, (0, "1")),
             lambda: FriezeFunction.from_slice("additive", A2, (False, 0)),
+            partial(_after_int_pattern, TropPoint, "Y", ((0, 1.0), (-1.0, 0)), (1, 2)),
+            partial(_after_int_pattern, TropPoint, "Y", ((0, True), (-1, 0)), (1, 2)),
+            partial(
+                _after_int_pattern, is_global_Y_monomial, ((0, True), (-1, 0)), (), (1, 0)
+            ),
         ],
         ids=[
             "cartan-float", "cartan-str", "point-float", "point-str", "point-bool",
-            "slice-float", "slice-str", "slice-bool",
+            "slice-float", "slice-str", "slice-bool", "root-float-after-int-root",
+            "root-bool-after-int-root", "global-y-root-bool-after-int-root",
         ],
     )
     def test_refused(self, make):

@@ -1139,11 +1139,15 @@ class TestCacheContract:
         table = [slice_backed.value(i, m) for i, m in cells]
         belt = [point.belt_value(i, m) for i, m in cells]
         vertices = [mutation._belt_vertex(i, m, 2) for i, m in cells]
-        # the process-wide lines a point over b reads: its pattern's belt
-        # matrices, and the belt vertices of rank 2
-        matrices = matrix_pattern(b).belt
+        # the process-wide memos a point over b reads: its pattern's matrix
+        # walker, at the belt vertices too, and the belt vertices of rank 2
+        matrices = matrix_pattern(b)._walk
         vertex_line = mutation._belt_lines.items[2]
-        belt_matrices = [matrices.get(s) for s in range(-8, 9)]
+        belt_matrices = [matrices.get(v) for v in vertices]
+        # the first belt vertex whose matrix nothing has read yet
+        unread = next(
+            v for v in map(vertex_line.get, itertools.count()) if v not in matrices.memo
+        )
         # the process-wide plans of the Y-rule over b: the belt plans a
         # point's column steps read, and the tree-walk plans per edge
         words = _reduced_words(2, 4)
@@ -1169,7 +1173,7 @@ class TestCacheContract:
         assert [fresh.coords_at(a) for a in words] == at_words
         assert [plans.belt.get(m) for m in range(-4, 5)] == column_plans
         assert [mutation._belt_vertex(i, m, 2) for i, m in cells] == vertices
-        assert [matrices.get(s) for s in range(-8, 9)] == belt_matrices
+        assert [matrices.get(v) for v in vertices] == belt_matrices
         assert {a: pattern.seed_at(a) for a in seeds} == seeds
         # a provider-backed function caches nothing and owns no lock: every
         # read, a repeated one too, calls the column provider once
@@ -1187,8 +1191,7 @@ class TestCacheContract:
             lambda: slice_backed.value(1, -9),
             lambda: point.belt_value(1, 9),
             lambda: point.belt_value(2, -9),
-            lambda: matrices.get(len(matrices.ahead)),
-            lambda: matrices.get(-len(matrices.behind)),
+            lambda: matrices.get(unread),
             lambda: vertex_line.get(len(vertex_line.ahead)),
             lambda: vertex_line.get(-len(vertex_line.behind)),
             lambda: pattern.seed_at((1, 2, 3, 1)),

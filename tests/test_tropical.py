@@ -220,6 +220,18 @@ class TestCoordsAt:
         q = TropPoint("Y", B_A2, p.coords_at((2, 1)), (2, 1))
         assert p == q
 
+    @pytest.mark.parametrize("anchor", [(1, 2, 3, 1), canonical_address(2, 3, 3)])
+    def test_hash_across_anchors(self, anchor):
+        # a point hashes by its coordinates at the root, so points equal
+        # across anchors hash alike and a set keeps one of them
+        b = named_cartan("B3").b_matrix()
+        p = TropPoint("Y", b, (2, -1, 3), anchor)
+        q = TropPoint("Y", b, p.at_root())
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q}) == 1
+        assert p != TropPoint("A", b, p.at_root())
+        assert p.__eq__(5) is NotImplemented
+
 
     @pytest.mark.parametrize("space", ["A", "Y", "Yprin"])
     def test_belt_value(self, space):
@@ -411,6 +423,29 @@ class TestBeltRays:
         for m in (2, 3, -2, -3):
             near = line.get(m - 1 if m > 0 else m + 1)
             assert line.get(m) is near and len(near) == r
+
+    @pytest.mark.parametrize("name", ["B2", "G2", "F4"])
+    @pytest.mark.parametrize("space", ["A", "Y"])
+    def test_belt_plans_read_the_one_matrix_of_each_vertex(
+        self, monkeypatch, space, name
+    ):
+        # the belt plans of a fresh point read B_t off its pattern's walker
+        # at the belt vertex of each place a step leaves from: the object
+        # the seed pattern's seed holds there
+        for registry in ("_matrix_patterns", "_seed_patterns"):
+            monkeypatch.setattr(mutation, registry, mutation._Registry())
+        monkeypatch.setattr(tropical, "_plans", mutation._Registry())
+        b = named_cartan(name).b_matrix()
+        r = len(b)
+        point = TropPoint(space, b, (1,) * r)
+        for m in range(-3, 4):
+            point.belt_column(m)
+        memo = matrix_pattern(b)._walk.memo
+        seeds = seed_pattern(space, b)
+        for s in range(-3 * r + 1, 4 * r - 1):
+            v = mutation._belt_line(r).get(s)
+            assert v in memo
+            assert memo[v] is seeds.seed_at(mutation._address(v)).matrix
 
     def test_near_limit_point_reads_up_to_its_overflow(self):
         # building steps nothing along the belt; the first step of column 0

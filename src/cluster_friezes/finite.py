@@ -475,7 +475,7 @@ def _y_from_delta(cartan, delta_sv):
     d0 = delta_sv.at_root()
     neg_image = tuple(-x for x in matrix_times_col(ctx.belts.b, d0))
     at = cartan.transpose()
-    minus_p = TropPoint("Y", belts(at).b, neg_image)
+    minus_p = belts(at).point("Y", neg_image)
     k = k_from_trop_point(minus_p, at)
     ftable = ctx.fim_table()
     domain = ctx.roots.fundamental_domain()

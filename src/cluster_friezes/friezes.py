@@ -14,10 +14,16 @@ backward from a seed slice; each relation is linear in its extreme unknown.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .errors import DimensionMismatch, NotAdmissible, TropOverflow
-from .laurent import RationalFunction, _index, _int, _ints, check_trop
+from .laurent import (
+    RationalFunction,
+    _compiled,
+    _index,
+    _int,
+    _ints,
+    _trop_guard,
+    check_trop,
+)
 from .mutation import (
     _belt_vertex,
     _diagonal_symmetrizer,
@@ -132,7 +138,9 @@ class FriezeFunction:
     readback, admissible elements, shifts and sums), so a cell is read from
     its column.  Nothing is cached per cell: the slice recursion caches its
     columns in one line through the slice, and a tropical readback reads the
-    point's belt line.
+    point's belt line.  The slice recursion and satisfies_recursion step a
+    whole column by one compiled kernel per kind and knitting terms
+    (`_knitter`), built from the Cartan matrix alone.
     """
 
     def __init__(self, kind, cartan, column_fn):
@@ -143,7 +151,6 @@ class FriezeFunction:
         self._column_fn = column_fn
         self._line = None  # the columns of a slice-backed function
         self._rank = cartan.rank
-        self._terms = cartan._knitting
 
     # -- constructors ------------------------------------------------------
 
@@ -152,10 +159,10 @@ class FriezeFunction:
         values, m0 = _ints(values), _int(m0)
         if len(values) != cartan.rank:
             raise DimensionMismatch("slice length must equal the rank")
+        self = cls(kind, cartan, None)
         # column m is entry m - m0 of one line through the slice
-        line = _Line(values, partial(_knit, cartan._knitting, kind))
-        self = cls(kind, cartan, lambda m: line.get(m - m0))
-        self._line = line
+        line = self._line = _Line(values, _knitter(kind, cartan._knitting))
+        self._column_fn = lambda m: line.get(m - m0)
         return self
 
     # -- interface -----------------------------------------------------------
@@ -180,12 +187,12 @@ class FriezeFunction:
         column knitted from column m; a knitted value out of range
         (TropOverflow) differs from every in-range value."""
         _check_window(m_lo, m_hi)
-        terms, kind = self._terms, self.kind
+        step = _knitter(self.kind, self.cartan._knitting)
         col_m = self.slice_at(m_lo)
         for m in range(m_lo, m_hi + 1):
             col_m1 = self.slice_at(m + 1)
             try:
-                if _knit(terms, kind, col_m, 1) != col_m1:
+                if step(col_m, 1) != col_m1:
                     return False
             except TropOverflow:
                 return False
@@ -197,38 +204,45 @@ class FriezeFunction:
         return self.table(m_lo, m_hi) == other.table(m_lo, m_hi)
 
 
-def _knit(terms, kind, col, s):
-    """The column after col (s > 0) or before it (s < 0), for a function of
-    the given kind with the knitting terms of its Cartan matrix: the
+_knitters = _Registry()  # (kind, knitting terms) -> its column step
+
+
+def _knitter(kind, terms):
+    """The column step of the functions of the given kind over a Cartan
+    matrix with these knitting terms, built once per process: one
+    `named_cartan` call builds a fresh matrix, but equal ones share it."""
+    return _knitters.get((kind, terms), _emit_knitter, kind, terms)
+
+
+def _emit_knitter(kind, terms):
+    """step(col, s), the column after col (s > 0) or before it (s < 0): the
     relations v(i,m) + v(i,m+1) = S(i,m) solved one unknown at a time, in
-    the order in which the other cells of S(i,m) are known."""
-    forward = s > 0
-    r = len(col)
-    cur = [0] * r
-    col_m, col_m1 = (col, cur) if forward else (cur, col)
-    clip = kind == "cluster-additive"
-    floor = kind == "tropical-frieze"
-    for i in range(r) if forward else range(r - 1, -1, -1):
-        later, earlier = terms[i]
-        s = 0
-        if clip:
-            for j, c in later:
-                v = col_m[j]
-                if v > 0:
-                    s += c * v
-            for j, c in earlier:
-                v = col_m1[j]
-                if v > 0:
-                    s += c * v
-        else:
-            for j, c in later:
-                s += c * col_m[j]
-            for j, c in earlier:
-                s += c * col_m1[j]
-            if floor and s < 0:
-                s = 0
-        cur[i] = check_trop(s - col[i])
-    return tuple(cur)
+    the order in which the other cells of S(i,m) are known, as straight-line
+    code.  The cells of col are the locals c0, c1, ..., the new ones n0,
+    n1, ...; each new cell is range-checked as soon as it is known."""
+    r = len(terms)
+    old = [f"c{i}" for i in range(r)]
+    new = [f"n{i}" for i in range(r)]
+    lines = ["def step(col, s):", f"    [{', '.join(old)}] = col"]
+    for forward in (True, False):
+        # later terms read column m, earlier ones column m + 1
+        col_m, col_m1 = (old, new) if forward else (new, old)
+        lines.append("    if s > 0:" if forward else "    else:")
+        for i in range(r) if forward else range(r - 1, -1, -1):
+            later, earlier = terms[i]
+            cells = [(c, col_m[j]) for j, c in later]
+            cells += [(c, col_m1[j]) for j, c in earlier]
+            parts = [v if c == 1 else f"{c} * {v}" for c, v in cells]
+            if kind == "cluster-additive":
+                parts = [f"({p} if {v} > 0 else 0)" for p, (_, v) in zip(parts, cells)]
+            total = " + ".join(parts) or "0"
+            if parts and kind == "tropical-frieze":
+                lines.append(f"        t = {total}")
+                total = "(t if t > 0 else 0)"
+            lines.append(f"        {new[i]} = {total} - {old[i]}")
+            lines.append(f"        {_trop_guard(new[i])}")
+        lines.append(f"        return ({''.join(n + ', ' for n in new)})")
+    return _compiled("step", lines)
 
 
 # -- generic frieze patterns ---------------------------------------------------
@@ -247,6 +261,7 @@ class Belts:
         self.bt = transpose(self.b)
         self._x_sv = seed_pattern("A", self.bt)._walk.get
         self._y = seed_pattern("Y", self.b)._walk.get
+        self._patterns = {"A": matrix_pattern(self.bt), "Y": matrix_pattern(self.b)}
 
     def _belt_variable(self, seed_at, i, m):
         return seed_at(_belt_vertex(i, m, self.cartan.rank)).cluster[i - 1]
@@ -259,19 +274,23 @@ class Belts:
         """Y-variable y(i,m) of the Y-space of B."""
         return self._belt_variable(self._y, i, m)
 
+    def point(self, space, coords, v=0) -> TropPoint:
+        """The point of the A-space of B^T (space "A") or of the Y-space of
+        B ("Y") with the coordinates coords, a tuple of ints, at vertex v;
+        the pattern is this pair's own, so no root is checked again."""
+        return _trop_point(space, self._patterns[space], coords, v)
+
     def rho_im(self, i, m) -> TropPoint:
         """g-vector of x_sv(i,m): the point of the Y-space of B with
         coordinates -e^i at the belt vertex t(i,m)."""
         r = self.cartan.rank
-        pattern = matrix_pattern(self.b)
-        return _trop_point("Y", pattern, _neg_unit(i, r), _belt_vertex(i, m, r))
+        return self.point("Y", _neg_unit(i, r), _belt_vertex(i, m, r))
 
     def delta_sv_im(self, i, m) -> TropPoint:
         """g-vector of y(i,m): the point of the A-space of B^T with
         coordinates -e^i at t(i,m)."""
         r = self.cartan.rank
-        pattern = matrix_pattern(self.bt)
-        return _trop_point("A", pattern, _neg_unit(i, r), _belt_vertex(i, m, r))
+        return self.point("A", _neg_unit(i, r), _belt_vertex(i, m, r))
 
 
 _belts = _Registry()
@@ -331,7 +350,7 @@ class PLMap:
         return v
 
     def apply(self, d):
-        """Column vector in, row vector out."""
+        """Column vector in, row vector out; each entry range-checked."""
         d = self._check(d)
         out = []
         for i, terms in enumerate(self._terms):
@@ -339,12 +358,13 @@ class PLMap:
             for j, c in terms:
                 if d[j] > 0:
                     s -= c * d[j]
-            out.append(s)
+            out.append(check_trop(s))
         return tuple(out)
 
     def invert(self, v):
         """Row vector in, column vector out, by forward substitution; the
-        strict triangularity of the matrix makes each step explicit."""
+        strict triangularity of the matrix makes each step explicit.  Each
+        entry is range-checked once it is solved for."""
         terms = self._terms
         d = list(self._check(v))
         order = range(len(d)) if self.sign == "+" else range(len(d) - 1, -1, -1)
@@ -352,6 +372,7 @@ class PLMap:
             for j, c in terms[i]:
                 if d[j] > 0:
                     d[i] += c * d[j]
+            check_trop(d[i])
         return tuple(d)
 
 
@@ -375,7 +396,7 @@ def f_from_admissible_y(y, cartan, depth=16) -> FriezeFunction:
     """Tropical frieze (for A^T) of an admissible element of the Y-space of B,
     by tropical evaluation at the g-vectors of the belt variables."""
     b = belts(cartan)
-    verdict = check_admissible_Y(y, TropPoint("A", b.bt, y.denominator_vector()), depth)
+    verdict = check_admissible_Y(y, b.point("A", y.denominator_vector()), depth)
     if verdict is not True:
         raise NotAdmissible(f"element failed the Y-side check: {verdict}")
 
@@ -393,7 +414,7 @@ def k_from_admissible_x(x, cartan, depth=16) -> FriezeFunction:
     Y-variables."""
     b = belts(cartan)
     rho0 = PLMap(cartan, "+").apply(x.denominator_vector())
-    verdict = check_admissible_A(x, TropPoint("Y", b.b, rho0), depth)
+    verdict = check_admissible_A(x, b.point("Y", rho0), depth)
     if verdict is not True:
         raise NotAdmissible(f"element failed the A-side check: {verdict}")
 
@@ -419,7 +440,7 @@ def shift_trop(rho: TropPoint, cartan: CartanMatrix) -> TropPoint:
     eplus = PLMap(cartan, "+")
     eminus = PLMap(cartan, "-")
     coords = eplus.apply(eminus.invert(tuple(-x for x in root)))
-    return TropPoint("Y", b.b, coords)
+    return b.point("Y", coords)
 
 
 def ensemble_map_friezes(f: FriezeFunction) -> FriezeFunction:
@@ -432,7 +453,10 @@ def ensemble_map_friezes(f: FriezeFunction) -> FriezeFunction:
     def column(m):
         col_m, col_m1 = f.slice_at(m), f.slice_at(m + 1)
         return tuple(
-            sum(c * col_m[j] for j, c in later) + sum(c * col_m1[j] for j, c in earlier)
+            check_trop(
+                sum(c * col_m[j] for j, c in later)
+                + sum(c * col_m1[j] for j, c in earlier)
+            )
             for later, earlier in terms
         )
 

@@ -68,6 +68,22 @@ def check_trop(value: int) -> int:
     return value
 
 
+def _trop_guard(name):
+    """The statement that range-checks the local `name` in emitted code, as
+    check_trop does: the bounds are literals, and only an out-of-range
+    value calls check_trop, which raises."""
+    return f"if not {-TROP_LIMIT} < {name} < {TROP_LIMIT}: check_trop({name})"
+
+
+def _compiled(name, lines):
+    """The function `name` that the source lines define, with check_trop its
+    one global.  Callers interpolate nothing but ints that `_int` checked
+    (indices and matrix entries), so no outside text reaches exec."""
+    namespace = {"check_trop": check_trop}
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
 def _index(i, r=None):
     """i, a 1-based index or direction, as an int in 1..r (at least 1 when r
     is None), else DimensionMismatch, bools included; an int subclass becomes an int."""

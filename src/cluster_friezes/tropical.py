@@ -12,12 +12,17 @@ pattern matrix:
   * "Y"      square pattern, rule linear in the sign of the moved coordinate,
   * "Yprin"  wide r x 2r pattern, same rule as "Y".
 
-Each rule has one implementation, an applier that mutates a coordinate list
-in place from a plan: the nonzero entries of b the rule reads, split by
-sign (`_moves`).  Plans depend on the pattern only (they read b off its
-walker), so they are cached per rule kind and pattern root (`_plans`):
-along the belt a column at a time, from b at the interned belt vertices,
-and on the tree per (vertex, direction).
+Each rule has one implementation, its emitter (`_emit_rule`), which writes
+a sequence of plans as one straight-line kernel: a plan is the nonzero
+entries of b the rule reads, split by sign (`_moves`), and the kernel holds
+the coordinates in locals and inlines every entry as an int literal.  Plans
+depend on the pattern only (they read b off its walker), so each pattern
+keeps, per rule kind (`_plans`), the kernels of its belt columns, r plans
+from b at the interned belt vertices that return the column's values and
+its outer coordinates, and of its tree edges, one plan per (vertex,
+direction).  Kernels are compiled once per process for each distinct
+sequence of plans (`_kernels`) and shared by every pattern whose steps read
+it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from functools import partial
 from itertools import combinations
 
 from .errors import DimensionMismatch, NegativeExponent, TropOverflow
-from .laurent import TROP_LIMIT, _index, _int, _ints, check_trop
+from .laurent import _compiled, _index, _int, _ints, _trop_guard, check_trop
 from .mutation import (
     _PARENT,
     _belt_letter,
@@ -69,71 +74,114 @@ def _moves(kind, b, k):
     return kk, plus, minus
 
 
-def _apply_A(c, plan):
-    """Cluster-variable rule, in place: x_k becomes max(sum of [b_jk]_+ x_j,
-    sum of [-b_jk]_+ x_j) - x_k.  Only the new x_k is checked."""
-    kk, plus, minus = plan
-    p = q = 0
-    for j, x in plus:
-        p += x * c[j]
-    for j, x in minus:
-        q += x * c[j]
-    new = max(p, q) - c[kk]
-    c[kk] = new if -TROP_LIMIT < new < TROP_LIMIT else check_trop(new)
+def _terms(pairs, c):
+    """The sum of x * c_j over the (j, x) pairs, as source."""
+    return " + ".join(c[j] if x == 1 else f"{x} * {c[j]}" for j, x in pairs)
 
 
-def _apply_Y(c, plan):
-    """Y-variable rule, in place: y_i becomes y_i + [b_ki]_+ y_k - b_ki [y_k]_+
-    (Fomin and Zelevinsky, "Cluster algebras IV"), split on the sign of y_k:
-    for y_k > 0 only the entries with b_ki < 0 move, by -y_k b_ki; for
-    y_k < 0 only those with b_ki > 0, by y_k b_ki.  y_k becomes -y_k,
-    whatever b_kk is.  The coordinates are in range (TropPoint checks them),
-    so only the moved ones are checked."""
-    kk, plus, minus = plan
-    ck = c[kk]
-    if ck > 0:
-        moved = minus
-    elif ck < 0:
-        moved = plus
-    else:
-        return
-    for i, x in moved:
-        new = c[i] + ck * x
-        c[i] = new if -TROP_LIMIT < new < TROP_LIMIT else check_trop(new)
-    c[kk] = -ck
+def _tuple(names):
+    """The tuple of the names, as source."""
+    return f"({''.join(f'{x}, ' for x in names)})"
+
+
+def _emit_rule(rule, width, plans, cells, r):
+    """kernel(c): the tropical rule ("A", or "Y" for both Y-spaces) stepped
+    through plans as straight-line code, on the coordinates c, of the given
+    width, held in the locals c0, c1, ...  Each plan moves them in place,
+    and each coordinate it moves is range-checked as soon as it is known
+    (the others stay in range: a point's coordinates are checked).  With
+    r = 0 the kernel returns the coordinates; else (values, coordinates),
+    values holding c0, ..., c(r-1) as c has them, but cell cells[n] as
+    plans[n] leaves it."""
+    c = [f"c{i}" for i in range(width)]
+    lines = ["def kernel(c):", f"    [{', '.join(c)}] = c"]
+    lines += [f"    v{i} = c{i}" for i in range(r) if i not in cells]
+    for n, (kk, plus, minus) in enumerate(plans):
+        k = c[kk]
+        if rule == "A":
+            # x_k becomes max(sum of [b_jk]_+ x_j, sum of [-b_jk]_+ x_j) - x_k
+            p, q = _terms(plus, c), _terms(minus, c)
+            if p and q:
+                lines += [f"    p = {p}", f"    q = {q}"]
+                lines.append(f"    {k} = (p if p > q else q) - {k}")
+            elif p or q:
+                lines.append(f"    p = {p or q}")
+                lines.append(f"    {k} = (p if p > 0 else 0) - {k}")
+            else:
+                lines.append(f"    {k} = -{k}")
+            lines.append(f"    {_trop_guard(k)}")
+        else:
+            # y_i becomes y_i + [b_ki]_+ y_k - b_ki [y_k]_+ (Fomin and
+            # Zelevinsky, "Cluster algebras IV"): for y_k > 0 only the y_i
+            # with b_ki < 0 move, by -y_k b_ki, for y_k < 0 only those with
+            # b_ki > 0, by y_k b_ki; y_k becomes -y_k, whatever b_kk is
+            keyword = "if"
+            for test, moved in ((">", minus), ("<", plus)):
+                if moved:
+                    lines.append(f"    {keyword} {k} {test} 0:")
+                    keyword = "elif"
+                for i, x in moved:
+                    lines.append(f"        {c[i]} += {_terms([(kk, x)], c)}")
+                    lines.append(f"        {_trop_guard(c[i])}")
+            lines.append(f"    {k} = -{k}")
+        if r:
+            lines.append(f"    v{cells[n]} = c{cells[n]}")
+    coords = _tuple(c)
+    if r:
+        coords = f"{_tuple(f'v{i}' for i in range(r))}, {coords}"
+    lines.append(f"    return {coords}")
+    return _compiled("kernel", lines)
+
+
+# (rule, width, plans, cells, r) -> its kernel, shared by every pattern and
+# point whose steps read the same plans
+_kernels = _Registry()
+
+
+def _rule_kernel(rule, width, plans, cells=(), r=0):
+    """The kernel of _emit_rule, compiled once per process."""
+    key = (rule, width, plans, cells, r)
+    return _kernels.get(key, _emit_rule, rule, width, plans, cells, r)
+
+
+def _mutate(rule, coords, b, k):
+    """coords across edge k of b by the rule, through its kernel."""
+    coords = tuple(coords)
+    kk, plus, minus = plan = _moves(rule, b, k)
+    if max([kk, *(j for j, _ in plus + minus)]) >= len(coords):
+        raise DimensionMismatch("coordinate vector has wrong length")
+    return _rule_kernel(rule, len(coords), (plan,))(coords)
 
 
 def trop_mutate_A(coords, b, k):
     """Tropicalized cluster-variable mutation in direction k (1-based):
     x_k becomes max(sum of [b_jk]_+ x_j, sum of [-b_jk]_+ x_j) - x_k.
     DimensionMismatch unless k indexes a column of b."""
-    c = list(coords)
-    _apply_A(c, _moves("A", b, _index(k, len(b[0]))))
-    return tuple(c)
+    b = as_matrix(b)
+    return _mutate("A", coords, b, _index(k, len(b[0])))
 
 
 def trop_mutate_Y(coords, b, k):
     """Tropicalized Y-variable mutation; b may be square or wide (see
-    _apply_Y).  DimensionMismatch unless k indexes a row of b."""
-    c = list(coords)
-    _apply_Y(c, _moves("Y", b, _index(k, len(b))))
-    return tuple(c)
+    _emit_rule).  DimensionMismatch unless k indexes a row of b."""
+    b = as_matrix(b)
+    return _mutate("Y", coords, b, _index(k, len(b)))
 
 
 # The public rule of each space, and so the spaces a point may have; points
-# step through the applier their _Plans hold.
+# step through the kernels their _Plans hold.
 _RULES = {"A": trop_mutate_A, "Y": trop_mutate_Y, "Yprin": trop_mutate_Y}
 
 
-def _column_plans(kind, pattern, near, m):
-    """The plans of the belt steps into the places of column m but the root,
-    in the order they are taken outward from the root: places m*r, ...,
-    m*r + r - 1 for m >= 0 (1, ..., r - 1 for m = 0), places m*r + r - 1,
-    ..., m*r for m < 0.  Each reads B_t off the pattern's walker at the belt
-    vertex of the place it steps from.  When they equal near, the plans of
-    the neighbour column nearer 0, near is returned, so columns whose belt
-    matrices repeat (the square ones of a Cartan matrix's B do) share one
-    tuple."""
+def _column_kernel(rule, pattern, near, m):
+    """The kernel of belt column m (near, the kernel of its neighbour nearer
+    0, is not read): the belt steps into the places of column
+    m but the root, in the order they are taken outward from the root:
+    places m*r, ..., m*r + r - 1 for m >= 0 (1, ..., r - 1 for m = 0),
+    places m*r + r - 1, ..., m*r for m < 0.  Place s is cell s - m*r of the
+    column, and its step reads B_t off the pattern's walker at the belt
+    vertex of the place it steps from.  Columns whose belt matrices repeat
+    (the square ones of a Cartan matrix's B do) share one kernel."""
     r = pattern.rank
     vertex, matrix = _belt_line(r).get, pattern._walk.get
     if m >= 0:
@@ -141,49 +189,43 @@ def _column_plans(kind, pattern, near, m):
     else:
         places = range(m * r + r - 1, m * r - 1, -1)
     plans = tuple(
-        _moves(kind, matrix(vertex(s - 1 if s > 0 else s + 1)), _belt_letter(s, r))
+        _moves(rule, matrix(vertex(s - 1 if s > 0 else s + 1)), _belt_letter(s, r))
         for s in places
     )
-    return near if plans == near else plans
+    cells = tuple(s - m * r for s in places)
+    return _rule_kernel(rule, len(pattern.root[0]), plans, cells, r)
 
 
 class _Plans:
-    """The plans of one rule kind over one pattern, and the rule's applier.
-    belt is the line whose entry m holds the plans of belt column m (see
-    _column_plans); edges holds the plan of the tree-walk step across edge k
-    from vertex v under (v, k)."""
+    """The kernels of one rule over one pattern.  belt is the line whose
+    entry m is the kernel of belt column m (see _column_kernel); edges
+    holds the kernel of the tree-walk step across edge k from vertex v
+    under (v, k)."""
 
-    __slots__ = ("kind", "apply", "matrix_at", "belt", "edges")
+    __slots__ = ("rule", "matrix_at", "belt", "edges")
 
     def __init__(self, kind, pattern):
-        self.kind, self.matrix_at = kind, pattern._walk.get
-        self.apply = _apply_A if kind == "A" else _apply_Y
-        column = partial(_column_plans, kind, pattern)
+        self.rule = "A" if kind == "A" else "Y"
+        self.matrix_at = pattern._walk.get
+        column = partial(_column_kernel, self.rule, pattern)
         self.belt = _Line(column(None, 0), column)
         self.edges = _Registry()
 
-    def edge_moves(self, v, k):
-        return _moves(self.kind, self.matrix_at(v), k)
+    def edge_kernel(self, v, k):
+        b = self.matrix_at(v)
+        return _rule_kernel(self.rule, len(b[0]), (_moves(self.rule, b, k),))
 
 
 _plans = _Registry()  # (space, pattern root) -> its _Plans
 
 
-def _belt_column_step(apply, columns, r, near, j):
+def _belt_column_step(kernels, near, j):
     """The entry (values, coordinates at its outer place) of the column at
-    index j of a point's column line, stepped in one call from the outer
-    coordinates of near, the entry of its neighbour nearer the root entry
-    at index 0.  Column m >= 0 is at index m + 1 and steps its places in the
-    order m*r, ..., m*r + r - 1 (column 0 starts at the root); column m < 0
-    is at index m and steps them from m*r + r - 1 down to m*r."""
-    plans = columns.get(j - 1 if j > 0 else j)
-    c = list(near[1])
-    values = c[:r]  # of column 0, the root's first coordinate stays
-    cells = range(r - len(plans), r) if j > 0 else range(r - 1, -1, -1)
-    for i, plan in zip(cells, plans):
-        apply(c, plan)
-        values[i] = c[i]
-    return tuple(values), tuple(c)
+    index j of a point's column line, stepped in one kernel call from the
+    outer coordinates of near, the entry of its neighbour nearer the root
+    entry at index 0: column m >= 0 is at index m + 1, column m < 0 at
+    index m."""
+    return kernels.get(j - 1 if j > 0 else j)(near[1])
 
 
 class TropPoint:
@@ -264,13 +306,11 @@ def _trop_point(space, pattern, coords, v, point=None):
         point = object.__new__(TropPoint)
     point.space, point.b0, point.coords, point.vertex = space, root, coords, v
     plans = _plans.get((space, root), _Plans, space, pattern)
-    apply, edge, edge_moves = plans.apply, plans.edges.get, plans.edge_moves
+    edge, edge_kernel = plans.edges.get, plans.edge_kernel
 
     def step(coords, v, k):
         """Coordinates across edge k from vertex v."""
-        c = list(coords)
-        apply(c, edge((v, k), edge_moves, v, k))
-        return tuple(c)
+        return edge((v, k), edge_kernel, v, k)(coords)
 
     # walk the anchor up to the root once, so the memo starts closed under
     # parents and every later miss walks down from an ancestor
@@ -285,7 +325,7 @@ def _trop_point(space, pattern, coords, v, point=None):
     # root, a sentinel that building the point steps nothing for
     point._belt = _Line(
         ((), coords),
-        partial(_belt_column_step, apply, plans.belt, pattern.rank),
+        partial(_belt_column_step, plans.belt),
     )
     return point
 

@@ -40,7 +40,7 @@ from .mutation import (
     matrix_pattern,
     seed_pattern,
 )
-from .tropical import TropPoint, _charts, _trop_point, check_admissible_A
+from .tropical import _charts, check_admissible_A
 
 DEFAULT_TYPES = ("A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2")
 SMALL_TYPES = ("A2", "A3", "B2", "G2")
@@ -202,14 +202,14 @@ def suite_realization(types=SMALL_TYPES, trials=100, rng_seed=0, **_):
         bad = 0
         for _ in range(trials):
             coords = _rand_coords(rng, r)
-            dsv = TropPoint("A", ctx.belts.bt, coords)
+            dsv = ctx.belts.point("A", coords)
             f = f_from_trop_point(dsv, cartan)
             f_rec = FriezeFunction.from_slice(
                 "tropical-frieze", cartan.transpose(), f.slice_at(0)
             )
             if not f.agrees_with(f_rec, -6, 6):
                 bad += 1
-            rho = TropPoint("Y", ctx.belts.b, coords)
+            rho = ctx.belts.point("Y", coords)
             k = k_from_trop_point(rho, cartan)
             k_rec = FriezeFunction.from_slice("cluster-additive", cartan, k.slice_at(0))
             if not k.agrees_with(k_rec, -6, 6):
@@ -228,8 +228,8 @@ def suite_pairing(types=SMALL_TYPES, trials=50, rng_seed=0, **_):
         r = cartan.rank
         checked = 0
         for _ in range(trials):
-            delta = TropPoint("A", ctx.belts.bt, _rand_coords(rng, r))
-            rho = TropPoint("Y", ctx.belts.b, _rand_coords(rng, r))
+            delta = ctx.belts.point("A", _rand_coords(rng, r))
+            rho = ctx.belts.point("Y", _rand_coords(rng, r))
             pairing(cartan, delta, rho)
             checked += 1
         return True, {"pairs": checked}
@@ -303,7 +303,6 @@ def suite_shift_laws(types=SMALL_TYPES, trials=1000, rng_seed=0, **_):
         r = cartan.rank
         per_type = max(1, trials // len(types))
         eplus, eminus = PLMap(cartan, "+"), PLMap(cartan, "-")
-        pattern = matrix_pattern(ctx.belts.b)
         bad = 0
         for _ in range(per_type):
             v = _rand_coords(rng, r, -6, 6)
@@ -312,13 +311,13 @@ def suite_shift_laws(types=SMALL_TYPES, trials=1000, rng_seed=0, **_):
             k = FriezeFunction.from_slice("cluster-additive", cartan, v)
             if slice_step(cartan, v) != k.slice_at(1):
                 bad += 1
-            rho = TropPoint("Y", ctx.belts.b, _rand_coords(rng, r))
+            rho = ctx.belts.point("Y", _rand_coords(rng, r))
             shifted = shift_trop(rho, cartan)
             k0 = k_from_trop_point(rho, cartan)
             k1 = k_from_trop_point(shifted, cartan)
             if any(k1.slice_at(m) != k0.slice_at(m - 1) for m in range(-3, 4)):
                 bad += 1
-            reanchored = _trop_point("Y", pattern, rho.at_root(), _belt_vertex(1, 1, r))
+            reanchored = ctx.belts.point("Y", rho.at_root(), _belt_vertex(1, 1, r))
             if shifted != reanchored:
                 bad += 1
         return bad == 0, {"failures": bad}
@@ -333,7 +332,6 @@ def suite_admissibility(types=("A2", "B2"), rng_seed=0, budget=SEED_BUDGET, **_)
     def check(name, cartan, ctx, rng):
         r = cartan.rank
         seeds = enumerate_exchange_graph("A", ctx.belts.bt, budget).seeds.values()
-        pattern = matrix_pattern(ctx.belts.b)
         depth = 2 * len(seeds)
         ok = True
         checked = 0
@@ -343,7 +341,7 @@ def suite_admissibility(types=("A2", "B2"), rng_seed=0, budget=SEED_BUDGET, **_)
             for exps in exp_sets:
                 mono = _product(zip(seed.cluster, exps), RationalFunction.one(r))
                 coords = tuple(-e for e in exps)
-                rho = _trop_point("Y", pattern, coords, seed.vertex)
+                rho = ctx.belts.point("Y", coords, seed.vertex)
                 if check_admissible_A(mono, rho, depth) is not True:
                     ok = False
                 checked += 1
@@ -352,7 +350,7 @@ def suite_admissibility(types=("A2", "B2"), rng_seed=0, budget=SEED_BUDGET, **_)
         x1 = RationalFunction.variable(1, r)
         two_term = x1 + (RationalFunction.variable(2, r) if r > 1 else 1)
         for _ in range(25):
-            rho = TropPoint("Y", ctx.belts.b, _rand_coords(rng, r))
+            rho = ctx.belts.point("Y", _rand_coords(rng, r))
             if check_admissible_A(two_term, rho, depth) is not False:
                 ok = False
             sums_checked += 1

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cluster_friezes.errors import DimensionMismatch, NotAdmissible
+from cluster_friezes import finite, friezes
+from cluster_friezes.errors import DimensionMismatch, NotAdmissible, TropOverflow
 from cluster_friezes.finite import finite_context, named_cartan
 from cluster_friezes.friezes import (
     KINDS,
@@ -28,7 +29,7 @@ from cluster_friezes.friezes import (
     shift_trop,
     slice_step,
 )
-from cluster_friezes.laurent import IntLaurentPoly, RationalFunction as RF
+from cluster_friezes.laurent import IntLaurentPoly, RationalFunction as RF, check_trop
 from cluster_friezes.mutation import (
     canonical_address,
     is_global_Y_monomial,
@@ -39,6 +40,8 @@ from cluster_friezes.mutation import (
 from cluster_friezes.tropical import TropPoint, p_map
 
 A2 = named_cartan("A2")
+G2 = named_cartan("G2")
+_B = 2**62
 
 
 def mat_neg(m):
@@ -264,6 +267,33 @@ class TestPLMaps:
         with pytest.raises(TypeError, match="is not an int"):
             call()
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: PLMap(G2, "-").invert((_B, _B)),
+            lambda: PLMap(G2, "+").invert((_B, _B)),
+            lambda: PLMap(G2, "+").apply((_B, -_B)),
+            lambda: PLMap(G2, "-").apply((-_B, _B)),
+            lambda: slice_step(G2, (-_B, -_B)),
+            lambda: ensemble_map_friezes(
+                FriezeFunction.from_slice("tropical-frieze", G2, (_B - 1, _B - 1))
+            ).slice_at(0),
+        ],
+        ids=["invert-minus", "invert-plus", "apply-plus", "apply-minus", "slice-step",
+             "ensemble-map"],
+    )
+    def test_out_of_range_refused(self, call):
+        # B = 2^62 on G2, whose bond is 1-3: these once returned (2^64, 2^62),
+        # (2^62, 2^63), (2^62, -2^63), (-2^64, 2^62), (2^62, 2^63) and
+        # (3 * 2^62 - 3, 2^63 - 2)
+        with pytest.raises(TropOverflow):
+            call()
+
+    def test_in_range_edge_kept(self):
+        top = 2**63 - 1
+        assert PLMap(G2, "+").invert((_B, _B - 1)) == (_B, top)
+        assert PLMap(G2, "+").apply((_B, -_B + 1)) == (_B, -top)
+
     def test_slice_step_matches_recursion(self):
         rng = random.Random(11)
         for _ in range(30):
@@ -361,6 +391,84 @@ class TestKnittingTerms:
                 assert pl.apply(d) == apply(d)
                 assert pl.invert(d) == invert(d)
                 assert pl.invert(pl.apply(d)) == d
+
+
+# every named type, the two affine rank-2 matrices, a wild and a hyperbolic
+# one
+KNITTED_CARTANS = {
+    **{
+        f"{family}{r}": named_cartan(f"{family}{r}")
+        for family, (ranks, *_) in finite._DYNKIN.items()
+        for r in ranks
+    },
+    "affine-2-2": AFFINE_CASES[0][0],
+    "affine-4-1": AFFINE_CASES[1][0],
+    "wild-3-3": CartanMatrix(((2, -3), (-3, 2))),
+    "hyperbolic": CartanMatrix(((2, -2, 0), (-2, 2, -1), (0, -1, 2))),
+}
+
+# small cells, cells within 8 of the limit 2^63 - 1 on either side, and cells
+# in between
+_TOP = 2**63 - 1
+_CELL = st.one_of(
+    st.integers(-5, 5),
+    st.integers(_TOP - 8, _TOP),
+    st.integers(-_TOP, -_TOP + 8),
+    st.integers(-(2**62), 2**62),
+)
+
+
+def _knit_by_formula(kind, cartan, col, s):
+    """The column after col (s > 0) or before it (s < 0), one relation at a
+    time by _pair_sum_by_formula, each new cell checked once solved; the
+    outcome is the column, or the message of the first cell out of range."""
+    r = cartan.rank
+    new = [None] * r
+    col_m, col_m1 = (col, new) if s > 0 else (new, col)
+    try:
+        for i in range(r) if s > 0 else range(r - 1, -1, -1):
+            pair_sum = _pair_sum_by_formula(kind, cartan, col_m, col_m1, i)
+            new[i] = check_trop(pair_sum - col[i])
+    except TropOverflow as e:
+        return str(e)
+    return tuple(new)
+
+
+class TestKnittingKernels:
+    """Each compiled column step against the dense formula, cell by cell."""
+
+    @pytest.mark.parametrize("name", sorted(KNITTED_CARTANS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_kernel_equals_formula(self, name, data):
+        cartan = KNITTED_CARTANS[name]
+        col = data.draw(st.tuples(*[_CELL] * cartan.rank))
+        for kind in KINDS:
+            step = friezes._knitter(kind, cartan._knitting)
+            for s in (1, -1):
+                try:
+                    outcome = step(col, s)
+                except TropOverflow as e:
+                    outcome = str(e)
+                assert outcome == _knit_by_formula(kind, cartan, col, s)
+
+    def test_kernels_are_shared_by_value(self):
+        # named_cartan builds a new matrix on every call; equal matrices
+        # share one kernel per kind, and the slice line steps by it
+        for kind in KINDS:
+            f = FriezeFunction.from_slice(kind, named_cartan("E6"), (1,) * 6)
+            assert f._line.step is friezes._knitter(kind, named_cartan("E6")._knitting)
+
+    def test_overflow_stores_nothing(self):
+        # v(1, 1) = 3 v(2, 0) - v(1, 0) = 2B leaves the range, so the line
+        # keeps column 0 alone; backward, v(2, -1) = v(1, 0) - v(2, 0) = 0
+        # and v(1, -1) = 3 v(2, -1) - v(1, 0) = -B
+        big = 2**62 + 2**61
+        f = FriezeFunction.from_slice("additive", named_cartan("G2"), (big, big))
+        with pytest.raises(TropOverflow, match=str(2 * big)):
+            f.slice_at(1)
+        assert len(f._line.ahead) == 1
+        assert f.slice_at(-1) == (-big, 0)
 
 
 class TestHammocks:

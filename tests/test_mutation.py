@@ -1148,8 +1148,10 @@ class TestCacheContract:
         unread = next(
             v for v in map(vertex_line.get, itertools.count()) if v not in matrices.memo
         )
-        # the process-wide plans of the Y-rule over b: the belt plans a
-        # point's column steps read, and the tree-walk plans per edge
+        # the process-wide kernels of the Y-rule over b: the belt kernels a
+        # point's column steps run, and the tree-walk kernels per edge, all
+        # shared by value through one kernel registry; and the knitting
+        # kernels, one per kind and knitting terms
         words = _reduced_words(2, 4)
         at_words = [point.coords_at(a) for a in words]
         plans = tropical._plans.items[("Y", b)]
@@ -1160,7 +1162,8 @@ class TestCacheContract:
         slice_backed._line.lock = point._belt.lock = _NoLock()
         monkeypatch.setattr(matrices, "lock", _NoLock())
         monkeypatch.setattr(vertex_line, "lock", _NoLock())
-        for plan_cache in (tropical._plans, plans.belt, plans.edges):
+        kernel_caches = (tropical._kernels, friezes._knitters)
+        for plan_cache in (tropical._plans, plans.belt, plans.edges, *kernel_caches):
             monkeypatch.setattr(plan_cache, "lock", _NoLock())
         assert registry.get("key", object) is item
         assert [slice_backed.value(i, m) for i, m in cells] == table
@@ -1172,6 +1175,10 @@ class TestCacheContract:
         assert [fresh.belt_value(i, m) for i, m in cells] == belt
         assert [fresh.coords_at(a) for a in words] == at_words
         assert [plans.belt.get(m) for m in range(-4, 5)] == column_plans
+        # a new slice-backed function of a kind built before reads the
+        # knitting kernel registry only (its own line takes its own lock)
+        again = FriezeFunction.from_slice("cluster-additive", cartan, (1, -2))
+        assert [again.value(i, m) for i, m in cells] == table
         assert [mutation._belt_vertex(i, m, 2) for i, m in cells] == vertices
         assert [matrices.get(v) for v in vertices] == belt_matrices
         assert {a: pattern.seed_at(a) for a in seeds} == seeds
@@ -1196,6 +1203,8 @@ class TestCacheContract:
             lambda: vertex_line.get(-len(vertex_line.behind)),
             lambda: pattern.seed_at((1, 2, 3, 1)),
             lambda: tropical._plans.get(("Y", object()), object),
+            lambda: tropical._kernels.get(("Y", object()), object),
+            lambda: friezes._knitters.get(("additive", object()), object),
             lambda: plans.belt.get(len(plans.belt.ahead)),
             lambda: plans.belt.get(-len(plans.belt.behind)),
             # a walk with more edges than the plans cached: one is new

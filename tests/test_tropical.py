@@ -70,6 +70,29 @@ class TestMutationRules:
         with pytest.raises(DimensionMismatch):
             trop_mutate_Y((1, -2, 0, 0), wide, 3)
 
+    def test_entries_reach_the_kernel_as_ints(self):
+        # a kernel inlines the entries of b as literals: a float entry is
+        # refused, and an int subclass is read as the int it holds, however
+        # it formats itself
+        class Loud(int):
+            def __format__(self, spec):
+                return "__import__('sys').exit(9)"
+
+            __str__ = __repr__ = lambda self: format(self)
+
+        loud = ((0, Loud(1)), (Loud(-1), 0))
+        assert trop_mutate_A((-1, 2), loud, 1) == trop_mutate_A((-1, 2), BT_A2, 1)
+        assert trop_mutate_Y((1, -2), loud, 2) == trop_mutate_Y((1, -2), BT_A2, 2)
+        for rule in (trop_mutate_A, trop_mutate_Y):
+            with pytest.raises(TypeError, match="is not an int"):
+                rule((1, 2), ((0, 1.0), (-1, 0)), 1)
+
+    def test_short_coordinates_refused(self):
+        with pytest.raises(DimensionMismatch, match="length"):
+            trop_mutate_A((1,), BT_A2, 1)
+        with pytest.raises(DimensionMismatch, match="length"):
+            trop_mutate_Y((1,), B_A2, 1)
+
     def test_involutions_random(self):
         rng = random.Random(6)
         for _ in range(100):
@@ -242,6 +265,13 @@ class TestCoordsAt:
             for m in range(-3, 4):
                 addr = canonical_address(i, m, 2)
                 assert p.belt_value(i, m) == p.coords_at(addr)[i - 1]
+
+
+def _plans_of(kernel):
+    """The plans a rule kernel steps through, read off its one key in the
+    process-wide kernel registry."""
+    (key,) = [key for key, f in tropical._kernels.items.items() if f is kernel]
+    return key[2]
 
 
 def _memo_free_coords(space, root, coords, anchor, word):
@@ -419,10 +449,10 @@ class TestBeltRays:
         r = len(b)
         TropPoint(space, b, (1,) * r).belt_column(4)
         line = tropical._plans.items[space, b].belt
-        assert len(line.get(0)) == r - 1
+        assert len(_plans_of(line.get(0))) == r - 1
         for m in (2, 3, -2, -3):
             near = line.get(m - 1 if m > 0 else m + 1)
-            assert line.get(m) is near and len(near) == r
+            assert line.get(m) is near and len(_plans_of(near)) == r
 
     @pytest.mark.parametrize("name", ["B2", "G2", "F4"])
     @pytest.mark.parametrize("space", ["A", "Y"])
@@ -535,6 +565,170 @@ class TestBeltRays:
             assert [s for s in places if s < 0] == list(
                 range(-1, -len(line.behind), -1)
             )
+
+
+def _apply_A(c, plan):
+    """The A-rule as a loop over a plan, in place: x_k becomes max(sum of
+    [b_jk]_+ x_j, sum of [-b_jk]_+ x_j) - x_k.  Only the new x_k is
+    checked.  The oracle of the compiled kernels."""
+    kk, plus, minus = plan
+    p = q = 0
+    for j, x in plus:
+        p += x * c[j]
+    for j, x in minus:
+        q += x * c[j]
+    c[kk] = check_trop(max(p, q) - c[kk])
+
+
+def _apply_Y(c, plan):
+    """The Y-rule as a loop over a plan, in place: for y_k > 0 the entries
+    with b_ki < 0 move by -y_k b_ki, for y_k < 0 those with b_ki > 0 by
+    y_k b_ki, each moved one checked; y_k becomes -y_k."""
+    kk, plus, minus = plan
+    ck = c[kk]
+    if ck > 0:
+        moved = minus
+    elif ck < 0:
+        moved = plus
+    else:
+        return
+    for i, x in moved:
+        c[i] = check_trop(c[i] + ck * x)
+    c[kk] = -ck
+
+
+def _step_by_applier(space, c, b, k):
+    """c (a list) across edge k of b, in place, by the applier of space."""
+    rule = "A" if space == "A" else "Y"
+    (_apply_A if rule == "A" else _apply_Y)(c, tropical._moves(rule, b, k))
+
+
+def _belt_places_by_appliers(space, root, coords, reach):
+    """Place s -> the coordinates at place s of the belt, for |s| <= reach,
+    stepped one place at a time by the appliers on B_t mutated along the
+    belt from the root; a place whose step overflows maps to the message,
+    and the places beyond it are absent."""
+    r = len(root)
+    places = {0: coords}
+    for way in (1, -1):
+        c, b = list(coords), root
+        for s in range(0, way * reach, way):
+            # the edge between places s and s + way carries the letter of
+            # its end nearer 0, (min(s, s + way)) % r + 1
+            k = min(s, s + way) % r + 1
+            try:
+                _step_by_applier(space, c, b, k)
+            except TropOverflow as e:
+                places[s + way] = str(e)
+                break
+            b = mutate_matrix_raw(b, k)
+            places[s + way] = tuple(c)
+    return places
+
+
+def _column_by_appliers(places, m, r):
+    """(values, coordinates at the outer place) of belt column m, read off
+    the places, or the message of its first overflowing place."""
+    span = [m * r + i for i in range(r)]
+    for s in sorted(span, key=abs):
+        if isinstance(places[s], str):
+            return places[s]
+    outer = span[-1] if m >= 0 else span[0]
+    return tuple(places[s][s - m * r] for s in span), places[outer]
+
+
+def _call(kernel, c):
+    try:
+        return kernel(c)
+    except TropOverflow as e:
+        return str(e)
+
+
+# rank 1 to 6, simply and doubly laced, and the triple bond
+KERNEL_TYPES = ["A1", "A3", "B3", "C3", "G2", "D4", "F4", "E6"]
+
+
+class TestRuleKernels:
+    """The compiled belt-column and edge kernels against the loop appliers,
+    place by place, overflow included."""
+
+    @pytest.mark.parametrize("space", ["A", "Y", "Yprin"])
+    @pytest.mark.parametrize("name", KERNEL_TYPES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_belt_kernels(self, name, space, data):
+        b = named_cartan(name).b_matrix()
+        root = principal_wide_root(b) if space == "Yprin" else b
+        r = len(b)
+        coords = data.draw(st.tuples(*[_COORD] * len(root[0])))
+        point = TropPoint(space, root, coords)
+        kernels = tropical._plans.items[space, root].belt
+        places = _belt_places_by_appliers(space, root, coords, 3 * r)
+        for m in range(-3, 3):
+            # the outer coordinates of the neighbour column nearer 0
+            near = places.get(m * r - 1 if m > 0 else m * r + r if m < 0 else 0)
+            if not isinstance(near, tuple):
+                continue
+            expected = _column_by_appliers(places, m, r)
+            assert _call(kernels.get(m), near) == expected
+            # the point's line stores a column only if its kernel returned
+            line = point._belt.ahead if m >= 0 else point._belt.behind
+            if m in (0, -1):
+                stored = len(line)
+                assert _call(lambda _: point.belt_column(m), None) == (
+                    expected if isinstance(expected, str) else expected[0]
+                )
+                assert len(line) == stored + (not isinstance(expected, str))
+
+    @pytest.mark.parametrize("space", ["A", "Y", "Yprin"])
+    @pytest.mark.parametrize("name", KERNEL_TYPES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_edge_kernels(self, name, space, data):
+        b = named_cartan(name).b_matrix()
+        root = principal_wide_root(b) if space == "Yprin" else b
+        r = len(b)
+        coords = data.draw(st.tuples(*[_COORD] * len(root[0])))
+        word = data.draw(st.lists(st.integers(1, r), max_size=10))
+        point = TropPoint(space, root, coords)
+        c, m = list(coords), root
+        for n, k in enumerate(word, 1):
+            try:
+                _step_by_applier(space, c, m, k)
+            except TropOverflow as e:
+                assert _call(point.coords_at, word[:n]) == str(e)
+                break
+            m = mutate_matrix_raw(m, k)
+            assert point.coords_at(word[:n]) == tuple(c)
+        # every edge kernel the walk compiled, on the coordinates the
+        # walker holds at its vertex
+        plans = tropical._plans.items[space, root]
+        matrices = matrix_pattern(root)._walk
+        for (v, k), kernel in plans.edges.items.items():
+            at = point._walk.memo.get(v)
+            if at is not None:
+                c = list(at)
+                try:
+                    _step_by_applier(space, c, matrices.get(v), k)
+                except TropOverflow as e:
+                    c = str(e)
+                assert _call(kernel, at) == (c if isinstance(c, str) else tuple(c))
+
+    def test_mid_column_overflow_stores_nothing(self):
+        # on A3, column 0 steps places 1 and 2: the first moves y_2 by y_1,
+        # the second, with y_2 = 1 > 0, moves y_1 and y_3 up by 1, and y_3
+        # leaves the range
+        b = named_cartan("A3").b_matrix()
+        top = 2**63 - 1
+        point = TropPoint("Y", b, (1, 0, top))
+        with pytest.raises(TropOverflow, match=str(top + 1)):
+            point.belt_column(0)
+        assert len(point._belt.ahead) == 1
+        # the cells before the overflow read off the tree walker
+        assert point.belt_value(1, 0) == 1 and point.belt_value(2, 0) == 1
+        with pytest.raises(TropOverflow):
+            point.belt_value(3, 0)
+        assert len(point._belt.ahead) == 1
 
 
 def _count_steps(line):
